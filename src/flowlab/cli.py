@@ -15,7 +15,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from . import dataset as ds_mod
 from . import evaluation, synth, trace_io
@@ -30,6 +30,14 @@ EXIT_INPUT = 2
 EXIT_EMPTY = 3
 
 _PF_NAME = re.compile(r"pf_(pc|fd|bc)_(\d+)\.csv$")
+
+
+def _reject_unknown(section: str, data: dict, known) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} config must be a JSON object")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -56,14 +64,22 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> PipelineConfig:
+        _reject_unknown(
+            "pipeline",
+            data,
+            ("meter", "rules_path", "min_class_count", "split", "train", "output_dir"),
+        )
         split = data.get("split", {})
+        _reject_unknown("split", split, ("ratio", "seed"))
+        train = data.get("train", {})
+        _reject_unknown("train", train, [f.name for f in fields(TrainConfig)])
         return cls(
             meter=MeterConfig.from_dict(data.get("meter", {})),
             rules_path=data.get("rules_path"),
             min_class_count=int(data.get("min_class_count", 50)),
             split_ratio=float(split.get("ratio", 0.70)),
             split_seed=int(split.get("seed", 0)),
-            train=TrainConfig(**data.get("train", {})),
+            train=TrainConfig(**train),
             output_dir=data.get("output_dir", "."),
         )
 
@@ -221,7 +237,7 @@ def cmd_eval(args) -> int:
         if kind not in evaluation.SCENARIO_KINDS:
             raise FlowLabError(f"unknown scenario {kind!r}")
 
-    tc = TrainConfig(n_trees=trees, seed=seed)
+    tc = replace(pipeline.train, n_trees=trees, seed=seed)
     split = evaluation.split_keys(cf, ratio, seed)
     report = evaluation.sweep(
         cf, family, tasks=tasks, tc=tc, split=split, kinds=kinds, n_jobs=args.jobs

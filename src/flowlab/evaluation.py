@@ -212,26 +212,23 @@ def _sides(
     )
 
 
-def _evaluate(
-    train_flows,
-    test_flows,
-    task: str,
-    tc: TrainConfig,
-    benign_label: str,
-    n_jobs: int = 1,
-) -> Metrics:
-    def as_dataset(flows) -> Dataset:
-        if task == BINARY:
-            flows = tuple(
-                LabeledFlow(f.id, f.features, binarize([f.label], None, benign_label)[0])
-                for f in flows
-            )
-        return Dataset(provenance="scenario", flows=tuple(flows))
+def _as_dataset(flows, task: str, benign_label: str) -> Dataset:
+    if task == BINARY:
+        flows = tuple(
+            LabeledFlow(f.id, f.features, binarize([f.label], None, benign_label)[0])
+            for f in flows
+        )
+    return Dataset(provenance="scenario", flows=tuple(flows))
 
-    train_ds = as_dataset(train_flows)
-    forest = train(train_ds, tc, n_jobs=n_jobs)
-    test_ds = as_dataset(test_flows)
-    X, y_true = dataset_matrix(test_ds)
+
+def _train(
+    train_flows, task: str, tc: TrainConfig, benign_label: str, n_jobs: int
+) -> RandomForest:
+    return train(_as_dataset(train_flows, task, benign_label), tc, n_jobs=n_jobs)
+
+
+def _score(forest: RandomForest, test_flows, task: str, benign_label: str) -> Metrics:
+    X, y_true = dataset_matrix(_as_dataset(test_flows, task, benign_label))
     y_pred = predict_matrix(forest, X)
     return compute_metrics(
         y_true, y_pred, task, anomaly_labels={ANOMALY}, benign_label=benign_label
@@ -262,7 +259,8 @@ def run_scenario(
         raise EmptySideError(f"{scenario.kind}: empty train side")
     if not test_flows:
         raise EmptySideError(f"{scenario.kind}: empty test side")
-    return _evaluate(train_flows, test_flows, scenario.task, tc, benign_label, n_jobs)
+    forest = _train(train_flows, scenario.task, tc, benign_label, n_jobs)
+    return _score(forest, test_flows, scenario.task, benign_label)
 
 
 @dataclass(frozen=True)
@@ -359,11 +357,29 @@ def sweep(
     that partial-flow dataset's hashes; one split (computed on the full CF
     when not supplied) is shared by every cell. Cells whose train or test
     side comes up empty are recorded as skipped, never aborting the sweep.
+
+    Each distinct train side is trained once: CF_CF and CF_PF cells reuse
+    the last CF forest of their task, across thresholds too, while its train
+    hashes stay the same.
     """
     if tc is None:
         tc = TrainConfig()
     if split is None:
         split = split_keys(cf, 0.70, tc.seed)
+
+    # Every CF train side filters ``cf`` in its own order, so its hash set
+    # determines its flows and their order, and thus the forest.
+    cf_forests: dict[str, tuple[frozenset[int], RandomForest]] = {}
+
+    def fit(kind: str, task: str, train_flows) -> RandomForest:
+        if kind == "PF_PF":
+            return _train(train_flows, task, tc, benign_label, n_jobs)
+        key = frozenset(f.id.hash64 for f in train_flows)
+        last = cf_forests.get(task)
+        if last is None or last[0] != key:
+            forest = _train(train_flows, task, tc, benign_label, n_jobs)
+            last = cf_forests[task] = (key, forest)
+        return last[1]
 
     rows: list[SweepRow] = []
     for trigger in sorted(pf_family, key=Trigger.sort_key):
@@ -380,9 +396,8 @@ def sweep(
                     skipped = "empty test side"
                 else:
                     try:
-                        metrics = _evaluate(
-                            train_flows, test_flows, task, tc, benign_label, n_jobs
-                        )
+                        forest = fit(kind, task, train_flows)
+                        metrics = _score(forest, test_flows, task, benign_label)
                     except FlowLabError as exc:  # recorded per cell, sweep continues
                         skipped = str(exc)
                 rows.append(

@@ -113,77 +113,108 @@ class RandomForest:
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
 
+def _best_split(
+    XT: np.ndarray,
+    y: np.ndarray,
+    idx: np.ndarray,
+    counts: np.ndarray,
+    parent_gini: float,
+    features: np.ndarray,
+    min_samples_leaf: int,
+) -> tuple[int, float] | None:
+    """Best-Gini-gain ``(feature, threshold)`` split of rows ``idx``, or None.
+
+    Every sampled feature is scored in one pass: row ``j`` of each
+    ``m x n`` array holds feature ``features[j]`` over the node's rows sorted
+    by that feature, and the gains at all ``n - 1`` cut positions form one
+    ``m x (n - 1)`` array. Positions inside a run of equal values, or that
+    leave fewer than ``min_samples_leaf`` rows on a side, score -1. Ties
+    resolve as in a feature-by-feature scan: the first best cut within a
+    feature, and the first feature, in sampled order, to reach the best gain.
+    """
+    n = len(idx)
+    cols = XT[features[:, None], idx]
+    order = np.argsort(cols, axis=1, kind="stable")
+    sv = np.take_along_axis(cols, order, axis=1)
+    onehot = y[idx][order][:, :, None] == np.arange(len(counts))
+    left = onehot.cumsum(axis=1, dtype=float)[:, :-1]
+    right = counts - left
+    n_left = np.arange(1, n, dtype=float)
+    n_right = n - n_left
+    gini_left = 1.0 - (left**2).sum(axis=2) / n_left**2
+    gini_right = 1.0 - (right**2).sum(axis=2) / n_right**2
+    weighted = (n_left * gini_left + n_right * gini_right) / n
+    boundary = sv[:, 1:] != sv[:, :-1]
+    valid = boundary & (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+    gains = np.where(valid, parent_gini - weighted, -1.0)
+    cut = gains.argmax(axis=1)
+    best = gains[np.arange(len(features)), cut]
+    j = int(best.argmax())
+    if not best[j] > 0.0:
+        return None
+    # Known defect, kept so that results stay reproducible: the threshold
+    # takes the winning cut's rank k among the feature's value boundaries as
+    # a position in sv. With tied values, sv[k] and sv[k + 1] lie below the
+    # scored cut, so the split made is not the one whose gain won and may
+    # leave fewer than min_samples_leaf rows on a side.
+    k = int(np.count_nonzero(boundary[j, : cut[j]]))
+    return int(features[j]), float((sv[j, k] + sv[j, k + 1]) / 2)
+
+
 def _grow(
-    X: np.ndarray,
+    XT: np.ndarray,
     y: np.ndarray,
     idx: np.ndarray,
     n_labels: int,
     rng: np.random.Generator,
     config: TrainConfig,
-    depth: int,
 ) -> TreeNode:
-    counts = np.bincount(y[idx], minlength=n_labels)
-    majority = int(counts.argmax())
-    n = len(idx)
-    if (
-        np.count_nonzero(counts) <= 1
-        or (config.max_depth is not None and depth >= config.max_depth)
-        or n < 2 * config.min_samples_leaf
-    ):
-        return Leaf(majority)
+    """Grow one tree over rows ``idx`` of the feature-major matrix ``XT``.
 
-    parent_gini = 1.0 - float(((counts / n) ** 2).sum())
-    m = config.resolve_max_features(X.shape[1])
-    features = rng.choice(X.shape[1], size=m, replace=False)
-
-    best_gain = 0.0
-    best_feature = -1
-    best_threshold = 0.0
+    Nodes are expanded in preorder (a node, then its whole left subtree,
+    then its right subtree), which fixes the order of the ``rng`` draws. An
+    explicit stack keeps deep trees clear of the interpreter's recursion
+    limit.
+    """
+    n_features = XT.shape[0]
+    m = config.resolve_max_features(n_features)
     msl = config.min_samples_leaf
-    for f in features:
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = y[idx][order]
-        boundaries = np.nonzero(sv[1:] != sv[:-1])[0]
-        if boundaries.size == 0:
+    preorder: list[Leaf | tuple[int, float]] = []
+    stack = [(idx, 0)]
+    while stack:
+        idx, depth = stack.pop()
+        counts = np.bincount(y[idx], minlength=n_labels)
+        n = len(idx)
+        split = None
+        if not (
+            np.count_nonzero(counts) <= 1
+            or (config.max_depth is not None and depth >= config.max_depth)
+            or n < 2 * msl
+        ):
+            parent_gini = 1.0 - float(((counts / n) ** 2).sum())
+            features = rng.choice(n_features, size=m, replace=False)
+            split = _best_split(XT, y, idx, counts, parent_gini, features, msl)
+        if split is None:
+            preorder.append(Leaf(int(counts.argmax())))
             continue
-        onehot = np.zeros((n, n_labels))
-        onehot[np.arange(n), sy] = 1.0
-        cum = onehot.cumsum(axis=0)
-        left = cum[boundaries]
-        right = counts - left
-        n_left = (boundaries + 1).astype(float)
-        n_right = n - n_left
-        valid = (n_left >= msl) & (n_right >= msl)
-        if not valid.any():
-            continue
-        gini_left = 1.0 - (left**2).sum(axis=1) / n_left**2
-        gini_right = 1.0 - (right**2).sum(axis=1) / n_right**2
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        gains = np.where(valid, parent_gini - weighted, -1.0)
-        b = int(gains.argmax())
-        if gains[b] > best_gain:
-            best_gain = float(gains[b])
-            best_feature = int(f)
-            best_threshold = float((sv[b] + sv[b + 1]) / 2)
+        preorder.append(split)
+        mask = XT[split[0], idx] <= split[1]
+        stack.append((idx[~mask], depth + 1))
+        stack.append((idx[mask], depth + 1))
 
-    if best_feature < 0:
-        return Leaf(majority)
-
-    mask = X[idx, best_feature] <= best_threshold
-    left_idx = idx[mask]
-    right_idx = idx[~mask]
-    return Internal(
-        feature_index=best_feature,
-        threshold=best_threshold,
-        left=_grow(X, y, left_idx, n_labels, rng, config, depth + 1),
-        right=_grow(X, y, right_idx, n_labels, rng, config, depth + 1),
-    )
+    # Reversed preorder meets each node after its right, then left subtree.
+    built: list[TreeNode] = []
+    for node in reversed(preorder):
+        if isinstance(node, Leaf):
+            built.append(node)
+        else:
+            left = built.pop()
+            built.append(Internal(node[0], node[1], left, built.pop()))
+    return built[0]
 
 
 def _build_tree(
-    X: np.ndarray, y: np.ndarray, n_labels: int, config: TrainConfig, index: int
+    XT: np.ndarray, y: np.ndarray, n_labels: int, config: TrainConfig, index: int
 ) -> TreeNode:
     rng = np.random.Generator(np.random.PCG64(tree_seed(config.seed, index)))
     n = len(y)
@@ -191,7 +222,7 @@ def _build_tree(
         idx = rng.integers(0, n, size=n)
     else:
         idx = np.arange(n)
-    return _grow(X, y, idx, n_labels, rng, config, depth=0)
+    return _grow(XT, y, idx, n_labels, rng, config)
 
 
 def dataset_matrix(ds: Dataset) -> tuple[np.ndarray, list[str]]:
@@ -210,18 +241,19 @@ def train(ds: Dataset, config: TrainConfig | None = None, n_jobs: int = 1) -> Ra
     labels = tuple(sorted(set(label_list)))
     label_to_index = {label: i for i, label in enumerate(labels)}
     y = np.array([label_to_index[label] for label in label_list], dtype=np.int64)
+    XT = np.ascontiguousarray(X.T)
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             trees = tuple(
                 pool.map(
-                    lambda i: _build_tree(X, y, len(labels), config, i),
+                    lambda i: _build_tree(XT, y, len(labels), config, i),
                     range(config.n_trees),
                 )
             )
     else:
         trees = tuple(
-            _build_tree(X, y, len(labels), config, i) for i in range(config.n_trees)
+            _build_tree(XT, y, len(labels), config, i) for i in range(config.n_trees)
         )
     return RandomForest(
         trees=trees,
@@ -232,16 +264,16 @@ def train(ds: Dataset, config: TrainConfig | None = None, n_jobs: int = 1) -> Ra
 
 
 def _route_tree(node: TreeNode, X: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    if isinstance(node, Leaf):
-        out[rows] = node.label_index
-        return
-    mask = X[rows, node.feature_index] <= node.threshold
-    left_rows = rows[mask]
-    right_rows = rows[~mask]
-    if left_rows.size:
-        _route_tree(node.left, X, left_rows, out)
-    if right_rows.size:
-        _route_tree(node.right, X, right_rows, out)
+    stack = [(node, rows)]
+    while stack:
+        node, rows = stack.pop()
+        if isinstance(node, Leaf):
+            out[rows] = node.label_index
+            continue
+        mask = X[rows, node.feature_index] <= node.threshold
+        for child, child_rows in ((node.left, rows[mask]), (node.right, rows[~mask])):
+            if child_rows.size:
+                stack.append((child, child_rows))
 
 
 def predict_matrix(forest: RandomForest, X: np.ndarray) -> list[str]:

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from operator import attrgetter
 from ipaddress import ip_address
 
 from .errors import UnsortedTraceError
@@ -216,14 +217,23 @@ class FeatureVector:
     dst2src_rst_count: int
 
     def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in FEATURE_NAMES)
+        return _feature_values(self)
 
     @classmethod
     def from_values(cls, values: dict[str, float]) -> FeatureVector:
-        return cls(**values)
+        if values.keys() != _FEATURE_NAME_SET:
+            return cls(**values)  # raises TypeError naming the bad field
+        # With every field present the frozen __init__, one
+        # object.__setattr__ per field, is skipped: it was the largest
+        # cost of a snapshot.
+        vector = object.__new__(cls)
+        vector.__dict__.update(values)
+        return vector
 
 
 FEATURE_NAMES: tuple[str, ...] = tuple(f.name for f in fields(FeatureVector))
+_FEATURE_NAME_SET = frozenset(FEATURE_NAMES)
+_feature_values = attrgetter(*FEATURE_NAMES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,6 +324,25 @@ class MeterConfig:
             return cls.from_dict(json.load(fh))
 
 
+_SCOPE_FEATURES = (
+    "packets",
+    "bytes",
+    "payload_bytes",
+    "min_ps",
+    "mean_ps",
+    "max_ps",
+    "stddev_ps",
+    "min_piat_ms",
+    "mean_piat_ms",
+    "max_piat_ms",
+    "stddev_piat_ms",
+)
+_SCOPE_KEYS = {
+    prefix: tuple(f"{prefix}_{name}" for name in _SCOPE_FEATURES)
+    for prefix in ("bidirectional", "src2dst", "dst2src")
+}
+
+
 class _ScopeStats:
     """Streaming packet-size and inter-arrival accumulators for one scope.
 
@@ -384,40 +413,33 @@ class _ScopeStats:
 
     def export(self, prefix: str) -> dict[str, float]:
         n = self.packets
-        out = {
-            f"{prefix}_packets": n,
-            f"{prefix}_bytes": self.bytes,
-            f"{prefix}_payload_bytes": self.payload_bytes,
-            f"{prefix}_min_ps": float(self.min_ps),
-            f"{prefix}_mean_ps": self.sum_ps / n if n else 0.0,
-            f"{prefix}_max_ps": float(self.max_ps),
-            f"{prefix}_stddev_ps": self._stddev(n, self.sum_ps, self.sumsq_ps),
-        }
         # PIAT features are defined (and non-zero) only from the second
         # packet of the scope onward.
         if n < 2:
-            out.update(
-                {
-                    f"{prefix}_min_piat_ms": 0.0,
-                    f"{prefix}_mean_piat_ms": 0.0,
-                    f"{prefix}_max_piat_ms": 0.0,
-                    f"{prefix}_stddev_piat_ms": 0.0,
-                }
-            )
+            piat = (0.0, 0.0, 0.0, 0.0)
         else:
             m = self.piat_n
-            out.update(
-                {
-                    f"{prefix}_min_piat_ms": self.min_piat / 1000,
-                    f"{prefix}_mean_piat_ms": self.sum_piat / (m * 1000),
-                    f"{prefix}_max_piat_ms": self.max_piat / 1000,
-                    f"{prefix}_stddev_piat_ms": self._stddev(
-                        m, self.sum_piat, self.sumsq_piat
-                    )
-                    / 1000,
-                }
+            piat = (
+                self.min_piat / 1000,
+                self.sum_piat / (m * 1000),
+                self.max_piat / 1000,
+                self._stddev(m, self.sum_piat, self.sumsq_piat) / 1000,
             )
-        return out
+        return dict(
+            zip(
+                _SCOPE_KEYS[prefix],
+                (
+                    n,
+                    self.bytes,
+                    self.payload_bytes,
+                    float(self.min_ps),
+                    self.sum_ps / n if n else 0.0,
+                    float(self.max_ps),
+                    self._stddev(n, self.sum_ps, self.sumsq_ps),
+                    *piat,
+                ),
+            )
+        )
 
 
 class _FlowState:

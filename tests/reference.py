@@ -5,7 +5,9 @@ library: the meter is a two-pass group-then-replay implementation computing
 statistics from stored per-packet lists, the pcap dissector reads fields
 with int.from_bytes instead of struct, and the hash is a fresh FNV-1a
 transcription. These exist so the streaming implementations can be checked
-field for field against brute force.
+field for field against brute force. The forest reference grows each tree
+recursively and scores one sampled feature at a time, where the library
+scores all of them in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import struct
 import numpy as np
 from dataclasses import dataclass, field
 
+from flowlab.forest import Internal, Leaf, TrainConfig, dataset_matrix, tree_seed
 from flowlab.meter import (
     FeatureVector,
     FlowId,
@@ -392,7 +395,7 @@ def reference_meter(
                                 fid, Trigger("fd", t), arrays.prefix_features(n), exported
                             )
                         )
-                total_bytes = sum(p.wire_len for p in pkts[:n])
+                total_bytes = sum(arrays.wire[:n])
                 while bc_pending and total_bytes >= bc_pending[0]:
                     snapshots.append(
                         FlowSnapshot(
@@ -420,13 +423,13 @@ def reference_meter(
 
 def features_close(a: FeatureVector, b: FeatureVector, rel: float = 1e-9) -> bool:
     for x, y in zip(a.as_tuple(), b.as_tuple()):
+        if x == y:
+            continue
         if isinstance(x, int) and isinstance(y, int):
-            if x != y:
-                return False
-        else:
-            scale = max(abs(x), abs(y), 1.0)
-            if abs(x - y) > rel * scale:
-                return False
+            return False
+        scale = max(abs(x), abs(y), 1.0)
+        if abs(x - y) > rel * scale:
+            return False
     return True
 
 
@@ -447,3 +450,80 @@ def assert_meter_equal(actual, expected, rel: float = 1e-9) -> None:
         assert asnap.trigger == esnap.trigger
         assert asnap.exported_at_us == esnap.exported_at_us
         assert features_close(asnap.features, esnap.features, rel), (asnap, esnap)
+
+
+# ---------------------------------------------------------------------------
+# Random forest: recursive growth, one split search per sampled feature
+
+
+def _reference_grow(X, y, idx, n_labels, rng, config: TrainConfig, depth: int):
+    counts = np.bincount(y[idx], minlength=n_labels)
+    majority = int(counts.argmax())
+    n = len(idx)
+    if (
+        np.count_nonzero(counts) <= 1
+        or (config.max_depth is not None and depth >= config.max_depth)
+        or n < 2 * config.min_samples_leaf
+    ):
+        return Leaf(majority)
+
+    parent_gini = 1.0 - float(((counts / n) ** 2).sum())
+    m = config.resolve_max_features(X.shape[1])
+    features = rng.choice(X.shape[1], size=m, replace=False)
+
+    best_gain = 0.0
+    best_feature = -1
+    best_threshold = 0.0
+    msl = config.min_samples_leaf
+    for f in features:
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sy = y[idx][order]
+        boundaries = np.nonzero(sv[1:] != sv[:-1])[0]
+        if boundaries.size == 0:
+            continue
+        onehot = np.zeros((n, n_labels))
+        onehot[np.arange(n), sy] = 1.0
+        cum = onehot.cumsum(axis=0)
+        left = cum[boundaries]
+        right = counts - left
+        n_left = (boundaries + 1).astype(float)
+        n_right = n - n_left
+        valid = (n_left >= msl) & (n_right >= msl)
+        if not valid.any():
+            continue
+        gini_left = 1.0 - (left**2).sum(axis=1) / n_left**2
+        gini_right = 1.0 - (right**2).sum(axis=1) / n_right**2
+        weighted = (n_left * gini_left + n_right * gini_right) / n
+        gains = np.where(valid, parent_gini - weighted, -1.0)
+        b = int(gains.argmax())
+        if gains[b] > best_gain:
+            best_gain = float(gains[b])
+            best_feature = int(f)
+            best_threshold = float((sv[b] + sv[b + 1]) / 2)
+
+    if best_feature < 0:
+        return Leaf(majority)
+
+    mask = X[idx, best_feature] <= best_threshold
+    return Internal(
+        feature_index=best_feature,
+        threshold=best_threshold,
+        left=_reference_grow(X, y, idx[mask], n_labels, rng, config, depth + 1),
+        right=_reference_grow(X, y, idx[~mask], n_labels, rng, config, depth + 1),
+    )
+
+
+def reference_train(ds, config: TrainConfig) -> tuple:
+    """The trees ``flowlab.forest.train(ds, config)`` must grow, bit for bit."""
+    X, label_list = dataset_matrix(ds)
+    labels = sorted(set(label_list))
+    y = np.array([labels.index(label) for label in label_list], dtype=np.int64)
+    trees = []
+    for index in range(config.n_trees):
+        rng = np.random.Generator(np.random.PCG64(tree_seed(config.seed, index)))
+        n = len(y)
+        idx = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        trees.append(_reference_grow(X, y, idx, len(labels), rng, config, depth=0))
+    return tuple(trees)

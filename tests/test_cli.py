@@ -296,6 +296,39 @@ class TestEvalCmd:
         rc = _run("eval", metered / "pf_pc_2.csv", metered / "pf_pc_3.csv", out)
         assert rc == 2
 
+    def test_pipeline_train_settings_apply(self, workdir, metered):
+        pipeline = workdir / "pipeline.json"
+        pipeline.write_text(json.dumps({"train": {"max_depth": 1, "n_trees": 3}}))
+        out = workdir / "e6"
+        assert _run(
+            "eval", metered / "cf.csv", metered / "pf_pc_2.csv", out,
+            "--task", "binary", "--seed", 2, "--pipeline", pipeline,
+        ) == 0
+        echoed = json.loads((out / "eval_config.json").read_text())
+        assert echoed["train"]["max_depth"] == 1
+        assert echoed["train"]["n_trees"] == 3
+        assert echoed["train"]["seed"] == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"min_class_cuont": 5},
+            {"split": {"ratio": 0.6, "sede": 1}},
+            {"train": {"max_dpeth": 1}},
+            {"split": 0.6},
+            [],
+        ],
+    )
+    def test_bad_pipeline_config_exit_2(self, workdir, metered, doc):
+        pipeline = workdir / "pipeline.json"
+        pipeline.write_text(json.dumps(doc))
+        out = workdir / "e7"
+        rc = _run(
+            "eval", metered / "cf.csv", metered / "pf_pc_2.csv", out, "--pipeline", pipeline
+        )
+        assert rc == 2
+        assert not out.exists()
+
 
 def test_help_runs():
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from flowlab import evaluation
 from flowlab.dataset import Dataset, LabeledFlow, align, build_cf, build_pf
 from flowlab.errors import EmptyInputError, EmptySideError, LengthMismatchError
 from flowlab.evaluation import (
@@ -289,6 +290,48 @@ class TestSweep:
             for task in tasks
         ]
         assert [(r.threshold, r.scenario, r.task) for r in report.rows] == expected_order
+
+    @pytest.mark.parametrize("thin_pc3", [False, True])
+    def test_trains_each_distinct_train_side_once(self, early_corpus, monkeypatch, thin_pc3):
+        cf, snapshots = _corpus_eval_inputs(early_corpus)
+        # Every flow of the corpus reaches 4 packets, so each PF file holds
+        # every CF flow and all thresholds share one CF train side, unless
+        # PC=3 is thinned: then PC=3 and PC=4 each change the CF train side.
+        family = {
+            Trigger("pc", n): build_pf(snapshots, cf, Trigger("pc", n)) for n in (2, 3, 4)
+        }
+        assert all(pf.hashes() == cf.hashes() for pf in family.values())
+        if thin_pc3:
+            pf3 = family[Trigger("pc", 3)]
+            family[Trigger("pc", 3)] = Dataset(pf3.provenance, pf3.flows[::2])
+        tasks = ("binary", "multiclass")
+        tc = TrainConfig(n_trees=4, seed=3)
+        split = split_keys(cf, 0.7, seed=3)
+        trained = []
+        real_train = evaluation.train
+
+        def counting_train(ds, *args, **kwargs):
+            trained.append(ds)
+            return real_train(ds, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "train", counting_train)
+        report = sweep(cf, family, tasks=tasks, tc=tc, split=split)
+        cf_trains = len(family) if thin_pc3 else 1
+        assert len(trained) == len(tasks) * (cf_trains + len(family))
+
+        for row in report.rows:
+            trigger = next(t for t in family if str(t) == row.threshold)
+            acf, apf = align(cf, family[trigger])
+            if row.scenario == "CF_CF":
+                scenario, pf = Scenario("CF_CF", row.task), None
+            else:
+                scenario, pf = Scenario(row.scenario, row.task, trigger), apf
+            m = run_scenario(scenario, acf, pf, split, tc)
+            assert (row.precision, row.recall, row.f1) == (
+                m.reported_precision,
+                m.reported_recall,
+                m.reported_f1,
+            )
 
     def test_csv_shape(self, early_corpus):
         cf, snapshots = _corpus_eval_inputs(early_corpus)

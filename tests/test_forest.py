@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from flowlab.forest import (
     tree_seed,
 )
 from flowlab.meter import FlowId
+
+from reference import reference_train
 
 
 def _toy_dataset(rows: list[tuple[float, float, str]]) -> Dataset:
@@ -143,11 +147,47 @@ class TestTrain:
 
         assert all(depth(t) <= 1 for t in forest.trees)
 
+    def test_deep_tree_trains_and_predicts(self):
+        # Alternating labels along one sorted feature: each split peels off
+        # a row or two, so the tree is about as deep as the data is long.
+        ds = _toy_dataset([(float(i), 0.0, "AB"[i % 2]) for i in range(2000)])
+        forest = train(ds, TrainConfig(n_trees=1, max_features=2, bootstrap=False))
+        X = np.array([f.features.as_tuple() for f in ds.flows])
+        assert predict_matrix(forest, X) == [f.label for f in ds.flows]
+
     def test_tree_seed_mixing(self):
         seeds = {tree_seed(42, i) for i in range(1000)}
         assert len(seeds) == 1000
         assert tree_seed(42, 0) != tree_seed(43, 0)
         assert all(0 <= s < 2**64 for s in seeds)
+
+
+def _tie_heavy(n_labels: int, seed: int = 0) -> Dataset:
+    """Small-integer features, so most candidate cuts fall inside a tie."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(150, 5)).astype(float)
+    y = (X[:, 0] + X[:, 1] + rng.integers(0, 3, size=150)) % n_labels
+    flows = tuple(
+        LabeledFlow(id=FlowId.from_hash(i), features=_Row(tuple(row)), label=f"L{int(c)}")
+        for i, (row, c) in enumerate(zip(X, y))
+    )
+    return Dataset(provenance="toy", flows=flows, feature_schema=tuple("abcde"))
+
+
+@pytest.mark.parametrize(
+    "min_samples_leaf,max_depth,bootstrap,n_labels,n_jobs",
+    list(itertools.product((1, 3), (None, 2), (True, False), (2, 9), (1, 2))),
+)
+def test_trees_equal_reference(min_samples_leaf, max_depth, bootstrap, n_labels, n_jobs):
+    ds = _tie_heavy(n_labels)
+    tc = TrainConfig(
+        n_trees=4,
+        min_samples_leaf=min_samples_leaf,
+        max_depth=max_depth,
+        bootstrap=bootstrap,
+        seed=7,
+    )
+    assert train(ds, tc, n_jobs=n_jobs).trees == reference_train(ds, tc)
 
 
 class TestPredict:
