@@ -10,7 +10,6 @@ from .dataset import (
     AuditReport,
     Dataset,
     DistributionSummary,
-    LabeledFlow,
     align,
     audit,
     build_cf,
@@ -88,7 +87,6 @@ __all__ = [
     "FlowTemplate",
     "InvalidSpecError",
     "LabelRule",
-    "LabeledFlow",
     "LengthMismatchError",
     "MalformedHeaderError",
     "Metrics",

@@ -40,6 +40,14 @@ def _reject_unknown(section: str, data: dict, known) -> None:
         raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
 
 
+def _typed(section: str, build):
+    """``build()``, with a wrongly typed value reported as a ValueError."""
+    try:
+        return build()
+    except TypeError as exc:
+        raise ValueError(f"bad {section} config value: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Aggregated stage settings, echoed into outputs for provenance."""
@@ -76,10 +84,10 @@ class PipelineConfig:
         return cls(
             meter=MeterConfig.from_dict(data.get("meter", {})),
             rules_path=data.get("rules_path"),
-            min_class_count=int(data.get("min_class_count", 50)),
-            split_ratio=float(split.get("ratio", 0.70)),
-            split_seed=int(split.get("seed", 0)),
-            train=TrainConfig(**train),
+            min_class_count=_typed("pipeline", lambda: int(data.get("min_class_count", 50))),
+            split_ratio=_typed("split", lambda: float(split.get("ratio", 0.70))),
+            split_seed=_typed("split", lambda: int(split.get("seed", 0))),
+            train=_typed("train", lambda: TrainConfig(**train)),
             output_dir=data.get("output_dir", "."),
         )
 
@@ -138,12 +146,19 @@ def cmd_meter(args) -> int:
     triggers = [Trigger("pc", n) for n in sorted(config.pc_triggers)]
     triggers += [Trigger("fd", t) for t in sorted(config.fd_triggers_ms)]
     triggers += [Trigger("bc", b) for b in sorted(config.byte_triggers)]
+    cf_summary = ds_mod.distribution(cf)
+    dist = {"CF": cf_summary.to_dict()}
+    dist_text = ["== CF ==", cf_summary.to_text()] if len(cf) else []
     for trigger in triggers:
         pf = ds_mod.build_pf(snapshots, cf, trigger)
         name = f"pf_{trigger.kind}_{trigger.value}.csv"
         _atomic(
             os.path.join(args.out_dir, name), lambda p, pf=pf: ds_mod.write_csv(pf, p)
         )
+        if len(pf):
+            summary = ds_mod.distribution(pf)
+            dist[str(trigger)] = summary.to_dict()
+            dist_text += [f"== {trigger} ==", summary.to_text()]
 
     report = ds_mod.audit(records, rules, config.idle_timeout_s)
     _atomic(
@@ -154,14 +169,6 @@ def cmd_meter(args) -> int:
         os.path.join(args.out_dir, "audit.txt"),
         lambda p: _write_text(p, report.to_text() + "\n"),
     )
-    dist = {"CF": ds_mod.distribution(cf).to_dict()}
-    dist_text = ["== CF ==", ds_mod.distribution(cf).to_text()] if len(cf) else []
-    for trigger in triggers:
-        pf = ds_mod.read_csv(os.path.join(args.out_dir, f"pf_{trigger.kind}_{trigger.value}.csv"))
-        if len(pf):
-            summary = ds_mod.distribution(pf)
-            dist[str(trigger)] = summary.to_dict()
-            dist_text += [f"== {trigger} ==", summary.to_text()]
     _atomic(
         os.path.join(args.out_dir, "distribution.json"),
         lambda p: ds_mod.write_json_report(dist, p),

@@ -10,75 +10,81 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
-from typing import Iterable
+from collections import Counter
+from dataclasses import dataclass, fields, replace
+from itertools import islice, repeat
+from typing import AbstractSet, Iterable
+
+import numpy as np
 
 from .errors import DatasetIOError, SchemaMismatchError
 from .labeling import RuleSet, label_flow
-from .meter import (
-    FEATURE_NAMES,
-    FeatureVector,
-    FlowId,
-    FlowRecord,
-    FlowSnapshot,
-    Trigger,
-)
+from .meter import FEATURE_NAMES, FeatureVector, FlowRecord, FlowSnapshot, Trigger
 
 CF_PROVENANCE = "CF"
 
-_FIELD_TYPES = {f.name: f.type for f in fields(FeatureVector)}
-_INT_FIELDS = {name for name, t in _FIELD_TYPES.items() if t in (int, "int")}
-
-
-@dataclass(frozen=True, slots=True)
-class LabeledFlow:
-    """One flow's features with its ground-truth label."""
-
-    id: FlowId
-    features: FeatureVector
-    label: str
+_INT_FIELDS = {f.name for f in fields(FeatureVector) if f.type in (int, "int")}
+_MAX_HASH = 0xFFFFFFFFFFFFFFFF
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable labeled feature table with provenance.
 
-    Provenance is "CF" for complete flows or the trigger string ("PC=5",
-    "FD=100") for partial flows. Flow hashes are unique within a dataset.
+    Row ``i`` is the flow with hash ``hash64[i]`` (uint64), features
+    ``X[i]`` (float64, one column per ``feature_schema`` name) and label
+    ``labels[i]`` (a str). The three arrays are read-only; any array-like of
+    the right length is accepted and converted. Provenance is "CF" for
+    complete flows or the trigger string ("PC=5", "FD=100") for partial
+    flows. Flow hashes are unique within a dataset.
     """
 
     provenance: str
-    flows: tuple[LabeledFlow, ...]
+    hash64: np.ndarray
+    X: np.ndarray
+    labels: np.ndarray
     feature_schema: tuple[str, ...] = FEATURE_NAMES
 
+    def __post_init__(self) -> None:
+        hash64 = np.asarray(self.hash64, dtype=np.uint64)
+        n = len(hash64)
+        X = np.asarray(self.X, dtype=np.float64).reshape(n, len(self.feature_schema))
+        labels = np.asarray(self.labels, dtype=object)
+        if hash64.ndim != 1 or labels.shape != (n,):
+            raise ValueError(f"{labels.shape} labels for {hash64.shape} flow hashes")
+        for name, array in (("hash64", hash64), ("X", X), ("labels", labels)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
     def __len__(self) -> int:
-        return len(self.flows)
+        return len(self.hash64)
 
     def __eq__(self, other) -> bool:
-        # Equality is content-level: the CSV form carries only the flow
-        # hash, so FlowId key/start_us do not participate. Empty datasets
-        # carry no provenance rows and compare equal regardless of it.
+        # Equality is content-level. Empty datasets carry no provenance
+        # rows and compare equal regardless of it.
         if not isinstance(other, Dataset):
             return NotImplemented
-        if self.feature_schema != other.feature_schema:
-            return False
-        if self.flows or other.flows:
-            if self.provenance != other.provenance:
-                return False
-        return [(f.id.hash64, f.label, f.features) for f in self.flows] == [
-            (f.id.hash64, f.label, f.features) for f in other.flows
-        ]
+        return (
+            self.feature_schema == other.feature_schema
+            and (self.provenance == other.provenance or not (len(self) or len(other)))
+            and np.array_equal(self.hash64, other.hash64)
+            and np.array_equal(self.labels, other.labels)
+            and np.array_equal(self.X, other.X)
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
+    def restrict(self, keys: AbstractSet[int]) -> Dataset:
+        """The rows whose flow hash is in ``keys``, in their order."""
+        rows = np.fromiter((h in keys for h in self.hash64.tolist()), bool, len(self))
+        return replace(self, hash64=self.hash64[rows], X=self.X[rows], labels=self.labels[rows])
+
     def hashes(self) -> frozenset[int]:
-        return frozenset(f.id.hash64 for f in self.flows)
+        return frozenset(self.hash64.tolist())
 
     def label_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for f in self.flows:
-            counts[f.label] = counts.get(f.label, 0) + 1
-        return counts
+        return dict(Counter(self.labels.tolist()))
 
 
 def build_cf(
@@ -90,7 +96,7 @@ def build_cf(
     any repeated flow hash, and removes every class with fewer surviving
     flows than ``min_class_count``.
     """
-    survivors: list[LabeledFlow] = []
+    survivors: list[tuple[FlowRecord, str]] = []
     seen: set[int] = set()
     for record in records:
         if record.features.bidirectional_payload_bytes == 0:
@@ -98,15 +104,16 @@ def build_cf(
         if record.id.hash64 in seen:
             continue
         seen.add(record.id.hash64)
-        survivors.append(
-            LabeledFlow(record.id, record.features, label_flow(record, rules))
-        )
+        survivors.append((record, label_flow(record, rules)))
 
-    counts: dict[str, int] = {}
-    for flow in survivors:
-        counts[flow.label] = counts.get(flow.label, 0) + 1
-    kept = tuple(f for f in survivors if counts[f.label] >= min_class_count)
-    return Dataset(provenance=CF_PROVENANCE, flows=kept)
+    counts = Counter(label for _, label in survivors)
+    kept = [(r, label) for r, label in survivors if counts[label] >= min_class_count]
+    return Dataset(
+        CF_PROVENANCE,
+        [r.id.hash64 for r, _ in kept],
+        [r.features.as_tuple() for r, _ in kept],
+        [label for _, label in kept],
+    )
 
 
 def build_pf(
@@ -119,8 +126,8 @@ def build_pf(
     """
     if cf.provenance != CF_PROVENANCE:
         raise ValueError(f"parent dataset has provenance {cf.provenance!r}, not CF")
-    parent_labels = {f.id.hash64: f.label for f in cf.flows}
-    kept: list[LabeledFlow] = []
+    parent_labels = dict(zip(cf.hash64.tolist(), cf.labels.tolist()))
+    kept: list[FlowSnapshot] = []
     seen: set[int] = set()
     for snap in snapshots:
         if snap.trigger != trigger:
@@ -129,25 +136,25 @@ def build_pf(
         if h not in parent_labels or h in seen:
             continue
         seen.add(h)
-        kept.append(LabeledFlow(snap.parent_id, snap.features, parent_labels[h]))
-    return Dataset(provenance=str(trigger), flows=tuple(kept))
+        kept.append(snap)
+    return Dataset(
+        str(trigger),
+        [s.parent_id.hash64 for s in kept],
+        [s.features.as_tuple() for s in kept],
+        [parent_labels[s.parent_id.hash64] for s in kept],
+    )
 
 
 def align(cf: Dataset, pf: Dataset) -> tuple[Dataset, Dataset]:
     """Restrict both datasets to their common flow hashes.
 
     When the PF side was built against this CF (the normal case) the PF
-    side is returned unchanged.
+    side keeps every row.
     """
     if cf.provenance != CF_PROVENANCE:
         raise ValueError(f"first dataset has provenance {cf.provenance!r}, not CF")
     common = cf.hashes() & pf.hashes()
-    cf_flows = tuple(f for f in cf.flows if f.id.hash64 in common)
-    pf_flows = tuple(f for f in pf.flows if f.id.hash64 in common)
-    return (
-        Dataset(provenance=cf.provenance, flows=cf_flows),
-        Dataset(provenance=pf.provenance, flows=pf_flows),
-    )
+    return cf.restrict(common), pf.restrict(common)
 
 
 @dataclass(frozen=True)
@@ -312,16 +319,19 @@ class DistributionSummary:
 
 def distribution(ds: Dataset, benign_label: str = "BENIGN") -> DistributionSummary:
     """Count/min/mean/max of duration and packet count, per label."""
-    groups: dict[str, list[LabeledFlow]] = {}
-    for flow in ds.flows:
-        groups.setdefault(flow.label, []).append(flow)
+    durations_col = ds.X[:, ds.feature_schema.index("duration_ms")].tolist()
+    packets_col = ds.X[:, ds.feature_schema.index("bidirectional_packets")].tolist()
+    groups: dict[str, list[int]] = {}
+    for i, label in enumerate(ds.labels.tolist()):
+        groups.setdefault(label, []).append(i)
 
     per_label = {}
-    for label, flows in groups.items():
-        durations = [f.features.duration_ms for f in flows]
-        packets = [f.features.bidirectional_packets for f in flows]
+    for label, rows in groups.items():
+        # Summed left to right in Python: a pairwise np.sum can change the last bit.
+        durations = [durations_col[i] for i in rows]
+        packets = [int(packets_col[i]) for i in rows]
         per_label[label] = LabelStats(
-            count=len(flows),
+            count=len(rows),
             min_duration_ms=min(durations),
             mean_duration_ms=sum(durations) / len(durations),
             max_duration_ms=max(durations),
@@ -330,7 +340,7 @@ def distribution(ds: Dataset, benign_label: str = "BENIGN") -> DistributionSumma
             max_packets=max(packets),
         )
     benign_total = sum(s.count for label, s in per_label.items() if label == benign_label)
-    total = len(ds.flows)
+    total = len(ds)
     return DistributionSummary(
         per_label=per_label,
         benign_total=benign_total,
@@ -339,29 +349,25 @@ def distribution(ds: Dataset, benign_label: str = "BENIGN") -> DistributionSumma
     )
 
 
-def _format_cell(name: str, value) -> str:
-    if name in _INT_FIELDS:
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_csv(ds: Dataset, path) -> None:
     """Write a dataset as CSV with full-precision floats.
 
     Columns are the feature schema followed by label, flow_hash, and
-    provenance.
+    provenance. Integer features are written as integers. Rows are
+    formatted a block at a time.
     """
+    formats = [
+        (lambda v: str(int(v))) if name in _INT_FIELDS else repr for name in ds.feature_schema
+    ]
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(list(ds.feature_schema) + ["label", "flow_hash", "provenance"])
-            for flow in ds.flows:
-                row = [
-                    _format_cell(name, getattr(flow.features, name))
-                    for name in ds.feature_schema
-                ]
-                row += [flow.label, str(flow.id.hash64), ds.provenance]
-                writer.writerow(row)
+            for start in range(0, len(ds), _BLOCK_ROWS):
+                rows = slice(start, start + _BLOCK_ROWS)
+                features = [map(f, column) for f, column in zip(formats, ds.X[rows].T.tolist())]
+                hashes = map(str, ds.hash64[rows].tolist())
+                writer.writerows(zip(*features, ds.labels[rows], hashes, repeat(ds.provenance)))
     except OSError as exc:
         raise DatasetIOError(f"cannot write dataset {path}: {exc}") from exc
 
@@ -371,9 +377,15 @@ def read_csv(path) -> Dataset:
 
     Raises SchemaMismatchError when the header does not carry the expected
     feature schema, DatasetIOError on unreadable or inconsistent files.
-    Deserialized FlowIds carry only the hash.
+    Rows are parsed a block at a time, so only one block's cell strings are
+    held at once.
     """
     expected = list(FEATURE_NAMES) + ["label", "flow_hash", "provenance"]
+    parsers = [int if name in _INT_FIELDS else float for name in FEATURE_NAMES]
+    hashes: list[int] = []
+    labels: list[str] = []
+    blocks: list[np.ndarray] = []
+    provenances: set[str] = set()
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -385,37 +397,34 @@ def read_csv(path) -> Dataset:
                 raise SchemaMismatchError(
                     f"{path}: header does not match the feature schema"
                 )
-            flows: list[LabeledFlow] = []
-            provenance: str | None = None
-            seen: set[int] = set()
-            for row in reader:
-                if len(row) != len(expected):
-                    raise DatasetIOError(f"{path}: row with {len(row)} cells")
-                values = {
-                    name: (int(cell) if name in _INT_FIELDS else float(cell))
-                    for name, cell in zip(FEATURE_NAMES, row)
-                }
-                label, hash_text, row_prov = row[-3], row[-2], row[-1]
-                if provenance is None:
-                    provenance = row_prov
-                elif provenance != row_prov:
-                    raise DatasetIOError(f"{path}: mixed provenance values")
-                h = int(hash_text)
-                if h in seen:
-                    raise DatasetIOError(f"{path}: duplicate flow hash {h}")
-                seen.add(h)
-                flows.append(
-                    LabeledFlow(
-                        id=FlowId.from_hash(h),
-                        features=FeatureVector.from_values(values),
-                        label=label,
-                    )
-                )
+            while block := list(islice(reader, _BLOCK_ROWS)):
+                for row in block:
+                    if len(row) != len(expected):
+                        raise DatasetIOError(f"{path}: row with {len(row)} cells")
+                columns = list(zip(*block))
+                parsed = [list(map(p, c)) for p, c in zip(parsers, columns)]
+                try:
+                    blocks.append(np.array(parsed, dtype=np.float64).T)
+                except OverflowError:
+                    raise DatasetIOError(f"{path}: a feature value is out of range") from None
+                labels += columns[-3]
+                hashes += map(int, columns[-2])
+                provenances.update(columns[-1])
     except OSError as exc:
         raise DatasetIOError(f"cannot read dataset {path}: {exc}") from exc
+
+    if len(provenances) > 1:
+        raise DatasetIOError(f"{path}: mixed provenance values")
+    repeated = [h for h, count in Counter(hashes).items() if count > 1]
+    if repeated:
+        raise DatasetIOError(f"{path}: duplicate flow hash {repeated[0]}")
+    if hashes and not (min(hashes) >= 0 and max(hashes) <= _MAX_HASH):
+        raise DatasetIOError(f"{path}: a flow hash is not a 64-bit value")
     return Dataset(
-        provenance=provenance if provenance is not None else CF_PROVENANCE,
-        flows=tuple(flows),
+        provenances.pop() if provenances else CF_PROVENANCE,
+        hashes,
+        np.concatenate(blocks) if blocks else (),
+        labels,
     )
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Dataset, LabeledFlow, align
+from .dataset import Dataset, align
 from .errors import (
     EmptyInputError,
     EmptySideError,
@@ -55,8 +55,8 @@ def split_keys(cf: Dataset, ratio: float = 0.70, seed: int = 0) -> Split:
         raise ValueError("ratio must be in (0, 1)")
     rng = np.random.Generator(np.random.PCG64(seed))
     by_label: dict[str, list[int]] = {}
-    for flow in cf.flows:
-        by_label.setdefault(flow.label, []).append(flow.id.hash64)
+    for label, h in zip(cf.labels.tolist(), cf.hash64.tolist()):
+        by_label.setdefault(label, []).append(h)
 
     train: set[int] = set()
     test: set[int] = set()
@@ -196,39 +196,28 @@ class Scenario:
             raise ValueError("CF_CF takes no threshold")
 
 
-def _restrict(flows: tuple[LabeledFlow, ...], keys: frozenset[int]):
-    return tuple(f for f in flows if f.id.hash64 in keys)
+def _restrict(ds: Dataset, keys: frozenset[int], task: str, benign_label: str) -> Dataset:
+    """The rows of ``ds`` whose hash is in ``keys``, binarised for a binary task."""
+    side = ds.restrict(keys)
+    if task == BINARY:
+        side = replace(side, labels=binarize(side.labels, None, benign_label))
+    return side
 
 
 def _sides(
-    kind: str, cf: Dataset, pf: Dataset | None, split: Split
-) -> tuple[tuple[LabeledFlow, ...], tuple[LabeledFlow, ...]]:
+    kind: str, cf: Dataset, pf: Dataset | None, split: Split, task: str, benign_label: str
+) -> tuple[Dataset, Dataset]:
     train_src = cf if kind in ("CF_CF", "CF_PF") else pf
     test_src = cf if kind == "CF_CF" else pf
     assert train_src is not None and test_src is not None
     return (
-        _restrict(train_src.flows, split.train_keys),
-        _restrict(test_src.flows, split.test_keys),
+        _restrict(train_src, split.train_keys, task, benign_label),
+        _restrict(test_src, split.test_keys, task, benign_label),
     )
 
 
-def _as_dataset(flows, task: str, benign_label: str) -> Dataset:
-    if task == BINARY:
-        flows = tuple(
-            LabeledFlow(f.id, f.features, binarize([f.label], None, benign_label)[0])
-            for f in flows
-        )
-    return Dataset(provenance="scenario", flows=tuple(flows))
-
-
-def _train(
-    train_flows, task: str, tc: TrainConfig, benign_label: str, n_jobs: int
-) -> RandomForest:
-    return train(_as_dataset(train_flows, task, benign_label), tc, n_jobs=n_jobs)
-
-
-def _score(forest: RandomForest, test_flows, task: str, benign_label: str) -> Metrics:
-    X, y_true = dataset_matrix(_as_dataset(test_flows, task, benign_label))
+def _score(forest: RandomForest, test: Dataset, task: str, benign_label: str) -> Metrics:
+    X, y_true = dataset_matrix(test)
     y_pred = predict_matrix(forest, X)
     return compute_metrics(
         y_true, y_pred, task, anomaly_labels={ANOMALY}, benign_label=benign_label
@@ -254,13 +243,13 @@ def run_scenario(
         raise ValueError("pf must be given exactly for PF_PF and CF_PF scenarios")
     if tc is None:
         tc = TrainConfig()
-    train_flows, test_flows = _sides(scenario.kind, cf, pf, split)
-    if not train_flows:
+    train_side, test_side = _sides(scenario.kind, cf, pf, split, scenario.task, benign_label)
+    if not len(train_side):
         raise EmptySideError(f"{scenario.kind}: empty train side")
-    if not test_flows:
+    if not len(test_side):
         raise EmptySideError(f"{scenario.kind}: empty test side")
-    forest = _train(train_flows, scenario.task, tc, benign_label, n_jobs)
-    return _score(forest, test_flows, scenario.task, benign_label)
+    forest = train(train_side, tc, n_jobs=n_jobs)
+    return _score(forest, test_side, scenario.task, benign_label)
 
 
 @dataclass(frozen=True)
@@ -371,14 +360,13 @@ def sweep(
     # determines its flows and their order, and thus the forest.
     cf_forests: dict[str, tuple[frozenset[int], RandomForest]] = {}
 
-    def fit(kind: str, task: str, train_flows) -> RandomForest:
+    def fit(kind: str, task: str, train_side: Dataset) -> RandomForest:
         if kind == "PF_PF":
-            return _train(train_flows, task, tc, benign_label, n_jobs)
-        key = frozenset(f.id.hash64 for f in train_flows)
+            return train(train_side, tc, n_jobs=n_jobs)
+        key = frozenset(train_side.hash64.tolist())
         last = cf_forests.get(task)
         if last is None or last[0] != key:
-            forest = _train(train_flows, task, tc, benign_label, n_jobs)
-            last = cf_forests[task] = (key, forest)
+            last = cf_forests[task] = (key, train(train_side, tc, n_jobs=n_jobs))
         return last[1]
 
     rows: list[SweepRow] = []
@@ -386,8 +374,8 @@ def sweep(
         acf, apf = align(cf, pf_family[trigger])
         for kind in kinds:
             for task in tasks:
-                train_flows, test_flows = _sides(kind, acf, apf, split)
-                n_train, n_test = len(train_flows), len(test_flows)
+                train_side, test_side = _sides(kind, acf, apf, split, task, benign_label)
+                n_train, n_test = len(train_side), len(test_side)
                 skipped = ""
                 metrics = None
                 if n_train == 0:
@@ -396,8 +384,8 @@ def sweep(
                     skipped = "empty test side"
                 else:
                     try:
-                        forest = fit(kind, task, train_flows)
-                        metrics = _score(forest, test_flows, task, benign_label)
+                        forest = fit(kind, task, train_side)
+                        metrics = _score(forest, test_side, task, benign_label)
                     except FlowLabError as exc:  # recorded per cell, sweep continues
                         skipped = str(exc)
                 rows.append(

@@ -227,15 +227,14 @@ def _build_tree(
 
 def dataset_matrix(ds: Dataset) -> tuple[np.ndarray, list[str]]:
     """Feature matrix and label list of a dataset, in flow order."""
-    X = np.array([f.features.as_tuple() for f in ds.flows], dtype=float)
-    return X.reshape(len(ds.flows), len(ds.feature_schema)), [f.label for f in ds.flows]
+    return ds.X, list(ds.labels)
 
 
 def train(ds: Dataset, config: TrainConfig | None = None, n_jobs: int = 1) -> RandomForest:
     """Train a forest; bit-identical results for any ``n_jobs``."""
     if config is None:
         config = TrainConfig()
-    if len(ds.flows) == 0:
+    if len(ds) == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
     X, label_list = dataset_matrix(ds)
     labels = tuple(sorted(set(label_list)))

@@ -110,23 +110,15 @@ def flow_hash(key: FlowKey, start_us: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class FlowId:
-    """Six-tuple flow identity: key, start time, and their stable hash.
-
-    Datasets deserialized from CSV only carry the hash; ``key`` and
-    ``start_us`` are then None.
-    """
+    """Six-tuple flow identity: key, start time, and their stable hash."""
 
     hash64: int
-    key: FlowKey | None = None
-    start_us: int | None = None
+    key: FlowKey
+    start_us: int
 
     @classmethod
     def from_key(cls, key: FlowKey, start_us: int) -> FlowId:
         return cls(hash64=flow_hash(key, start_us), key=key, start_us=start_us)
-
-    @classmethod
-    def from_hash(cls, hash64: int) -> FlowId:
-        return cls(hash64=hash64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,7 +241,6 @@ class FlowRecord:
 
     @property
     def protocol(self) -> int:
-        assert self.id.key is not None
         return self.id.key.protocol
 
 
@@ -316,7 +307,10 @@ class MeterConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown meter config keys: {sorted(unknown)}")
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise ValueError(f"bad meter config value: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> MeterConfig:

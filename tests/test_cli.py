@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from flowlab import cli
-from flowlab.dataset import build_cf, build_pf, read_csv
+from flowlab.dataset import build_cf, build_pf, distribution, read_csv
 from flowlab.evaluation import split_keys, sweep
 from flowlab.forest import TrainConfig
 from flowlab.meter import MeterConfig, Trigger, meter
@@ -160,6 +161,41 @@ class TestMeterCmd:
         assert len(cf) == 60
         assert cf.label_counts() == {"BENIGN": 30, "ATTACK": 30}
 
+    def test_output_bytes_pinned(self, workdir, synth_inputs):
+        # Any change to the bytes of the datasets or the reports shows here.
+        pcap, rules = synth_inputs
+        out = workdir / "pinned"
+        cfg = workdir / "meter.json"
+        cfg.write_text(json.dumps({"pc_triggers": [2, 3, 4], "fd_triggers_ms": [50]}))
+        assert _run("meter", pcap, rules, out, "--config", cfg, "--min-class-count", 5) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("cf.csv", "pf_pc_3.csv", "distribution.json")
+        }
+        assert digests == {
+            "cf.csv": "a16a16506cd4b6fc12502b692a50c8bedc3f9f5a38137d5d22cadc270b672154",
+            "pf_pc_3.csv": "ab8407b089b45f0b58a9da6c60fd4ee5e1bf8e32106ce53bad007c6234b35994",
+            "distribution.json": "4a663eb1e96c6ad441ff7e454d2a888a4157f0c6ce604e65a78eeef4c570eb25",
+        }
+
+    def test_distribution_matches_every_written_file(self, workdir, synth_inputs):
+        pcap, rules = synth_inputs
+        out = workdir / "md"
+        cfg = workdir / "meter.json"
+        cfg.write_text(
+            json.dumps({"pc_triggers": [2, 9, 30], "fd_triggers_ms": [50], "byte_triggers": [1500]})
+        )
+        assert _run("meter", pcap, rules, out, "--config", cfg, "--min-class-count", 5) == 0
+        dist = json.loads((out / "distribution.json").read_text())
+        expected = {"CF": distribution(read_csv(out / "cf.csv")).to_dict()}
+        for path in sorted(out.glob("pf_*.csv")):
+            pf = read_csv(path)
+            if len(pf):
+                expected[pf.provenance] = distribution(pf).to_dict()
+        assert len(expected) >= 4  # CF and at least three non-empty PF files
+        assert "PC=30" not in expected  # no flow reaches 30 packets
+        assert dist == expected
+
     def test_matches_library_pipeline(self, workdir, synth_inputs):
         pcap, rules_path = synth_inputs
         out = workdir / "m3"
@@ -195,6 +231,10 @@ class TestMeterCmd:
         cfg.write_text(json.dumps({"idle_timeout_s": -1}))
         assert _run("meter", pcap, rules, workdir / "m5", "--config", cfg) == 2
         cfg.write_text(json.dumps({"unknown_key": 1}))
+        assert _run("meter", pcap, rules, workdir / "m5", "--config", cfg) == 2
+        cfg.write_text(json.dumps({"idle_timeout_s": "60"}))
+        assert _run("meter", pcap, rules, workdir / "m5", "--config", cfg) == 2
+        cfg.write_text(json.dumps({"pc_triggers": 5}))
         assert _run("meter", pcap, rules, workdir / "m5", "--config", cfg) == 2
 
     def test_pipeline_defaults_apply(self, workdir, synth_inputs):
@@ -317,6 +357,8 @@ class TestEvalCmd:
             {"train": {"max_dpeth": 1}},
             {"split": 0.6},
             [],
+            {"train": {"n_trees": "5"}},
+            {"min_class_count": [5]},
         ],
     )
     def test_bad_pipeline_config_exit_2(self, workdir, metered, doc):

@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from flowlab import dataset
 from flowlab.dataset import (
     CF_PROVENANCE,
     Dataset,
-    LabeledFlow,
     align,
     audit,
     build_cf,
@@ -18,6 +18,7 @@ from flowlab.dataset import (
 from flowlab.errors import DatasetIOError, SchemaMismatchError
 from flowlab.labeling import LabelRule, RuleSet, label_flow
 from flowlab.meter import (
+    FEATURE_NAMES,
     FeatureVector,
     FlowId,
     FlowKey,
@@ -35,6 +36,10 @@ def _features(**overrides) -> FeatureVector:
     values = {name: 0 for name in FeatureVector.__dataclass_fields__}
     values.update(overrides)
     return FeatureVector(**values)
+
+
+def _column(ds: Dataset, name: str) -> list[float]:
+    return ds.X[:, FEATURE_NAMES.index(name)].tolist()
 
 
 _KEYS = [
@@ -77,7 +82,7 @@ class TestBuildCf:
         r2 = _record(1, payload=20)  # same key, same start -> same hash
         ds = build_cf([r1, r2], RuleSet(), min_class_count=1)
         assert len(ds) == 1
-        assert ds.flows[0].features.bidirectional_payload_bytes == 10
+        assert _column(ds, "bidirectional_payload_bytes") == [10]
 
     def test_minority_class_dropped(self):
         records = [_record(i) for i in range(60)]
@@ -112,7 +117,7 @@ class TestBuildCf:
         survivors = [
             (r.id.hash64, l) for r, l in zip(stage2, labels) if counts[l] >= min_count
         ]
-        assert [(f.id.hash64, f.label) for f in ds.flows] == survivors
+        assert list(zip(ds.hash64.tolist(), ds.labels.tolist())) == survivors
 
     def test_invariants_on_output(self):
         rng = np.random.default_rng(32)
@@ -121,9 +126,9 @@ class TestBuildCf:
             for _ in range(150)
         ]
         ds = build_cf(records, _ATTACK_RULES, min_class_count=5)
-        hashes = [f.id.hash64 for f in ds.flows]
+        hashes = ds.hash64.tolist()
         assert len(hashes) == len(set(hashes))
-        assert all(f.features.bidirectional_payload_bytes > 0 for f in ds.flows)
+        assert all(v > 0 for v in _column(ds, "bidirectional_payload_bytes"))
         assert all(n >= 5 for n in ds.label_counts().values())
 
 
@@ -150,14 +155,14 @@ class TestBuildPf:
         ]
         pf = build_pf(snaps, cf, Trigger("pc", 2))
         assert len(pf) == 1
-        assert pf.flows[0].id.hash64 == kept.id.hash64
+        assert pf.hash64.tolist() == [kept.id.hash64]
         assert pf.provenance == "PC=2"
 
     def test_label_inherited_from_parent(self):
         record = _record(0, label_ip="10.9.0.1")
         cf = build_cf([record], _ATTACK_RULES, min_class_count=1)
         pf = build_pf([_snapshot(record, Trigger("pc", 2))], cf, Trigger("pc", 2))
-        assert pf.flows[0].label == "ATTACK"
+        assert pf.labels.tolist() == ["ATTACK"]
 
     def test_trigger_filtering(self):
         record = _record(0)
@@ -188,9 +193,9 @@ class TestBuildPf:
         for n in (2, 3, 5, 8):
             pf = build_pf(snapshots, cf, Trigger("pc", n))
             expected = {
-                f.id.hash64
-                for f in cf.flows
-                if by_hash[f.id.hash64].features.bidirectional_packets >= n
+                h
+                for h in cf.hash64.tolist()
+                if by_hash[h].features.bidirectional_packets >= n
             }
             assert pf.hashes() == expected
 
@@ -205,7 +210,7 @@ class TestBuildPf:
 class TestAlign:
     def test_empty_pf(self):
         cf = build_cf([_record(i) for i in range(3)], RuleSet(), min_class_count=1)
-        pf = Dataset(provenance="PC=2", flows=())
+        pf = Dataset("PC=2", hash64=[], X=[], labels=[])
         acf, apf = align(cf, pf)
         assert len(acf) == 0 and len(apf) == 0
 
@@ -227,11 +232,13 @@ class TestAlign:
             cf = build_cf(cf_records, RuleSet(), min_class_count=1)
             overlap = [r for r in cf_records if rng.random() < 0.5]
             strays = [_record(200 + int(rng.integers(0, 10)))]
-            pf_flows = tuple(
-                LabeledFlow(r.id, r.features, "BENIGN") for r in overlap + strays
+            dedup = {r.id.hash64: r for r in overlap + strays}
+            pf = Dataset(
+                "PC=2",
+                hash64=list(dedup),
+                X=[r.features.as_tuple() for r in dedup.values()],
+                labels=["BENIGN"] * len(dedup),
             )
-            dedup = {f.id.hash64: f for f in pf_flows}
-            pf = Dataset(provenance="PC=2", flows=tuple(dedup.values()))
             acf, apf = align(cf, pf)
             expected = cf.hashes() & pf.hashes()
             assert acf.hashes() == apf.hashes() == expected
@@ -326,10 +333,9 @@ class TestDistribution:
         ds = build_cf(records, _ATTACK_RULES, min_class_count=1)
         summary = distribution(ds)
         for label, stats in summary.per_label.items():
-            durations = [f.features.duration_ms for f in ds.flows if f.label == label]
-            packets = [
-                f.features.bidirectional_packets for f in ds.flows if f.label == label
-            ]
+            rows = ds.labels == label
+            durations = ds.X[rows, FEATURE_NAMES.index("duration_ms")].tolist()
+            packets = ds.X[rows, FEATURE_NAMES.index("bidirectional_packets")].tolist()
             assert stats.count == len(durations)
             assert stats.min_duration_ms == min(durations)
             assert stats.max_duration_ms == max(durations)
@@ -340,9 +346,37 @@ class TestDistribution:
         assert summary.benign_total + summary.anomaly_total == summary.total
 
 
+def _metered_cf_and_pf() -> tuple[Dataset, Dataset]:
+    rng = np.random.default_rng(71)
+    trace = random_trace(rng, 700, n_endpoints=10)
+    records, snapshots = meter(trace, MeterConfig(idle_timeout_s=1.0))
+    cf = build_cf(records, _ATTACK_RULES, min_class_count=1)
+    pf = build_pf(snapshots, cf, Trigger("pc", 3))
+    assert len(cf) >= 100 and len(pf) >= 50
+    return cf, pf
+
+
+def _first_row_with(rows: list[list[str]], column: int, cell: str) -> list[list[str]]:
+    """The header and the first data row, with one cell replaced."""
+    row = list(rows[1])
+    row[column] = cell
+    return [rows[0], row]
+
+
+def _assert_round_trip(ds: Dataset, tmp_path) -> None:
+    p1 = tmp_path / "a.csv"
+    p2 = tmp_path / "b.csv"
+    write_csv(ds, p1)
+    back = read_csv(p1)
+    assert back == ds
+    assert back.provenance == ds.provenance
+    write_csv(back, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 class TestCsv:
     def test_empty_round_trip(self, tmp_path):
-        ds = Dataset(provenance="PC=2", flows=())
+        ds = Dataset("PC=2", hash64=[], X=[], labels=[])
         path = tmp_path / "empty.csv"
         write_csv(ds, path)
         text = path.read_text()
@@ -358,18 +392,60 @@ class TestCsv:
         assert path.read_text().count("\n") == 2
 
     def test_byte_level_round_trip(self, tmp_path):
-        rng = np.random.default_rng(71)
-        trace = random_trace(rng, 700, n_endpoints=10)
-        records, _ = meter(trace, MeterConfig(idle_timeout_s=1.0))
-        ds = build_cf(records, _ATTACK_RULES, min_class_count=1)
-        assert len(ds) >= 100
-        p1 = tmp_path / "a.csv"
-        p2 = tmp_path / "b.csv"
-        write_csv(ds, p1)
-        back = read_csv(p1)
-        assert back == ds
-        write_csv(back, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        for ds in _metered_cf_and_pf():
+            _assert_round_trip(ds, tmp_path)
+
+    def test_round_trip_in_small_blocks(self, tmp_path, monkeypatch):
+        # Rows are written and parsed a block at a time; 7 leaves a partial
+        # last block and many block boundaries.
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", 7)
+        for ds in _metered_cf_and_pf():
+            _assert_round_trip(ds, tmp_path)
+
+    def test_int_columns_written_as_ints(self, tmp_path):
+        ds = build_cf([_record(0, payload=12, packets=4, dur=2.5)], RuleSet(), 1)
+        path = tmp_path / "one.csv"
+        write_csv(ds, path)
+        header, row = (line.split(",") for line in path.read_text().splitlines())
+        cells = dict(zip(header, row))
+        assert cells["bidirectional_packets"] == "4"
+        assert cells["bidirectional_payload_bytes"] == "12"
+        assert cells["duration_ms"] == "2.5"
+        assert cells["flow_hash"] == str(_record(0).id.hash64)
+
+    @pytest.mark.parametrize(
+        "edit,error,match",
+        [
+            (lambda rows: rows + [rows[1][:-1]], DatasetIOError, "row with 48 cells"),
+            (lambda rows: rows[:2] + [rows[2][:-1] + ["PC=2"]], DatasetIOError, "mixed"),
+            (lambda rows: rows + [rows[1]], DatasetIOError, "duplicate flow hash"),
+            (lambda rows: _first_row_with(rows, 1, "1.5"), ValueError, "1.5"),  # int column
+            (lambda rows: _first_row_with(rows, 1, "9" * 400), DatasetIOError, "range"),
+            (lambda rows: _first_row_with(rows, -2, "-1"), DatasetIOError, "64-bit"),
+            (lambda rows: _first_row_with(rows, -2, str(2**64)), DatasetIOError, "64-bit"),
+        ],
+    )
+    def test_inconsistent_files_rejected(self, tmp_path, edit, error, match):
+        ds = build_cf([_record(0), _record(1)], RuleSet(), min_class_count=1)
+        assert FEATURE_NAMES[1] == "bidirectional_packets"
+        path = tmp_path / "ds.csv"
+        write_csv(ds, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        path.write_text("".join(",".join(row) + "\n" for row in edit(rows)))
+        with pytest.raises(error, match=match):
+            read_csv(path)
+
+    def test_arrays_are_read_only_and_shaped(self):
+        empty = Dataset("PC=2", hash64=[], X=[], labels=[])
+        assert empty.X.shape == (0, len(FEATURE_NAMES))
+        ds = build_cf([_record(i) for i in range(3)], RuleSet(), min_class_count=1)
+        assert ds.hash64.dtype == np.uint64 and ds.X.dtype == np.float64
+        assert ds.X.shape == (3, len(FEATURE_NAMES))
+        for array in (ds.hash64, ds.X, ds.labels):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        with pytest.raises(ValueError):
+            Dataset("CF", hash64=[1, 2], X=ds.X[:2], labels=["BENIGN"])
 
     def test_schema_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowlab import evaluation
-from flowlab.dataset import Dataset, LabeledFlow, align, build_cf, build_pf
+from flowlab.dataset import Dataset, align, build_cf, build_pf
 from flowlab.errors import EmptyInputError, EmptySideError, LengthMismatchError
 from flowlab.evaluation import (
     Metrics,
@@ -16,25 +16,24 @@ from flowlab.evaluation import (
     sweep,
 )
 from flowlab.forest import TrainConfig
-from flowlab.meter import FlowId, Trigger
-
-from test_forest import _Row
+from flowlab.meter import Trigger
 
 
 def _dataset(labels: list[str], provenance="CF") -> Dataset:
-    flows = tuple(
-        LabeledFlow(id=FlowId.from_hash(1000 + i), features=_Row((float(i),)), label=l)
-        for i, l in enumerate(labels)
-    )
-    return Dataset(provenance=provenance, flows=flows, feature_schema=("x",))
+    n = len(labels)
+    return Dataset(provenance, range(1000, 1000 + n), np.arange(n), labels, ("x",))
+
+
+def _keys_of(ds: Dataset, label: str) -> set[int]:
+    return set(ds.hash64[ds.labels == label].tolist())
 
 
 class TestSplitKeys:
     def test_exact_stratification(self):
         ds = _dataset(["A"] * 10 + ["B"] * 10)
         split = split_keys(ds, 0.7, seed=0)
-        a_keys = {f.id.hash64 for f in ds.flows if f.label == "A"}
-        b_keys = {f.id.hash64 for f in ds.flows if f.label == "B"}
+        a_keys = _keys_of(ds, "A")
+        b_keys = _keys_of(ds, "B")
         assert len(split.train_keys & a_keys) == 7
         assert len(split.train_keys & b_keys) == 7
         assert len(split.test_keys) == 6
@@ -54,7 +53,7 @@ class TestSplitKeys:
         ds = _dataset(["A"] * 8 + ["RARE"])
         split = split_keys(ds, 0.5, seed=2)
         assert split.degenerate_labels == ("RARE",)
-        rare_key = next(f.id.hash64 for f in ds.flows if f.label == "RARE")
+        rare_key = _keys_of(ds, "RARE").pop()
         assert rare_key in split.train_keys
 
     def test_fraction_within_one_flow_fuzz(self):
@@ -67,7 +66,7 @@ class TestSplitKeys:
             ds = _dataset(labels)
             split = split_keys(ds, ratio, seed=int(rng.integers(0, 10_000)))
             for label in set(labels):
-                keys = {f.id.hash64 for f in ds.flows if f.label == label}
+                keys = _keys_of(ds, label)
                 got = len(split.train_keys & keys)
                 assert abs(got - len(keys) * ratio) <= 1.0
                 # both sides non-empty for stratifiable labels
@@ -230,7 +229,7 @@ class TestRunScenario:
     def test_empty_side_raises(self, early_corpus):
         cf, snapshots = _corpus_eval_inputs(early_corpus)
         split = split_keys(cf, 0.7, seed=0)
-        empty_pf = Dataset(provenance="PC=2", flows=())
+        empty_pf = Dataset("PC=2", hash64=[], X=[], labels=[])
         acf, apf = align(cf, empty_pf)
         with pytest.raises(EmptySideError):
             run_scenario(
@@ -263,7 +262,7 @@ class TestSweep:
         pf2 = build_pf(snapshots, cf, Trigger("pc", 2))
         report = sweep(
             cf,
-            {Trigger("pc", 2): pf2, Trigger("pc", 19): Dataset("PC=19", ())},
+            {Trigger("pc", 2): pf2, Trigger("pc", 19): Dataset("PC=19", [], [], [])},
             tasks=("binary",),
             tc=TrainConfig(n_trees=5, seed=0),
         )
@@ -303,7 +302,7 @@ class TestSweep:
         assert all(pf.hashes() == cf.hashes() for pf in family.values())
         if thin_pc3:
             pf3 = family[Trigger("pc", 3)]
-            family[Trigger("pc", 3)] = Dataset(pf3.provenance, pf3.flows[::2])
+            family[Trigger("pc", 3)] = pf3.restrict(frozenset(pf3.hash64[::2].tolist()))
         tasks = ("binary", "multiclass")
         tc = TrainConfig(n_trees=4, seed=3)
         split = split_keys(cf, 0.7, seed=3)

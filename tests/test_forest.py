@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from flowlab.dataset import Dataset, LabeledFlow
+from flowlab.dataset import Dataset
 from flowlab.errors import EmptyDatasetError, SchemaMismatchError
 from flowlab.forest import (
     Internal,
@@ -21,35 +21,19 @@ from flowlab.forest import (
     train,
     tree_seed,
 )
-from flowlab.meter import FlowId
 
 from reference import reference_train
 
 
 def _toy_dataset(rows: list[tuple[float, float, str]]) -> Dataset:
     """A 2-feature dataset; the package's Dataset is schema-agnostic."""
-    flows = tuple(
-        LabeledFlow(
-            id=FlowId.from_hash(i),
-            features=_Row((x, y)),
-            label=label,
-        )
-        for i, (x, y, label) in enumerate(rows)
+    return Dataset(
+        provenance="toy",
+        hash64=range(len(rows)),
+        X=[(x, y) for x, y, _ in rows],
+        labels=[label for _, _, label in rows],
+        feature_schema=("x", "y"),
     )
-    return Dataset(provenance="toy", flows=flows, feature_schema=("x", "y"))
-
-
-class _Row:
-    """Minimal stand-in exposing as_tuple like FeatureVector."""
-
-    def __init__(self, values):
-        self._values = tuple(values)
-
-    def as_tuple(self):
-        return self._values
-
-    def __eq__(self, other):
-        return isinstance(other, _Row) and self._values == other._values
 
 
 def _separable(n_per_class=20, seed=0) -> Dataset:
@@ -81,15 +65,15 @@ class TestTrain:
         forest = train(
             ds, TrainConfig(n_trees=1, max_features=2, bootstrap=False, seed=3)
         )
-        X = np.array([f.features.as_tuple() for f in ds.flows])
+        X = ds.X
         preds = predict_matrix(forest, X)
-        assert preds == [f.label for f in ds.flows]
+        assert preds == list(ds.labels)
 
     def test_bootstrap_forest_consistent_on_separable_data(self):
         ds = _separable(50)
         forest = train(ds, TrainConfig(n_trees=25, seed=5))
-        X = np.array([f.features.as_tuple() for f in ds.flows])
-        assert predict_matrix(forest, X) == [f.label for f in ds.flows]
+        X = ds.X
+        assert predict_matrix(forest, X) == list(ds.labels)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
@@ -132,7 +116,7 @@ class TestTrain:
                 node.right, idx[~mask], X
             )
 
-        X = np.array([f.features.as_tuple() for f in ds.flows])
+        X = ds.X
         for tree in forest.trees:
             assert all(s >= 8 for s in leaf_sizes(tree, np.arange(len(X)), X))
 
@@ -152,8 +136,8 @@ class TestTrain:
         # a row or two, so the tree is about as deep as the data is long.
         ds = _toy_dataset([(float(i), 0.0, "AB"[i % 2]) for i in range(2000)])
         forest = train(ds, TrainConfig(n_trees=1, max_features=2, bootstrap=False))
-        X = np.array([f.features.as_tuple() for f in ds.flows])
-        assert predict_matrix(forest, X) == [f.label for f in ds.flows]
+        X = ds.X
+        assert predict_matrix(forest, X) == list(ds.labels)
 
     def test_tree_seed_mixing(self):
         seeds = {tree_seed(42, i) for i in range(1000)}
@@ -167,11 +151,8 @@ def _tie_heavy(n_labels: int, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 4, size=(150, 5)).astype(float)
     y = (X[:, 0] + X[:, 1] + rng.integers(0, 3, size=150)) % n_labels
-    flows = tuple(
-        LabeledFlow(id=FlowId.from_hash(i), features=_Row(tuple(row)), label=f"L{int(c)}")
-        for i, (row, c) in enumerate(zip(X, y))
-    )
-    return Dataset(provenance="toy", flows=flows, feature_schema=tuple("abcde"))
+    labels = [f"L{int(c)}" for c in y]
+    return Dataset("toy", range(len(X)), X, labels, feature_schema=tuple("abcde"))
 
 
 @pytest.mark.parametrize(
