@@ -199,7 +199,12 @@ def cmd_meter(args) -> int:
 
 def _trigger_for_pf_file(path: str, ds) -> Trigger:
     if len(ds):
-        return Trigger.parse(ds.provenance)
+        try:
+            return Trigger.parse(ds.provenance)
+        except ValueError:
+            raise FlowLabError(
+                f"{path}: provenance {ds.provenance!r} is not a trigger such as PC=5"
+            ) from None
     match = _PF_NAME.search(os.path.basename(path))
     if not match:
         raise FlowLabError(

@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import islice, repeat
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, get_type_hints
 
 import numpy as np
 
@@ -23,7 +23,9 @@ from .meter import FEATURE_NAMES, FeatureVector, FlowRecord, FlowSnapshot, Trigg
 
 CF_PROVENANCE = "CF"
 
-_INT_FIELDS = {f.name for f in fields(FeatureVector) if f.type in (int, "int")}
+# get_type_hints, not __annotations__: with postponed evaluation the raw
+# annotations are not the int type.
+_INT_FIELDS = {name for name, t in get_type_hints(FeatureVector).items() if t is int}
 _MAX_HASH = 0xFFFFFFFFFFFFFFFF
 _BLOCK_ROWS = 4096
 
@@ -35,9 +37,9 @@ class Dataset:
     Row ``i`` is the flow with hash ``hash64[i]`` (uint64), features
     ``X[i]`` (float64, one column per ``feature_schema`` name) and label
     ``labels[i]`` (a str). The three arrays are read-only; any array-like of
-    the right length is accepted and converted. Provenance is "CF" for
-    complete flows or the trigger string ("PC=5", "FD=100") for partial
-    flows. Flow hashes are unique within a dataset.
+    the right shape (any empty ``X`` for no rows) is accepted and converted.
+    Provenance is "CF" for complete flows or the trigger string ("PC=5",
+    "FD=100") for partial flows. Flow hashes are unique within a dataset.
     """
 
     provenance: str
@@ -49,10 +51,15 @@ class Dataset:
     def __post_init__(self) -> None:
         hash64 = np.asarray(self.hash64, dtype=np.uint64)
         n = len(hash64)
-        X = np.asarray(self.X, dtype=np.float64).reshape(n, len(self.feature_schema))
         labels = np.asarray(self.labels, dtype=object)
         if hash64.ndim != 1 or labels.shape != (n,):
             raise ValueError(f"{labels.shape} labels for {hash64.shape} flow hashes")
+        shape = (n, len(self.feature_schema))
+        X = np.asarray(self.X, dtype=np.float64)
+        if X.size == 0:
+            X = X.reshape(shape)
+        elif X.shape != shape:
+            raise ValueError(f"X of shape {X.shape}, expected {shape}")
         for name, array in (("hash64", hash64), ("X", X), ("labels", labels)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -111,7 +118,7 @@ def build_cf(
     return Dataset(
         CF_PROVENANCE,
         [r.id.hash64 for r, _ in kept],
-        [r.features.as_tuple() for r, _ in kept],
+        [r.features for r, _ in kept],
         [label for _, label in kept],
     )
 
@@ -140,7 +147,7 @@ def build_pf(
     return Dataset(
         str(trigger),
         [s.parent_id.hash64 for s in kept],
-        [s.features.as_tuple() for s in kept],
+        [s.features for s in kept],
         [parent_labels[s.parent_id.hash64] for s in kept],
     )
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import EmptyDatasetError, SchemaMismatchError
-from .meter import FEATURE_NAMES, FeatureVector
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -295,10 +294,6 @@ def predict_matrix(forest: RandomForest, X: np.ndarray) -> list[str]:
 
 
 def _as_row(forest: RandomForest, x) -> np.ndarray:
-    if isinstance(x, FeatureVector):
-        if forest.feature_schema != FEATURE_NAMES:
-            raise SchemaMismatchError("forest schema does not match FeatureVector")
-        return np.array(x.as_tuple(), dtype=float)
     row = np.asarray(x, dtype=float)
     if row.shape != (len(forest.feature_schema),):
         raise SchemaMismatchError(
@@ -308,7 +303,7 @@ def _as_row(forest: RandomForest, x) -> np.ndarray:
 
 
 def predict(forest: RandomForest, x) -> str:
-    """Predict one sample (a FeatureVector or a schema-ordered sequence)."""
+    """Predict one sample: a schema-ordered sequence, such as a FeatureVector."""
     return predict_matrix(forest, _as_row(forest, x).reshape(1, -1))[0]
 
 

@@ -12,8 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from operator import attrgetter
 from ipaddress import ip_address
+from typing import NamedTuple
 
 from .errors import UnsortedTraceError
 from .trace_io import (
@@ -33,16 +33,8 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-_FLAG_BITS = (
-    ("syn", TCP_SYN),
-    ("fin", TCP_FIN),
-    ("rst", TCP_RST),
-    ("psh", TCP_PSH),
-    ("ack", TCP_ACK),
-    ("urg", TCP_URG),
-    ("ece", TCP_ECE),
-    ("cwr", TCP_CWR),
-)
+# In the order of the bidirectional_*_count features.
+_FLAG_BITS = (TCP_SYN, TCP_FIN, TCP_RST, TCP_PSH, TCP_ACK, TCP_URG, TCP_ECE, TCP_CWR)
 
 
 # parsing the same address text repeatedly dominates per-packet cost
@@ -146,8 +138,7 @@ class Trigger:
         return (self._KIND_ORDER[self.kind], self.value)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     """Statistical flow features over the bidirectional, src-to-dst, and
     dst-to-src scopes, plus TCP flag counts.
 
@@ -208,24 +199,8 @@ class FeatureVector:
     dst2src_fin_count: int
     dst2src_rst_count: int
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return _feature_values(self)
 
-    @classmethod
-    def from_values(cls, values: dict[str, float]) -> FeatureVector:
-        if values.keys() != _FEATURE_NAME_SET:
-            return cls(**values)  # raises TypeError naming the bad field
-        # With every field present the frozen __init__, one
-        # object.__setattr__ per field, is skipped: it was the largest
-        # cost of a snapshot.
-        vector = object.__new__(cls)
-        vector.__dict__.update(values)
-        return vector
-
-
-FEATURE_NAMES: tuple[str, ...] = tuple(f.name for f in fields(FeatureVector))
-_FEATURE_NAME_SET = frozenset(FEATURE_NAMES)
-_feature_values = attrgetter(*FEATURE_NAMES)
+FEATURE_NAMES: tuple[str, ...] = FeatureVector._fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,25 +293,6 @@ class MeterConfig:
             return cls.from_dict(json.load(fh))
 
 
-_SCOPE_FEATURES = (
-    "packets",
-    "bytes",
-    "payload_bytes",
-    "min_ps",
-    "mean_ps",
-    "max_ps",
-    "stddev_ps",
-    "min_piat_ms",
-    "mean_piat_ms",
-    "max_piat_ms",
-    "stddev_piat_ms",
-)
-_SCOPE_KEYS = {
-    prefix: tuple(f"{prefix}_{name}" for name in _SCOPE_FEATURES)
-    for prefix in ("bidirectional", "src2dst", "dst2src")
-}
-
-
 class _ScopeStats:
     """Streaming packet-size and inter-arrival accumulators for one scope.
 
@@ -405,7 +361,8 @@ class _ScopeStats:
         var = (n * total_sq - total * total) / (n * n)
         return math.sqrt(var) if var > 0 else 0.0
 
-    def export(self, prefix: str) -> dict[str, float]:
+    def export(self) -> tuple[float, ...]:
+        """The scope's 11 features, in ``FeatureVector`` field order."""
         n = self.packets
         # PIAT features are defined (and non-zero) only from the second
         # packet of the scope onward.
@@ -419,20 +376,15 @@ class _ScopeStats:
                 self.max_piat / 1000,
                 self._stddev(m, self.sum_piat, self.sumsq_piat) / 1000,
             )
-        return dict(
-            zip(
-                _SCOPE_KEYS[prefix],
-                (
-                    n,
-                    self.bytes,
-                    self.payload_bytes,
-                    float(self.min_ps),
-                    self.sum_ps / n if n else 0.0,
-                    float(self.max_ps),
-                    self._stddev(n, self.sum_ps, self.sumsq_ps),
-                    *piat,
-                ),
-            )
+        return (
+            n,
+            self.bytes,
+            self.payload_bytes,
+            float(self.min_ps),
+            self.sum_ps / n if n else 0.0,
+            float(self.max_ps),
+            self._stddev(n, self.sum_ps, self.sumsq_ps),
+            *piat,
         )
 
 
@@ -465,13 +417,9 @@ class _FlowState:
         self.bidi = _ScopeStats()
         self.s2d = _ScopeStats()
         self.d2s = _ScopeStats()
-        self.flag_counts = {name: 0 for name, _ in _FLAG_BITS}
-        self.dir_flags = {
-            "src2dst_fin_count": 0,
-            "src2dst_rst_count": 0,
-            "dst2src_fin_count": 0,
-            "dst2src_rst_count": 0,
-        }
+        self.flag_counts = [0] * len(_FLAG_BITS)
+        # src2dst FIN, src2dst RST, dst2src FIN, dst2src RST
+        self.dir_flags = [0, 0, 0, 0]
         self.pc_triggers = config.pc_triggers
         self.fd_pending = sorted(config.fd_triggers_ms)
         self.fd_lo_hi = {
@@ -486,14 +434,14 @@ class _FlowState:
         self.bidi.add(pkt.ts_us, pkt.wire_len, pkt.payload_len)
         (self.s2d if forward else self.d2s).add(pkt.ts_us, pkt.wire_len, pkt.payload_len)
         if pkt.tcp_flags:
-            for name, bit in _FLAG_BITS:
+            for i, bit in enumerate(_FLAG_BITS):
                 if pkt.tcp_flags & bit:
-                    self.flag_counts[name] += 1
-            side = "src2dst" if forward else "dst2src"
+                    self.flag_counts[i] += 1
+            side = 0 if forward else 2
             if pkt.tcp_flags & TCP_FIN:
-                self.dir_flags[f"{side}_fin_count"] += 1
+                self.dir_flags[side] += 1
             if pkt.tcp_flags & TCP_RST:
-                self.dir_flags[f"{side}_rst_count"] += 1
+                self.dir_flags[side + 1] += 1
 
         if self.bidi.packets in self.pc_triggers:
             snapshots.append(self._snapshot(Trigger("pc", self.bidi.packets)))
@@ -511,16 +459,16 @@ class _FlowState:
             snapshots.append(self._snapshot(Trigger("bc", self.bc_pending.pop(0))))
 
     def _features(self) -> FeatureVector:
-        values: dict[str, float] = {
-            "duration_ms": (self.last_us - self.first_us) / 1000
-        }
-        values.update(self.bidi.export("bidirectional"))
-        values.update(self.s2d.export("src2dst"))
-        values.update(self.d2s.export("dst2src"))
-        for name, _ in _FLAG_BITS:
-            values[f"bidirectional_{name}_count"] = self.flag_counts[name]
-        values.update(self.dir_flags)
-        return FeatureVector.from_values(values)
+        return FeatureVector._make(
+            (
+                (self.last_us - self.first_us) / 1000,
+                *self.bidi.export(),
+                *self.s2d.export(),
+                *self.d2s.export(),
+                *self.flag_counts,
+                *self.dir_flags,
+            )
+        )
 
     def _snapshot(self, trigger: Trigger) -> FlowSnapshot:
         return FlowSnapshot(

@@ -270,7 +270,7 @@ def _features_of(pkts: list[RawPacket]) -> FeatureVector:
     values["src2dst_rst_count"] = sum(1 for p in fwd if p.tcp_flags & 0x04)
     values["dst2src_fin_count"] = sum(1 for p in bwd if p.tcp_flags & 0x01)
     values["dst2src_rst_count"] = sum(1 for p in bwd if p.tcp_flags & 0x04)
-    return FeatureVector.from_values(values)
+    return FeatureVector(**values)
 
 
 def _list_stats(prefix: str, sizes: list[int], ts: list[int]) -> dict:
@@ -341,7 +341,7 @@ class _SegmentArrays:
         values["src2dst_rst_count"] = sum(1 for x in self.flags_fwd[:k] if x & 0x04)
         values["dst2src_fin_count"] = sum(1 for x in self.flags_bwd[:j] if x & 0x01)
         values["dst2src_rst_count"] = sum(1 for x in self.flags_bwd[:j] if x & 0x04)
-        return FeatureVector.from_values(values)
+        return FeatureVector(**values)
 
 
 def reference_meter(
@@ -422,7 +422,7 @@ def reference_meter(
 # Feature comparison
 
 def features_close(a: FeatureVector, b: FeatureVector, rel: float = 1e-9) -> bool:
-    for x, y in zip(a.as_tuple(), b.as_tuple()):
+    for x, y in zip(a, b):
         if x == y:
             continue
         if isinstance(x, int) and isinstance(y, int):

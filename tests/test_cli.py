@@ -331,10 +331,19 @@ class TestEvalCmd:
         out = workdir / "e4"
         assert _run("eval", metered / "cf.csv", empty, out, "--task", "binary") == 3
 
-    def test_bad_cf_exit_2(self, workdir, metered):
-        out = workdir / "e5"
-        rc = _run("eval", metered / "pf_pc_2.csv", metered / "pf_pc_3.csv", out)
-        assert rc == 2
+    def test_bad_cf_exit_2(self, workdir, metered, capsys):
+        text = (metered / "pf_pc_2.csv").read_text()
+        (metered / "pf_bad.csv").write_text(text.replace(",PC=2\n", ",PC=x\n"))
+        cases = [
+            ("pf_pc_2.csv", "pf_pc_3.csv", "pf_pc_2.csv"),  # a PF file as the CF
+            ("cf.csv", "cf.csv", "cf.csv"),  # a CF file among the PF files
+            ("cf.csv", "pf_bad.csv", "pf_bad.csv"),  # a PF provenance that is no trigger
+        ]
+        for cf_name, pf_name, named in cases:
+            rc = _run("eval", metered / cf_name, metered / pf_name, workdir / "e5")
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert str(metered / named) in err and "provenance" in err
 
     def test_pipeline_train_settings_apply(self, workdir, metered):
         pipeline = workdir / "pipeline.json"

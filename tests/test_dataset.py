@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from conftest import random_trace
 
 
 def _features(**overrides) -> FeatureVector:
-    values = {name: 0 for name in FeatureVector.__dataclass_fields__}
+    values = {name: 0 for name in FeatureVector._fields}
     values.update(overrides)
     return FeatureVector(**values)
 
@@ -236,7 +238,7 @@ class TestAlign:
             pf = Dataset(
                 "PC=2",
                 hash64=list(dedup),
-                X=[r.features.as_tuple() for r in dedup.values()],
+                X=[r.features for r in dedup.values()],
                 labels=["BENIGN"] * len(dedup),
             )
             acf, apf = align(cf, pf)
@@ -412,6 +414,12 @@ class TestCsv:
         assert cells["bidirectional_payload_bytes"] == "12"
         assert cells["duration_ms"] == "2.5"
         assert cells["flow_hash"] == str(_record(0).id.hash64)
+        int_columns = {name for name in FEATURE_NAMES if cells[name].isdigit()}
+        int_fields = {
+            name for name, t in get_type_hints(FeatureVector).items() if t is int
+        }
+        assert len(int_fields) == 21
+        assert int_columns == int_fields
 
     @pytest.mark.parametrize(
         "edit,error,match",
@@ -446,6 +454,10 @@ class TestCsv:
                 array[0] = 0
         with pytest.raises(ValueError):
             Dataset("CF", hash64=[1, 2], X=ds.X[:2], labels=["BENIGN"])
+        with pytest.raises(ValueError, match="shape"):
+            Dataset("CF", hash64=[1, 2], X=ds.X[:2].T, labels=["BENIGN"] * 2)
+        with pytest.raises(ValueError, match="shape"):
+            Dataset("CF", hash64=[1, 2], X=ds.X[:2].ravel(), labels=["BENIGN"] * 2)
 
     def test_schema_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -21,7 +21,8 @@ from flowlab.meter import Trigger
 
 def _dataset(labels: list[str], provenance="CF") -> Dataset:
     n = len(labels)
-    return Dataset(provenance, range(1000, 1000 + n), np.arange(n), labels, ("x",))
+    X = np.arange(n).reshape(n, 1)
+    return Dataset(provenance, range(1000, 1000 + n), X, labels, ("x",))
 
 
 def _keys_of(ds: Dataset, label: str) -> set[int]:

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from flowlab.dataset import Dataset
+from flowlab.dataset import Dataset, build_cf
 from flowlab.errors import EmptyDatasetError, SchemaMismatchError
 from flowlab.forest import (
     Internal,
@@ -21,7 +21,10 @@ from flowlab.forest import (
     train,
     tree_seed,
 )
+from flowlab.labeling import LabelRule, RuleSet
+from flowlab.meter import MeterConfig, meter
 
+from conftest import random_trace
 from reference import reference_train
 
 
@@ -243,6 +246,18 @@ class TestPredict:
         rng = np.random.default_rng(31)
         rows = [tuple(r) for r in rng.uniform(0, 3, size=(40, 2))]
         assert predict_batch(forest, rows) == [predict(forest, r) for r in rows]
+
+    def test_metered_feature_vector_predicts_as_its_row(self):
+        records, _ = meter(random_trace(np.random.default_rng(37), 400), MeterConfig())
+        rules = RuleSet(rules=(LabelRule(label="ATTACK", src_ips=("10.0.0.1",)),))
+        cf = build_cf(records, rules, min_class_count=1)
+        assert len(cf.label_counts()) == 2
+        forest = train(cf, TrainConfig(n_trees=5, seed=37))
+        by_hash = {r.id.hash64: r for r in records}
+        expected = predict_matrix(forest, cf.X)
+        for h, label in zip(cf.hash64.tolist(), expected):
+            fv = by_hash[h].features
+            assert predict(forest, fv) == predict(forest, tuple(fv)) == label
 
     def test_schema_mismatch(self):
         forest = self._hand_forest()

@@ -19,7 +19,7 @@ def _record(
     last_us=2_000,
 ):
     key = FlowKey.from_endpoints(src[0], src[1], dst[0], dst[1], protocol)
-    values = {name: 0 for name in FeatureVector.__dataclass_fields__}
+    values = {name: 0 for name in FeatureVector._fields}
     values["duration_ms"] = (last_us - first_us) / 1000
     return FlowRecord(
         id=FlowId.from_key(key, first_us),

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 
 from flowlab.errors import UnsortedTraceError
 from flowlab.meter import (
     FEATURE_NAMES,
+    FeatureVector,
     FlowKey,
     MeterConfig,
     Trigger,
@@ -291,6 +294,16 @@ class TestMeterInvariants:
             for r in records:
                 assert r.last_us >= r.first_us
                 assert r.features.duration_ms == (r.last_us - r.first_us) / 1000
+
+    def test_feature_types_match_annotations(self, metered):
+        # features_close treats 3 and 3.0 as equal, so pin the types here.
+        hints = get_type_hints(FeatureVector)
+        types = [hints[name] for name in FEATURE_NAMES]
+        assert set(types) == {int, float}
+        _, _, out = metered
+        for records, snapshots in out:
+            for fv in [r.features for r in records] + [s.features for s in snapshots]:
+                assert [type(v) for v in fv] == types
 
 
 def test_feature_schema_has_expected_shape():
