@@ -119,6 +119,7 @@ def cmd_preprocess(args) -> int:
     cleaned = trace_io.reorder(deduped)
     _atomic(args.output, lambda p: trace_io.write_trace(cleaned, p))
     print(f"packets read: {read_count}")
+    print(f"skipped: {trace.skipped}")
     print(f"dropped: {read_count - len(deduped)}")
     print(f"reordered: {reordered_count}")
     return EXIT_OK

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from ipaddress import ip_address, ip_network
+from functools import lru_cache
+from ipaddress import IPv4Address, IPv6Address, ip_address, ip_network
 
 from .meter import FlowRecord
 
@@ -55,10 +56,15 @@ def _parse_networks(spec) -> tuple:
     return tuple(ip_network(str(item), strict=False) for item in spec)
 
 
+@lru_cache(maxsize=65536)
+def _address(ip: str) -> IPv4Address | IPv6Address:
+    return ip_address(ip)
+
+
 def _ip_matches(networks: tuple, ip: str) -> bool:
     if not networks:
         return True
-    addr = ip_address(ip)
+    addr = _address(ip)
     return any(addr.version == net.version and addr in net for net in networks)
 
 

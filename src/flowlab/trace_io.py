@@ -11,6 +11,7 @@ import os
 import struct
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from ipaddress import ip_address
 
 from .errors import MalformedHeaderError, UnreadableFileError
@@ -93,98 +94,110 @@ class PacketTrace:
         return len(self.packets)
 
 
-def _parse_ipv4(data: bytes) -> tuple[str, str, int, int, bytes] | None:
-    """Return (src, dst, protocol, payload_len, payload) or None."""
-    if len(data) < 20:
+@lru_cache(maxsize=65536)
+def _ip_text(packed: bytes) -> str:
+    return str(ip_address(packed))
+
+
+# Precompiled header layouts, read in place at offsets into the frame.
+_ETHERTYPE = struct.Struct("!H")
+# IPv4: version/IHL, total length, fragment field, protocol, source, destination.
+_IPV4 = struct.Struct("!BxHxxHxB2x4s4s")
+# IPv6: version, payload length, next header, source, destination.
+_IPV6 = struct.Struct("!B3xHBx16s16s")
+# IPv6 fragment extension header: next header, fragment offset and flags.
+_IPV6_FRAG = struct.Struct("!BxH")
+# TCP: ports, data offset, flags.
+_TCP = struct.Struct("!HH8xBB")
+# UDP: ports, length.
+_UDP = struct.Struct("!HHH")
+
+
+def _parse_ipv4(frame: bytes, offset: int) -> tuple[str, str, int, int, int] | None:
+    """Return (src, dst, protocol, payload_len, transport offset) or None."""
+    if len(frame) - offset < 20:
         return None
-    ver_ihl = data[0]
+    ver_ihl, total_len, frag, protocol, src, dst = _IPV4.unpack_from(frame, offset)
     if ver_ihl >> 4 != 4:
         return None
     ihl = (ver_ihl & 0x0F) * 4
-    if ihl < 20 or len(data) < ihl:
+    if ihl < 20 or len(frame) - offset < ihl:
         return None
-    total_len = struct.unpack_from("!H", data, 2)[0]
-    frag = struct.unpack_from("!H", data, 6)[0]
     if frag & 0x1FFF:  # non-first fragment: no transport header
         return None
-    protocol = data[9]
-    src = str(ip_address(data[12:16]))
-    dst = str(ip_address(data[16:20]))
-    payload_len = max(total_len - ihl, 0)
-    return src, dst, protocol, payload_len, data[ihl:]
+    return _ip_text(src), _ip_text(dst), protocol, max(total_len - ihl, 0), offset + ihl
 
 
-def _parse_ipv6(data: bytes) -> tuple[str, str, int, int, bytes] | None:
-    if len(data) < 40:
+def _parse_ipv6(frame: bytes, offset: int) -> tuple[str, str, int, int, int] | None:
+    if len(frame) - offset < 40:
         return None
-    if data[0] >> 4 != 6:
+    ver_tc, payload_len, next_header, src, dst = _IPV6.unpack_from(frame, offset)
+    if ver_tc >> 4 != 6:
         return None
-    payload_len = struct.unpack_from("!H", data, 4)[0]
-    next_header = data[6]
-    src = str(ip_address(data[8:24]))
-    dst = str(ip_address(data[24:40]))
-    rest = data[40:]
+    pos = offset + 40
     # Walk the common extension headers; anything else ends the chain.
     while next_header in (0, 43, 44, 60):
+        left = len(frame) - pos
         if next_header == 44:
-            if len(rest) < 8:
+            if left < 8:
                 return None
-            frag_off = struct.unpack_from("!H", rest, 2)[0] >> 3
-            if frag_off:
+            next_header, frag = _IPV6_FRAG.unpack_from(frame, pos)
+            if frag >> 3:
                 return None
-            next_header = rest[0]
             ext_len = 8
         else:
-            if len(rest) < 2:
+            if left < 2:
                 return None
-            next_header = rest[0]
-            ext_len = (rest[1] + 1) * 8
-        if len(rest) < ext_len:
+            next_header = frame[pos]
+            ext_len = (frame[pos + 1] + 1) * 8
+        if left < ext_len:
             return None
-        rest = rest[ext_len:]
+        pos += ext_len
         payload_len = max(payload_len - ext_len, 0)
-    return src, dst, next_header, payload_len, rest
+    return _ip_text(src), _ip_text(dst), next_header, payload_len, pos
 
 
 def _parse_frame(frame: bytes, ts_us: int, wire_len: int) -> RawPacket | None:
-    """Dissect one Ethernet frame into a RawPacket; None if not TCP/UDP."""
+    """Dissect one Ethernet frame into a RawPacket; None if not TCP/UDP.
+
+    Headers are read at offsets into ``frame``; only the payload is copied.
+    """
     if len(frame) < 14:
         return None
-    ethertype = struct.unpack_from("!H", frame, 12)[0]
+    ethertype = _ETHERTYPE.unpack_from(frame, 12)[0]
     offset = 14
     while ethertype in _ETHERTYPE_VLAN:
         if len(frame) < offset + 4:
             return None
-        ethertype = struct.unpack_from("!H", frame, offset + 2)[0]
+        ethertype = _ETHERTYPE.unpack_from(frame, offset + 2)[0]
         offset += 4
 
     if ethertype == _ETHERTYPE_IPV4:
-        parsed = _parse_ipv4(frame[offset:])
+        parsed = _parse_ipv4(frame, offset)
     elif ethertype == _ETHERTYPE_IPV6:
-        parsed = _parse_ipv6(frame[offset:])
+        parsed = _parse_ipv6(frame, offset)
     else:
         return None
     if parsed is None:
         return None
-    src_ip, dst_ip, protocol, ip_payload_len, transport = parsed
+    src_ip, dst_ip, protocol, ip_payload_len, start = parsed
 
     if protocol == PROTO_TCP:
-        if len(transport) < 20:
+        if len(frame) - start < 20:
             return None
-        src_port, dst_port = struct.unpack_from("!HH", transport, 0)
-        data_offset = (transport[12] >> 4) * 4
+        src_port, dst_port, data_offset, flags = _TCP.unpack_from(frame, start)
+        data_offset = (data_offset >> 4) * 4
         if data_offset < 20:
             return None
-        flags = transport[13]
         payload_len = max(ip_payload_len - data_offset, 0)
-        payload = transport[data_offset : data_offset + payload_len]
+        start += data_offset
     elif protocol == PROTO_UDP:
-        if len(transport) < 8:
+        if len(frame) - start < 8:
             return None
-        src_port, dst_port, udp_len = struct.unpack_from("!HHH", transport, 0)
+        src_port, dst_port, udp_len = _UDP.unpack_from(frame, start)
         flags = 0
         payload_len = max(min(udp_len, ip_payload_len) - 8, 0)
-        payload = transport[8 : 8 + payload_len]
+        start += 8
     else:
         return None
 
@@ -198,7 +211,7 @@ def _parse_frame(frame: bytes, ts_us: int, wire_len: int) -> RawPacket | None:
         tcp_flags=flags,
         payload_len=payload_len,
         wire_len=wire_len,
-        payload=payload,
+        payload=frame[start : start + payload_len],
         raw=frame,
     )
 
@@ -207,8 +220,9 @@ def read_trace(path: str | os.PathLike) -> PacketTrace:
     """Read a classic pcap file into a PacketTrace.
 
     Only Ethernet-framed IPv4/IPv6 TCP and UDP packets are kept; everything
-    else (other link types, other protocols, per-packet parse failures) is
-    skipped and tallied in ``trace.skipped``. Nanosecond captures are
+    else (other link types, other protocols, per-packet parse failures, and
+    a final record cut off inside its header or data) is skipped and
+    tallied in ``trace.skipped``. Nanosecond captures are
     truncated to microseconds.
 
     Raises UnreadableFileError if the file cannot be opened and
@@ -245,7 +259,10 @@ def read_trace(path: str | os.PathLike) -> PacketTrace:
     skipped = 0
     pos = 24
     rec = struct.Struct(endian + "IIII")
-    while pos + 16 <= len(blob):
+    while pos < len(blob):
+        if pos + 16 > len(blob):  # truncated final record header
+            skipped += 1
+            break
         ts_sec, ts_frac, incl_len, orig_len = rec.unpack_from(blob, pos)
         pos += 16
         if pos + incl_len > len(blob):  # truncated final record

@@ -5,15 +5,18 @@ library: the meter is a two-pass group-then-replay implementation computing
 statistics from stored per-packet lists, the pcap dissector reads fields
 with int.from_bytes instead of struct, and the hash is a fresh FNV-1a
 transcription. These exist so the streaming implementations can be checked
-field for field against brute force. The forest reference grows each tree
-recursively and scores one sampled feature at a time, where the library
-scores all of them in one vectorised pass.
+field for field against brute force. The pcap decoder reference slices
+each header layer off the frame and formats every address afresh, where
+the library reads headers in place and caches address text. The forest
+reference grows each tree recursively and scores one sampled feature at a
+time, where the library scores all of them in one vectorised pass.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from ipaddress import ip_address
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -28,7 +31,19 @@ from flowlab.meter import (
     MeterConfig,
     Trigger,
 )
-from flowlab.trace_io import RawPacket
+from flowlab.errors import MalformedHeaderError, UnreadableFileError
+from flowlab.trace_io import (
+    _ETHERTYPE_IPV4,
+    _ETHERTYPE_IPV6,
+    _ETHERTYPE_VLAN,
+    _LINKTYPE_ETHERNET,
+    _MAGIC_NS_LE,
+    _MAGIC_US_LE,
+    PROTO_TCP,
+    PROTO_UDP,
+    PacketTrace,
+    RawPacket,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +173,187 @@ def dissect_pcap(blob: bytes) -> list[dict]:
             entry["payload_len"] = int.from_bytes(transport[4:6], "big") - 8
         out.append(entry)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference pcap decoder: slices each layer off the frame and formats every
+# address afresh. The library reads headers in place and caches address text;
+# packets and skip counts must be equal.
+
+def _parse_ipv4(data: bytes) -> tuple[str, str, int, int, bytes] | None:
+    """Return (src, dst, protocol, payload_len, payload) or None."""
+    if len(data) < 20:
+        return None
+    ver_ihl = data[0]
+    if ver_ihl >> 4 != 4:
+        return None
+    ihl = (ver_ihl & 0x0F) * 4
+    if ihl < 20 or len(data) < ihl:
+        return None
+    total_len = struct.unpack_from("!H", data, 2)[0]
+    frag = struct.unpack_from("!H", data, 6)[0]
+    if frag & 0x1FFF:  # non-first fragment: no transport header
+        return None
+    protocol = data[9]
+    src = str(ip_address(data[12:16]))
+    dst = str(ip_address(data[16:20]))
+    payload_len = max(total_len - ihl, 0)
+    return src, dst, protocol, payload_len, data[ihl:]
+
+
+def _parse_ipv6(data: bytes) -> tuple[str, str, int, int, bytes] | None:
+    if len(data) < 40:
+        return None
+    if data[0] >> 4 != 6:
+        return None
+    payload_len = struct.unpack_from("!H", data, 4)[0]
+    next_header = data[6]
+    src = str(ip_address(data[8:24]))
+    dst = str(ip_address(data[24:40]))
+    rest = data[40:]
+    # Walk the common extension headers; anything else ends the chain.
+    while next_header in (0, 43, 44, 60):
+        if next_header == 44:
+            if len(rest) < 8:
+                return None
+            frag_off = struct.unpack_from("!H", rest, 2)[0] >> 3
+            if frag_off:
+                return None
+            next_header = rest[0]
+            ext_len = 8
+        else:
+            if len(rest) < 2:
+                return None
+            next_header = rest[0]
+            ext_len = (rest[1] + 1) * 8
+        if len(rest) < ext_len:
+            return None
+        rest = rest[ext_len:]
+        payload_len = max(payload_len - ext_len, 0)
+    return src, dst, next_header, payload_len, rest
+
+
+def _parse_frame(frame: bytes, ts_us: int, wire_len: int) -> RawPacket | None:
+    """Dissect one Ethernet frame into a RawPacket; None if not TCP/UDP."""
+    if len(frame) < 14:
+        return None
+    ethertype = struct.unpack_from("!H", frame, 12)[0]
+    offset = 14
+    while ethertype in _ETHERTYPE_VLAN:
+        if len(frame) < offset + 4:
+            return None
+        ethertype = struct.unpack_from("!H", frame, offset + 2)[0]
+        offset += 4
+
+    if ethertype == _ETHERTYPE_IPV4:
+        parsed = _parse_ipv4(frame[offset:])
+    elif ethertype == _ETHERTYPE_IPV6:
+        parsed = _parse_ipv6(frame[offset:])
+    else:
+        return None
+    if parsed is None:
+        return None
+    src_ip, dst_ip, protocol, ip_payload_len, transport = parsed
+
+    if protocol == PROTO_TCP:
+        if len(transport) < 20:
+            return None
+        src_port, dst_port = struct.unpack_from("!HH", transport, 0)
+        data_offset = (transport[12] >> 4) * 4
+        if data_offset < 20:
+            return None
+        flags = transport[13]
+        payload_len = max(ip_payload_len - data_offset, 0)
+        payload = transport[data_offset : data_offset + payload_len]
+    elif protocol == PROTO_UDP:
+        if len(transport) < 8:
+            return None
+        src_port, dst_port, udp_len = struct.unpack_from("!HHH", transport, 0)
+        flags = 0
+        payload_len = max(min(udp_len, ip_payload_len) - 8, 0)
+        payload = transport[8 : 8 + payload_len]
+    else:
+        return None
+
+    return RawPacket(
+        ts_us=ts_us,
+        src_ip=src_ip,
+        dst_ip=dst_ip,
+        src_port=src_port,
+        dst_port=dst_port,
+        protocol=protocol,
+        tcp_flags=flags,
+        payload_len=payload_len,
+        wire_len=wire_len,
+        payload=payload,
+        raw=frame,
+    )
+
+
+def reference_read_trace(path) -> PacketTrace:
+    """Read a classic pcap file into a PacketTrace (the per-layer slicing decoder).
+
+    Only Ethernet-framed IPv4/IPv6 TCP and UDP packets are kept; everything
+    else (other link types, other protocols, per-packet parse failures) is
+    skipped and tallied in ``trace.skipped``. Nanosecond captures are
+    truncated to microseconds.
+
+    Raises UnreadableFileError if the file cannot be opened and
+    MalformedHeaderError on an unknown magic number or version.
+    """
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise UnreadableFileError(f"cannot read capture {path}: {exc}") from exc
+
+    if len(blob) < 24:
+        raise MalformedHeaderError(f"{path}: truncated pcap global header")
+    magic = struct.unpack_from("<I", blob, 0)[0]
+    if magic == _MAGIC_US_LE:
+        endian, ns = "<", False
+    elif magic == _MAGIC_NS_LE:
+        endian, ns = "<", True
+    else:
+        magic_be = struct.unpack_from(">I", blob, 0)[0]
+        if magic_be == _MAGIC_US_LE:
+            endian, ns = ">", False
+        elif magic_be == _MAGIC_NS_LE:
+            endian, ns = ">", True
+        else:
+            raise MalformedHeaderError(f"{path}: bad pcap magic 0x{magic:08x}")
+    version_major, _minor, _zone, _sigfigs, _snaplen, linktype = struct.unpack_from(
+        endian + "HHiIII", blob, 4
+    )
+    if version_major != 2:
+        raise MalformedHeaderError(f"{path}: unsupported pcap version {version_major}")
+
+    packets: list[RawPacket] = []
+    skipped = 0
+    pos = 24
+    rec = struct.Struct(endian + "IIII")
+    while pos < len(blob):
+        if pos + 16 > len(blob):  # truncated final record header
+            skipped += 1
+            break
+        ts_sec, ts_frac, incl_len, orig_len = rec.unpack_from(blob, pos)
+        pos += 16
+        if pos + incl_len > len(blob):  # truncated final record
+            skipped += 1
+            break
+        frame = blob[pos : pos + incl_len]
+        pos += incl_len
+        ts_us = ts_sec * 1_000_000 + (ts_frac // 1000 if ns else ts_frac)
+        if linktype != _LINKTYPE_ETHERNET:
+            skipped += 1
+            continue
+        pkt = _parse_frame(frame, ts_us, orig_len)
+        if pkt is None:
+            skipped += 1
+        else:
+            packets.append(pkt)
+
+    return PacketTrace(packets=tuple(packets), source=str(path), skipped=skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from flowlab.synth import SynthSpec, derive_rules, synth_trace
 from flowlab.trace_io import dedup, read_trace, reorder, write_trace
 
 from conftest import corpus_path, random_trace
-from reference import build_pcap
+from reference import build_pcap, build_tcp_frame
 
 
 SMALL_SPEC = {
@@ -69,6 +69,7 @@ class TestPreprocess:
         assert len(read_trace(out)) == 0
         captured = capsys.readouterr().out
         assert "packets read: 0" in captured
+        assert "skipped: 0" in captured
 
     def test_duplicate_reported(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -96,11 +97,24 @@ class TestPreprocess:
         lib_in = read_trace(src)
         lib_deduped = dedup(lib_in, 20_000)
         assert f"packets read: {len(lib_in)}" in text
+        assert f"skipped: {lib_in.skipped}" in text
         assert f"dropped: {len(lib_in) - len(lib_deduped)}" in text
         cleaned = read_trace(out)
         assert [p.ts_us for p in cleaned.packets] == [
             p.ts_us for p in reorder(lib_deduped).packets
         ]
+
+    def test_skipped_frames_reported(self, tmp_path, capsys):
+        arp = bytes(12) + b"\x08\x06" + bytes(28)
+        tcp = build_tcp_frame("10.0.0.1", "10.0.0.2", 1234, 80, 0x02)
+        src = tmp_path / "in.pcap"
+        # an ARP frame and a final record cut inside its header
+        src.write_bytes(build_pcap([(0, arp), (10, tcp), (20, tcp)])[:-(len(tcp) + 4)])
+        out = tmp_path / "out.pcap"
+        assert _run("preprocess", src, out) == 0
+        text = capsys.readouterr().out
+        assert "packets read: 1\nskipped: 2\n" in text
+        assert len(read_trace(out)) == 1
 
     def test_unreadable_input_exit_2(self, tmp_path):
         assert _run("preprocess", tmp_path / "missing.pcap", tmp_path / "o.pcap") == 2

@@ -4,10 +4,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flowlab.errors import MalformedHeaderError, UnreadableFileError
+from flowlab.errors import FlowLabError, MalformedHeaderError, UnreadableFileError
 from flowlab.trace_io import (
     PacketTrace,
     RawPacket,
@@ -24,6 +24,7 @@ from reference import (
     build_tcp_frame,
     build_udp_frame,
     dissect_pcap,
+    reference_read_trace,
 )
 
 
@@ -31,6 +32,47 @@ def _write(tmp_path, blob: bytes, name: str = "t.pcap"):
     path = tmp_path / name
     path.write_bytes(blob)
     return path
+
+
+def _tcp(sport: int, dport: int, flags: int, payload: bytes = b"", doff_words: int = 5) -> bytes:
+    options = bytes(max(doff_words * 4 - 20, 0))
+    header = struct.pack("!HHIIBBHHH", sport, dport, 0, 0, doff_words << 4, flags, 8192, 0, 0)
+    return header + options + payload
+
+
+def _udp(sport: int, dport: int, payload: bytes = b"", length: int | None = None) -> bytes:
+    length = 8 + len(payload) if length is None else length
+    return struct.pack("!HHHH", sport, dport, length, 0) + payload
+
+
+def _ipv4(
+    protocol: int,
+    transport: bytes,
+    src: bytes = bytes([10, 0, 0, 1]),
+    dst: bytes = bytes([10, 0, 0, 2]),
+    ihl_words: int = 5,
+    frag: int = 0,
+    total: int | None = None,
+) -> bytes:
+    header_len = ihl_words * 4
+    total = max(header_len, 20) + len(transport) if total is None else total
+    header = struct.pack(
+        "!BBHHHBBH4s4s", 0x40 | ihl_words, 0, total, 0, frag, 64, protocol, 0, src, dst
+    )
+    return header + bytes(max(header_len - 20, 0)) + transport
+
+
+def _ipv6(
+    next_header: int, rest: bytes, src: bytes, dst: bytes, payload_len: int | None = None
+) -> bytes:
+    payload_len = len(rest) if payload_len is None else payload_len
+    return struct.pack("!IHBB16s16s", 6 << 28, payload_len, next_header, 64, src, dst) + rest
+
+
+def _frame(ethertype: int, ip: bytes, vlans: tuple = (), pad_to: int = 0) -> bytes:
+    tags = b"".join(struct.pack("!HH", tpid, 7) for tpid in vlans)
+    frame = bytes(12) + tags + struct.pack("!H", ethertype) + ip
+    return frame + bytes(max(pad_to - len(frame), 0))
 
 
 HANDSHAKE = [
@@ -132,6 +174,50 @@ class TestReadTrace:
         assert len(trace) == 0
         assert trace.skipped == 3
 
+    def test_truncated_final_record_counted_skipped(self, tmp_path):
+        # a cut inside the last record's header or data loses that record
+        blob = build_pcap(HANDSHAKE[:2])
+        for cut in range(1, 16 + len(HANDSHAKE[1][1])):
+            trace = read_trace(_write(tmp_path, blob[:-cut]))
+            assert (len(trace), trace.skipped) == (1, 1), cut
+
+    def test_ipv6_tcp_address_text_compressed(self, tmp_path):
+        src = bytes.fromhex("20010db8000000000000000000000001")
+        dst = bytes.fromhex("20010db8000000000000000000000002")
+        frame = _frame(0x86DD, _ipv6(6, _tcp(443, 5000, 0x18, b"data"), src, dst))
+        trace = read_trace(_write(tmp_path, build_pcap([(10, frame)])))
+        pkt = trace.packets[0]
+        assert (pkt.src_ip, pkt.dst_ip) == ("2001:db8::1", "2001:db8::2")
+        assert (pkt.src_port, pkt.dst_port, pkt.protocol, pkt.tcp_flags) == (443, 5000, 6, 0x18)
+        assert (pkt.payload_len, pkt.payload) == (4, b"data")
+        assert trace.skipped == 0
+
+    def test_qinq_tagged_udp(self, tmp_path):
+        frame = _frame(0x0800, _ipv4(17, _udp(5353, 53, b"query")), vlans=(0x88A8, 0x8100))
+        trace = read_trace(_write(tmp_path, build_pcap([(10, frame)])))
+        pkt = trace.packets[0]
+        assert (pkt.src_ip, pkt.src_port, pkt.dst_port, pkt.protocol) == ("10.0.0.1", 5353, 53, 17)
+        assert (pkt.payload_len, pkt.payload, pkt.raw) == (5, b"query", frame)
+
+    def test_ipv4_options_shift_transport(self, tmp_path):
+        frame = _frame(0x0800, _ipv4(6, _tcp(1234, 80, 0x18, b"abc"), ihl_words=6))
+        pkt = read_trace(_write(tmp_path, build_pcap([(10, frame)]))).packets[0]
+        assert (pkt.src_port, pkt.dst_port, pkt.tcp_flags) == (1234, 80, 0x18)
+        assert (pkt.payload_len, pkt.payload) == (3, b"abc")
+
+    def test_non_first_fragment_skipped_and_tallied(self, tmp_path):
+        fragment = _frame(0x0800, _ipv4(6, _tcp(1234, 80, 0x10, b"tail"), frag=0x2000 | 185))
+        trace = read_trace(_write(tmp_path, build_pcap([(10, fragment), HANDSHAKE[0]])))
+        assert len(trace) == 1
+        assert trace.skipped == 1
+
+    def test_ethernet_padding_not_in_payload(self, tmp_path):
+        udp = _frame(0x0800, _ipv4(17, _udp(1, 2, b"hi")), pad_to=60)
+        tcp = _frame(0x0800, _ipv4(6, _tcp(1, 2, 0x10)), pad_to=60)
+        trace = read_trace(_write(tmp_path, build_pcap([(10, udp), (20, tcp)])))
+        assert [(p.payload_len, p.payload) for p in trace.packets] == [(2, b"hi"), (0, b"")]
+        assert [p.wire_len for p in trace.packets] == [60, 60]
+
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         trace = reorder(random_trace(rng, 120))
@@ -147,6 +233,91 @@ class TestReadTrace:
                 b.payload_len,
             )
             assert a.payload == b.payload
+
+
+_ADDR4 = st.sampled_from([bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2]), bytes([192, 168, 1, 9])])
+_ADDR6 = st.sampled_from(
+    [bytes.fromhex("20010db8000000000000000000000001"), bytes(15) + b"\x01", bytes(16)]
+)
+
+
+@st.composite
+def _transport(draw):
+    """(protocol, transport bytes): TCP with any data offset, UDP with any
+    length field, or another protocol."""
+    payload = draw(st.binary(max_size=24))
+    kind = draw(st.sampled_from(["tcp", "udp", "other"]))
+    if kind == "tcp":
+        doff = draw(st.integers(0, 15))
+        return 6, _tcp(draw(st.integers(0, 65535)), 80, draw(st.integers(0, 255)), payload, doff)
+    if kind == "udp":
+        length = draw(st.one_of(st.none(), st.integers(0, 80)))
+        return 17, _udp(53, draw(st.integers(0, 65535)), payload, length)
+    return draw(st.sampled_from([1, 47, 58, 132])), payload
+
+
+@st.composite
+def _ip_frame(draw):
+    protocol, transport = draw(_transport())
+    if draw(st.booleans()):
+        ip = _ipv4(
+            protocol,
+            transport,
+            draw(_ADDR4),
+            draw(_ADDR4),
+            ihl_words=draw(st.integers(0, 15)),
+            frag=draw(st.sampled_from([0, 0x4000, 0x2000, 0x2000 | 3, 0x1000, 7])),
+            total=draw(st.one_of(st.none(), st.integers(0, 120))),
+        )
+        ethertype = 0x0800
+    else:
+        rest, next_header = transport, protocol
+        for ext in reversed(draw(st.lists(st.sampled_from([0, 43, 44, 60]), max_size=3))):
+            if ext == 44:
+                offset = draw(st.sampled_from([0, 0, 1, 100]))
+                rest = struct.pack("!BBHI", next_header, 0, offset << 3 | 1, 9) + rest
+            else:
+                words = draw(st.integers(0, 2))
+                rest = bytes([next_header, words]) + bytes(words * 8 + 6) + rest
+            next_header = ext
+        payload_len = draw(st.one_of(st.none(), st.integers(0, 120)))
+        ip = _ipv6(next_header, rest, draw(_ADDR6), draw(_ADDR6), payload_len)
+        ethertype = 0x86DD
+    ethertype = draw(st.sampled_from([ethertype, ethertype, 0x0806]))
+    vlans = draw(st.lists(st.sampled_from([0x8100, 0x88A8]), max_size=2))
+    return _frame(ethertype, ip, tuple(vlans), pad_to=draw(st.sampled_from([0, 60])))
+
+
+@st.composite
+def _mutated_pcap(draw):
+    frames = draw(st.lists(_ip_frame(), max_size=6))
+    blob = bytearray(
+        build_pcap(
+            [(1_000_000 * i + 7, frame) for i, frame in enumerate(frames)],
+            magic=draw(st.sampled_from([0xA1B2C3D4, 0xA1B23C4D])),
+            big_endian=draw(st.booleans()),
+        )
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+    cut = draw(st.one_of(st.just(0), st.integers(0, len(blob))))
+    return bytes(blob[: len(blob) - cut])
+
+
+def _decode(read, path):
+    try:
+        trace = read(path)
+    except FlowLabError as exc:
+        return type(exc)
+    return trace.packets, trace.skipped
+
+
+@given(_mutated_pcap())
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_decoder_matches_reference_on_mutated_pcaps(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pcap"
+    path.write_bytes(blob)
+    assert _decode(read_trace, path) == _decode(reference_read_trace, path)
 
 
 def _pkt(ts, payload=b"x", src="10.0.0.1", sport=1, **kw):
