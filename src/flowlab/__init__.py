@@ -44,10 +44,8 @@ from .evaluation import (
 from .forest import (
     RandomForest,
     TrainConfig,
-    gini_impurity,
     load_model,
     predict,
-    predict_batch,
     save_model,
     train,
 )
@@ -113,12 +111,10 @@ __all__ = [
     "derive_rules",
     "distribution",
     "flow_hash",
-    "gini_impurity",
     "label_flow",
     "load_model",
     "meter",
     "predict",
-    "predict_batch",
     "read_csv",
     "read_trace",
     "reorder",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import dataset as ds_mod
 from . import evaluation, synth, trace_io
-from .errors import FlowLabError
+from .errors import FlowLabError, reject_unknown
 from .forest import TrainConfig
 from .labeling import RuleSet
 from .meter import MeterConfig, Trigger, meter as run_meter
@@ -30,14 +30,6 @@ EXIT_INPUT = 2
 EXIT_EMPTY = 3
 
 _PF_NAME = re.compile(r"pf_(pc|fd|bc)_(\d+)\.csv$")
-
-
-def _reject_unknown(section: str, data: dict, known) -> None:
-    if not isinstance(data, dict):
-        raise ValueError(f"{section} config must be a JSON object")
-    unknown = set(data) - set(known)
-    if unknown:
-        raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
 
 
 def _typed(section: str, build):
@@ -72,15 +64,15 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> PipelineConfig:
-        _reject_unknown(
+        reject_unknown(
             "pipeline",
             data,
             ("meter", "rules_path", "min_class_count", "split", "train", "output_dir"),
         )
         split = data.get("split", {})
-        _reject_unknown("split", split, ("ratio", "seed"))
+        reject_unknown("split", split, ("ratio", "seed"))
         train = data.get("train", {})
-        _reject_unknown("train", train, [f.name for f in fields(TrainConfig)])
+        reject_unknown("train", train, [f.name for f in fields(TrainConfig)])
         return cls(
             meter=MeterConfig.from_dict(data.get("meter", {})),
             rules_path=data.get("rules_path"),
@@ -144,14 +136,11 @@ def cmd_meter(args) -> int:
         os.path.join(args.out_dir, "cf.csv"), lambda p: ds_mod.write_csv(cf, p)
     )
 
-    triggers = [Trigger("pc", n) for n in sorted(config.pc_triggers)]
-    triggers += [Trigger("fd", t) for t in sorted(config.fd_triggers_ms)]
-    triggers += [Trigger("bc", b) for b in sorted(config.byte_triggers)]
     cf_summary = ds_mod.distribution(cf)
     dist = {"CF": cf_summary.to_dict()}
     dist_text = ["== CF ==", cf_summary.to_text()] if len(cf) else []
-    for trigger in triggers:
-        pf = ds_mod.build_pf(snapshots, cf, trigger)
+    for trigger, snaps in snapshots.items():
+        pf = ds_mod.build_pf(snaps, cf, trigger)
         name = f"pf_{trigger.kind}_{trigger.value}.csv"
         _atomic(
             os.path.join(args.out_dir, name), lambda p, pf=pf: ds_mod.write_csv(pf, p)
@@ -193,7 +182,7 @@ def cmd_meter(args) -> int:
     )
     print(
         f"packets: {len(trace)} (skipped {trace.skipped})  records: {len(records)}  "
-        f"snapshots: {len(snapshots)}  cf flows: {len(cf)}"
+        f"snapshots: {sum(map(len, snapshots.values()))}  cf flows: {len(cf)}"
     )
     return EXIT_OK
 

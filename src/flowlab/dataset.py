@@ -126,7 +126,7 @@ def build_cf(
 def build_pf(
     snapshots: Iterable[FlowSnapshot], cf: Dataset, trigger: Trigger
 ) -> Dataset:
-    """Collect one snapshot per parent flow for one trigger.
+    """Collect one snapshot per parent flow from ``trigger``'s snapshots.
 
     Only snapshots whose parent survived the complete-flow filters are
     kept; each inherits its parent's label.
@@ -137,8 +137,6 @@ def build_pf(
     kept: list[FlowSnapshot] = []
     seen: set[int] = set()
     for snap in snapshots:
-        if snap.trigger != trigger:
-            continue
         h = snap.parent_id.hash64
         if h not in parent_labels or h in seen:
             continue

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types, and the config-key check, shared across the toolkit."""
 
 
 class FlowLabError(Exception):
@@ -43,3 +43,12 @@ class LengthMismatchError(FlowLabError):
 
 class EmptySideError(FlowLabError):
     """A train/test side has zero flows after key intersection."""
+
+
+def reject_unknown(section: str, data: dict, known) -> None:
+    """Raise ValueError unless ``data`` is a dict whose keys are all ``known``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} config must be a JSON object")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")

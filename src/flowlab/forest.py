@@ -13,7 +13,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,17 +34,6 @@ def _splitmix64(x: int) -> int:
 def tree_seed(seed: int, index: int) -> int:
     """Sub-seed for tree ``index``: a splitmix-style 64-bit mix of both."""
     return _splitmix64((seed & _MASK64) + ((index + 1) * _GOLDEN & _MASK64) & _MASK64)
-
-
-def gini_impurity(labels: Sequence) -> float:
-    """1 - sum of squared class probabilities of a label multiset."""
-    if len(labels) == 0:
-        return 0.0
-    counts: dict = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-    n = len(labels)
-    return 1.0 - sum((c / n) ** 2 for c in counts.values())
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,6 +190,11 @@ def _grow(
         stack.append((idx[~mask], depth + 1))
         stack.append((idx[mask], depth + 1))
 
+    return _from_preorder(preorder)
+
+
+def _from_preorder(preorder: Sequence[Leaf | tuple[int, float]]) -> TreeNode:
+    """The tree whose preorder lists leaves and (feature, threshold) splits."""
     # Reversed preorder meets each node after its right, then left subtree.
     built: list[TreeNode] = []
     for node in reversed(preorder):
@@ -307,42 +301,29 @@ def predict(forest: RandomForest, x) -> str:
     return predict_matrix(forest, _as_row(forest, x).reshape(1, -1))[0]
 
 
-def predict_batch(forest: RandomForest, xs: Iterable) -> list[str]:
-    rows = [_as_row(forest, x) for x in xs]
-    if not rows:
-        return []
-    return predict_matrix(forest, np.stack(rows))
-
-
-def _node_to_dict(node: TreeNode, labels: tuple[str, ...]) -> dict:
-    if isinstance(node, Leaf):
-        return {"label": labels[node.label_index]}
-    return {
-        "feature_index": node.feature_index,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left, labels),
-        "right": _node_to_dict(node.right, labels),
-    }
-
-
-def _node_from_dict(data: dict, label_to_index: dict[str, int]) -> TreeNode:
-    if "label" in data:
-        return Leaf(label_to_index[data["label"]])
-    return Internal(
-        feature_index=int(data["feature_index"]),
-        threshold=float(data["threshold"]),
-        left=_node_from_dict(data["left"], label_to_index),
-        right=_node_from_dict(data["right"], label_to_index),
-    )
+def _to_preorder(tree: TreeNode, labels: tuple[str, ...]) -> list:
+    """A tree as a flat preorder list: a label per leaf, [feature, threshold]
+    per split."""
+    out: list = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(labels[node.label_index])
+        else:
+            out.append([node.feature_index, node.threshold])
+            stack.append(node.right)
+            stack.append(node.left)
+    return out
 
 
 def save_model(forest: RandomForest, path) -> None:
-    """Persist a forest as a JSON document of nested split nodes."""
+    """Persist a forest as a JSON document, each tree a flat preorder list."""
     doc = {
         "labels": list(forest.labels),
         "feature_schema": list(forest.feature_schema),
         "train_config": forest.train_config.to_dict(),
-        "trees": [_node_to_dict(t, forest.labels) for t in forest.trees],
+        "trees": [_to_preorder(t, forest.labels) for t in forest.trees],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -354,8 +335,19 @@ def load_model(path) -> RandomForest:
     labels = tuple(doc["labels"])
     label_to_index = {label: i for i, label in enumerate(labels)}
     config = doc.get("train_config", {})
+    trees = tuple(
+        _from_preorder(
+            [
+                Leaf(label_to_index[node])
+                if isinstance(node, str)
+                else (int(node[0]), float(node[1]))
+                for node in tree
+            ]
+        )
+        for tree in doc["trees"]
+    )
     return RandomForest(
-        trees=tuple(_node_from_dict(t, label_to_index) for t in doc["trees"]),
+        trees=trees,
         feature_schema=tuple(doc["feature_schema"]),
         labels=labels,
         train_config=TrainConfig(**config),

@@ -8,10 +8,11 @@ label does not depend on which endpoint happened to send the first packet.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from ipaddress import IPv4Address, IPv6Address, ip_address, ip_network
 
+from .errors import reject_unknown
 from .meter import FlowRecord
 
 
@@ -117,6 +118,7 @@ class LabelRule:
 
     @classmethod
     def from_dict(cls, data: dict) -> LabelRule:
+        reject_unknown("rule", data, [*(f.name for f in fields(cls)), "description"])
         window = data.get("window_us")
         return cls(
             label=data["label"],
@@ -139,6 +141,7 @@ class RuleSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> RuleSet:
+        reject_unknown("rules", data, ("rules", "default_label", "description"))
         return cls(
             rules=tuple(LabelRule.from_dict(r) for r in data.get("rules", ())),
             default_label=data.get("default_label", "BENIGN"),

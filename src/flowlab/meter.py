@@ -15,7 +15,7 @@ from functools import lru_cache
 from ipaddress import ip_address
 from typing import NamedTuple
 
-from .errors import UnsortedTraceError
+from .errors import UnsortedTraceError, reject_unknown
 from .trace_io import (
     PacketTrace,
     RawPacket,
@@ -219,14 +219,16 @@ class FlowRecord:
         return self.id.key.protocol
 
 
-@dataclass(frozen=True, slots=True)
-class FlowSnapshot:
-    """A partial-flow export: the feature state at a trigger firing."""
+class FlowSnapshot(NamedTuple):
+    """A partial-flow export: the feature state when a trigger fired.
 
-    parent_id: FlowId
-    trigger: Trigger
-    features: FeatureVector
+    The trigger is not stored; ``meter`` returns each trigger's snapshots
+    in their own list.
+    """
+
     exported_at_us: int
+    parent_id: FlowId
+    features: FeatureVector
 
 
 def _as_frozenset(values) -> frozenset[int]:
@@ -265,6 +267,14 @@ class MeterConfig:
         object.__setattr__(self, "fd_triggers_ms", _as_frozenset(self.fd_triggers_ms))
         object.__setattr__(self, "byte_triggers", _as_frozenset(self.byte_triggers))
 
+    def triggers(self) -> list[Trigger]:
+        """Every configured trigger, in ``Trigger.sort_key`` order."""
+        return (
+            [Trigger("pc", n) for n in sorted(self.pc_triggers)]
+            + [Trigger("fd", t) for t in sorted(self.fd_triggers_ms)]
+            + [Trigger("bc", b) for b in sorted(self.byte_triggers)]
+        )
+
     def to_dict(self) -> dict:
         return {
             "idle_timeout_s": self.idle_timeout_s,
@@ -278,10 +288,7 @@ class MeterConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> MeterConfig:
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown meter config keys: {sorted(unknown)}")
+        reject_unknown("meter", data, [f.name for f in fields(cls)])
         try:
             return cls(**data)
         except TypeError as exc:
@@ -402,13 +409,11 @@ class _FlowState:
         "d2s",
         "flag_counts",
         "dir_flags",
-        "pc_triggers",
-        "fd_pending",
-        "fd_lo_hi",
-        "bc_pending",
+        "fd_next",
+        "bc_next",
     )
 
-    def __init__(self, pkt: RawPacket, key: FlowKey, config: MeterConfig) -> None:
+    def __init__(self, pkt: RawPacket, key: FlowKey) -> None:
         self.id = FlowId.from_key(key, pkt.ts_us)
         self.anchor_src = (pkt.src_ip, pkt.src_port)
         self.anchor_dst = (pkt.dst_ip, pkt.dst_port)
@@ -420,15 +425,19 @@ class _FlowState:
         self.flag_counts = [0] * len(_FLAG_BITS)
         # src2dst FIN, src2dst RST, dst2src FIN, dst2src RST
         self.dir_flags = [0, 0, 0, 0]
-        self.pc_triggers = config.pc_triggers
-        self.fd_pending = sorted(config.fd_triggers_ms)
-        self.fd_lo_hi = {
-            t: ((1 - config.fd_tolerance) * t * 1000, (1 + config.fd_tolerance) * t * 1000)
-            for t in config.fd_triggers_ms
-        }
-        self.bc_pending = sorted(config.byte_triggers)
+        # indexes of the first FD band and byte target not yet passed
+        self.fd_next = 0
+        self.bc_next = 0
 
-    def add(self, pkt: RawPacket, snapshots: list[FlowSnapshot]) -> None:
+    def add(
+        self,
+        pkt: RawPacket,
+        pc: dict[int, list[FlowSnapshot]],
+        fd: list[tuple[float, float, list[FlowSnapshot]]],
+        bc: list[tuple[int, list[FlowSnapshot]]],
+    ) -> None:
+        """Accumulate ``pkt`` and append a snapshot to each trigger's list
+        that fires (the lookups are built in ``meter``)."""
         forward = (pkt.src_ip, pkt.src_port) == self.anchor_src
         self.last_us = pkt.ts_us
         self.bidi.add(pkt.ts_us, pkt.wire_len, pkt.payload_len)
@@ -443,20 +452,21 @@ class _FlowState:
             if pkt.tcp_flags & TCP_RST:
                 self.dir_flags[side + 1] += 1
 
-        if self.bidi.packets in self.pc_triggers:
-            snapshots.append(self._snapshot(Trigger("pc", self.bidi.packets)))
+        out = pc.get(self.bidi.packets)
+        if out is not None:
+            out.append(self._snapshot())
         duration_us = self.last_us - self.first_us
-        while self.fd_pending:
-            target = self.fd_pending[0]
-            lo, hi = self.fd_lo_hi[target]
+        while self.fd_next < len(fd):
+            lo, hi, out = fd[self.fd_next]
             if duration_us < lo:
                 break
-            self.fd_pending.pop(0)
+            self.fd_next += 1
             if duration_us <= hi:
-                snapshots.append(self._snapshot(Trigger("fd", target)))
+                out.append(self._snapshot())
             # else: overshot the tolerance band; target permanently missed
-        while self.bc_pending and self.bidi.bytes >= self.bc_pending[0]:
-            snapshots.append(self._snapshot(Trigger("bc", self.bc_pending.pop(0))))
+        while self.bc_next < len(bc) and self.bidi.bytes >= bc[self.bc_next][0]:
+            bc[self.bc_next][1].append(self._snapshot())
+            self.bc_next += 1
 
     def _features(self) -> FeatureVector:
         return FeatureVector._make(
@@ -470,13 +480,8 @@ class _FlowState:
             )
         )
 
-    def _snapshot(self, trigger: Trigger) -> FlowSnapshot:
-        return FlowSnapshot(
-            parent_id=self.id,
-            trigger=trigger,
-            features=self._features(),
-            exported_at_us=self.last_us,
-        )
+    def _snapshot(self) -> FlowSnapshot:
+        return FlowSnapshot(self.last_us, self.id, self._features())
 
     def finish(self, reason: str) -> FlowRecord:
         return FlowRecord(
@@ -491,7 +496,7 @@ class _FlowState:
 
 def meter(
     trace: PacketTrace, config: MeterConfig | None = None
-) -> tuple[list[FlowRecord], list[FlowSnapshot]]:
+) -> tuple[list[FlowRecord], dict[Trigger, list[FlowSnapshot]]]:
     """Assemble a sorted trace into complete flow records and snapshots.
 
     Per packet: an existing flow on the same key is expired first when the
@@ -500,8 +505,10 @@ def meter(
     accumulated, PC/FD/BC snapshots fire, and a FIN or RST packet expires
     the flow after being counted. Remaining flows expire at end of trace.
 
-    Records are returned ordered by (last_us, start_us, hash64); snapshots
-    by (exported_at_us, parent start_us, parent hash64, trigger).
+    Records are returned ordered by (last_us, start_us, hash64). Snapshots
+    come as one list per trigger of ``config.triggers()``, in that order
+    and also when the trigger never fired, each ordered by
+    (exported_at_us, parent start_us, parent hash64).
 
     Raises UnsortedTraceError on a timestamp regression.
     """
@@ -509,10 +516,20 @@ def meter(
         config = MeterConfig()
     idle_us = int(config.idle_timeout_s * 1_000_000)
     active_us = int(config.active_timeout_s * 1_000_000)
+    snapshots: dict[Trigger, list[FlowSnapshot]] = {t: [] for t in config.triggers()}
+    # Each trigger's list, found by PC value, or through ascending
+    # (lo_us, hi_us, list) FD bands and (bytes, list) BC targets.
+    tol = config.fd_tolerance
+    pc = {t.value: out for t, out in snapshots.items() if t.kind == "pc"}
+    fd = [
+        ((1 - tol) * t.value * 1000, (1 + tol) * t.value * 1000, out)
+        for t, out in snapshots.items()
+        if t.kind == "fd"
+    ]
+    bc = [(t.value, out) for t, out in snapshots.items() if t.kind == "bc"]
 
     live: dict[FlowKey, _FlowState] = {}
     records: list[FlowRecord] = []
-    snapshots: list[FlowSnapshot] = []
     prev_ts: int | None = None
 
     for pkt in trace.packets:
@@ -531,10 +548,10 @@ def meter(
             records.append(state.finish("active"))
             state = None
         if state is None:
-            state = _FlowState(pkt, key, config)
+            state = _FlowState(pkt, key)
             live[key] = state
 
-        state.add(pkt, snapshots)
+        state.add(pkt, pc, fd, bc)
         if config.fin_rst_expiration and pkt.tcp_flags & (TCP_FIN | TCP_RST):
             records.append(state.finish("fin_rst"))
             del live[key]
@@ -543,12 +560,6 @@ def meter(
         records.append(state.finish("end_of_trace"))
 
     records.sort(key=lambda r: (r.last_us, r.id.start_us, r.id.hash64))
-    snapshots.sort(
-        key=lambda s: (
-            s.exported_at_us,
-            s.parent_id.start_us,
-            s.parent_id.hash64,
-            s.trigger.sort_key(),
-        )
-    )
+    for out in snapshots.values():
+        out.sort(key=lambda s: (s.exported_at_us, s.parent_id.start_us, s.parent_id.hash64))
     return records, snapshots

@@ -16,7 +16,7 @@ from ipaddress import ip_address, ip_network
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, reject_unknown
 from .labeling import LabelRule, RuleSet
 from .meter import FlowId, FlowKey
 from .trace_io import (
@@ -60,7 +60,17 @@ class FlowTemplate:
 
     @classmethod
     def from_dict(cls, data: dict) -> FlowTemplate:
+        reject_unknown(
+            "template",
+            data,
+            (
+                "label", "flows", "packets", "payload", "iat_us", "client_ips",
+                "server_ips", "server_ports", "protocol", "start_us", "tcp",
+                "marker_payload",
+            ),
+        )
         tcp = data.get("tcp", {})
+        reject_unknown("tcp", tcp, ("handshake", "fin"))
         marker = data.get("marker_payload")
         return cls(
             label=data["label"],
@@ -105,7 +115,9 @@ class SynthSpec:
 
     Packet i of every flow draws its size and inter-arrival gap from the
     ``shared`` ranges while i < divergence_at, and from its template's
-    ranges from packet divergence_at onward.
+    ranges from packet divergence_at onward. Besides the keys shown, a
+    template may set ``marker_payload`` and the spec a ``description``; any
+    other key is rejected.
     """
 
     templates: tuple[FlowTemplate, ...]
@@ -116,7 +128,11 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> SynthSpec:
+        reject_unknown(
+            "spec", data, ("name", "description", "divergence_at", "shared", "templates")
+        )
         shared = data.get("shared", {})
+        reject_unknown("shared", shared, ("payload", "iat_us"))
         return cls(
             templates=tuple(FlowTemplate.from_dict(t) for t in data.get("templates", ())),
             name=data.get("name", "synthetic"),

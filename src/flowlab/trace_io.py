@@ -63,9 +63,6 @@ class RawPacket:
     payload: bytes = b""
     raw: bytes | None = None
 
-    def five_tuple(self) -> tuple[str, int, str, int, int]:
-        return (self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.protocol)
-
     def dedup_key(self) -> tuple:
         """Identity used for duplicate suppression: five-tuple, flags,
         lengths, and payload content when captured."""

@@ -75,7 +75,7 @@ def early_spec() -> SynthSpec:
 
 @pytest.fixture(scope="session")
 def late_corpus(late_spec):
-    """Metered late-divergence corpus: (records, snapshots, rules)."""
+    """Metered late-divergence corpus: (records, snapshots by trigger, rules, truth)."""
     trace, truth = synth_trace(late_spec, seed=42)
     records, snapshots = meter(trace, MeterConfig())
     return records, snapshots, derive_rules(late_spec), truth

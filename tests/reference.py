@@ -27,7 +27,6 @@ from flowlab.meter import (
     FlowId,
     FlowKey,
     FlowRecord,
-    FlowSnapshot,
     MeterConfig,
     Trigger,
 )
@@ -540,17 +539,30 @@ class _SegmentArrays:
         return FeatureVector(**values)
 
 
+@dataclass(frozen=True)
+class RefSnapshot:
+    """One snapshot of the reference meter, carrying the trigger that fired."""
+
+    parent_id: FlowId
+    trigger: Trigger
+    features: FeatureVector
+    exported_at_us: int
+
+
 def reference_meter(
     packets: list[RawPacket], config: MeterConfig
-) -> tuple[list[FlowRecord], list[FlowSnapshot]]:
+) -> tuple[list[FlowRecord], list[RefSnapshot]]:
     """Group by key, replay expiration rules per group, compute features
-    from stored packet lists, enumerate snapshots over prefixes."""
+    from stored packet lists, enumerate snapshots over prefixes.
+
+    Snapshots come as one list over all triggers, ordered by
+    (exported_at_us, parent start_us, parent hash64, trigger)."""
     groups: dict[FlowKey, list[RawPacket]] = {}
     for pkt in packets:
         groups.setdefault(FlowKey.from_packet(pkt), []).append(pkt)
 
     records: list[FlowRecord] = []
-    snapshots: list[FlowSnapshot] = []
+    snapshots: list[RefSnapshot] = []
     for key, group in groups.items():
         for seg in _segment_group(group, config):
             pkts = seg.packets
@@ -575,7 +587,7 @@ def reference_meter(
                 exported = pkts[n - 1].ts_us
                 if n in config.pc_triggers:
                     snapshots.append(
-                        FlowSnapshot(
+                        RefSnapshot(
                             fid, Trigger("pc", n), arrays.prefix_features(n), exported
                         )
                     )
@@ -587,14 +599,14 @@ def reference_meter(
                     fd_pending.pop(0)
                     if duration_us <= (1 + config.fd_tolerance) * t * 1000:
                         snapshots.append(
-                            FlowSnapshot(
+                            RefSnapshot(
                                 fid, Trigger("fd", t), arrays.prefix_features(n), exported
                             )
                         )
                 total_bytes = sum(arrays.wire[:n])
                 while bc_pending and total_bytes >= bc_pending[0]:
                     snapshots.append(
-                        FlowSnapshot(
+                        RefSnapshot(
                             fid,
                             Trigger("bc", bc_pending.pop(0)),
                             arrays.prefix_features(n),
@@ -630,6 +642,8 @@ def features_close(a: FeatureVector, b: FeatureVector, rel: float = 1e-9) -> boo
 
 
 def assert_meter_equal(actual, expected, rel: float = 1e-9) -> None:
+    """``actual`` is ``meter``'s (records, one list per trigger); ``expected``
+    is ``reference_meter``'s (records, one list over every trigger)."""
     a_records, a_snaps = actual
     e_records, e_snaps = expected
     assert len(a_records) == len(e_records), (len(a_records), len(e_records))
@@ -640,12 +654,18 @@ def assert_meter_equal(actual, expected, rel: float = 1e-9) -> None:
         assert ar.last_us == er.last_us
         assert ar.expiration_reason == er.expiration_reason
         assert features_close(ar.features, er.features, rel), (ar, er)
-    assert len(a_snaps) == len(e_snaps), (len(a_snaps), len(e_snaps))
-    for asnap, esnap in zip(a_snaps, e_snaps):
-        assert asnap.parent_id == esnap.parent_id
-        assert asnap.trigger == esnap.trigger
-        assert asnap.exported_at_us == esnap.exported_at_us
-        assert features_close(asnap.features, esnap.features, rel), (asnap, esnap)
+    by_trigger: dict[Trigger, list[RefSnapshot]] = {}
+    for esnap in e_snaps:
+        by_trigger.setdefault(esnap.trigger, []).append(esnap)
+    fired = {t for t, snaps in a_snaps.items() if snaps}
+    assert fired == set(by_trigger), (fired, set(by_trigger))
+    for trigger, want in by_trigger.items():
+        got = a_snaps[trigger]
+        assert len(got) == len(want), (trigger, len(got), len(want))
+        for asnap, esnap in zip(got, want):
+            assert asnap.parent_id == esnap.parent_id, trigger
+            assert asnap.exported_at_us == esnap.exported_at_us, trigger
+            assert features_close(asnap.features, esnap.features, rel), (trigger, asnap, esnap)
 
 
 # ---------------------------------------------------------------------------

@@ -73,20 +73,21 @@ def test_criterion_2_snapshot_consistency(late_spec):
 
     violations = 0
     by_parent: dict = {}
-    for snap in snapshots:
-        if snap.trigger.kind == "pc":
-            if snap.features.bidirectional_packets != snap.trigger.value:
-                violations += 1
-            by_parent[(snap.parent_id.hash64, snap.trigger.value)] = snap
-        elif snap.trigger.kind == "fd":
-            t = snap.trigger.value
-            if not (
-                (1 - config.fd_tolerance) * t
-                <= snap.features.duration_ms
-                <= (1 + config.fd_tolerance) * t
-            ):
-                violations += 1
-    fd_count = sum(1 for s in snapshots if s.trigger.kind == "fd")
+    for trigger, snaps in snapshots.items():
+        for snap in snaps:
+            if trigger.kind == "pc":
+                if snap.features.bidirectional_packets != trigger.value:
+                    violations += 1
+                by_parent[(snap.parent_id.hash64, trigger.value)] = snap
+            elif trigger.kind == "fd":
+                t = trigger.value
+                if not (
+                    (1 - config.fd_tolerance) * t
+                    <= snap.features.duration_ms
+                    <= (1 + config.fd_tolerance) * t
+                ):
+                    violations += 1
+    fd_count = sum(len(snaps) for t, snaps in snapshots.items() if t.kind == "fd")
     assert fd_count > 0
 
     checked = 0
@@ -101,7 +102,7 @@ def test_criterion_2_snapshot_consistency(late_spec):
     assert violations == 0
     _report(
         2,
-        f"{len(snapshots)} snapshots over 1000 flows, 0 violations "
+        f"{sum(map(len, snapshots.values()))} snapshots over 1000 flows, 0 violations "
         f"({checked} record-final matches, {fd_count} FD snapshots)",
     )
 
@@ -252,7 +253,7 @@ def test_criterion_6_degradation_reproduction(late_corpus):
 
     f1 = {}
     for n in range(2, 18):
-        pf = build_pf(snapshots, cf, Trigger("pc", n))
+        pf = build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n))
         acf, apf = align(cf, pf)
         metrics = run_scenario(
             Scenario("CF_PF", "binary", Trigger("pc", n)), acf, apf, split, tc
@@ -286,7 +287,7 @@ def test_criterion_7_consistency_robustness(early_corpus):
     tc = TrainConfig(n_trees=50, seed=7007)
     scores = {}
     for n in range(2, 13):
-        pf = build_pf(snapshots, cf, Trigger("pc", n))
+        pf = build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n))
         acf, apf = align(cf, pf)
         metrics = run_scenario(
             Scenario("PF_PF", "binary", Trigger("pc", n)), acf, apf, split, tc
@@ -324,7 +325,7 @@ def test_criterion_8_cicids_wednesday_offline():
     }
     total = sum(counts.values())
     print(f"CF counts: {counts} (total {total}, expected 502350)")
-    pf2 = build_pf(snapshots, cf, Trigger("pc", 2))
+    pf2 = build_pf(snapshots[Trigger("pc", 2)], cf, Trigger("pc", 2))
     benign2 = pf2.label_counts().get("BENIGN", 0)
     print(f"PC=2: total {len(pf2)} (expected 500493), benign {benign2} (expected 324508)")
     assert counts == expected

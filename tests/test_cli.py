@@ -143,10 +143,20 @@ class TestSynth:
         doc = json.loads(truth.read_text())
         assert {r.id.hash64 for r in records} == {f["hash64"] for f in doc["flows"]}
 
-    def test_bad_spec_exit_2(self, workdir):
+    def test_bad_spec_exit_2(self, workdir, capsys):
         bad = workdir / "bad.json"
-        bad.write_text(json.dumps({"templates": []}))
-        assert _run("synth", bad, 1, workdir / "x.pcap", workdir / "x.json") == 2
+        template = SMALL_SPEC["templates"][0]
+        for doc in (
+            {"templates": []},
+            {**SMALL_SPEC, "divergence": 3},
+            {**SMALL_SPEC, "shared": {"payload": [40, 400], "iat": [1000, 2000]}},
+            {**SMALL_SPEC, "templates": [{**template, "tcp": {"fn": True}}]},
+            {**SMALL_SPEC, "templates": [{**template, "server_port": [80]}]},
+            {**SMALL_SPEC, "templates": ["BENIGN"]},
+        ):
+            bad.write_text(json.dumps(doc))
+            assert _run("synth", bad, 1, workdir / "x.pcap", workdir / "x.json") == 2, doc
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestMeterCmd:
@@ -225,7 +235,7 @@ class TestMeterCmd:
         assert got_cf.hashes() == cf.hashes()
         assert got_cf.label_counts() == cf.label_counts()
         got_pf = read_csv(out / "pf_pc_2.csv")
-        lib_pf = build_pf(snapshots, cf, Trigger("pc", 2))
+        lib_pf = build_pf(snapshots[Trigger("pc", 2)], cf, Trigger("pc", 2))
         assert got_pf.hashes() == lib_pf.hashes()
         assert got_pf.label_counts() == lib_pf.label_counts()
 
@@ -250,6 +260,22 @@ class TestMeterCmd:
         assert _run("meter", pcap, rules, workdir / "m5", "--config", cfg) == 2
         cfg.write_text(json.dumps({"pc_triggers": 5}))
         assert _run("meter", pcap, rules, workdir / "m5", "--config", cfg) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rules": [{"label": "DoS", "src_ip": ["10.0.0.1"]}]},
+            {"rule": [], "default_label": "BENIGN"},
+            {"rules": ["DoS"]},
+            [],
+        ],
+    )
+    def test_bad_rules_exit_2(self, workdir, synth_inputs, doc, capsys):
+        pcap, _ = synth_inputs
+        rules = workdir / "bad_rules.json"
+        rules.write_text(json.dumps(doc))
+        assert _run("meter", pcap, rules, workdir / "m6") == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_pipeline_defaults_apply(self, workdir, synth_inputs):
         pcap, rules = synth_inputs

@@ -134,15 +134,14 @@ class TestBuildCf:
         assert all(n >= 5 for n in ds.label_counts().values())
 
 
-def _snapshot(record, trigger, packets=None):
+def _snapshot(record, packets=2):
     return FlowSnapshot(
+        exported_at_us=record.first_us + 10,
         parent_id=record.id,
-        trigger=trigger,
         features=_features(
-            bidirectional_packets=packets or trigger.value,
+            bidirectional_packets=packets,
             bidirectional_payload_bytes=7,
         ),
-        exported_at_us=record.first_us + 10,
     )
 
 
@@ -151,11 +150,7 @@ class TestBuildPf:
         kept = _record(0)
         zpl = _record(1, payload=0)
         cf = build_cf([kept, zpl], RuleSet(), min_class_count=1)
-        snaps = [
-            _snapshot(kept, Trigger("pc", 2)),
-            _snapshot(zpl, Trigger("pc", 2)),
-        ]
-        pf = build_pf(snaps, cf, Trigger("pc", 2))
+        pf = build_pf([_snapshot(kept), _snapshot(zpl)], cf, Trigger("pc", 2))
         assert len(pf) == 1
         assert pf.hash64.tolist() == [kept.id.hash64]
         assert pf.provenance == "PC=2"
@@ -163,24 +158,25 @@ class TestBuildPf:
     def test_label_inherited_from_parent(self):
         record = _record(0, label_ip="10.9.0.1")
         cf = build_cf([record], _ATTACK_RULES, min_class_count=1)
-        pf = build_pf([_snapshot(record, Trigger("pc", 2))], cf, Trigger("pc", 2))
+        pf = build_pf([_snapshot(record)], cf, Trigger("pc", 2))
         assert pf.labels.tolist() == ["ATTACK"]
 
     def test_trigger_filtering(self):
         record = _record(0)
         cf = build_cf([record], RuleSet(), min_class_count=1)
-        snaps = [
-            _snapshot(record, Trigger("pc", 2)),
-            _snapshot(record, Trigger("fd", 100)),
-        ]
-        assert len(build_pf(snaps, cf, Trigger("pc", 2))) == 1
-        assert len(build_pf(snaps, cf, Trigger("fd", 100))) == 1
-        assert len(build_pf(snaps, cf, Trigger("pc", 3))) == 0
+        snaps = {
+            Trigger("pc", 2): [_snapshot(record)],
+            Trigger("fd", 100): [_snapshot(record, packets=3)],
+            Trigger("pc", 3): [],
+        }
+        assert len(build_pf(snaps[Trigger("pc", 2)], cf, Trigger("pc", 2))) == 1
+        assert len(build_pf(snaps[Trigger("fd", 100)], cf, Trigger("fd", 100))) == 1
+        assert len(build_pf(snaps[Trigger("pc", 3)], cf, Trigger("pc", 3))) == 0
 
     def test_requires_cf_provenance(self):
         record = _record(0)
         cf = build_cf([record], RuleSet(), min_class_count=1)
-        pf = build_pf([_snapshot(record, Trigger("pc", 2))], cf, Trigger("pc", 2))
+        pf = build_pf([_snapshot(record)], cf, Trigger("pc", 2))
         with pytest.raises(ValueError):
             build_pf([], pf, Trigger("pc", 2))
 
@@ -193,7 +189,7 @@ class TestBuildPf:
         cf = build_cf(records, RuleSet(), min_class_count=1)
         by_hash = {r.id.hash64: r for r in records}
         for n in (2, 3, 5, 8):
-            pf = build_pf(snapshots, cf, Trigger("pc", n))
+            pf = build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n))
             expected = {
                 h
                 for h in cf.hash64.tolist()
@@ -204,7 +200,10 @@ class TestBuildPf:
     def test_pc_dataset_sizes_non_increasing_in_n(self, late_corpus):
         records, snapshots, rules, _ = late_corpus
         cf = build_cf(records, rules)
-        sizes = [len(build_pf(snapshots, cf, Trigger("pc", n))) for n in range(2, 21)]
+        sizes = [
+            len(build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n)))
+            for n in range(2, 21)
+        ]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         assert sizes[0] == len(cf)  # every kept flow has at least 2 packets
 
@@ -219,9 +218,7 @@ class TestAlign:
     def test_subset_pf(self):
         records = [_record(i) for i in range(10)]
         cf = build_cf(records, RuleSet(), min_class_count=1)
-        pf = build_pf(
-            [_snapshot(r, Trigger("pc", 2)) for r in records[:4]], cf, Trigger("pc", 2)
-        )
+        pf = build_pf([_snapshot(r) for r in records[:4]], cf, Trigger("pc", 2))
         acf, apf = align(cf, pf)
         assert len(acf) == 4
         assert acf.hashes() == apf.hashes() == pf.hashes()
@@ -353,7 +350,7 @@ def _metered_cf_and_pf() -> tuple[Dataset, Dataset]:
     trace = random_trace(rng, 700, n_endpoints=10)
     records, snapshots = meter(trace, MeterConfig(idle_timeout_s=1.0))
     cf = build_cf(records, _ATTACK_RULES, min_class_count=1)
-    pf = build_pf(snapshots, cf, Trigger("pc", 3))
+    pf = build_pf(snapshots[Trigger("pc", 3)], cf, Trigger("pc", 3))
     assert len(cf) >= 100 and len(pf) >= 50
     return cf, pf
 

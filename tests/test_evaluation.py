@@ -221,7 +221,7 @@ class TestRunScenario:
     def test_pf_required_exactly_for_pf_scenarios(self, early_corpus):
         cf, snapshots = _corpus_eval_inputs(early_corpus)
         split = split_keys(cf, 0.7, seed=0)
-        pf = build_pf(snapshots, cf, Trigger("pc", 2))
+        pf = build_pf(snapshots[Trigger("pc", 2)], cf, Trigger("pc", 2))
         with pytest.raises(ValueError):
             run_scenario(Scenario("CF_CF", "binary"), cf, pf, split)
         with pytest.raises(ValueError):
@@ -246,7 +246,7 @@ class TestRunScenario:
 class TestSweep:
     def test_single_threshold_row_count(self, early_corpus):
         cf, snapshots = _corpus_eval_inputs(early_corpus)
-        pf = build_pf(snapshots, cf, Trigger("pc", 2))
+        pf = build_pf(snapshots[Trigger("pc", 2)], cf, Trigger("pc", 2))
         report = sweep(
             cf,
             {Trigger("pc", 2): pf},
@@ -260,7 +260,7 @@ class TestSweep:
 
     def test_empty_family_member_skipped(self, early_corpus):
         cf, snapshots = _corpus_eval_inputs(early_corpus)
-        pf2 = build_pf(snapshots, cf, Trigger("pc", 2))
+        pf2 = build_pf(snapshots[Trigger("pc", 2)], cf, Trigger("pc", 2))
         report = sweep(
             cf,
             {Trigger("pc", 2): pf2, Trigger("pc", 19): Dataset("PC=19", [], [], [])},
@@ -276,7 +276,7 @@ class TestSweep:
     def test_row_cardinality_matches_enumeration(self, early_corpus):
         cf, snapshots = _corpus_eval_inputs(early_corpus)
         family = {
-            Trigger("pc", n): build_pf(snapshots, cf, Trigger("pc", n))
+            Trigger("pc", n): build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n))
             for n in (2, 3, 4)
         }
         tasks = ("binary", "multiclass")
@@ -298,7 +298,8 @@ class TestSweep:
         # every CF flow and all thresholds share one CF train side, unless
         # PC=3 is thinned: then PC=3 and PC=4 each change the CF train side.
         family = {
-            Trigger("pc", n): build_pf(snapshots, cf, Trigger("pc", n)) for n in (2, 3, 4)
+            Trigger("pc", n): build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n))
+            for n in (2, 3, 4)
         }
         assert all(pf.hashes() == cf.hashes() for pf in family.values())
         if thin_pc3:
@@ -335,7 +336,7 @@ class TestSweep:
 
     def test_csv_shape(self, early_corpus):
         cf, snapshots = _corpus_eval_inputs(early_corpus)
-        pf = build_pf(snapshots, cf, Trigger("pc", 2))
+        pf = build_pf(snapshots[Trigger("pc", 2)], cf, Trigger("pc", 2))
         report = sweep(
             cf, {Trigger("pc", 2): pf}, tasks=("binary",), tc=TrainConfig(n_trees=3, seed=0)
         )

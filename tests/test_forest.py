@@ -12,10 +12,8 @@ from flowlab.forest import (
     Leaf,
     RandomForest,
     TrainConfig,
-    gini_impurity,
     load_model,
     predict,
-    predict_batch,
     predict_matrix,
     save_model,
     train,
@@ -48,20 +46,12 @@ def _separable(n_per_class=20, seed=0) -> Dataset:
     return _toy_dataset(rows)
 
 
-class TestGini:
-    def test_hand_values(self):
-        assert gini_impurity(["A", "A", "B", "B"]) == 0.5
-        assert gini_impurity(["A", "A", "A", "A"]) == 0.0
-        assert gini_impurity([]) == 0.0
-        assert abs(gini_impurity(["A", "A", "B"]) - (1 - (2 / 3) ** 2 - (1 / 3) ** 2)) < 1e-15
-
-
 class TestTrain:
     def test_single_class_predicts_that_class(self):
         ds = _toy_dataset([(1.0, 2.0, "ONLY"), (3.0, 4.0, "ONLY")])
         forest = train(ds, TrainConfig(n_trees=5, seed=1))
         assert predict(forest, (0.0, 0.0)) == "ONLY"
-        assert predict_batch(forest, [(9.0, 9.0), (1.0, 2.0)]) == ["ONLY", "ONLY"]
+        assert predict_matrix(forest, np.array([[9.0, 9.0], [1.0, 2.0]])) == ["ONLY", "ONLY"]
 
     def test_axis_separable_perfect_training_accuracy(self):
         ds = _separable()
@@ -134,13 +124,21 @@ class TestTrain:
 
         assert all(depth(t) <= 1 for t in forest.trees)
 
-    def test_deep_tree_trains_and_predicts(self):
+    def test_deep_tree_trains_and_predicts(self, tmp_path):
         # Alternating labels along one sorted feature: each split peels off
         # a row or two, so the tree is about as deep as the data is long.
         ds = _toy_dataset([(float(i), 0.0, "AB"[i % 2]) for i in range(2000)])
         forest = train(ds, TrainConfig(n_trees=1, max_features=2, bootstrap=False))
         X = ds.X
         assert predict_matrix(forest, X) == list(ds.labels)
+        # Saving and loading do not recurse either; tree == would, so the
+        # loaded forest is compared by what it saves and predicts.
+        path, again = tmp_path / "deep.json", tmp_path / "again.json"
+        save_model(forest, path)
+        back = load_model(path)
+        save_model(back, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert predict_matrix(back, X) == list(ds.labels)
 
     def test_tree_seed_mixing(self):
         seeds = {tree_seed(42, i) for i in range(1000)}
@@ -244,8 +242,8 @@ class TestPredict:
         ds = _separable(25, seed=31)
         forest = train(ds, TrainConfig(n_trees=9, seed=31))
         rng = np.random.default_rng(31)
-        rows = [tuple(r) for r in rng.uniform(0, 3, size=(40, 2))]
-        assert predict_batch(forest, rows) == [predict(forest, r) for r in rows]
+        X = rng.uniform(0, 3, size=(40, 2))
+        assert predict_matrix(forest, X) == [predict(forest, tuple(r)) for r in X]
 
     def test_metered_feature_vector_predicts_as_its_row(self):
         records, _ = meter(random_trace(np.random.default_rng(37), 400), MeterConfig())

@@ -10,6 +10,7 @@ from flowlab.meter import (
     FEATURE_NAMES,
     FeatureVector,
     FlowKey,
+    FlowSnapshot,
     MeterConfig,
     Trigger,
     flow_hash,
@@ -39,6 +40,10 @@ def _pkt(ts, src="10.0.0.1", dst="10.0.0.2", sport=1111, dport=80, proto=6,
 
 def _trace(*packets):
     return PacketTrace(packets=tuple(packets), source="test")
+
+
+def _snapshot_features(snapshots):
+    return [s.features for snaps in snapshots.values() for s in snaps]
 
 
 class TestFlowHash:
@@ -115,34 +120,79 @@ class TestMeterBasics:
         assert len(records) == 1
         assert records[0].expiration_reason == "fin_rst"
         assert records[0].features.bidirectional_packets == 11
-        pc_values = [s.trigger.value for s in snapshots if s.trigger.kind == "pc"]
+        pc_values = [t.value for t, snaps in snapshots.items() if t.kind == "pc" for _ in snaps]
         assert pc_values == list(range(2, 12))
 
     def test_fd_tolerance_overshoot_missed(self):
         config = MeterConfig(pc_triggers=(), fd_triggers_ms=(100,))
         _, snapshots = meter(_trace(_pkt(0), _pkt(130_000)), config)
-        assert snapshots == []
+        assert snapshots == {Trigger("fd", 100): []}
 
     def test_fd_tolerance_within_band(self):
         config = MeterConfig(pc_triggers=(), fd_triggers_ms=(100,))
         _, snapshots = meter(_trace(_pkt(0), _pkt(90_000)), config)
-        assert len(snapshots) == 1
-        assert snapshots[0].trigger == Trigger("fd", 100)
-        assert snapshots[0].features.duration_ms == 90.0
+        assert list(snapshots) == [Trigger("fd", 100)]
+        (snap,) = snapshots[Trigger("fd", 100)]
+        assert snap.features.duration_ms == 90.0
 
     def test_fd_emitted_once(self):
         config = MeterConfig(pc_triggers=(), fd_triggers_ms=(100,))
         _, snapshots = meter(
             _trace(_pkt(0), _pkt(90_000), _pkt(110_000), _pkt(119_000)), config
         )
-        assert len(snapshots) == 1
+        assert list(snapshots) == [Trigger("fd", 100)]
+        assert len(snapshots[Trigger("fd", 100)]) == 1
 
     def test_byte_trigger_first_crossing(self):
         config = MeterConfig(pc_triggers=(), fd_triggers_ms=(), byte_triggers=(300,))
         _, snapshots = meter(_trace(_pkt(0, payload=100), _pkt(10, payload=100)), config)
-        assert len(snapshots) == 1
-        assert snapshots[0].trigger == Trigger("bc", 300)
-        assert snapshots[0].features.bidirectional_bytes == 308
+        assert list(snapshots) == [Trigger("bc", 300)]
+        (snap,) = snapshots[Trigger("bc", 300)]
+        assert snap.features.bidirectional_bytes == 308
+
+    def test_one_list_per_configured_trigger_in_sort_order(self):
+        config = MeterConfig(
+            pc_triggers=(3, 2), fd_triggers_ms=(100, 5), byte_triggers=(10**6, 300)
+        )
+        expected = [
+            Trigger("pc", 2),
+            Trigger("pc", 3),
+            Trigger("fd", 5),
+            Trigger("fd", 100),
+            Trigger("bc", 300),
+            Trigger("bc", 10**6),
+        ]
+        assert sorted(expected, key=Trigger.sort_key) == expected
+        assert config.triggers() == expected
+        _, snapshots = meter(_trace(_pkt(0), _pkt(10)), config)
+        assert list(snapshots) == expected
+        assert [len(snaps) for snaps in snapshots.values()] == [1, 0, 0, 0, 1, 0]
+
+        none = MeterConfig(pc_triggers=(), fd_triggers_ms=())
+        assert none.triggers() == []
+        assert meter(_trace(_pkt(0), _pkt(10)), none)[1] == {}
+
+    def test_same_microsecond_snapshots_in_start_then_hash_order(self):
+        a, b = {"src": "10.0.0.1"}, {"src": "10.0.0.3"}
+        config = MeterConfig(pc_triggers=(2,), fd_triggers_ms=())
+        # The later-starting flow's packet comes first at the shared µs.
+        _, snapshots = meter(
+            _trace(_pkt(0, **b), _pkt(10, **a), _pkt(100, **a), _pkt(100, **b)), config
+        )
+        assert [s.parent_id.start_us for s in snapshots[Trigger("pc", 2)]] == [0, 10]
+        # Equal starts: hash order, whichever flow's packet comes first.
+        for first, second in ((a, b), (b, a)):
+            _, snapshots = meter(
+                _trace(
+                    _pkt(0, **first), _pkt(0, **second), _pkt(100, **first), _pkt(100, **second)
+                ),
+                config,
+            )
+            hashes = [s.parent_id.hash64 for s in snapshots[Trigger("pc", 2)]]
+            assert len(hashes) == 2 and hashes == sorted(hashes)
+
+    def test_snapshot_has_no_trigger_field(self):
+        assert FlowSnapshot._fields == ("exported_at_us", "parent_id", "features")
 
     def test_unsorted_trace_rejected(self):
         with pytest.raises(UnsortedTraceError):
@@ -226,9 +276,10 @@ class TestMeterInvariants:
         checked = 0
         for records, snapshots in out:
             snap_index = {
-                (s.parent_id.hash64, s.trigger): s
-                for s in snapshots
-                if s.trigger.kind == "pc"
+                (s.parent_id.hash64, t): s
+                for t, snaps in snapshots.items()
+                if t.kind == "pc"
+                for s in snaps
             }
             for record in records:
                 m = record.features.bidirectional_packets
@@ -242,8 +293,9 @@ class TestMeterInvariants:
         _, _, out = metered
         for _, snapshots in out:
             per_flow: dict = {}
-            for s in snapshots:
-                per_flow.setdefault(s.parent_id.hash64, []).append(s)
+            for snaps in snapshots.values():
+                for s in snaps:
+                    per_flow.setdefault(s.parent_id.hash64, []).append(s)
             for snaps in per_flow.values():
                 snaps.sort(key=lambda s: (s.exported_at_us, s.features.bidirectional_packets))
                 for a, b in zip(snaps, snaps[1:]):
@@ -258,7 +310,7 @@ class TestMeterInvariants:
     def test_mean_consistency(self, metered):
         _, _, out = metered
         for records, snapshots in out:
-            for fv in [r.features for r in records] + [s.features for s in snapshots]:
+            for fv in [r.features for r in records] + _snapshot_features(snapshots):
                 for scope in ("bidirectional", "src2dst", "dst2src"):
                     n = getattr(fv, f"{scope}_packets")
                     mean = getattr(fv, f"{scope}_mean_ps")
@@ -276,7 +328,9 @@ class TestMeterInvariants:
         _, _, out = metered
         for records, snapshots in out:
             record_ids = {r.id for r in records}
-            assert all(s.parent_id in record_ids for s in snapshots)
+            assert all(
+                s.parent_id in record_ids for snaps in snapshots.values() for s in snaps
+            )
 
     def test_at_most_one_fin_rst_packet_per_record(self, metered):
         # with expiration on, the first FIN/RST packet ends the flow, so no
@@ -302,7 +356,7 @@ class TestMeterInvariants:
         assert set(types) == {int, float}
         _, _, out = metered
         for records, snapshots in out:
-            for fv in [r.features for r in records] + [s.features for s in snapshots]:
+            for fv in [r.features for r in records] + _snapshot_features(snapshots):
                 assert [type(v) for v in fv] == types
 
 

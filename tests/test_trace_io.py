@@ -225,13 +225,10 @@ class TestReadTrace:
         write_trace(trace, path)
         back = read_trace(path)
         assert len(back) == len(trace)
+        fields = ("ts_us", "src_ip", "src_port", "dst_ip", "dst_port", "protocol",
+                  "tcp_flags", "payload_len")
         for a, b in zip(trace.packets, back.packets):
-            assert (a.ts_us, a.five_tuple(), a.tcp_flags, a.payload_len) == (
-                b.ts_us,
-                b.five_tuple(),
-                b.tcp_flags,
-                b.payload_len,
-            )
+            assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
             assert a.payload == b.payload
 
 
