@@ -224,7 +224,12 @@ def dataset_matrix(ds: Dataset) -> tuple[np.ndarray, list[str]]:
 
 
 def train(ds: Dataset, config: TrainConfig | None = None, n_jobs: int = 1) -> RandomForest:
-    """Train a forest; bit-identical results for any ``n_jobs``."""
+    """Train a forest; bit-identical results for any ``n_jobs`` >= 1.
+
+    Raises ValueError when ``n_jobs`` is below 1.
+    """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if config is None:
         config = TrainConfig()
     if len(ds) == 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from ipaddress import ip_address
@@ -37,15 +38,28 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FLAG_BITS = (TCP_SYN, TCP_FIN, TCP_RST, TCP_PSH, TCP_ACK, TCP_URG, TCP_ECE, TCP_CWR)
 
 
-# parsing the same address text repeatedly dominates per-packet cost
 @lru_cache(maxsize=65536)
-def _packed(ip: str) -> bytes:
-    return ip_address(ip).packed
+def _address(ip: str) -> tuple[bytes, str]:
+    """Packed bytes and canonical text of an address; parsing the same
+    address text repeatedly would dominate per-packet cost."""
+    addr = ip_address(ip)
+    return addr.packed, str(addr)
 
 
-@lru_cache(maxsize=65536)
-def _canonical_ip(ip: str) -> str:
-    return str(ip_address(ip))
+def _flow_key(
+    ip1: str, port1: int, ip2: str, port2: int, protocol: int
+) -> tuple[tuple[str, int], tuple[str, int], int]:
+    """The plain tuple ``(endpoint_a, endpoint_b, protocol)`` of ``FlowKey``.
+
+    Endpoints carry canonical address text, and ``endpoint_a`` is the
+    smaller (packed address, port) pair, so both orientations of a
+    five-tuple, and every text form of its addresses, give one key.
+    """
+    packed1, text1 = _address(ip1)
+    packed2, text2 = _address(ip2)
+    if (packed1, port1) <= (packed2, port2):
+        return (text1, port1), (text2, port2), protocol
+    return (text2, port2), (text1, port1), protocol
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,11 +79,7 @@ class FlowKey:
     def from_endpoints(
         cls, ip1: str, port1: int, ip2: str, port2: int, protocol: int
     ) -> FlowKey:
-        e1 = (_canonical_ip(ip1), port1)
-        e2 = (_canonical_ip(ip2), port2)
-        if (_packed(e1[0]), e1[1]) <= (_packed(e2[0]), e2[1]):
-            return cls(e1, e2, protocol)
-        return cls(e2, e1, protocol)
+        return cls(*_flow_key(ip1, port1, ip2, port2, protocol))
 
     @classmethod
     def from_packet(cls, pkt: RawPacket) -> FlowKey:
@@ -86,9 +96,9 @@ def flow_hash(key: FlowKey, start_us: int) -> int:
     hex, and protocol and start time in decimal.
     """
     text = "{}|{:04x}|{}|{:04x}|{}|{}".format(
-        _packed(key.endpoint_a[0]).hex(),
+        _address(key.endpoint_a[0])[0].hex(),
         key.endpoint_a[1],
-        _packed(key.endpoint_b[0]).hex(),
+        _address(key.endpoint_b[0])[0].hex(),
         key.endpoint_b[1],
         key.protocol,
         start_us,
@@ -231,8 +241,17 @@ class FlowSnapshot(NamedTuple):
     features: FeatureVector
 
 
-def _as_frozenset(values) -> frozenset[int]:
-    return frozenset(int(v) for v in values)
+def _trigger_values(name: str, values) -> frozenset[int]:
+    """Trigger values as a set of ints >= 1; ValueError for a string in
+    place of the collection, or a bool, non-integer or smaller value."""
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"{name} must be a list of integers, not {values!r}")
+    checked = set()
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+            raise ValueError(f"{name} values must be integers >= 1, got {v!r}")
+        checked.add(int(v))
+    return frozenset(checked)
 
 
 @dataclass(frozen=True)
@@ -263,9 +282,12 @@ class MeterConfig:
             raise ValueError("timeouts must be positive")
         if not 0 <= self.fd_tolerance < 1:
             raise ValueError("fd_tolerance must be in [0, 1)")
-        object.__setattr__(self, "pc_triggers", _as_frozenset(self.pc_triggers))
-        object.__setattr__(self, "fd_triggers_ms", _as_frozenset(self.fd_triggers_ms))
-        object.__setattr__(self, "byte_triggers", _as_frozenset(self.byte_triggers))
+        if not isinstance(self.fin_rst_expiration, bool):
+            raise ValueError(
+                f"fin_rst_expiration must be true or false, got {self.fin_rst_expiration!r}"
+            )
+        for name in ("pc_triggers", "fd_triggers_ms", "byte_triggers"):
+            object.__setattr__(self, name, _trigger_values(name, getattr(self, name)))
 
     def triggers(self) -> list[Trigger]:
         """Every configured trigger, in ``Trigger.sort_key`` order."""
@@ -300,11 +322,56 @@ class MeterConfig:
             return cls.from_dict(json.load(fh))
 
 
+def _stddev(n: int, total: int, total_sq: int) -> float:
+    """Population standard deviation from exact integer sums."""
+    if n < 2:
+        return 0.0
+    var = (n * total_sq - total * total) / (n * n)
+    return math.sqrt(var) if var > 0 else 0.0
+
+
+def _size_features(
+    n: int, total: int, payload: int, min_ps: int, max_ps: int, sumsq_ps: int
+) -> tuple[float, ...]:
+    """Packets, bytes, payload bytes and min/mean/max/stddev packet size of
+    ``n`` packets whose sizes sum to ``total``."""
+    return (
+        n,
+        total,
+        payload,
+        float(min_ps),
+        total / n if n else 0.0,
+        float(max_ps),
+        _stddev(n, total, sumsq_ps),
+    )
+
+
+def _piat_features(
+    n: int, min_gap: int, max_gap: int, span: int, sumsq_gap: int
+) -> tuple[float, float, float, float]:
+    """Min, mean, max and stddev of the ``n - 1`` gaps between ``n`` packets
+    that arrive over ``span`` microseconds (the sum of the gaps), in ms.
+
+    PIAT features are defined (and non-zero) only from the second packet
+    of a scope onward.
+    """
+    if n < 2:
+        return (0.0, 0.0, 0.0, 0.0)
+    m = n - 1
+    return (
+        min_gap / 1000,
+        span / (m * 1000),
+        max_gap / 1000,
+        _stddev(m, span, sumsq_gap) / 1000,
+    )
+
+
 class _ScopeStats:
-    """Streaming packet-size and inter-arrival accumulators for one scope.
+    """Streaming packet-size and inter-arrival accumulators for one direction.
 
     Sums are kept as exact Python ints; means and population stddevs are
-    materialized only at export.
+    materialized only at export. The byte count is the sum of packet
+    sizes, and the gaps sum to ``last_ts - first_ts``.
     """
 
     __slots__ = (
@@ -313,13 +380,11 @@ class _ScopeStats:
         "payload_bytes",
         "min_ps",
         "max_ps",
-        "sum_ps",
         "sumsq_ps",
+        "first_ts",
         "last_ts",
-        "piat_n",
         "min_piat",
         "max_piat",
-        "sum_piat",
         "sumsq_piat",
     )
 
@@ -327,76 +392,75 @@ class _ScopeStats:
         self.packets = 0
         self.bytes = 0
         self.payload_bytes = 0
-        self.min_ps = 0
-        self.max_ps = 0
-        self.sum_ps = 0
-        self.sumsq_ps = 0
-        self.last_ts: int | None = None
-        self.piat_n = 0
-        self.min_piat = 0
-        self.max_piat = 0
-        self.sum_piat = 0
-        self.sumsq_piat = 0
+        self.min_ps = self.max_ps = self.sumsq_ps = 0
+        self.first_ts = self.last_ts = 0
+        self.min_piat = self.max_piat = self.sumsq_piat = 0
 
     def add(self, ts_us: int, wire_len: int, payload_len: int) -> None:
-        if self.packets == 0:
-            self.min_ps = self.max_ps = wire_len
+        n = self.packets
+        if n:
+            if wire_len < self.min_ps:
+                self.min_ps = wire_len
+            elif wire_len > self.max_ps:
+                self.max_ps = wire_len
+            gap = ts_us - self.last_ts
+            if n == 1:
+                self.min_piat = self.max_piat = gap
+            elif gap < self.min_piat:
+                self.min_piat = gap
+            elif gap > self.max_piat:
+                self.max_piat = gap
+            self.sumsq_piat += gap * gap
         else:
-            self.min_ps = min(self.min_ps, wire_len)
-            self.max_ps = max(self.max_ps, wire_len)
-        self.packets += 1
+            self.min_ps = self.max_ps = wire_len
+            self.first_ts = ts_us
+        self.packets = n + 1
         self.bytes += wire_len
         self.payload_bytes += payload_len
-        self.sum_ps += wire_len
         self.sumsq_ps += wire_len * wire_len
-        if self.last_ts is not None:
-            gap = ts_us - self.last_ts
-            if self.piat_n == 0:
-                self.min_piat = self.max_piat = gap
-            else:
-                self.min_piat = min(self.min_piat, gap)
-                self.max_piat = max(self.max_piat, gap)
-            self.piat_n += 1
-            self.sum_piat += gap
-            self.sumsq_piat += gap * gap
         self.last_ts = ts_us
-
-    @staticmethod
-    def _stddev(n: int, total: int, total_sq: int) -> float:
-        if n < 2:
-            return 0.0
-        var = (n * total_sq - total * total) / (n * n)
-        return math.sqrt(var) if var > 0 else 0.0
 
     def export(self) -> tuple[float, ...]:
         """The scope's 11 features, in ``FeatureVector`` field order."""
         n = self.packets
-        # PIAT features are defined (and non-zero) only from the second
-        # packet of the scope onward.
-        if n < 2:
-            piat = (0.0, 0.0, 0.0, 0.0)
-        else:
-            m = self.piat_n
-            piat = (
-                self.min_piat / 1000,
-                self.sum_piat / (m * 1000),
-                self.max_piat / 1000,
-                self._stddev(m, self.sum_piat, self.sumsq_piat) / 1000,
-            )
         return (
-            n,
-            self.bytes,
-            self.payload_bytes,
-            float(self.min_ps),
-            self.sum_ps / n if n else 0.0,
-            float(self.max_ps),
-            self._stddev(n, self.sum_ps, self.sumsq_ps),
-            *piat,
+            *_size_features(
+                n, self.bytes, self.payload_bytes, self.min_ps, self.max_ps, self.sumsq_ps
+            ),
+            *_piat_features(
+                n, self.min_piat, self.max_piat, self.last_ts - self.first_ts, self.sumsq_piat
+            ),
         )
 
 
+def _flag_counts(flags: dict[int, int]) -> list[int]:
+    """The 8 bidirectional flag counts, then src2dst FIN, src2dst RST,
+    dst2src FIN and dst2src RST, from packet counts keyed by
+    ``flag byte << 1 | forward``."""
+    bidi = [0] * len(_FLAG_BITS)
+    directional = [0, 0, 0, 0]
+    for key, n in flags.items():
+        byte = key >> 1
+        for i, bit in enumerate(_FLAG_BITS):
+            if byte & bit:
+                bidi[i] += n
+        side = 0 if key & 1 else 2
+        if byte & TCP_FIN:
+            directional[side] += n
+        if byte & TCP_RST:
+            directional[side + 1] += n
+    return bidi + directional
+
+
 class _FlowState:
-    """Mutable per-flow accumulation owned by one metering pass."""
+    """Mutable per-flow accumulation owned by one metering pass.
+
+    Per packet, only the direction's ``_ScopeStats``, the bidirectional
+    inter-arrival accumulators, the running packet and byte counts the
+    PC and BC triggers read, and one flag count are updated; the
+    bidirectional size features are combined from the two directions at
+    export.
+    """
 
     __slots__ = (
         "id",
@@ -404,11 +468,14 @@ class _FlowState:
         "anchor_dst",
         "first_us",
         "last_us",
-        "bidi",
+        "packets",
+        "bytes",
+        "min_piat",
+        "max_piat",
+        "sumsq_piat",
         "s2d",
         "d2s",
-        "flag_counts",
-        "dir_flags",
+        "flags",
         "fd_next",
         "bc_next",
     )
@@ -419,12 +486,13 @@ class _FlowState:
         self.anchor_dst = (pkt.dst_ip, pkt.dst_port)
         self.first_us = pkt.ts_us
         self.last_us = pkt.ts_us
-        self.bidi = _ScopeStats()
+        self.packets = 0
+        self.bytes = 0
+        self.min_piat = self.max_piat = self.sumsq_piat = 0
         self.s2d = _ScopeStats()
         self.d2s = _ScopeStats()
-        self.flag_counts = [0] * len(_FLAG_BITS)
-        # src2dst FIN, src2dst RST, dst2src FIN, dst2src RST
-        self.dir_flags = [0, 0, 0, 0]
+        # packets per (flag byte << 1 | forward), for flagged packets only
+        self.flags: dict[int, int] = {}
         # indexes of the first FD band and byte target not yet passed
         self.fd_next = 0
         self.bc_next = 0
@@ -438,45 +506,67 @@ class _FlowState:
     ) -> None:
         """Accumulate ``pkt`` and append a snapshot to each trigger's list
         that fires (the lookups are built in ``meter``)."""
+        ts_us = pkt.ts_us
+        wire_len = pkt.wire_len
         forward = (pkt.src_ip, pkt.src_port) == self.anchor_src
-        self.last_us = pkt.ts_us
-        self.bidi.add(pkt.ts_us, pkt.wire_len, pkt.payload_len)
-        (self.s2d if forward else self.d2s).add(pkt.ts_us, pkt.wire_len, pkt.payload_len)
+        (self.s2d if forward else self.d2s).add(ts_us, wire_len, pkt.payload_len)
+        # Bidirectional gaps, from the previous packet of either direction;
+        # inline rather than a call per packet.
+        n = self.packets
+        if n:
+            gap = ts_us - self.last_us
+            if n == 1:
+                self.min_piat = self.max_piat = gap
+            elif gap < self.min_piat:
+                self.min_piat = gap
+            elif gap > self.max_piat:
+                self.max_piat = gap
+            self.sumsq_piat += gap * gap
+        self.packets = n = n + 1
+        self.bytes += wire_len
+        self.last_us = ts_us
         if pkt.tcp_flags:
-            for i, bit in enumerate(_FLAG_BITS):
-                if pkt.tcp_flags & bit:
-                    self.flag_counts[i] += 1
-            side = 0 if forward else 2
-            if pkt.tcp_flags & TCP_FIN:
-                self.dir_flags[side] += 1
-            if pkt.tcp_flags & TCP_RST:
-                self.dir_flags[side + 1] += 1
+            key = pkt.tcp_flags << 1 | forward
+            self.flags[key] = self.flags.get(key, 0) + 1
 
-        out = pc.get(self.bidi.packets)
+        out = pc.get(n)
         if out is not None:
             out.append(self._snapshot())
-        duration_us = self.last_us - self.first_us
-        while self.fd_next < len(fd):
-            lo, hi, out = fd[self.fd_next]
-            if duration_us < lo:
-                break
+        duration_us = ts_us - self.first_us
+        while duration_us >= fd[self.fd_next][0]:
+            _, hi, out = fd[self.fd_next]
             self.fd_next += 1
             if duration_us <= hi:
                 out.append(self._snapshot())
             # else: overshot the tolerance band; target permanently missed
-        while self.bc_next < len(bc) and self.bidi.bytes >= bc[self.bc_next][0]:
+        while self.bytes >= bc[self.bc_next][0]:
             bc[self.bc_next][1].append(self._snapshot())
             self.bc_next += 1
 
     def _features(self) -> FeatureVector:
+        s2d, d2s = self.s2d, self.d2s
+        # s2d holds the flow's first packet, so only d2s can be empty.
+        min_ps, max_ps = s2d.min_ps, s2d.max_ps
+        if d2s.packets:
+            min_ps = min(min_ps, d2s.min_ps)
+            max_ps = max(max_ps, d2s.max_ps)
+        n = self.packets
+        span = self.last_us - self.first_us
         return FeatureVector._make(
             (
-                (self.last_us - self.first_us) / 1000,
-                *self.bidi.export(),
-                *self.s2d.export(),
-                *self.d2s.export(),
-                *self.flag_counts,
-                *self.dir_flags,
+                span / 1000,
+                *_size_features(
+                    n,
+                    self.bytes,
+                    s2d.payload_bytes + d2s.payload_bytes,
+                    min_ps,
+                    max_ps,
+                    s2d.sumsq_ps + d2s.sumsq_ps,
+                ),
+                *_piat_features(n, self.min_piat, self.max_piat, span, self.sumsq_piat),
+                *s2d.export(),
+                *d2s.export(),
+                *_flag_counts(self.flags),
             )
         )
 
@@ -518,7 +608,8 @@ def meter(
     active_us = int(config.active_timeout_s * 1_000_000)
     snapshots: dict[Trigger, list[FlowSnapshot]] = {t: [] for t in config.triggers()}
     # Each trigger's list, found by PC value, or through ascending
-    # (lo_us, hi_us, list) FD bands and (bytes, list) BC targets.
+    # (lo_us, hi_us, list) FD bands and (bytes, list) BC targets, each
+    # ended by a target no flow reaches.
     tol = config.fd_tolerance
     pc = {t.value: out for t, out in snapshots.items() if t.kind == "pc"}
     fd = [
@@ -526,33 +617,40 @@ def meter(
         for t, out in snapshots.items()
         if t.kind == "fd"
     ]
+    fd.append((math.inf, math.inf, []))
     bc = [(t.value, out) for t, out in snapshots.items() if t.kind == "bc"]
+    bc.append((math.inf, []))
 
-    live: dict[FlowKey, _FlowState] = {}
+    # Keyed by the plain tuple of ``_flow_key``; a FlowKey is built only
+    # when a flow starts.
+    live: dict[tuple, _FlowState] = {}
     records: list[FlowRecord] = []
-    prev_ts: int | None = None
+    fin_rst = TCP_FIN | TCP_RST if config.fin_rst_expiration else 0
+    prev_ts = -math.inf
 
     for pkt in trace.packets:
-        if prev_ts is not None and pkt.ts_us < prev_ts:
+        ts_us = pkt.ts_us
+        if ts_us < prev_ts:
             raise UnsortedTraceError(
-                f"timestamp regression at {pkt.ts_us} after {prev_ts}; reorder first"
+                f"timestamp regression at {ts_us} after {prev_ts}; reorder first"
             )
-        prev_ts = pkt.ts_us
+        prev_ts = ts_us
 
-        key = FlowKey.from_packet(pkt)
+        key = _flow_key(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port, pkt.protocol)
         state = live.get(key)
-        if state is not None and pkt.ts_us - state.last_us > idle_us:
-            records.append(state.finish("idle"))
-            state = None
-        elif state is not None and pkt.ts_us - state.first_us >= active_us:
-            records.append(state.finish("active"))
-            state = None
+        if state is not None:
+            if ts_us - state.last_us > idle_us:
+                records.append(state.finish("idle"))
+                state = None
+            elif ts_us - state.first_us >= active_us:
+                records.append(state.finish("active"))
+                state = None
         if state is None:
-            state = _FlowState(pkt, key)
+            state = _FlowState(pkt, FlowKey(*key))
             live[key] = state
 
         state.add(pkt, pc, fd, bc)
-        if config.fin_rst_expiration and pkt.tcp_flags & (TCP_FIN | TCP_RST):
+        if pkt.tcp_flags & fin_rst:
             records.append(state.finish("fin_rst"))
             del live[key]
 

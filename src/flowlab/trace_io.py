@@ -41,9 +41,14 @@ _ETHERTYPE_VLAN = (0x8100, 0x88A8)
 _LINKTYPE_ETHERNET = 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RawPacket:
     """One parsed TCP or UDP packet.
+
+    A plain slots dataclass: it compares by value but cannot be hashed,
+    and ``dataclasses.replace`` makes a changed copy. It is not frozen,
+    because a frozen dataclass sets each field through
+    ``object.__setattr__`` and this is built once per packet read.
 
     ``payload_len`` is the transport payload length on the wire (derived
     from IP header lengths); ``payload`` holds the captured payload bytes,
@@ -198,18 +203,20 @@ def _parse_frame(frame: bytes, ts_us: int, wire_len: int) -> RawPacket | None:
     else:
         return None
 
+    # Positional, in field order: keyword arguments would more than double
+    # the cost of building the packet.
     return RawPacket(
-        ts_us=ts_us,
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_port=src_port,
-        dst_port=dst_port,
-        protocol=protocol,
-        tcp_flags=flags,
-        payload_len=payload_len,
-        wire_len=wire_len,
-        payload=frame[start : start + payload_len],
-        raw=frame,
+        ts_us,
+        src_ip,
+        dst_ip,
+        src_port,
+        dst_port,
+        protocol,
+        flags,
+        payload_len,
+        wire_len,
+        frame[start : start + payload_len],
+        frame,
     )
 
 
@@ -365,7 +372,11 @@ def dedup(trace: PacketTrace, window_us: int = 10_000) -> PacketTrace:
     timestamp difference of at most ``window_us``. Survivors keep their
     relative order; the first occurrence of any packet value always survives.
     Idempotent, and works on unordered traces.
+
+    Raises ValueError on a negative window.
     """
+    if window_us < 0:
+        raise ValueError(f"dedup window must be >= 0 microseconds, got {window_us}")
     seen: dict[tuple, list[int]] = {}
     kept: list[RawPacket] = []
     for pkt in trace.packets:

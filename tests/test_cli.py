@@ -104,6 +104,14 @@ class TestPreprocess:
             p.ts_us for p in reorder(lib_deduped).packets
         ]
 
+    def test_negative_dedup_window_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "in.pcap"
+        write_trace(random_trace(np.random.default_rng(3), 10), src)
+        out = tmp_path / "out.pcap"
+        assert _run("preprocess", src, out, "--dedup-window-us", -5) == 2
+        assert "dedup window" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_skipped_frames_reported(self, tmp_path, capsys):
         arp = bytes(12) + b"\x08\x06" + bytes(28)
         tcp = build_tcp_frame("10.0.0.1", "10.0.0.2", 1234, 80, 0x02)
@@ -264,6 +272,24 @@ class TestMeterCmd:
     @pytest.mark.parametrize(
         "doc",
         [
+            {"pc_triggers": "25"},
+            {"fin_rst_expiration": "no"},
+            {"pc_triggers": [0, -3]},
+            {"fd_triggers_ms": [2.7]},
+        ],
+    )
+    def test_wrongly_typed_config_values_exit_2(self, workdir, synth_inputs, doc, capsys):
+        pcap, rules = synth_inputs
+        cfg = workdir / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        out = workdir / "m7"
+        assert _run("meter", pcap, rules, out, "--config", cfg) == 2
+        assert next(iter(doc)) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
             {"rules": [{"label": "DoS", "src_ip": ["10.0.0.1"]}]},
             {"rule": [], "default_label": "BENIGN"},
             {"rules": ["DoS"]},
@@ -384,6 +410,17 @@ class TestEvalCmd:
             assert rc == 2
             err = capsys.readouterr().err
             assert str(metered / named) in err and "provenance" in err
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_exit_2(self, workdir, metered, jobs, capsys):
+        out = workdir / "e8"
+        rc = _run(
+            "eval", metered / "cf.csv", metered / "pf_pc_2.csv", out,
+            "--task", "binary", "--trees", 2, "--jobs", jobs,
+        )
+        assert rc == 2
+        assert "n_jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pipeline_train_settings_apply(self, workdir, metered):
         pipeline = workdir / "pipeline.json"

@@ -260,6 +260,91 @@ class TestMeterOracle:
         )
 
 
+def _oracle(trace, config):
+    """meter's output, after checking it against the reference meter."""
+    out = meter(trace, config)
+    assert_meter_equal(out, reference_meter(list(trace.packets), config))
+    return out
+
+
+class TestPacketPathOracle:
+    """The flow table, the per-direction accumulators and the flag counts
+    against the reference meter, on the cases each one could get wrong."""
+
+    def test_ipv6_text_forms_of_one_address_make_one_flow(self):
+        a = {"src": "2001:DB8::1", "dst": "2001:db8::2", "sport": 1111, "dport": 80}
+        b = {"src": "2001:db8::2", "dst": "2001:db8:0:0:0:0:0:1", "sport": 80, "dport": 1111}
+        config = MeterConfig(pc_triggers=(2, 3, 4), fd_triggers_ms=())
+        records, _ = _oracle(
+            _trace(_pkt(0, **a), _pkt(10, **b, payload=7), _pkt(20, **a), _pkt(30, **b)), config
+        )
+        assert len(records) == 1
+        assert records[0].id.key.endpoint_a == ("2001:db8::1", 1111)
+        assert records[0].features.dst2src_packets == 2
+
+    def test_every_flag_bit_and_fin_rst_from_both_sides(self):
+        back = {"src": "10.0.0.2", "dst": "10.0.0.1", "sport": 80, "dport": 1111}
+        flags = [
+            (0x02, {}), (0x12, back), (0x10, {}), (0x18, back), (0xE0, {}),
+            (0x31, {}), (0x11, back), (0x04, back), (0x14, {}), (0xFF, back),
+        ]
+        config = MeterConfig(fin_rst_expiration=False, pc_triggers=range(1, 12), fd_triggers_ms=())
+        records, _ = _oracle(
+            _trace(*[_pkt(i * 10, flags=f, **kw) for i, (f, kw) in enumerate(flags)]), config
+        )
+        (fv,) = [r.features for r in records]
+        assert (fv.src2dst_fin_count, fv.src2dst_rst_count) == (1, 1)
+        assert (fv.dst2src_fin_count, fv.dst2src_rst_count) == (2, 2)
+        assert fv.bidirectional_cwr_count == 2
+
+    def test_one_way_and_one_packet_flows(self):
+        config = MeterConfig(pc_triggers=(1, 2, 3), fd_triggers_ms=(), byte_triggers=(100,))
+        records, _ = _oracle(
+            _trace(
+                _pkt(0, payload=10),
+                _pkt(5, sport=2222, payload=30),
+                _pkt(10, payload=50),
+                _pkt(20, payload=20),
+            ),
+            config,
+        )
+        assert [(r.features.src2dst_packets, r.features.dst2src_packets) for r in records] == [
+            (1, 0),
+            (3, 0),
+        ]
+        assert records[1].features.bidirectional_min_ps == 64.0
+
+
+class TestMeterConfigValues:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"pc_triggers": "25"},
+            {"byte_triggers": b"25"},
+            {"fin_rst_expiration": "no"},
+            {"fin_rst_expiration": 1},
+            {"pc_triggers": [0, -3]},
+            {"fd_triggers_ms": [2.7]},
+            {"fd_triggers_ms": [5.0]},
+            {"byte_triggers": [True]},
+            {"pc_triggers": ["3"]},
+            {"pc_triggers": 5},
+        ],
+    )
+    def test_wrongly_typed_values_rejected(self, doc):
+        with pytest.raises(ValueError):
+            MeterConfig.from_dict(doc)
+
+    def test_integer_collections_accepted(self):
+        config = MeterConfig.from_dict(
+            {"pc_triggers": [3, 2, 3], "fd_triggers_ms": [], "fin_rst_expiration": False}
+        )
+        assert config.pc_triggers == frozenset({2, 3})
+        assert config.fin_rst_expiration is False
+        assert MeterConfig(pc_triggers=np.arange(1, 4)).pc_triggers == frozenset({1, 2, 3})
+        assert MeterConfig(pc_triggers=(n for n in (4, 5))).pc_triggers == frozenset({4, 5})
+
+
 @pytest.fixture(scope="module")
 def metered():
     rng = np.random.default_rng(99)

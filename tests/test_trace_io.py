@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,6 +232,26 @@ class TestReadTrace:
             assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
             assert a.payload == b.payload
 
+    def test_raw_packet_is_a_value(self, tmp_path):
+        pkt = RawPacket(5, "10.0.0.1", "10.0.0.2", 1, 2, 6, 0x10, 3, 57, b"abc")
+        moved = replace(pkt, ts_us=9)
+        assert moved.ts_us == 9 and pkt.ts_us == 5
+        assert replace(moved, ts_us=5) == pkt
+        assert pkt == RawPacket(5, "10.0.0.1", "10.0.0.2", 1, 2, 6, 0x10, 3, 57, b"abc")
+        assert pkt != replace(pkt, payload=b"abd")
+        with pytest.raises(TypeError):
+            hash(pkt)
+        # packets read back from a written trace compare equal, frames included
+        path = tmp_path / "rt.pcap"
+        write_trace(PacketTrace(packets=(pkt, moved), source="t"), path)
+        first = read_trace(path)
+        write_trace(first, tmp_path / "rt2.pcap")
+        assert read_trace(tmp_path / "rt2.pcap").packets == first.packets
+        assert [(p.ts_us, p.payload, p.wire_len) for p in first.packets] == [
+            (5, b"abc", 57),
+            (9, b"abc", 57),
+        ]
+
 
 _ADDR4 = st.sampled_from([bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2]), bytes([192, 168, 1, 9])])
 _ADDR6 = st.sampled_from(
@@ -356,8 +377,6 @@ class TestDedup:
         rng = np.random.default_rng(7)
         base = list(random_trace(rng, 200, n_endpoints=3, t_span_us=400_000).packets)
         # inject duplicates at varied offsets around the window
-        from dataclasses import replace
-
         extra = []
         for i in range(0, len(base), 5):
             offset = int(rng.integers(0, 15_000))
