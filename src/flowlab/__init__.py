@@ -6,18 +6,8 @@ random forest detector degrades when trained on complete flows but tested
 on partial ones.
 """
 
-from .dataset import (
-    AuditReport,
-    Dataset,
-    DistributionSummary,
-    align,
-    audit,
-    build_cf,
-    build_pf,
-    distribution,
-    read_csv,
-    write_csv,
-)
+import importlib
+
 from .errors import (
     DatasetIOError,
     EmptyDatasetError,
@@ -30,24 +20,6 @@ from .errors import (
     SchemaMismatchError,
     UnreadableFileError,
     UnsortedTraceError,
-)
-from .evaluation import (
-    Metrics,
-    Report,
-    Scenario,
-    Split,
-    compute_metrics,
-    run_scenario,
-    split_keys,
-    sweep,
-)
-from .forest import (
-    RandomForest,
-    TrainConfig,
-    load_model,
-    predict,
-    save_model,
-    train,
 )
 from .labeling import LabelRule, RuleSet, label_flow
 from .meter import (
@@ -62,8 +34,59 @@ from .meter import (
     flow_hash,
     meter,
 )
-from .synth import FlowTemplate, SynthSpec, derive_rules, synth_trace
 from .trace_io import PacketTrace, RawPacket, dedup, read_trace, reorder, write_trace
+
+# Public names of the numpy-backed modules, each imported on first use so
+# that ``import flowlab`` and the trace stages never load numpy.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "AuditReport",
+            "Dataset",
+            "DistributionSummary",
+            "align",
+            "audit",
+            "build_cf",
+            "build_pf",
+            "distribution",
+            "read_csv",
+            "write_csv",
+        ),
+        "dataset",
+    ),
+    **dict.fromkeys(
+        (
+            "Metrics",
+            "Report",
+            "Scenario",
+            "Split",
+            "compute_metrics",
+            "run_scenario",
+            "split_keys",
+            "sweep",
+        ),
+        "evaluation",
+    ),
+    **dict.fromkeys(
+        ("RandomForest", "TrainConfig", "load_model", "predict", "save_model", "train"),
+        "forest",
+    ),
+    **dict.fromkeys(("FlowTemplate", "SynthSpec", "derive_rules", "synth_trace"), "synth"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())
+
 
 __version__ = "0.1.0"
 

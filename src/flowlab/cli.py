@@ -16,20 +16,27 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
-from . import dataset as ds_mod
-from . import evaluation, synth, trace_io
+from . import trace_io
 from .errors import FlowLabError, reject_unknown
-from .forest import TrainConfig
 from .labeling import RuleSet
 from .meter import MeterConfig, Trigger, meter as run_meter
-from .synth import SynthSpec
+
+if TYPE_CHECKING:
+    from .forest import TrainConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 
 _PF_NAME = re.compile(r"pf_(pc|fd|bc)_(\d+)\.csv$")
+
+
+def _default_train() -> TrainConfig:
+    from .forest import TrainConfig
+
+    return TrainConfig()
 
 
 def _typed(section: str, build):
@@ -49,7 +56,7 @@ class PipelineConfig:
     min_class_count: int = 50
     split_ratio: float = 0.70
     split_seed: int = 0
-    train: TrainConfig = field(default_factory=TrainConfig)
+    train: TrainConfig = field(default_factory=_default_train)
     output_dir: str = "."
 
     def to_dict(self) -> dict:
@@ -64,6 +71,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> PipelineConfig:
+        from .forest import TrainConfig
+
         reject_unknown(
             "pipeline",
             data,
@@ -79,7 +88,7 @@ class PipelineConfig:
             min_class_count=_typed("pipeline", lambda: int(data.get("min_class_count", 50))),
             split_ratio=_typed("split", lambda: float(split.get("ratio", 0.70))),
             split_seed=_typed("split", lambda: int(split.get("seed", 0))),
-            train=_typed("train", lambda: TrainConfig(**train)),
+            train=TrainConfig(**train),
             output_dir=data.get("output_dir", "."),
         )
 
@@ -118,6 +127,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_meter(args) -> int:
+    from . import dataset as ds_mod
+
     pipeline = PipelineConfig.from_json(args.pipeline) if args.pipeline else PipelineConfig()
     if args.config:
         config = MeterConfig.from_json(args.config)
@@ -153,7 +164,7 @@ def cmd_meter(args) -> int:
     report = ds_mod.audit(records, rules, config.idle_timeout_s)
     _atomic(
         os.path.join(args.out_dir, "audit.json"),
-        lambda p: ds_mod.write_json_report(report.to_dict(), p),
+        lambda p: _write_json(p, report.to_dict()),
     )
     _atomic(
         os.path.join(args.out_dir, "audit.txt"),
@@ -161,7 +172,7 @@ def cmd_meter(args) -> int:
     )
     _atomic(
         os.path.join(args.out_dir, "distribution.json"),
-        lambda p: ds_mod.write_json_report(dist, p),
+        lambda p: _write_json(p, dist),
     )
     _atomic(
         os.path.join(args.out_dir, "distribution.txt"),
@@ -178,7 +189,7 @@ def cmd_meter(args) -> int:
     )
     _atomic(
         os.path.join(args.out_dir, "config.json"),
-        lambda p: ds_mod.write_json_report(echo.to_dict(), p),
+        lambda p: _write_json(p, echo.to_dict()),
     )
     print(
         f"packets: {len(trace)} (skipped {trace.skipped})  records: {len(records)}  "
@@ -204,6 +215,8 @@ def _trigger_for_pf_file(path: str, ds) -> Trigger:
 
 
 def cmd_eval(args) -> int:
+    from . import dataset as ds_mod, evaluation
+
     pipeline = PipelineConfig.from_json(args.pipeline) if args.pipeline else PipelineConfig()
     seed = args.seed if args.seed is not None else pipeline.split_seed
     ratio = args.ratio if args.ratio is not None else pipeline.split_ratio
@@ -238,6 +251,8 @@ def cmd_eval(args) -> int:
     for kind in kinds:
         if kind not in evaluation.SCENARIO_KINDS:
             raise FlowLabError(f"unknown scenario {kind!r}")
+        if kinds.count(kind) > 1:
+            raise FlowLabError(f"duplicate scenario {kind!r}")
 
     tc = replace(pipeline.train, n_trees=trees, seed=seed)
     split = evaluation.split_keys(cf, ratio, seed)
@@ -256,14 +271,14 @@ def cmd_eval(args) -> int:
     )
     _atomic(
         os.path.join(args.out_dir, "eval_config.json"),
-        lambda p: ds_mod.write_json_report(
+        lambda p: _write_json(
+            p,
             {
                 "split": {"ratio": ratio, "seed": seed},
                 "train": tc.to_dict(),
                 "tasks": list(tasks),
                 "scenarios": list(kinds),
             },
-            p,
         ),
     )
     print(report.to_text())
@@ -274,7 +289,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec.from_json(args.spec)
+    from . import synth
+
+    spec = synth.SynthSpec.from_json(args.spec)
     trace, truth = synth.synth_trace(spec, args.seed)
     _atomic(args.output, lambda p: trace_io.write_trace(trace, p))
     doc = {
@@ -292,7 +309,7 @@ def cmd_synth(args) -> int:
             for fid, label in truth
         ],
     }
-    _atomic(args.truth, lambda p: ds_mod.write_json_report(doc, p))
+    _atomic(args.truth, lambda p: _write_json(p, doc))
     if args.rules_out:
         rules = synth.derive_rules(spec)
         rules_doc = {
@@ -306,7 +323,7 @@ def cmd_synth(args) -> int:
                 for r in rules.rules
             ],
         }
-        _atomic(args.rules_out, lambda p: ds_mod.write_json_report(rules_doc, p))
+        _atomic(args.rules_out, lambda p: _write_json(p, rules_doc))
     print(f"packets: {len(trace)}  flows: {len(truth)}")
     return EXIT_OK
 
@@ -314,6 +331,11 @@ def cmd_synth(args) -> int:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _write_json(path: str, data: dict) -> None:
+    """Write a JSON report with stable key order."""
+    _write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,6 @@ and audits raw flow records for segmentation artifacts.
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import islice, repeat
@@ -431,10 +430,3 @@ def read_csv(path) -> Dataset:
         np.concatenate(blocks) if blocks else (),
         labels,
     )
-
-
-def write_json_report(data: dict, path) -> None:
-    """Write a JSON report with stable key order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

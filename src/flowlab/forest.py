@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -54,6 +54,14 @@ class Internal:
 TreeNode = Leaf | Internal
 
 
+def _check_int(name: str, value, minimum: int | None = None) -> None:
+    """ValueError unless ``value`` is an integer, not a bool, and >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Forest hyperparameters; defaults follow common practice."""
@@ -66,16 +74,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if isinstance(self.max_features, int) and self.max_features < 1:
-            raise ValueError("max_features must be >= 1")
-        if self.max_features == "sqrt":
-            pass
-        elif not isinstance(self.max_features, int):
-            raise ValueError(f"unsupported max_features {self.max_features!r}")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+        if self.max_features != "sqrt":
+            _check_int("max_features", self.max_features, 1)
+        _check_int("n_trees", self.n_trees, 1)
+        _check_int("min_samples_leaf", self.min_samples_leaf, 1)
+        if self.max_depth is not None:
+            _check_int("max_depth", self.max_depth, 1)
+        if not isinstance(self.bootstrap, bool):
+            raise ValueError(f"bootstrap must be true or false, got {self.bootstrap!r}")
+        _check_int("seed", self.seed)
 
     def resolve_max_features(self, n_features: int) -> int:
         if self.max_features == "sqrt":
@@ -241,6 +248,8 @@ def train(ds: Dataset, config: TrainConfig | None = None, n_jobs: int = 1) -> Ra
     XT = np.ascontiguousarray(X.T)
 
     if n_jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             trees = tuple(
                 pool.map(

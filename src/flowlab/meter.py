@@ -278,6 +278,12 @@ class MeterConfig:
     byte_triggers: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        for name in ("idle_timeout_s", "active_timeout_s", "fd_tolerance"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.idle_timeout_s <= 0 or self.active_timeout_s <= 0:
             raise ValueError("timeouts must be positive")
         if not 0 <= self.fd_tolerance < 1:

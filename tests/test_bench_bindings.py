@@ -1,22 +1,55 @@
 """The benchmark's tracer wraps flowlab functions by module attribute.
 
 ``perfbench/tracer.py`` replaces each attribute in its ``WRAPPED`` table
-with a timing wrapper. A renamed or removed function would only show when a
-traced benchmark run fails, so the bindings are checked here.
+with a timing wrapper. A renamed or removed function would only show as a
+failed traced benchmark run, and a caller that binds a function where the
+tracer does not look (say, ``cmd_meter`` importing ``meter`` under its own
+name, or a module-level ``from .dataset import build_cf`` in ``cli``) as a
+silently thinner one, so both are checked here.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
+
+from flowlab import cli
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
+SPEC = {
+    "name": "traced",
+    "templates": [
+        {
+            "label": label,
+            "flows": 12,
+            "packets": [5, 8],
+            "payload": payload,
+            "iat_us": [1000, 5000],
+            "client_ips": [client],
+            "server_ips": ["192.168.7.1"],
+            "server_ports": [80],
+            "protocol": 17,
+            "start_us": [0, 1000000],
+        }
+        for label, payload, client in (
+            ("BENIGN", [40, 200], "10.1.0.0/24"),
+            ("ATTACK", [600, 900], "10.2.0.0/24"),
+        )
+    ],
+}
 
-def test_every_wrapped_attribute_is_callable():
+
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_wrapped_attribute_is_callable():
+    tracer = _load_tracer()
     assert tracer.WRAPPED
     missing = [
         f"{module.__name__}.{attr}"
@@ -24,3 +57,38 @@ def test_every_wrapped_attribute_is_callable():
         if not callable(getattr(module, attr, None))
     ]
     assert missing == []
+
+
+def test_traced_stages_record_every_layer(tmp_path, monkeypatch):
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+    (tmp_path / "meter.json").write_text(json.dumps({"pc_triggers": [3], "fd_triggers_ms": []}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "spec.json", "5", "raw.pcap", "truth.json",
+                     "--rules-out", "rules.json"]) == 0
+
+    module = _load_tracer()
+    tracer = module.Tracer()
+    for name, owner, attr, counts in module.WRAPPED:
+        monkeypatch.setattr(owner, attr, tracer.wrap(name, getattr(owner, attr), counts))
+
+    stages = {
+        "preprocess": (
+            ["preprocess", "raw.pcap", "clean.pcap"],
+            {"trace_io.read_trace", "trace_io.dedup"},
+        ),
+        "meter": (
+            ["meter", "clean.pcap", "rules.json", "out", "--config", "meter.json",
+             "--min-class-count", "5"],
+            {"meter.meter", "dataset.build_cf", "dataset.build_pf", "dataset.write_csv"},
+        ),
+        "eval": (
+            ["eval", "out/cf.csv", "out/pf_pc_3.csv", "results", "--task", "binary",
+             "--trees", "2"],
+            {"dataset.read_csv", "evaluation.sweep", "forest.train"},
+        ),
+    }
+    for stage, (argv, expected) in stages.items():
+        tracer.spans.clear()
+        assert cli.main(argv) == 0, stage
+        recorded = {span[2] for span in tracer.spans}
+        assert expected <= recorded, (stage, sorted(expected - recorded))

@@ -276,6 +276,10 @@ class TestMeterCmd:
             {"fin_rst_expiration": "no"},
             {"pc_triggers": [0, -3]},
             {"fd_triggers_ms": [2.7]},
+            {"idle_timeout_s": True},
+            {"active_timeout_s": True},
+            {"fd_tolerance": False},
+            {"active_timeout_s": float("inf")},
         ],
     )
     def test_wrongly_typed_config_values_exit_2(self, workdir, synth_inputs, doc, capsys):
@@ -445,9 +449,16 @@ class TestEvalCmd:
             [],
             {"train": {"n_trees": "5"}},
             {"min_class_count": [5]},
+            {"train": {"max_depth": "3"}},
+            {"train": {"max_depth": 0}},
+            {"train": {"bootstrap": "no"}},
+            {"train": {"n_trees": True}},
+            {"train": {"min_samples_leaf": 2.5}},
+            {"train": {"max_features": True}},
+            {"train": {"seed": False}},
         ],
     )
-    def test_bad_pipeline_config_exit_2(self, workdir, metered, doc):
+    def test_bad_pipeline_config_exit_2(self, workdir, metered, doc, capsys):
         pipeline = workdir / "pipeline.json"
         pipeline.write_text(json.dumps(doc))
         out = workdir / "e7"
@@ -455,6 +466,18 @@ class TestEvalCmd:
             "eval", metered / "cf.csv", metered / "pf_pc_2.csv", out, "--pipeline", pipeline
         )
         assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["PF_PF,PF_PF", "CF_CF,CF_PF,CF_CF"])
+    def test_repeated_scenario_exit_2(self, workdir, metered, scenario, capsys):
+        out = workdir / "e9"
+        rc = _run(
+            "eval", metered / "cf.csv", metered / "pf_pc_2.csv", out,
+            "--task", "binary", "--trees", 2, "--scenario", scenario,
+        )
+        assert rc == 2
+        assert "duplicate scenario" in capsys.readouterr().err
         assert not out.exists()
 
 

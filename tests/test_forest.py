@@ -172,6 +172,48 @@ def test_trees_equal_reference(min_samples_leaf, max_depth, bootstrap, n_labels,
     assert train(ds, tc, n_jobs=n_jobs).trees == reference_train(ds, tc)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"n_trees": True},
+            {"n_trees": 2.0},
+            {"n_trees": 0},
+            {"max_features": True},
+            {"max_features": 0},
+            {"max_features": "log2"},
+            {"min_samples_leaf": False},
+            {"min_samples_leaf": 2.5},
+            {"min_samples_leaf": "2"},
+            {"max_depth": "3"},
+            {"max_depth": 0},
+            {"max_depth": 2.0},
+            {"max_depth": True},
+            {"bootstrap": "no"},
+            {"bootstrap": 0},
+            {"seed": True},
+            {"seed": 1.5},
+        ],
+    )
+    def test_wrongly_typed_values_rejected(self, values):
+        with pytest.raises(ValueError, match=next(iter(values))):
+            TrainConfig(**values)
+
+    def test_valid_values_accepted(self):
+        tc = TrainConfig(
+            n_trees=1, max_features=3, min_samples_leaf=2, max_depth=1, bootstrap=False, seed=-4
+        )
+        assert tc.to_dict() == {
+            "n_trees": 1,
+            "max_features": 3,
+            "min_samples_leaf": 2,
+            "max_depth": 1,
+            "bootstrap": False,
+            "seed": -4,
+        }
+        assert TrainConfig().max_features == "sqrt"
+
+
 class TestPredict:
     def _hand_forest(self) -> RandomForest:
         # tree 1: x <= 1.5 -> A else B ; tree 2: y <= 5 -> A else B

@@ -1,0 +1,71 @@
+"""Each CLI stage loads only the modules it runs.
+
+``import flowlab`` and ``flowlab preprocess`` must not load numpy or the
+numpy-backed modules; their public names resolve on first use.
+"""
+
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import flowlab
+from flowlab.trace_io import write_trace
+
+from conftest import random_trace
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+NUMPY_BACKED = ("numpy", "flowlab.dataset", "flowlab.forest", "flowlab.evaluation", "flowlab.synth")
+MODULES = ("errors", "trace_io", "meter", "labeling", "dataset", "evaluation", "forest", "synth")
+
+
+def _imported(*args: str, cwd=None) -> set[str]:
+    """Modules a fresh ``python -X importtime <args>`` imports; it must exit 0."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_import_flowlab_leaves_numpy_unloaded():
+    loaded = _imported(
+        "-c",
+        "import sys, flowlab; "
+        "assert flowlab.meter is sys.modules['flowlab.meter'].meter, flowlab.meter",
+    )
+    assert "flowlab.meter" in loaded
+    assert loaded.isdisjoint(NUMPY_BACKED), sorted(loaded & set(NUMPY_BACKED))
+
+
+def test_preprocess_runs_without_numpy(tmp_path):
+    write_trace(random_trace(np.random.default_rng(2), 50), tmp_path / "in.pcap")
+    loaded = _imported("-m", "flowlab.cli", "preprocess", "in.pcap", "out.pcap", cwd=tmp_path)
+    assert "flowlab.trace_io" in loaded
+    assert loaded.isdisjoint(NUMPY_BACKED), sorted(loaded & set(NUMPY_BACKED))
+    assert (tmp_path / "out.pcap").exists()
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    namespace: dict = {}
+    exec("from flowlab import *", namespace)
+    assert callable(flowlab.meter) and flowlab.meter.__name__ == "meter"
+    assert set(flowlab.__all__) <= set(dir(flowlab))
+    modules = [importlib.import_module(f"flowlab.{name}") for name in MODULES]
+    for name in flowlab.__all__:
+        holders = [vars(m)[name] for m in modules if name in vars(m)]
+        assert holders, name
+        for value in (getattr(flowlab, name), namespace[name], *holders):
+            assert value is holders[0], name

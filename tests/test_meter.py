@@ -329,6 +329,12 @@ class TestMeterConfigValues:
             {"byte_triggers": [True]},
             {"pc_triggers": ["3"]},
             {"pc_triggers": 5},
+            {"idle_timeout_s": True},
+            {"active_timeout_s": True},
+            {"fd_tolerance": False},
+            {"idle_timeout_s": "60"},
+            {"idle_timeout_s": float("nan")},
+            {"active_timeout_s": float("inf")},
         ],
     )
     def test_wrongly_typed_values_rejected(self, doc):
@@ -343,6 +349,14 @@ class TestMeterConfigValues:
         assert config.fin_rst_expiration is False
         assert MeterConfig(pc_triggers=np.arange(1, 4)).pc_triggers == frozenset({1, 2, 3})
         assert MeterConfig(pc_triggers=(n for n in (4, 5))).pc_triggers == frozenset({4, 5})
+
+    def test_numbers_accepted(self):
+        config = MeterConfig.from_dict(
+            {"idle_timeout_s": 30, "active_timeout_s": 120.5, "fd_tolerance": 0}
+        )
+        assert (config.idle_timeout_s, config.active_timeout_s, config.fd_tolerance) == (
+            30, 120.5, 0
+        )
 
 
 @pytest.fixture(scope="module")
