@@ -248,11 +248,6 @@ def cmd_eval(args) -> int:
         if args.scenario == "all"
         else tuple(args.scenario.split(","))
     )
-    for kind in kinds:
-        if kind not in evaluation.SCENARIO_KINDS:
-            raise FlowLabError(f"unknown scenario {kind!r}")
-        if kinds.count(kind) > 1:
-            raise FlowLabError(f"duplicate scenario {kind!r}")
 
     tc = replace(pipeline.train, n_trees=trees, seed=seed)
     split = evaluation.split_keys(cf, ratio, seed)

@@ -40,7 +40,6 @@ class Split:
     test_keys: frozenset[int]
     ratio: float
     seed: int
-    stratified_by: str = "label"
     degenerate_labels: tuple[str, ...] = ()
 
 
@@ -350,7 +349,13 @@ def sweep(
     Each distinct train side is trained once: CF_CF and CF_PF cells reuse
     the last CF forest of their task, across thresholds too, while its train
     hashes stay the same.
+
+    Raises ValueError for a kind outside SCENARIO_KINDS or a repeated one.
     """
+    for kind in kinds:
+        Scenario(kind)  # ValueError for an unknown kind
+        if kinds.count(kind) > 1:
+            raise ValueError(f"duplicate scenario {kind!r}")
     if tc is None:
         tc = TrainConfig()
     if split is None:

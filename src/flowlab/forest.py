@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmptyDatasetError, SchemaMismatchError
+from .errors import EmptyDatasetError, FlowLabError, SchemaMismatchError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -36,22 +35,33 @@ def tree_seed(seed: int, index: int) -> int:
     return _splitmix64((seed & _MASK64) + ((index + 1) * _GOLDEN & _MASK64) & _MASK64)
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
-    label_index: int
+@dataclass(eq=False)
+class Tree:
+    """One decision tree as parallel arrays over its nodes in preorder.
 
+    Node 0 is the root. Split ``i`` sends a sample to node ``left[i]`` iff
+    ``x[feature[i]] <= threshold[i]``, else to node ``right[i]``; both lie
+    after ``i``. A leaf has ``feature``, ``left`` and ``right`` -1, threshold
+    0 and predicts label index ``value``; a split's ``value`` is -1.
+    """
 
-@dataclass(frozen=True, slots=True)
-class Internal:
-    """Routes a sample left iff x[feature_index] <= threshold."""
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
-    feature_index: int
-    threshold: float
-    left: Leaf | Internal
-    right: Leaf | Internal
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            dtype = float if f.name == "threshold" else np.int64
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=dtype))
 
-
-TreeNode = Leaf | Internal
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
 
 def _check_int(name: str, value, minimum: int | None = None) -> None:
@@ -102,7 +112,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class RandomForest:
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     feature_schema: tuple[str, ...]
     labels: tuple[str, ...]  # sorted; vote ties resolve to the smallest index
     train_config: TrainConfig = field(default_factory=TrainConfig)
@@ -156,28 +166,28 @@ def _best_split(
     return int(features[j]), float((sv[j, k] + sv[j, k + 1]) / 2)
 
 
-def _grow(
-    XT: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
-    n_labels: int,
-    rng: np.random.Generator,
-    config: TrainConfig,
-) -> TreeNode:
-    """Grow one tree over rows ``idx`` of the feature-major matrix ``XT``.
+def _grow(XT: np.ndarray, y: np.ndarray, n_labels: int, config: TrainConfig, index: int) -> Tree:
+    """Grow tree ``index`` of a forest over the feature-major matrix ``XT``.
 
-    Nodes are expanded in preorder (a node, then its whole left subtree,
-    then its right subtree), which fixes the order of the ``rng`` draws. An
-    explicit stack keeps deep trees clear of the interpreter's recursion
-    limit.
+    The tree's own RNG draws the bootstrap sample, if any, and then each
+    node's features. Nodes are expanded in preorder (a node, then its whole
+    left subtree, then its right subtree), which fixes the order of those
+    draws and makes a split's left child the node after it. A right child
+    learns its index when it is popped. An explicit stack keeps deep trees
+    clear of the interpreter's recursion limit.
     """
+    rng = np.random.Generator(np.random.PCG64(tree_seed(config.seed, index)))
+    idx = rng.integers(0, len(y), size=len(y)) if config.bootstrap else np.arange(len(y))
     n_features = XT.shape[0]
     m = config.resolve_max_features(n_features)
     msl = config.min_samples_leaf
-    preorder: list[Leaf | tuple[int, float]] = []
-    stack = [(idx, 0)]
+    nodes: list[list] = []  # [feature, threshold, left, right, value] per node
+    stack = [(idx, 0, -1)]  # rows, depth, the split this is the right child of
     while stack:
-        idx, depth = stack.pop()
+        idx, depth, parent = stack.pop()
+        node = len(nodes)
+        if parent >= 0:
+            nodes[parent][3] = node
         counts = np.bincount(y[idx], minlength=n_labels)
         n = len(idx)
         split = None
@@ -190,39 +200,14 @@ def _grow(
             features = rng.choice(n_features, size=m, replace=False)
             split = _best_split(XT, y, idx, counts, parent_gini, features, msl)
         if split is None:
-            preorder.append(Leaf(int(counts.argmax())))
+            nodes.append([-1, 0.0, -1, -1, int(counts.argmax())])
             continue
-        preorder.append(split)
+        nodes.append([split[0], split[1], node + 1, -1, -1])
         mask = XT[split[0], idx] <= split[1]
-        stack.append((idx[~mask], depth + 1))
-        stack.append((idx[mask], depth + 1))
+        stack.append((idx[~mask], depth + 1, node))
+        stack.append((idx[mask], depth + 1, -1))
 
-    return _from_preorder(preorder)
-
-
-def _from_preorder(preorder: Sequence[Leaf | tuple[int, float]]) -> TreeNode:
-    """The tree whose preorder lists leaves and (feature, threshold) splits."""
-    # Reversed preorder meets each node after its right, then left subtree.
-    built: list[TreeNode] = []
-    for node in reversed(preorder):
-        if isinstance(node, Leaf):
-            built.append(node)
-        else:
-            left = built.pop()
-            built.append(Internal(node[0], node[1], left, built.pop()))
-    return built[0]
-
-
-def _build_tree(
-    XT: np.ndarray, y: np.ndarray, n_labels: int, config: TrainConfig, index: int
-) -> TreeNode:
-    rng = np.random.Generator(np.random.PCG64(tree_seed(config.seed, index)))
-    n = len(y)
-    if config.bootstrap:
-        idx = rng.integers(0, n, size=n)
-    else:
-        idx = np.arange(n)
-    return _grow(XT, y, idx, n_labels, rng, config)
+    return Tree(*zip(*nodes))
 
 
 def dataset_matrix(ds: Dataset) -> tuple[np.ndarray, list[str]]:
@@ -253,13 +238,13 @@ def train(ds: Dataset, config: TrainConfig | None = None, n_jobs: int = 1) -> Ra
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             trees = tuple(
                 pool.map(
-                    lambda i: _build_tree(XT, y, len(labels), config, i),
+                    lambda i: _grow(XT, y, len(labels), config, i),
                     range(config.n_trees),
                 )
             )
     else:
         trees = tuple(
-            _build_tree(XT, y, len(labels), config, i) for i in range(config.n_trees)
+            _grow(XT, y, len(labels), config, i) for i in range(config.n_trees)
         )
     return RandomForest(
         trees=trees,
@@ -267,19 +252,6 @@ def train(ds: Dataset, config: TrainConfig | None = None, n_jobs: int = 1) -> Ra
         labels=labels,
         train_config=config,
     )
-
-
-def _route_tree(node: TreeNode, X: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    stack = [(node, rows)]
-    while stack:
-        node, rows = stack.pop()
-        if isinstance(node, Leaf):
-            out[rows] = node.label_index
-            continue
-        mask = X[rows, node.feature_index] <= node.threshold
-        for child, child_rows in ((node.left, rows[mask]), (node.right, rows[~mask])):
-            if child_rows.size:
-                stack.append((child, child_rows))
 
 
 def predict_matrix(forest: RandomForest, X: np.ndarray) -> list[str]:
@@ -290,11 +262,17 @@ def predict_matrix(forest: RandomForest, X: np.ndarray) -> list[str]:
         )
     n = X.shape[0]
     votes = np.zeros((n, len(forest.labels)), dtype=np.int64)
-    out = np.empty(n, dtype=np.int64)
     rows = np.arange(n)
     for tree in forest.trees:
-        _route_tree(tree, X, rows, out)
-        votes[rows, out] += 1
+        # Every row not yet at a leaf moves down one level per step.
+        node = np.zeros(n, dtype=np.int64)
+        active = rows[tree.feature[node] >= 0]
+        while active.size:
+            at = node[active]
+            goes_left = X[active, tree.feature[at]] <= tree.threshold[at]
+            node[active] = np.where(goes_left, tree.left[at], tree.right[at])
+            active = active[tree.feature[node[active]] >= 0]
+        votes[rows, tree.value[node]] += 1
     # argmax keeps the first maximum: ties go to the smallest label index,
     # which is the lexicographically smallest label.
     winners = votes.argmax(axis=1)
@@ -315,54 +293,61 @@ def predict(forest: RandomForest, x) -> str:
     return predict_matrix(forest, _as_row(forest, x).reshape(1, -1))[0]
 
 
-def _to_preorder(tree: TreeNode, labels: tuple[str, ...]) -> list:
-    """A tree as a flat preorder list: a label per leaf, [feature, threshold]
-    per split."""
-    out: list = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(labels[node.label_index])
-        else:
-            out.append([node.feature_index, node.threshold])
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
-
-
 def save_model(forest: RandomForest, path) -> None:
-    """Persist a forest as a JSON document, each tree a flat preorder list."""
+    """Persist a forest as a JSON document, each tree its five node arrays."""
     doc = {
         "labels": list(forest.labels),
         "feature_schema": list(forest.feature_schema),
         "train_config": forest.train_config.to_dict(),
-        "trees": [_to_preorder(t, forest.labels) for t in forest.trees],
+        "trees": [
+            {f.name: getattr(tree, f.name).tolist() for f in fields(Tree)}
+            for tree in forest.trees
+        ],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
+def _tree_problem(tree: Tree, n_features: int, n_labels: int) -> str:
+    """What makes ``tree`` malformed for the schema and labels, or "".
+
+    Children must lie after their split, so every walk from the root ends.
+    """
+    n = len(tree.feature)
+    if n == 0 or any(getattr(tree, f.name).shape != (n,) for f in fields(Tree)):
+        return "node arrays must be non-empty, flat and of equal length"
+    is_split = tree.feature >= 0
+    splits = np.flatnonzero(is_split)
+    for child in (tree.left[splits], tree.right[splits]):
+        if ((child <= splits) | (child >= n)).any():
+            return "a child index is not after its split or out of range"
+    if ((tree.feature < -1) | (tree.feature >= n_features)).any():
+        return f"a feature index is outside the {n_features}-feature schema"
+    value = tree.value[~is_split]
+    if ((value < 0) | (value >= n_labels)).any():
+        return f"a leaf value is outside the {n_labels} labels"
+    return ""
+
+
 def load_model(path) -> RandomForest:
+    """The forest ``save_model`` wrote; FlowLabError for a malformed tree."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     labels = tuple(doc["labels"])
-    label_to_index = {label: i for i, label in enumerate(labels)}
-    config = doc.get("train_config", {})
-    trees = tuple(
-        _from_preorder(
-            [
-                Leaf(label_to_index[node])
-                if isinstance(node, str)
-                else (int(node[0]), float(node[1]))
-                for node in tree
-            ]
-        )
-        for tree in doc["trees"]
-    )
+    schema = tuple(doc["feature_schema"])
+    trees = []
+    for i, arrays in enumerate(doc["trees"]):
+        try:
+            tree = Tree(**arrays)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FlowLabError(f"{path}: tree {i}: {exc}") from None
+        problem = _tree_problem(tree, len(schema), len(labels))
+        if problem:
+            raise FlowLabError(f"{path}: tree {i}: {problem}")
+        trees.append(tree)
     return RandomForest(
-        trees=trees,
-        feature_schema=tuple(doc["feature_schema"]),
+        trees=tuple(trees),
+        feature_schema=schema,
         labels=labels,
-        train_config=TrainConfig(**config),
+        train_config=TrainConfig(**doc.get("train_config", {})),
     )

@@ -21,7 +21,7 @@ from ipaddress import ip_address
 import numpy as np
 from dataclasses import dataclass, field
 
-from flowlab.forest import Internal, Leaf, TrainConfig, dataset_matrix, tree_seed
+from flowlab.forest import TrainConfig, Tree, dataset_matrix, tree_seed
 from flowlab.meter import (
     FeatureVector,
     FlowId,
@@ -681,7 +681,7 @@ def _reference_grow(X, y, idx, n_labels, rng, config: TrainConfig, depth: int):
         or (config.max_depth is not None and depth >= config.max_depth)
         or n < 2 * config.min_samples_leaf
     ):
-        return Leaf(majority)
+        return ("leaf", majority)
 
     parent_gini = 1.0 - float(((counts / n) ** 2).sum())
     m = config.resolve_max_features(X.shape[1])
@@ -720,15 +720,35 @@ def _reference_grow(X, y, idx, n_labels, rng, config: TrainConfig, depth: int):
             best_threshold = float((sv[b] + sv[b + 1]) / 2)
 
     if best_feature < 0:
-        return Leaf(majority)
+        return ("leaf", majority)
 
     mask = X[idx, best_feature] <= best_threshold
-    return Internal(
-        feature_index=best_feature,
-        threshold=best_threshold,
-        left=_reference_grow(X, y, idx[mask], n_labels, rng, config, depth + 1),
-        right=_reference_grow(X, y, idx[~mask], n_labels, rng, config, depth + 1),
+    return (
+        best_feature,
+        best_threshold,
+        _reference_grow(X, y, idx[mask], n_labels, rng, config, depth + 1),
+        _reference_grow(X, y, idx[~mask], n_labels, rng, config, depth + 1),
     )
+
+
+def _as_tree(nested) -> Tree:
+    """The array form of a nested tree: ``("leaf", label_index)`` or
+    ``(feature, threshold, left, right)``, numbered in preorder."""
+    nodes = []
+
+    def add(node) -> int:
+        i = len(nodes)
+        if node[0] == "leaf":
+            nodes.append([-1, 0.0, -1, -1, node[1]])
+            return i
+        feature, threshold, left, right = node
+        nodes.append([feature, threshold, -1, -1, -1])
+        nodes[i][2] = add(left)
+        nodes[i][3] = add(right)
+        return i
+
+    add(nested)
+    return Tree(*zip(*nodes))
 
 
 def reference_train(ds, config: TrainConfig) -> tuple:
@@ -741,5 +761,5 @@ def reference_train(ds, config: TrainConfig) -> tuple:
         rng = np.random.Generator(np.random.PCG64(tree_seed(config.seed, index)))
         n = len(y)
         idx = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        trees.append(_reference_grow(X, y, idx, len(labels), rng, config, depth=0))
+        trees.append(_as_tree(_reference_grow(X, y, idx, len(labels), rng, config, depth=0)))
     return tuple(trees)

@@ -6,6 +6,11 @@ failed traced benchmark run, and a caller that binds a function where the
 tracer does not look (say, ``cmd_meter`` importing ``meter`` under its own
 name, or a module-level ``from .dataset import build_cf`` in ``cli``) as a
 silently thinner one, so both are checked here.
+
+Every benchmark set-up also runs ``perfbench/setup_corpus.py``'s
+``reference_check``, which imports ``tests/reference.py``; a name that file
+imports from flowlab and that is gone would fail every benchmark run at
+set-up, so that check runs here too.
 """
 
 from __future__ import annotations
@@ -15,8 +20,11 @@ import json
 from pathlib import Path
 
 from flowlab import cli
+from flowlab.synth import SynthSpec, synth_trace
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+METER_CONFIG = {"pc_triggers": [3], "fd_triggers_ms": []}
 
 SPEC = {
     "name": "traced",
@@ -41,11 +49,23 @@ SPEC = {
 }
 
 
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return _load("perfbench_tracer", TRACER)
+
+
+def test_setup_reference_check_passes(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # setup_corpus imports workloads
+    setup = _load("perfbench_setup_corpus", PERFBENCH / "setup_corpus.py")
+    trace, _ = synth_trace(SynthSpec.from_dict(SPEC), 5)
+    assert len(trace.packets) > 100
+    assert setup.reference_check(trace, METER_CONFIG) == ""
 
 
 def test_every_wrapped_attribute_is_callable():
@@ -61,7 +81,7 @@ def test_every_wrapped_attribute_is_callable():
 
 def test_traced_stages_record_every_layer(tmp_path, monkeypatch):
     (tmp_path / "spec.json").write_text(json.dumps(SPEC))
-    (tmp_path / "meter.json").write_text(json.dumps({"pc_triggers": [3], "fd_triggers_ms": []}))
+    (tmp_path / "meter.json").write_text(json.dumps(METER_CONFIG))
     monkeypatch.chdir(tmp_path)
     assert cli.main(["synth", "spec.json", "5", "raw.pcap", "truth.json",
                      "--rules-out", "rules.json"]) == 0

@@ -480,6 +480,16 @@ class TestEvalCmd:
         assert "duplicate scenario" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_scenario_exit_2(self, workdir, metered, capsys):
+        out = workdir / "e10"
+        rc = _run(
+            "eval", metered / "cf.csv", metered / "pf_pc_2.csv", out,
+            "--task", "binary", "--trees", 2, "--scenario", "CF_CF,XX_YY",
+        )
+        assert rc == 2
+        assert "unknown scenario kind 'XX_YY'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_help_runs():
     with pytest.raises(SystemExit) as exc:

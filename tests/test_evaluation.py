@@ -244,6 +244,25 @@ class TestRunScenario:
 
 
 class TestSweep:
+    @pytest.mark.parametrize(
+        "kinds,message",
+        [
+            (("CF_CF", "XX_YY"), "unknown scenario kind 'XX_YY'"),
+            (["cf_cf"], "unknown scenario kind 'cf_cf'"),
+            (("PF_PF", "PF_PF", "XX_YY"), "duplicate scenario 'PF_PF'"),
+            (("CF_CF", "CF_PF", "CF_CF"), "duplicate scenario 'CF_CF'"),
+        ],
+    )
+    def test_bad_kinds_rejected_before_training(self, monkeypatch, kinds, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained despite bad kinds")
+
+        monkeypatch.setattr(evaluation, "train", no_training)
+        cf = _dataset(["A", "B"] * 5)
+        pf = _dataset(["A", "B"] * 5, provenance="PC=2")
+        with pytest.raises(ValueError, match=message):
+            sweep(cf, {Trigger("pc", 2): pf}, tasks=("binary",), kinds=kinds)
+
     def test_single_threshold_row_count(self, early_corpus):
         cf, snapshots = _corpus_eval_inputs(early_corpus)
         pf = build_pf(snapshots[Trigger("pc", 2)], cf, Trigger("pc", 2))

@@ -1,17 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from flowlab.dataset import Dataset, build_cf
-from flowlab.errors import EmptyDatasetError, SchemaMismatchError
+from flowlab.errors import EmptyDatasetError, FlowLabError, SchemaMismatchError
 from flowlab.forest import (
-    Internal,
-    Leaf,
     RandomForest,
     TrainConfig,
+    Tree,
     load_model,
     predict,
     predict_matrix,
@@ -35,6 +35,38 @@ def _toy_dataset(rows: list[tuple[float, float, str]]) -> Dataset:
         labels=[label for _, _, label in rows],
         feature_schema=("x", "y"),
     )
+
+
+def _leaf(label_index: int) -> Tree:
+    return Tree([-1], [0.0], [-1], [-1], [label_index])
+
+
+def _stump(feature: int, threshold: float) -> Tree:
+    """x[feature] <= threshold -> label 0, else label 1."""
+    return Tree([feature, -1, -1], [threshold, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 0, 1])
+
+
+def _leaves(tree: Tree, X: np.ndarray):
+    """(depth, rows of ``X`` that reach it) for every leaf, found by walking
+    ``tree`` from the root node by node."""
+    stack = [(0, 0, np.arange(len(X)))]
+    while stack:
+        node, depth, rows = stack.pop()
+        if tree.feature[node] < 0:
+            yield depth, rows
+            continue
+        mask = X[rows, tree.feature[node]] <= tree.threshold[node]
+        stack.append((tree.left[node], depth + 1, rows[mask]))
+        stack.append((tree.right[node], depth + 1, rows[~mask]))
+
+
+def _walk(tree: Tree, row) -> int:
+    """The label index one sample reaches, one node at a time."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return int(tree.value[node])
 
 
 def _separable(n_per_class=20, seed=0) -> Dataset:
@@ -84,16 +116,11 @@ class TestTrain:
         ds = _separable(30, seed=13)
         forest = train(ds, TrainConfig(n_trees=10, seed=13))
 
-        def walk(node, lo=(-np.inf, -np.inf), hi=(np.inf, np.inf)):
-            if isinstance(node, Leaf):
-                return
-            assert 0 <= node.feature_index < 2
-            assert np.isfinite(node.threshold)
-            walk(node.left)
-            walk(node.right)
-
         for tree in forest.trees:
-            walk(tree)
+            split = tree.feature >= 0
+            assert ((tree.feature[split] >= 0) & (tree.feature[split] < 2)).all()
+            assert np.isfinite(tree.threshold[split]).all()
+            assert sum(1 for _ in _leaves(tree, ds.X)) == np.count_nonzero(~split)
 
     def test_min_samples_leaf(self):
         ds = _separable(30, seed=17)
@@ -101,28 +128,14 @@ class TestTrain:
             ds, TrainConfig(n_trees=5, min_samples_leaf=8, bootstrap=False, seed=17)
         )
 
-        def leaf_sizes(node, idx, X):
-            if isinstance(node, Leaf):
-                return [len(idx)]
-            mask = X[idx, node.feature_index] <= node.threshold
-            return leaf_sizes(node.left, idx[mask], X) + leaf_sizes(
-                node.right, idx[~mask], X
-            )
-
-        X = ds.X
         for tree in forest.trees:
-            assert all(s >= 8 for s in leaf_sizes(tree, np.arange(len(X)), X))
+            assert all(len(rows) >= 8 for _, rows in _leaves(tree, ds.X))
 
     def test_max_depth_limits_tree(self):
         ds = _separable(30, seed=19)
         forest = train(ds, TrainConfig(n_trees=3, max_depth=1, seed=19))
 
-        def depth(node):
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        assert all(depth(t) <= 1 for t in forest.trees)
+        assert all(depth <= 1 for t in forest.trees for depth, _ in _leaves(t, ds.X))
 
     def test_deep_tree_trains_and_predicts(self, tmp_path):
         # Alternating labels along one sorted feature: each split peels off
@@ -131,14 +144,15 @@ class TestTrain:
         forest = train(ds, TrainConfig(n_trees=1, max_features=2, bootstrap=False))
         X = ds.X
         assert predict_matrix(forest, X) == list(ds.labels)
-        # Saving and loading do not recurse either; tree == would, so the
-        # loaded forest is compared by what it saves and predicts.
+        assert max(depth for depth, _ in _leaves(forest.trees[0], X)) > 1000
         path, again = tmp_path / "deep.json", tmp_path / "again.json"
         save_model(forest, path)
         back = load_model(path)
+        assert back == forest
         save_model(back, again)
         assert again.read_bytes() == path.read_bytes()
         assert predict_matrix(back, X) == list(ds.labels)
+        assert repr(forest).startswith("RandomForest(trees=(Tree(feature=array(")
 
     def test_tree_seed_mixing(self):
         seeds = {tree_seed(42, i) for i in range(1000)}
@@ -217,15 +231,15 @@ class TestTrainConfig:
 class TestPredict:
     def _hand_forest(self) -> RandomForest:
         # tree 1: x <= 1.5 -> A else B ; tree 2: y <= 5 -> A else B
-        t1 = Internal(0, 1.5, Leaf(0), Leaf(1))
-        t2 = Internal(1, 5.0, Leaf(0), Leaf(1))
+        t1 = _stump(0, 1.5)
+        t2 = _stump(1, 5.0)
         return RandomForest(
             trees=(t1, t2), feature_schema=("x", "y"), labels=("A", "B")
         )
 
     def test_single_tree_forest_equals_leaf_route(self):
         forest = RandomForest(
-            trees=(Internal(0, 1.5, Leaf(0), Leaf(1)),),
+            trees=(_stump(0, 1.5),),
             feature_schema=("x", "y"),
             labels=("A", "B"),
         )
@@ -233,9 +247,9 @@ class TestPredict:
         assert predict(forest, (2.0, 0.0)) == "B"
 
     def test_majority_vote(self):
-        t_a = Leaf(0)
-        t_b1 = Leaf(1)
-        t_b2 = Leaf(1)
+        t_a = _leaf(0)
+        t_b1 = _leaf(1)
+        t_b2 = _leaf(1)
         forest = RandomForest(
             trees=(t_a, t_b1, t_b2), feature_schema=("x",), labels=("A", "B")
         )
@@ -243,11 +257,11 @@ class TestPredict:
 
     def test_tie_breaks_to_lexicographically_smallest(self):
         forest = RandomForest(
-            trees=(Leaf(1), Leaf(0)), feature_schema=("x",), labels=("A", "B")
+            trees=(_leaf(1), _leaf(0)), feature_schema=("x",), labels=("A", "B")
         )
         assert predict(forest, (0.0,)) == "A"
         forest_z = RandomForest(
-            trees=(Leaf(0), Leaf(1)), feature_schema=("x",), labels=("B", "Z")
+            trees=(_leaf(0), _leaf(1)), feature_schema=("x",), labels=("B", "Z")
         )
         assert predict(forest_z, (0.0,)) == "B"
 
@@ -263,22 +277,31 @@ class TestPredict:
         assert predict_matrix(forest, X) == predict_matrix(flipped, X)
 
     def test_matches_manual_tree_walk_oracle(self):
-        forest = self._hand_forest()
+        trained = train(_separable(25, seed=29), TrainConfig(n_trees=7, seed=29))
         rng = np.random.default_rng(29)
         X = rng.uniform(-2, 12, size=(100, 2))
 
-        def walk(node, row):
-            while isinstance(node, Internal):
-                node = node.left if row[node.feature_index] <= node.threshold else node.right
-            return node.label_index
+        for forest in (self._hand_forest(), trained):
+            for row in X:
+                votes = [_walk(t, row) for t in forest.trees]
+                counts = {i: votes.count(i) for i in set(votes)}
+                best = min(
+                    counts, key=lambda i: (-counts[i], forest.labels[i])
+                )
+                assert predict(forest, row) == forest.labels[best]
 
-        for row in X:
-            votes = [walk(t, row) for t in forest.trees]
-            counts = {i: votes.count(i) for i in set(votes)}
-            best = min(
-                counts, key=lambda i: (-counts[i], forest.labels[i])
-            )
-            assert predict(forest, row) == forest.labels[best]
+    def test_right_child_after_left_subtree(self):
+        # x <= 1.5 -> (y <= 5 -> A else B) else C; node 4 is the root's right.
+        tree = Tree(
+            [0, 1, -1, -1, -1],
+            [1.5, 5.0, 0.0, 0.0, 0.0],
+            [1, 2, -1, -1, -1],
+            [4, 3, -1, -1, -1],
+            [-1, -1, 0, 1, 2],
+        )
+        forest = RandomForest(trees=(tree,), feature_schema=("x", "y"), labels=("A", "B", "C"))
+        X = np.array([[1.0, 4.0], [1.0, 6.0], [2.0, 4.0], [1.5, 5.0]])
+        assert predict_matrix(forest, X) == ["A", "B", "C", "A"]
 
     def test_batch_matches_single(self):
         ds = _separable(25, seed=31)
@@ -321,3 +344,68 @@ class TestPersistence:
         rng = np.random.default_rng(37)
         X = rng.uniform(0, 3, size=(60, 2))
         assert predict_matrix(back, X) == predict_matrix(forest, X)
+
+    def test_trees_differ_by_any_array(self):
+        tree = _stump(0, 1.5)
+        assert tree == _stump(0, 1.5)
+        assert tree != _stump(0, 2.5)
+        assert tree != _stump(1, 1.5)
+        assert tree != Tree([0, -1, -1], [1.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 1, 0])
+        assert tree != _leaf(0)
+        assert tree != "tree"
+
+    @pytest.mark.parametrize(
+        "edit,problem",
+        [
+            pytest.param(lambda t: t["threshold"].pop(), "equal length", id="unequal_lengths"),
+            pytest.param(lambda t: [a.clear() for a in t.values()], "non-empty", id="empty"),
+            pytest.param(
+                lambda t: t.update(value=[[v] for v in t["value"]]), "flat", id="nested"
+            ),
+            pytest.param(
+                lambda t: t["left"].__setitem__(0, 0), "child index", id="left_child_is_itself"
+            ),
+            pytest.param(
+                lambda t: t["right"].__setitem__(_last_split(t), 0),
+                "child index",
+                id="right_child_points_back",
+            ),
+            pytest.param(
+                lambda t: t["right"].__setitem__(0, len(t["feature"])),
+                "out of range",
+                id="child_out_of_range",
+            ),
+            pytest.param(
+                lambda t: t["feature"].__setitem__(0, 2), "2-feature schema", id="feature_past"
+            ),
+            pytest.param(
+                lambda t: t["feature"].__setitem__(0, -2), "2-feature schema", id="feature_below"
+            ),
+            pytest.param(
+                lambda t: t["value"].__setitem__(-1, 2), "outside the 2 labels", id="value_past"
+            ),
+            pytest.param(
+                lambda t: t["value"].__setitem__(-1, -1), "outside the 2 labels", id="value_below"
+            ),
+            pytest.param(
+                lambda t: t["threshold"].__setitem__(0, "x"), "convert", id="non_numeric"
+            ),
+            pytest.param(lambda t: t.pop("right"), "right", id="missing_array"),
+        ],
+    )
+    def test_malformed_tree_rejected(self, tmp_path, edit, problem):
+        # Each edit breaks the saved forest's first tree. The loader must
+        # refuse it before any walk: a child that points back would loop.
+        forest = train(_separable(30, seed=41), TrainConfig(n_trees=2, seed=41))
+        assert len(forest.labels) == 2
+        path = tmp_path / "model.json"
+        save_model(forest, path)
+        doc = json.loads(path.read_text())
+        edit(doc["trees"][0])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FlowLabError, match=f"tree 0: .*{problem}"):
+            load_model(path)
+
+
+def _last_split(tree: dict) -> int:
+    return max(i for i, f in enumerate(tree["feature"]) if f >= 0)
