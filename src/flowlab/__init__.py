@@ -12,7 +12,6 @@ from .errors import (
     DatasetIOError,
     EmptyDatasetError,
     EmptyInputError,
-    EmptySideError,
     FlowLabError,
     InvalidSpecError,
     LengthMismatchError,
@@ -55,17 +54,7 @@ _LAZY = {
         "dataset",
     ),
     **dict.fromkeys(
-        (
-            "Metrics",
-            "Report",
-            "Scenario",
-            "Split",
-            "compute_metrics",
-            "run_scenario",
-            "split_keys",
-            "sweep",
-        ),
-        "evaluation",
+        ("Metrics", "Report", "Split", "compute_metrics", "split_keys", "sweep"), "evaluation"
     ),
     **dict.fromkeys(
         ("RandomForest", "TrainConfig", "load_model", "predict", "save_model", "train"),
@@ -97,7 +86,6 @@ __all__ = [
     "DistributionSummary",
     "EmptyDatasetError",
     "EmptyInputError",
-    "EmptySideError",
     "FEATURE_NAMES",
     "FeatureVector",
     "FlowId",
@@ -117,7 +105,6 @@ __all__ = [
     "RawPacket",
     "Report",
     "RuleSet",
-    "Scenario",
     "SchemaMismatchError",
     "Split",
     "SynthSpec",
@@ -141,7 +128,6 @@ __all__ = [
     "read_csv",
     "read_trace",
     "reorder",
-    "run_scenario",
     "save_model",
     "split_keys",
     "sweep",

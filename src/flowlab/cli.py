@@ -82,13 +82,18 @@ class PipelineConfig:
         reject_unknown("split", split, ("ratio", "seed"))
         train = data.get("train", {})
         reject_unknown("train", train, [f.name for f in fields(TrainConfig)])
+        # One seed drives the split and training, as ``flowlab eval --seed`` does.
+        seed = _typed("split", lambda: int(split.get("seed", 0)))
+        tc = TrainConfig(**{"seed": seed, **train})
+        if tc.seed != seed:
+            raise ValueError(f"train seed {tc.seed} differs from split seed {seed}")
         return cls(
             meter=MeterConfig.from_dict(data.get("meter", {})),
             rules_path=data.get("rules_path"),
             min_class_count=_typed("pipeline", lambda: int(data.get("min_class_count", 50))),
             split_ratio=_typed("split", lambda: float(split.get("ratio", 0.70))),
-            split_seed=_typed("split", lambda: int(split.get("seed", 0))),
-            train=TrainConfig(**train),
+            split_seed=seed,
+            train=tc,
             output_dir=data.get("output_dir", "."),
         )
 

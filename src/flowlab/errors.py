@@ -41,10 +41,6 @@ class LengthMismatchError(FlowLabError):
     """y_true and y_pred differ in length."""
 
 
-class EmptySideError(FlowLabError):
-    """A train/test side has zero flows after key intersection."""
-
-
 def reject_unknown(section: str, data: dict, known) -> None:
     """Raise ValueError unless ``data`` is a dict whose keys are all ``known``."""
     if not isinstance(data, dict):

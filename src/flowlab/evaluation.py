@@ -10,17 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import Dataset, align
-from .errors import (
-    EmptyInputError,
-    EmptySideError,
-    FlowLabError,
-    LengthMismatchError,
-)
+from .errors import EmptyInputError, FlowLabError, LengthMismatchError
 from .forest import RandomForest, TrainConfig, dataset_matrix, predict_matrix, train
 from .meter import Trigger
 
@@ -38,8 +33,6 @@ class Split:
 
     train_keys: frozenset[int]
     test_keys: frozenset[int]
-    ratio: float
-    seed: int
     degenerate_labels: tuple[str, ...] = ()
 
 
@@ -75,8 +68,6 @@ def split_keys(cf: Dataset, ratio: float = 0.70, seed: int = 0) -> Split:
     return Split(
         train_keys=frozenset(train),
         test_keys=frozenset(test),
-        ratio=ratio,
-        seed=seed,
         degenerate_labels=tuple(degenerate),
     )
 
@@ -178,77 +169,29 @@ def compute_metrics(
     )
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A train/test pairing: CF_CF, PF_PF, or CF_PF."""
-
-    kind: str
-    task: str = BINARY
-    threshold: Trigger | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.task not in (BINARY, MULTICLASS):
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.kind == "CF_CF" and self.threshold is not None:
-            raise ValueError("CF_CF takes no threshold")
-
-
-def _restrict(ds: Dataset, keys: frozenset[int], task: str, benign_label: str) -> Dataset:
+def _restrict(ds: Dataset, keys: frozenset[int], task: str) -> Dataset:
     """The rows of ``ds`` whose hash is in ``keys``, binarised for a binary task."""
     side = ds.restrict(keys)
     if task == BINARY:
-        side = replace(side, labels=binarize(side.labels, None, benign_label))
+        side = replace(side, labels=binarize(side.labels))
     return side
 
 
 def _sides(
-    kind: str, cf: Dataset, pf: Dataset | None, split: Split, task: str, benign_label: str
+    kind: str, cf: Dataset, pf: Dataset, split: Split, task: str
 ) -> tuple[Dataset, Dataset]:
     train_src = cf if kind in ("CF_CF", "CF_PF") else pf
     test_src = cf if kind == "CF_CF" else pf
-    assert train_src is not None and test_src is not None
     return (
-        _restrict(train_src, split.train_keys, task, benign_label),
-        _restrict(test_src, split.test_keys, task, benign_label),
+        _restrict(train_src, split.train_keys, task),
+        _restrict(test_src, split.test_keys, task),
     )
 
 
-def _score(forest: RandomForest, test: Dataset, task: str, benign_label: str) -> Metrics:
+def _score(forest: RandomForest, test: Dataset, task: str) -> Metrics:
     X, y_true = dataset_matrix(test)
     y_pred = predict_matrix(forest, X)
-    return compute_metrics(
-        y_true, y_pred, task, anomaly_labels={ANOMALY}, benign_label=benign_label
-    )
-
-
-def run_scenario(
-    scenario: Scenario,
-    cf: Dataset,
-    pf: Dataset | None,
-    split: Split,
-    tc: TrainConfig | None = None,
-    benign_label: str = BENIGN,
-    n_jobs: int = 1,
-) -> Metrics:
-    """Train and score one scenario cell.
-
-    ``pf`` is required for PF_PF and CF_PF and must be pre-aligned with
-    ``cf`` (equal key sets). Raises EmptySideError when the key
-    intersection leaves either side empty.
-    """
-    if (pf is None) != (scenario.kind == "CF_CF"):
-        raise ValueError("pf must be given exactly for PF_PF and CF_PF scenarios")
-    if tc is None:
-        tc = TrainConfig()
-    train_side, test_side = _sides(scenario.kind, cf, pf, split, scenario.task, benign_label)
-    if not len(train_side):
-        raise EmptySideError(f"{scenario.kind}: empty train side")
-    if not len(test_side):
-        raise EmptySideError(f"{scenario.kind}: empty test side")
-    forest = train(train_side, tc, n_jobs=n_jobs)
-    return _score(forest, test_side, scenario.task, benign_label)
+    return compute_metrics(y_true, y_pred, task, anomaly_labels={ANOMALY})
 
 
 @dataclass(frozen=True)
@@ -298,8 +241,6 @@ class Report:
     """Long-format sweep results, one row per (threshold, scenario, task)."""
 
     rows: tuple[SweepRow, ...]
-    split: Split
-    train_config: TrainConfig = field(default_factory=TrainConfig)
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -335,7 +276,6 @@ def sweep(
     tasks=(BINARY, MULTICLASS),
     tc: TrainConfig | None = None,
     split: Split | None = None,
-    benign_label: str = BENIGN,
     kinds=SCENARIO_KINDS,
     n_jobs: int = 1,
 ) -> Report:
@@ -350,12 +290,19 @@ def sweep(
     the last CF forest of their task, across thresholds too, while its train
     hashes stay the same.
 
-    Raises ValueError for a kind outside SCENARIO_KINDS or a repeated one.
+    Raises ValueError, before any training, for a kind outside
+    SCENARIO_KINDS or a task outside (BINARY, MULTICLASS), or either repeated.
     """
     for kind in kinds:
-        Scenario(kind)  # ValueError for an unknown kind
+        if kind not in SCENARIO_KINDS:
+            raise ValueError(f"unknown scenario kind {kind!r}")
         if kinds.count(kind) > 1:
             raise ValueError(f"duplicate scenario {kind!r}")
+    for task in tasks:
+        if task not in (BINARY, MULTICLASS):
+            raise ValueError(f"unknown task {task!r}")
+        if tasks.count(task) > 1:
+            raise ValueError(f"duplicate task {task!r}")
     if tc is None:
         tc = TrainConfig()
     if split is None:
@@ -379,7 +326,7 @@ def sweep(
         acf, apf = align(cf, pf_family[trigger])
         for kind in kinds:
             for task in tasks:
-                train_side, test_side = _sides(kind, acf, apf, split, task, benign_label)
+                train_side, test_side = _sides(kind, acf, apf, split, task)
                 n_train, n_test = len(train_side), len(test_side)
                 skipped = ""
                 metrics = None
@@ -390,7 +337,7 @@ def sweep(
                 else:
                     try:
                         forest = fit(kind, task, train_side)
-                        metrics = _score(forest, test_side, task, benign_label)
+                        metrics = _score(forest, test_side, task)
                     except FlowLabError as exc:  # recorded per cell, sweep continues
                         skipped = str(exc)
                 rows.append(
@@ -406,4 +353,4 @@ def sweep(
                         skipped_reason=skipped,
                     )
                 )
-    return Report(rows=tuple(rows), split=split, train_config=tc)
+    return Report(rows=tuple(rows))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmptyDatasetError, FlowLabError, SchemaMismatchError
+from .errors import EmptyDatasetError, FlowLabError, SchemaMismatchError, reject_unknown
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -329,14 +329,27 @@ def _tree_problem(tree: Tree, n_features: int, n_labels: int) -> str:
     return ""
 
 
+def _list_of(doc: dict, key: str, kind: type) -> list:
+    items = doc.get(key)
+    if not isinstance(items, list) or not all(isinstance(i, kind) for i in items):
+        raise ValueError(f"{key} must be a list of {kind.__name__}")
+    return items
+
+
 def load_model(path) -> RandomForest:
-    """The forest ``save_model`` wrote; FlowLabError for a malformed tree."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    labels = tuple(doc["labels"])
-    schema = tuple(doc["feature_schema"])
+    """The forest ``save_model`` wrote; FlowLabError for a malformed file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        reject_unknown("model", doc, ("labels", "feature_schema", "train_config", "trees"))
+        labels = tuple(_list_of(doc, "labels", str))
+        schema = tuple(_list_of(doc, "feature_schema", str))
+        tree_docs = _list_of(doc, "trees", dict)
+        config = TrainConfig(**doc.get("train_config", {}))
+    except (TypeError, ValueError) as exc:
+        raise FlowLabError(f"{path}: {exc}") from None
     trees = []
-    for i, arrays in enumerate(doc["trees"]):
+    for i, arrays in enumerate(tree_docs):
         try:
             tree = Tree(**arrays)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -349,5 +362,5 @@ def load_model(path) -> RandomForest:
         trees=tuple(trees),
         feature_schema=schema,
         labels=labels,
-        train_config=TrainConfig(**doc.get("train_config", {})),
+        train_config=config,
     )

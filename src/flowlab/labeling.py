@@ -26,6 +26,11 @@ class PortSet:
     singles: frozenset[int] = frozenset()
     ranges: tuple[tuple[int, int], ...] = ()
 
+    def __post_init__(self) -> None:
+        for lo, hi in self.ranges:
+            if lo > hi:
+                raise ValueError(f"port range [{lo}, {hi}] runs backwards")
+
     @classmethod
     def parse(cls, spec) -> PortSet:
         singles = set()
@@ -83,6 +88,12 @@ class LabelRule:
     bidirectional: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ValueError(f"rule label must be a string, got {self.label!r}")
+        if not (self.protocol is None or type(self.protocol) is int):
+            raise ValueError(f"rule {self.label!r}: protocol {self.protocol!r} is not an integer")
+        if not isinstance(self.bidirectional, bool):
+            raise ValueError(f"rule {self.label!r}: bidirectional must be true or false")
         object.__setattr__(self, "src_ips", _parse_networks(self.src_ips))
         object.__setattr__(self, "dst_ips", _parse_networks(self.dst_ips))
         if not isinstance(self.src_ports, PortSet):
@@ -128,7 +139,7 @@ class LabelRule:
             dst_ports=PortSet.parse(data.get("dst_ports", ())),
             protocol=data.get("protocol"),
             window_us=tuple(window) if window is not None else None,
-            bidirectional=bool(data.get("bidirectional", True)),
+            bidirectional=data.get("bidirectional", True),
         )
 
 
@@ -138,6 +149,10 @@ class RuleSet:
 
     rules: tuple[LabelRule, ...] = ()
     default_label: str = "BENIGN"
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.default_label, str):
+            raise ValueError(f"default_label must be a string, got {self.default_label!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> RuleSet:

@@ -83,8 +83,8 @@ class FlowTemplate:
             server_ports=tuple(int(p) for p in _as_listish(data["server_ports"])),
             protocol=int(data.get("protocol", PROTO_UDP)),
             start_us=tuple(data.get("start_us", (0, 0))),
-            tcp_handshake=bool(tcp.get("handshake", True)),
-            tcp_fin=bool(tcp.get("fin", False)),
+            tcp_handshake=tcp.get("handshake", True),
+            tcp_fin=tcp.get("fin", False),
             marker_payload=tuple(marker) if marker is not None else None,
         )
 
@@ -175,6 +175,8 @@ def _validate(spec: SynthSpec) -> None:
             raise InvalidSpecError(f"template {t.label!r}: bad iat range")
         if t.protocol not in (PROTO_TCP, PROTO_UDP):
             raise InvalidSpecError(f"template {t.label!r}: protocol must be TCP or UDP")
+        if not isinstance(t.tcp_handshake, bool) or not isinstance(t.tcp_fin, bool):
+            raise InvalidSpecError(f"template {t.label!r}: tcp flags must be true or false")
         if not t.client_ips or not t.server_ips or not t.server_ports:
             raise InvalidSpecError(f"template {t.label!r}: empty endpoint pool")
         total += t.flows

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from flowlab.dataset import align, build_cf, build_pf, read_csv
-from flowlab.evaluation import Scenario, compute_metrics, run_scenario, split_keys
+from flowlab.evaluation import compute_metrics, split_keys, sweep
 from flowlab.forest import TrainConfig, train, predict_matrix, dataset_matrix
 from flowlab.labeling import RuleSet
 from flowlab.meter import MeterConfig, Trigger, meter
@@ -218,16 +218,25 @@ def test_criterion_5_classifier_sanity(early_corpus):
     """CF_CF on the separable 2x250 corpus: f1 >= 0.99, deterministic, and
     identical under parallel training."""
     started = time.monotonic()
-    records, _, rules, _ = early_corpus
+    records, snapshots, rules, _ = early_corpus
     cf = build_cf(records, rules)
     assert cf.label_counts() == {"BENIGN": 250, "ATTACK": 250}
     split = split_keys(cf, 0.70, seed=5005)
     tc = TrainConfig(n_trees=50, seed=5005)
 
-    m1 = run_scenario(Scenario("CF_CF", "binary"), cf, None, split, tc)
-    m2 = run_scenario(Scenario("CF_CF", "binary"), cf, None, split, tc)
-    m4 = run_scenario(Scenario("CF_CF", "binary"), cf, None, split, tc, n_jobs=4)
-    assert m1.reported_f1 >= 0.99
+    # Every flow reaches 2 packets, so the PC=2 file aligns to the whole CF.
+    pc2 = Trigger("pc", 2)
+    family = {pc2: build_pf(snapshots[pc2], cf, pc2)}
+    assert align(cf, family[pc2])[0] == cf
+
+    def cf_cf(n_jobs=1):
+        report = sweep(
+            cf, family, tasks=("binary",), tc=tc, split=split, kinds=("CF_CF",), n_jobs=n_jobs
+        )
+        return report.rows
+
+    m1, m2, m4 = cf_cf(), cf_cf(), cf_cf(n_jobs=4)
+    assert m1[0].f1 >= 0.99
     assert m1 == m2 == m4
 
     # forest-level bit determinism, serial vs parallel
@@ -239,7 +248,7 @@ def test_criterion_5_classifier_sanity(early_corpus):
 
     elapsed = time.monotonic() - started
     assert elapsed < 10, f"took {elapsed:.1f}s"
-    _report(5, f"CF_CF f1={m1.reported_f1:.4f}, deterministic, {elapsed:.1f}s")
+    _report(5, f"CF_CF f1={m1[0].f1:.4f}, deterministic, {elapsed:.1f}s")
 
 
 def test_criterion_6_degradation_reproduction(late_corpus):
@@ -251,14 +260,14 @@ def test_criterion_6_degradation_reproduction(late_corpus):
     split = split_keys(cf, 0.70, seed=6006)
     tc = TrainConfig(n_trees=100, seed=6006)
 
-    f1 = {}
-    for n in range(2, 18):
-        pf = build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n))
-        acf, apf = align(cf, pf)
-        metrics = run_scenario(
-            Scenario("CF_PF", "binary", Trigger("pc", n)), acf, apf, split, tc
-        )
-        f1[n] = metrics.reported_f1
+    family = {
+        Trigger("pc", n): build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n))
+        for n in range(2, 18)
+    }
+    report = sweep(cf, family, tasks=("binary",), tc=tc, split=split, kinds=("CF_PF",))
+    assert not any(row.skipped_reason for row in report.rows)
+    f1 = {Trigger.parse(row.threshold).value: row.f1 for row in report.rows}
+    assert sorted(f1) == list(range(2, 18))
 
     assert f1[2] <= f1[10] - 0.30, f"PC=2 f1 {f1[2]:.3f} vs PC=10 f1 {f1[10]:.3f}"
 
@@ -285,15 +294,17 @@ def test_criterion_7_consistency_robustness(early_corpus):
     cf = build_cf(records, rules)
     split = split_keys(cf, 0.70, seed=7007)
     tc = TrainConfig(n_trees=50, seed=7007)
+    family = {
+        Trigger("pc", n): build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n))
+        for n in range(2, 13)
+    }
+    report = sweep(cf, family, tasks=("binary",), tc=tc, split=split, kinds=("PF_PF",))
+    assert len(report.rows) == len(family)
     scores = {}
-    for n in range(2, 13):
-        pf = build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n))
-        acf, apf = align(cf, pf)
-        metrics = run_scenario(
-            Scenario("PF_PF", "binary", Trigger("pc", n)), acf, apf, split, tc
-        )
-        scores[n] = metrics.reported_f1
-        assert metrics.reported_f1 >= 0.9, f"PC={n}: f1={metrics.reported_f1:.3f}"
+    for row in report.rows:
+        assert not row.skipped_reason, row
+        scores[row.threshold] = row.f1
+        assert row.f1 >= 0.9, f"{row.threshold}: f1={row.f1:.3f}"
     _report(7, "PF_PF f1 >= 0.9 for PC=2..12 (min {:.3f})".format(min(scores.values())))
 
 

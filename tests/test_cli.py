@@ -161,6 +161,8 @@ class TestSynth:
             {**SMALL_SPEC, "templates": [{**template, "tcp": {"fn": True}}]},
             {**SMALL_SPEC, "templates": [{**template, "server_port": [80]}]},
             {**SMALL_SPEC, "templates": ["BENIGN"]},
+            {**SMALL_SPEC, "templates": [{**template, "tcp": {"fin": "false"}}]},
+            {**SMALL_SPEC, "templates": [{**template, "tcp": {"handshake": 0}}]},
         ):
             bad.write_text(json.dumps(doc))
             assert _run("synth", bad, 1, workdir / "x.pcap", workdir / "x.json") == 2, doc
@@ -298,6 +300,12 @@ class TestMeterCmd:
             {"rule": [], "default_label": "BENIGN"},
             {"rules": ["DoS"]},
             [],
+            {"rules": [{"label": "DoS", "bidirectional": "false"}]},
+            {"rules": [{"label": "DoS", "protocol": "6"}]},
+            {"rules": [{"label": "DoS", "dst_ports": [[90, 80]]}]},
+            {"rules": [{"label": "DoS", "src_ports": ["90-80"]}]},
+            {"rules": [], "default_label": 0},
+            {"rules": [{"label": ["DoS"]}]},
         ],
     )
     def test_bad_rules_exit_2(self, workdir, synth_inputs, doc, capsys):
@@ -327,6 +335,9 @@ class TestMeterCmd:
         assert echoed["min_class_count"] == 5
         assert echoed["meter"]["pc_triggers"] == [2]
         assert echoed["split"] == {"ratio": 0.6, "seed": 9}
+        # One seed drives split and training, and the echo loads back.
+        assert echoed["train"]["seed"] == 9
+        assert cli.PipelineConfig.from_json(out / "config.json").to_dict() == echoed
 
     def test_reports_are_emitted_in_both_forms(self, workdir, synth_inputs):
         pcap, rules = synth_inputs
@@ -456,6 +467,9 @@ class TestEvalCmd:
             {"train": {"min_samples_leaf": 2.5}},
             {"train": {"max_features": True}},
             {"train": {"seed": False}},
+            {"train": {"seed": 9}},
+            {"split": {"seed": 0}, "train": {"seed": 9}},
+            {"split": {"seed": 3}, "train": {"seed": 0}},
         ],
     )
     def test_bad_pipeline_config_exit_2(self, workdir, metered, doc, capsys):

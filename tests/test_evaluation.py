@@ -1,21 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from flowlab import evaluation
 from flowlab.dataset import Dataset, align, build_cf, build_pf
-from flowlab.errors import EmptyInputError, EmptySideError, LengthMismatchError
-from flowlab.evaluation import (
-    Metrics,
-    Scenario,
-    binarize,
-    compute_metrics,
-    run_scenario,
-    split_keys,
-    sweep,
-)
-from flowlab.forest import TrainConfig
+from flowlab.errors import EmptyInputError, LengthMismatchError
+from flowlab.evaluation import binarize, compute_metrics, split_keys, sweep
+from flowlab.forest import TrainConfig, dataset_matrix, predict_matrix, train
 from flowlab.meter import Trigger
 
 
@@ -193,16 +187,6 @@ class TestComputeMetrics:
             )
 
 
-class TestScenario:
-    def test_cf_cf_rejects_threshold(self):
-        with pytest.raises(ValueError):
-            Scenario("CF_CF", "binary", Trigger("pc", 2))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Scenario("XX_YY", "binary")
-
-
 def _corpus_eval_inputs(corpus):
     records, snapshots, rules, _ = corpus
     cf = build_cf(records, rules)
@@ -210,32 +194,22 @@ def _corpus_eval_inputs(corpus):
 
 
 class TestRunScenario:
+    """One scenario cell, run as a sweep of one trigger, kind and task."""
+
     def test_cf_cf_separable(self, early_corpus):
-        cf, _ = _corpus_eval_inputs(early_corpus)
-        split = split_keys(cf, 0.7, seed=0)
-        m = run_scenario(
-            Scenario("CF_CF", "binary"), cf, None, split, TrainConfig(n_trees=20, seed=0)
-        )
-        assert m.reported_f1 >= 0.99
-
-    def test_pf_required_exactly_for_pf_scenarios(self, early_corpus):
         cf, snapshots = _corpus_eval_inputs(early_corpus)
-        split = split_keys(cf, 0.7, seed=0)
         pf = build_pf(snapshots[Trigger("pc", 2)], cf, Trigger("pc", 2))
-        with pytest.raises(ValueError):
-            run_scenario(Scenario("CF_CF", "binary"), cf, pf, split)
-        with pytest.raises(ValueError):
-            run_scenario(Scenario("CF_PF", "binary", Trigger("pc", 2)), cf, None, split)
-
-    def test_empty_side_raises(self, early_corpus):
-        cf, snapshots = _corpus_eval_inputs(early_corpus)
-        split = split_keys(cf, 0.7, seed=0)
-        empty_pf = Dataset("PC=2", hash64=[], X=[], labels=[])
-        acf, apf = align(cf, empty_pf)
-        with pytest.raises(EmptySideError):
-            run_scenario(
-                Scenario("PF_PF", "binary", Trigger("pc", 2)), acf, apf, split
-            )
+        report = sweep(
+            cf,
+            {Trigger("pc", 2): pf},
+            tasks=("binary",),
+            tc=TrainConfig(n_trees=20, seed=0),
+            split=split_keys(cf, 0.7, seed=0),
+            kinds=("CF_CF",),
+        )
+        (row,) = report.rows
+        assert row.n_train + row.n_test == len(cf)
+        assert row.f1 >= 0.99
 
     def test_key_hygiene(self, early_corpus):
         cf, snapshots = _corpus_eval_inputs(early_corpus)
@@ -262,6 +236,25 @@ class TestSweep:
         pf = _dataset(["A", "B"] * 5, provenance="PC=2")
         with pytest.raises(ValueError, match=message):
             sweep(cf, {Trigger("pc", 2): pf}, tasks=("binary",), kinds=kinds)
+
+    @pytest.mark.parametrize(
+        "tasks,message",
+        [
+            (("binary", "bin"), "unknown task 'bin'"),
+            (["Binary"], "unknown task 'Binary'"),
+            (("binary", "binary"), "duplicate task 'binary'"),
+            (("multiclass", "binary", "multiclass"), "duplicate task 'multiclass'"),
+        ],
+    )
+    def test_bad_tasks_rejected_before_training(self, monkeypatch, tasks, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained despite bad tasks")
+
+        monkeypatch.setattr(evaluation, "train", no_training)
+        cf = _dataset(["A", "B"] * 5)
+        pf = _dataset(["A", "B"] * 5, provenance="PC=2")
+        with pytest.raises(ValueError, match=message):
+            sweep(cf, {Trigger("pc", 2): pf}, tasks=tasks)
 
     def test_single_threshold_row_count(self, early_corpus):
         cf, snapshots = _corpus_eval_inputs(early_corpus)
@@ -339,14 +332,22 @@ class TestSweep:
         cf_trains = len(family) if thin_pc3 else 1
         assert len(trained) == len(tasks) * (cf_trains + len(family))
 
+        # Oracle: every cell trained afresh from its own train side.
         for row in report.rows:
             trigger = next(t for t in family if str(t) == row.threshold)
             acf, apf = align(cf, family[trigger])
-            if row.scenario == "CF_CF":
-                scenario, pf = Scenario("CF_CF", row.task), None
-            else:
-                scenario, pf = Scenario(row.scenario, row.task, trigger), apf
-            m = run_scenario(scenario, acf, pf, split, tc)
+            train_src = apf if row.scenario == "PF_PF" else acf
+            test_src = acf if row.scenario == "CF_CF" else apf
+            sides = []
+            for src, keys in ((train_src, split.train_keys), (test_src, split.test_keys)):
+                side = src.restrict(keys)
+                if row.task == "binary":
+                    side = replace(side, labels=binarize(side.labels))
+                sides.append(side)
+            forest = train(sides[0], tc)
+            X, y_true = dataset_matrix(sides[1])
+            m = compute_metrics(y_true, predict_matrix(forest, X), row.task)
+            assert (row.n_train, row.n_test) == (len(sides[0]), len(sides[1]))
             assert (row.precision, row.recall, row.f1) == (
                 m.reported_precision,
                 m.reported_recall,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -404,6 +405,41 @@ class TestPersistence:
         edit(doc["trees"][0])
         path.write_text(json.dumps(doc))
         with pytest.raises(FlowLabError, match=f"tree 0: .*{problem}"):
+            load_model(path)
+
+
+    @pytest.mark.parametrize(
+        "edit,problem",
+        [
+            pytest.param(
+                lambda d: d["train_config"].update(n_tree=3), "n_tree", id="unknown_config_key"
+            ),
+            pytest.param(lambda d: d["train_config"].update(n_trees=0), "n_trees", id="zero_trees"),
+            pytest.param(lambda d: d.update(train_config=5), "mapping", id="config_not_object"),
+            pytest.param(lambda d: d.pop("labels"), "labels must be a list", id="missing_labels"),
+            pytest.param(lambda d: d.update(labels=[1, 2]), "labels must be", id="labels_not_str"),
+            pytest.param(
+                lambda d: d.update(feature_schema="ab"), "feature_schema must", id="schema_str"
+            ),
+            pytest.param(lambda d: d.update(trees=5), "trees must be a list", id="trees_not_list"),
+            pytest.param(lambda d: d.update(tree=[]), "unknown model", id="unknown_key"),
+        ],
+    )
+    def test_malformed_document_rejected(self, tmp_path, edit, problem):
+        forest = train(_separable(30, seed=43), TrainConfig(n_trees=2, seed=43))
+        path = tmp_path / "model.json"
+        save_model(forest, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FlowLabError, match=f"^{re.escape(str(path))}: .*{problem}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", ["[]", "5", '"model"', "{", ""])
+    def test_document_not_a_json_object_rejected(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(FlowLabError, match=f"^{re.escape(str(path))}: "):
             load_model(path)
 
 
