@@ -15,11 +15,12 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import trace_io
-from .errors import FlowLabError, reject_unknown
+from .errors import ANY, INT, NUMBER, STR, Field, FlowLabError, JsonDocument, check
 from .labeling import RuleSet
 from .meter import MeterConfig, Trigger, meter as run_meter
 
@@ -39,17 +40,9 @@ def _default_train() -> TrainConfig:
     return TrainConfig()
 
 
-def _typed(section: str, build):
-    """``build()``, with a wrongly typed value reported as a ValueError."""
-    try:
-        return build()
-    except TypeError as exc:
-        raise ValueError(f"bad {section} config value: {exc}") from exc
-
-
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Aggregated stage settings, echoed into outputs for provenance."""
+class PipelineConfig(JsonDocument):
+    """Stage settings, echoed into outputs; ``rules_path``/``output_dir`` record the meter run."""
 
     meter: MeterConfig = field(default_factory=MeterConfig)
     rules_path: str | None = None
@@ -57,7 +50,21 @@ class PipelineConfig:
     split_ratio: float = 0.70
     split_seed: int = 0
     train: TrainConfig = field(default_factory=_default_train)
-    output_dir: str = "."
+    output_dir: str | None = None
+
+    FIELDS = {
+        "meter": Field(ANY),
+        "rules_path": Field(STR, also=(None,)),
+        "min_class_count": Field(INT, "[0, inf)"),
+        "split": Field(ANY),
+        "train": Field(ANY),
+        "output_dir": Field(STR, also=(None,)),
+    }
+    SPLIT_FIELDS = {"ratio": Field(NUMBER, "(0, 1)"), "seed": Field(INT, "[0, inf)")}
+
+    def __post_init__(self) -> None:
+        check("pipeline", self, self.FIELDS)
+        check("split", {"ratio": self.split_ratio, "seed": self.split_seed}, self.SPLIT_FIELDS)
 
     def to_dict(self) -> dict:
         return {
@@ -73,34 +80,21 @@ class PipelineConfig:
     def from_dict(cls, data: dict) -> PipelineConfig:
         from .forest import TrainConfig
 
-        reject_unknown(
-            "pipeline",
-            data,
-            ("meter", "rules_path", "min_class_count", "split", "train", "output_dir"),
-        )
-        split = data.get("split", {})
-        reject_unknown("split", split, ("ratio", "seed"))
-        train = data.get("train", {})
-        reject_unknown("train", train, [f.name for f in fields(TrainConfig)])
+        values = check("pipeline", data, cls.FIELDS)
+        split = check("split", values.pop("split", {}), cls.SPLIT_FIELDS)
         # One seed drives the split and training, as ``flowlab eval --seed`` does.
-        seed = _typed("split", lambda: int(split.get("seed", 0)))
+        seed = split.get("seed", 0)
+        train = check("train", values.pop("train", {}), TrainConfig.FIELDS)
         tc = TrainConfig(**{"seed": seed, **train})
         if tc.seed != seed:
             raise ValueError(f"train seed {tc.seed} differs from split seed {seed}")
         return cls(
-            meter=MeterConfig.from_dict(data.get("meter", {})),
-            rules_path=data.get("rules_path"),
-            min_class_count=_typed("pipeline", lambda: int(data.get("min_class_count", 50))),
-            split_ratio=_typed("split", lambda: float(split.get("ratio", 0.70))),
+            meter=MeterConfig.from_dict(values.pop("meter", {})),
+            split_ratio=split.get("ratio", 0.70),
             split_seed=seed,
             train=tc,
-            output_dir=data.get("output_dir", "."),
+            **values,
         )
-
-    @classmethod
-    def from_json(cls, path) -> PipelineConfig:
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _atomic(path: str, write_fn) -> None:
@@ -135,19 +129,25 @@ def cmd_meter(args) -> int:
     from . import dataset as ds_mod
 
     pipeline = PipelineConfig.from_json(args.pipeline) if args.pipeline else PipelineConfig()
-    if args.config:
-        config = MeterConfig.from_json(args.config)
-    else:
-        config = pipeline.meter
-    min_class_count = (
-        args.min_class_count if args.min_class_count is not None else pipeline.min_class_count
+    for name, arg in (("rules_path", str(args.rules)), ("output_dir", str(args.out_dir))):
+        recorded = getattr(pipeline, name)
+        if recorded is not None and os.path.abspath(recorded) != os.path.abspath(arg):
+            raise FlowLabError(f"pipeline {name} {recorded!r} differs from the argument {arg!r}")
+    echo = replace(
+        pipeline,
+        meter=MeterConfig.from_json(args.config) if args.config else pipeline.meter,
+        rules_path=str(args.rules),
+        min_class_count=(
+            args.min_class_count if args.min_class_count is not None else pipeline.min_class_count
+        ),
+        output_dir=str(args.out_dir),
     )
     rules = RuleSet.from_json(args.rules)
     trace = trace_io.reorder(trace_io.read_trace(args.input))
-    records, snapshots = run_meter(trace, config)
+    records, snapshots = run_meter(trace, echo.meter)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    cf = ds_mod.build_cf(records, rules, min_class_count=min_class_count)
+    cf = ds_mod.build_cf(records, rules, min_class_count=echo.min_class_count)
     _atomic(
         os.path.join(args.out_dir, "cf.csv"), lambda p: ds_mod.write_csv(cf, p)
     )
@@ -166,36 +166,15 @@ def cmd_meter(args) -> int:
             dist[str(trigger)] = summary.to_dict()
             dist_text += [f"== {trigger} ==", summary.to_text()]
 
-    report = ds_mod.audit(records, rules, config.idle_timeout_s)
-    _atomic(
-        os.path.join(args.out_dir, "audit.json"),
-        lambda p: _write_json(p, report.to_dict()),
-    )
-    _atomic(
-        os.path.join(args.out_dir, "audit.txt"),
-        lambda p: _write_text(p, report.to_text() + "\n"),
-    )
-    _atomic(
-        os.path.join(args.out_dir, "distribution.json"),
-        lambda p: _write_json(p, dist),
-    )
-    _atomic(
-        os.path.join(args.out_dir, "distribution.txt"),
-        lambda p: _write_text(p, "\n".join(dist_text) + "\n"),
-    )
-    echo = PipelineConfig(
-        meter=config,
-        rules_path=str(args.rules),
-        min_class_count=min_class_count,
-        split_ratio=pipeline.split_ratio,
-        split_seed=pipeline.split_seed,
-        train=pipeline.train,
-        output_dir=str(args.out_dir),
-    )
-    _atomic(
-        os.path.join(args.out_dir, "config.json"),
-        lambda p: _write_json(p, echo.to_dict()),
-    )
+    report = ds_mod.audit(records, rules, echo.meter.idle_timeout_s)
+    for name, text in (
+        ("audit.json", _json(report.to_dict())),
+        ("audit.txt", report.to_text() + "\n"),
+        ("distribution.json", _json(dist)),
+        ("distribution.txt", "\n".join(dist_text) + "\n"),
+        ("config.json", _json(echo.to_dict())),
+    ):
+        _save(os.path.join(args.out_dir, name), text)
     print(
         f"packets: {len(trace)} (skipped {trace.skipped})  records: {len(records)}  "
         f"snapshots: {sum(map(len, snapshots.values()))}  cf flows: {len(cf)}"
@@ -260,27 +239,19 @@ def cmd_eval(args) -> int:
         cf, family, tasks=tasks, tc=tc, split=split, kinds=kinds, n_jobs=args.jobs
     )
 
+    eval_config = {
+        "split": {"ratio": ratio, "seed": seed},
+        "train": tc.to_dict(),
+        "tasks": list(tasks),
+        "scenarios": list(kinds),
+    }
     os.makedirs(args.out_dir, exist_ok=True)
-    _atomic(
-        os.path.join(args.out_dir, "results.csv"),
-        lambda p: _write_text(p, report.to_csv_text()),
-    )
-    _atomic(
-        os.path.join(args.out_dir, "summary.txt"),
-        lambda p: _write_text(p, report.to_text() + "\n"),
-    )
-    _atomic(
-        os.path.join(args.out_dir, "eval_config.json"),
-        lambda p: _write_json(
-            p,
-            {
-                "split": {"ratio": ratio, "seed": seed},
-                "train": tc.to_dict(),
-                "tasks": list(tasks),
-                "scenarios": list(kinds),
-            },
-        ),
-    )
+    for name, text in (
+        ("results.csv", report.to_csv_text()),
+        ("summary.txt", report.to_text() + "\n"),
+        ("eval_config.json", _json(eval_config)),
+    ):
+        _save(os.path.join(args.out_dir, name), text)
     print(report.to_text())
     if all(row.skipped_reason for row in report.rows):
         print("every cell was skipped", file=sys.stderr)
@@ -309,7 +280,7 @@ def cmd_synth(args) -> int:
             for fid, label in truth
         ],
     }
-    _atomic(args.truth, lambda p: _write_json(p, doc))
+    _save(args.truth, _json(doc))
     if args.rules_out:
         rules = synth.derive_rules(spec)
         rules_doc = {
@@ -323,19 +294,18 @@ def cmd_synth(args) -> int:
                 for r in rules.rules
             ],
         }
-        _atomic(args.rules_out, lambda p: _write_json(p, rules_doc))
+        _save(args.rules_out, _json(rules_doc))
     print(f"packets: {len(trace)}  flows: {len(truth)}")
     return EXIT_OK
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _save(path: str, text: str) -> None:
+    _atomic(path, lambda p: Path(p).write_text(text, encoding="utf-8"))
 
 
-def _write_json(path: str, data: dict) -> None:
-    """Write a JSON report with stable key order."""
-    _write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _json(data: dict) -> str:
+    """A JSON report with stable key order."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmptyDatasetError, FlowLabError, SchemaMismatchError, reject_unknown
+from .errors import ANY, BOOL, INT, STR, Field, check
+from .errors import EmptyDatasetError, FlowLabError, SchemaMismatchError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -64,14 +64,6 @@ class Tree:
         )
 
 
-def _check_int(name: str, value, minimum: int | None = None) -> None:
-    """ValueError unless ``value`` is an integer, not a bool, and >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Forest hyperparameters; defaults follow common practice."""
@@ -83,16 +75,17 @@ class TrainConfig:
     bootstrap: bool = True
     seed: int = 0
 
+    FIELDS = {
+        "n_trees": Field(INT, "[1, inf)"),
+        "max_features": Field(INT, "[1, inf)", also=("sqrt",)),
+        "min_samples_leaf": Field(INT, "[1, inf)"),
+        "max_depth": Field(INT, "[1, inf)", also=(None,)),
+        "bootstrap": Field(BOOL),
+        "seed": Field(INT),
+    }
+
     def __post_init__(self) -> None:
-        if self.max_features != "sqrt":
-            _check_int("max_features", self.max_features, 1)
-        _check_int("n_trees", self.n_trees, 1)
-        _check_int("min_samples_leaf", self.min_samples_leaf, 1)
-        if self.max_depth is not None:
-            _check_int("max_depth", self.max_depth, 1)
-        if not isinstance(self.bootstrap, bool):
-            raise ValueError(f"bootstrap must be true or false, got {self.bootstrap!r}")
-        _check_int("seed", self.seed)
+        check("train", self, self.FIELDS)
 
     def resolve_max_features(self, n_features: int) -> int:
         if self.max_features == "sqrt":
@@ -100,14 +93,7 @@ class TrainConfig:
         return min(self.max_features, n_features)
 
     def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_features": self.max_features,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_depth": self.max_depth,
-            "bootstrap": self.bootstrap,
-            "seed": self.seed,
-        }
+        return {name: getattr(self, name) for name in self.FIELDS}
 
 
 @dataclass(frozen=True)
@@ -329,22 +315,20 @@ def _tree_problem(tree: Tree, n_features: int, n_labels: int) -> str:
     return ""
 
 
-def _list_of(doc: dict, key: str, kind: type) -> list:
-    items = doc.get(key)
-    if not isinstance(items, list) or not all(isinstance(i, kind) for i in items):
-        raise ValueError(f"{key} must be a list of {kind.__name__}")
-    return items
+_MODEL_FIELDS = {
+    "labels": Field(STR, many=tuple, required=True),
+    "feature_schema": Field(STR, many=tuple, required=True),
+    "train_config": Field(ANY),
+    "trees": Field(ANY, many=tuple, required=True),
+}
 
 
 def load_model(path) -> RandomForest:
     """The forest ``save_model`` wrote; FlowLabError for a malformed file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        reject_unknown("model", doc, ("labels", "feature_schema", "train_config", "trees"))
-        labels = tuple(_list_of(doc, "labels", str))
-        schema = tuple(_list_of(doc, "feature_schema", str))
-        tree_docs = _list_of(doc, "trees", dict)
+            doc = check("model", json.load(fh), _MODEL_FIELDS)
+        labels, schema, tree_docs = doc["labels"], doc["feature_schema"], doc["trees"]
         config = TrainConfig(**doc.get("train_config", {}))
     except (TypeError, ValueError) as exc:
         raise FlowLabError(f"{path}: {exc}") from None

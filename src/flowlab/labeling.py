@@ -7,12 +7,11 @@ label does not depend on which endpoint happened to send the first packet.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from ipaddress import IPv4Address, IPv6Address, ip_address, ip_network
 
-from .errors import reject_unknown
+from .errors import ANY, BOOL, INT, PAIR, STR, Field, JsonDocument, check, checked
 from .meter import FlowRecord
 
 
@@ -26,26 +25,25 @@ class PortSet:
     singles: frozenset[int] = frozenset()
     ranges: tuple[tuple[int, int], ...] = ()
 
+    FIELDS = {
+        "singles": Field(INT, "[0, 65535]", many=frozenset),
+        "ranges": Field(PAIR, "[0, 65535]", many=tuple),
+    }
+
     def __post_init__(self) -> None:
-        for lo, hi in self.ranges:
-            if lo > hi:
-                raise ValueError(f"port range [{lo}, {hi}] runs backwards")
+        for name, value in check("ports", self, self.FIELDS).items():
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def parse(cls, spec) -> PortSet:
-        singles = set()
-        ranges = []
-        for item in spec:
-            if isinstance(item, int):
-                singles.add(item)
-            elif isinstance(item, (list, tuple)) and len(item) == 2:
-                ranges.append((int(item[0]), int(item[1])))
-            elif isinstance(item, str) and "-" in item:
-                lo, hi = item.split("-", 1)
-                ranges.append((int(lo), int(hi)))
-            else:
-                singles.add(int(item))
-        return cls(frozenset(singles), tuple(ranges))
+    def parse(cls, spec, where: str = "ports") -> PortSet:
+        """Ports as a rule file lists them: integers, ``[lo, hi]`` ranges
+        and ``"lo-hi"`` strings; ValueError naming ``where`` for a bad one."""
+        singles, ranges = [], []
+        for item in checked(where, spec, Field(ANY, many=tuple)):
+            item = _port_range(where, item) if isinstance(item, str) else item
+            (ranges if isinstance(item, (list, tuple)) else singles).append(item)
+        rows = cls.FIELDS
+        return cls(checked(where, singles, rows["singles"]), checked(where, ranges, rows["ranges"]))
 
     def is_wildcard(self) -> bool:
         return not self.singles and not self.ranges
@@ -58,8 +56,18 @@ class PortSet:
         return any(lo <= port <= hi for lo, hi in self.ranges)
 
 
-def _parse_networks(spec) -> tuple:
-    return tuple(ip_network(str(item), strict=False) for item in spec)
+def _port_range(where: str, text: str) -> list[int]:
+    lo, sep, hi = text.partition("-")
+    if not (sep and lo.isdecimal() and hi.isdecimal()):
+        raise ValueError(f'{where} holds {text!r}, which is not a "lo-hi" port range')
+    return [int(lo), int(hi)]
+
+
+def _network(where: str, text: str):
+    try:
+        return ip_network(text, strict=False)
+    except ValueError:
+        raise ValueError(f"{where} holds {text!r}, which is not an IP address or CIDR") from None
 
 
 @lru_cache(maxsize=65536)
@@ -87,24 +95,27 @@ class LabelRule:
     window_us: tuple[int, int] | None = None
     bidirectional: bool = True
 
+    FIELDS = {
+        "label": Field(STR, required=True),
+        "src_ips": Field(STR, many=tuple),
+        "dst_ips": Field(STR, many=tuple),
+        "src_ports": Field(ANY),
+        "dst_ports": Field(ANY),
+        "protocol": Field(INT, "[0, 255]", also=(None,)),
+        "window_us": Field(PAIR, also=(None,)),
+        "bidirectional": Field(BOOL),
+        "description": Field(STR),
+    }
+
     def __post_init__(self) -> None:
-        if not isinstance(self.label, str):
-            raise ValueError(f"rule label must be a string, got {self.label!r}")
-        if not (self.protocol is None or type(self.protocol) is int):
-            raise ValueError(f"rule {self.label!r}: protocol {self.protocol!r} is not an integer")
-        if not isinstance(self.bidirectional, bool):
-            raise ValueError(f"rule {self.label!r}: bidirectional must be true or false")
-        object.__setattr__(self, "src_ips", _parse_networks(self.src_ips))
-        object.__setattr__(self, "dst_ips", _parse_networks(self.dst_ips))
-        if not isinstance(self.src_ports, PortSet):
-            object.__setattr__(self, "src_ports", PortSet.parse(self.src_ports))
-        if not isinstance(self.dst_ports, PortSet):
-            object.__setattr__(self, "dst_ports", PortSet.parse(self.dst_ports))
-        if self.window_us is not None:
-            a, b = self.window_us
-            if a > b:
-                raise ValueError(f"rule {self.label!r}: window start after end")
-            object.__setattr__(self, "window_us", (int(a), int(b)))
+        values = check("rule", self, self.FIELDS)
+        for name in ("src_ips", "dst_ips"):
+            values[name] = tuple(_network(f"rule.{name}", ip) for ip in values[name])
+        for name in ("src_ports", "dst_ports"):
+            if not isinstance(values[name], PortSet):
+                values[name] = PortSet.parse(values[name], f"rule.{name}")
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     def _endpoints_match(self, src: tuple[str, int], dst: tuple[str, int]) -> bool:
         return (
@@ -129,43 +140,33 @@ class LabelRule:
 
     @classmethod
     def from_dict(cls, data: dict) -> LabelRule:
-        reject_unknown("rule", data, [*(f.name for f in fields(cls)), "description"])
-        window = data.get("window_us")
-        return cls(
-            label=data["label"],
-            src_ips=tuple(data.get("src_ips", ())),
-            dst_ips=tuple(data.get("dst_ips", ())),
-            src_ports=PortSet.parse(data.get("src_ports", ())),
-            dst_ports=PortSet.parse(data.get("dst_ports", ())),
-            protocol=data.get("protocol"),
-            window_us=tuple(window) if window is not None else None,
-            bidirectional=data.get("bidirectional", True),
-        )
+        values = check("rule", data, cls.FIELDS)
+        values.pop("description", None)
+        return cls(**values)
 
 
 @dataclass(frozen=True)
-class RuleSet:
+class RuleSet(JsonDocument):
     """Ordered rules with first-match-wins semantics and a default label."""
 
     rules: tuple[LabelRule, ...] = ()
     default_label: str = "BENIGN"
 
+    FIELDS = {
+        "rules": Field(ANY, many=tuple),
+        "default_label": Field(STR),
+        "description": Field(STR),
+    }
+
     def __post_init__(self) -> None:
-        if not isinstance(self.default_label, str):
-            raise ValueError(f"default_label must be a string, got {self.default_label!r}")
+        check("rules", self, self.FIELDS)
 
     @classmethod
     def from_dict(cls, data: dict) -> RuleSet:
-        reject_unknown("rules", data, ("rules", "default_label", "description"))
-        return cls(
-            rules=tuple(LabelRule.from_dict(r) for r in data.get("rules", ())),
-            default_label=data.get("default_label", "BENIGN"),
-        )
-
-    @classmethod
-    def from_json(cls, path) -> RuleSet:
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        values = check("rules", data, cls.FIELDS)
+        values.pop("description", None)
+        values["rules"] = tuple(map(LabelRule.from_dict, values.get("rules", ())))
+        return cls(**values)
 
 
 def label_flow(record: FlowRecord, rules: RuleSet) -> str:

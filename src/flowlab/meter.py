@@ -8,15 +8,13 @@ triggers while the flow is still live.
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from ipaddress import ip_address
 from typing import NamedTuple
 
-from .errors import UnsortedTraceError, reject_unknown
+from .errors import BOOL, INT, NUMBER, Field, JsonDocument, UnsortedTraceError, check
 from .trace_io import (
     PacketTrace,
     RawPacket,
@@ -241,21 +239,8 @@ class FlowSnapshot(NamedTuple):
     features: FeatureVector
 
 
-def _trigger_values(name: str, values) -> frozenset[int]:
-    """Trigger values as a set of ints >= 1; ValueError for a string in
-    place of the collection, or a bool, non-integer or smaller value."""
-    if isinstance(values, (str, bytes)):
-        raise ValueError(f"{name} must be a list of integers, not {values!r}")
-    checked = set()
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-            raise ValueError(f"{name} values must be integers >= 1, got {v!r}")
-        checked.add(int(v))
-    return frozenset(checked)
-
-
 @dataclass(frozen=True)
-class MeterConfig:
+class MeterConfig(JsonDocument):
     """Flow export policy: timeouts, FIN/RST expiration, snapshot triggers.
 
     FD targets are evaluated at packet arrivals in the microsecond domain:
@@ -277,23 +262,19 @@ class MeterConfig:
     fd_tolerance: float = 0.20
     byte_triggers: frozenset[int] = field(default_factory=frozenset)
 
+    FIELDS = {
+        "idle_timeout_s": Field(NUMBER, "(0, inf)"),
+        "active_timeout_s": Field(NUMBER, "(0, inf)"),
+        "fin_rst_expiration": Field(BOOL),
+        "pc_triggers": Field(INT, "[1, inf)", many=frozenset),
+        "fd_triggers_ms": Field(INT, "[1, inf)", many=frozenset),
+        "fd_tolerance": Field(NUMBER, "[0, 1)"),
+        "byte_triggers": Field(INT, "[1, inf)", many=frozenset),
+    }
+
     def __post_init__(self) -> None:
-        for name in ("idle_timeout_s", "active_timeout_s", "fd_tolerance"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.idle_timeout_s <= 0 or self.active_timeout_s <= 0:
-            raise ValueError("timeouts must be positive")
-        if not 0 <= self.fd_tolerance < 1:
-            raise ValueError("fd_tolerance must be in [0, 1)")
-        if not isinstance(self.fin_rst_expiration, bool):
-            raise ValueError(
-                f"fin_rst_expiration must be true or false, got {self.fin_rst_expiration!r}"
-            )
-        for name in ("pc_triggers", "fd_triggers_ms", "byte_triggers"):
-            object.__setattr__(self, name, _trigger_values(name, getattr(self, name)))
+        for name, value in check("meter", self, self.FIELDS).items():
+            object.__setattr__(self, name, value)
 
     def triggers(self) -> list[Trigger]:
         """Every configured trigger, in ``Trigger.sort_key`` order."""
@@ -304,28 +285,12 @@ class MeterConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "idle_timeout_s": self.idle_timeout_s,
-            "active_timeout_s": self.active_timeout_s,
-            "fin_rst_expiration": self.fin_rst_expiration,
-            "pc_triggers": sorted(self.pc_triggers),
-            "fd_triggers_ms": sorted(self.fd_triggers_ms),
-            "fd_tolerance": self.fd_tolerance,
-            "byte_triggers": sorted(self.byte_triggers),
-        }
+        values = {name: getattr(self, name) for name in self.FIELDS}
+        return {k: sorted(v) if isinstance(v, frozenset) else v for k, v in values.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> MeterConfig:
-        reject_unknown("meter", data, [f.name for f in fields(cls)])
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ValueError(f"bad meter config value: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, path) -> MeterConfig:
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls(**check("meter", data, cls.FIELDS))
 
 
 def _stddev(n: int, total: int, total_sq: int) -> float:

@@ -10,13 +10,12 @@ only from packet k onward.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from ipaddress import ip_address, ip_network
 
 import numpy as np
 
-from .errors import InvalidSpecError, reject_unknown
+from .errors import ANY, BOOL, INT, PAIR, STR, Field, InvalidSpecError, JsonDocument, check
 from .labeling import LabelRule, RuleSet
 from .meter import FlowId, FlowKey
 from .trace_io import (
@@ -32,6 +31,7 @@ from .trace_io import (
 )
 
 _MAX_FLOWS = 55_000  # one unique client port per flow
+_PAYLOAD = "[0, 65495]"  # the largest TCP payload an IPv4 packet holds
 
 
 @dataclass(frozen=True)
@@ -58,66 +58,38 @@ class FlowTemplate:
     # class differ in a single marker packet while totals stay comparable.
     marker_payload: tuple[int, int] | None = None
 
+    FIELDS = {
+        "label": Field(STR, required=True),
+        "flows": Field(INT, "[1, inf)", required=True),
+        "packets": Field(PAIR, "[1, inf)", required=True),
+        "payload": Field(PAIR, _PAYLOAD, required=True),
+        "iat_us": Field(PAIR, "[0, inf)", required=True),
+        "client_ips": Field(STR, many=tuple, required=True),
+        "server_ips": Field(STR, many=tuple, required=True),
+        "server_ports": Field(INT, "[0, 65535]", many=tuple, required=True),
+        "protocol": Field(INT),
+        "start_us": Field(PAIR, "[0, inf)"),
+        "tcp": Field(ANY),
+        "marker_payload": Field(PAIR, _PAYLOAD, also=(None,)),
+    }
+    TCP_FIELDS = {"handshake": Field(BOOL), "fin": Field(BOOL)}
+
     @classmethod
     def from_dict(cls, data: dict) -> FlowTemplate:
-        reject_unknown(
-            "template",
-            data,
-            (
-                "label", "flows", "packets", "payload", "iat_us", "client_ips",
-                "server_ips", "server_ports", "protocol", "start_us", "tcp",
-                "marker_payload",
-            ),
-        )
-        tcp = data.get("tcp", {})
-        reject_unknown("tcp", tcp, ("handshake", "fin"))
-        marker = data.get("marker_payload")
-        return cls(
-            label=data["label"],
-            flows=int(data["flows"]),
-            packets=tuple(data["packets"]),
-            payload=tuple(data["payload"]),
-            iat_us=tuple(data["iat_us"]),
-            client_ips=_as_str_tuple(data["client_ips"]),
-            server_ips=_as_str_tuple(data["server_ips"]),
-            server_ports=tuple(int(p) for p in _as_listish(data["server_ports"])),
-            protocol=int(data.get("protocol", PROTO_UDP)),
-            start_us=tuple(data.get("start_us", (0, 0))),
-            tcp_handshake=tcp.get("handshake", True),
-            tcp_fin=tcp.get("fin", False),
-            marker_payload=tuple(marker) if marker is not None else None,
-        )
+        values = check("template", data, cls.FIELDS)
+        tcp = check("tcp", values.pop("tcp", {}), cls.TCP_FIELDS)
+        return cls(**values, **{f"tcp_{name}": value for name, value in tcp.items()})
 
 
 @dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(JsonDocument):
     """A whole corpus: templates plus optional shared pre-divergence stats.
 
-    JSON schema::
-
-        {
-          "name": "corpus-name",
-          "divergence_at": 8,                       // optional, 1-based
-          "shared": {"payload": [40, 400],          // required with
-                     "iat_us": [1000, 30000]},      // divergence_at
-          "templates": [
-            {"label": "BENIGN", "flows": 250,
-             "packets": [18, 24],
-             "payload": [40, 400], "iat_us": [1000, 30000],
-             "client_ips": ["10.10.0.0/16"],
-             "server_ips": ["192.168.50.0/28"], "server_ports": [80, 443],
-             "protocol": 17,
-             "start_us": [0, 30000000],
-             "tcp": {"handshake": true, "fin": false}},
-            ...
-          ]
-        }
-
     Packet i of every flow draws its size and inter-arrival gap from the
-    ``shared`` ranges while i < divergence_at, and from its template's
-    ranges from packet divergence_at onward. Besides the keys shown, a
-    template may set ``marker_payload`` and the spec a ``description``; any
-    other key is rejected.
+    ``shared`` ranges while i < divergence_at (1-based), and from its
+    template's ranges from packet divergence_at onward. The JSON form is
+    given by ``FIELDS`` and ``SHARED_FIELDS`` here and by those of
+    ``FlowTemplate``; the README shows each as a table.
     """
 
     templates: tuple[FlowTemplate, ...]
@@ -126,62 +98,54 @@ class SynthSpec:
     shared_payload: tuple[int, int] | None = None
     shared_iat_us: tuple[int, int] | None = None
 
+    FIELDS = {
+        "name": Field(STR),
+        "description": Field(STR),
+        "divergence_at": Field(INT, "[1, inf)", also=(None,)),
+        "shared": Field(ANY),
+        "templates": Field(ANY, many=tuple),
+    }
+    SHARED_FIELDS = {
+        "payload": Field(PAIR, _PAYLOAD, also=(None,)),
+        "iat_us": Field(PAIR, "[0, inf)", also=(None,)),
+    }
+
     @classmethod
     def from_dict(cls, data: dict) -> SynthSpec:
-        reject_unknown(
-            "spec", data, ("name", "description", "divergence_at", "shared", "templates")
-        )
-        shared = data.get("shared", {})
-        reject_unknown("shared", shared, ("payload", "iat_us"))
+        values = check("spec", data, cls.FIELDS)
+        values.pop("description", None)
+        shared = check("shared", values.pop("shared", {}), cls.SHARED_FIELDS)
         return cls(
-            templates=tuple(FlowTemplate.from_dict(t) for t in data.get("templates", ())),
-            name=data.get("name", "synthetic"),
-            divergence_at=data.get("divergence_at"),
-            shared_payload=tuple(shared["payload"]) if "payload" in shared else None,
-            shared_iat_us=tuple(shared["iat_us"]) if "iat_us" in shared else None,
+            templates=tuple(map(FlowTemplate.from_dict, values.pop("templates", ()))),
+            shared_payload=shared.get("payload"),
+            shared_iat_us=shared.get("iat_us"),
+            **values,
         )
-
-    @classmethod
-    def from_json(cls, path) -> SynthSpec:
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def _as_listish(value):
-    return value if isinstance(value, (list, tuple)) else [value]
-
-
-def _as_str_tuple(value) -> tuple[str, ...]:
-    return tuple(str(v) for v in _as_listish(value))
 
 
 def _validate(spec: SynthSpec) -> None:
-    if not spec.templates:
-        raise InvalidSpecError("spec has no templates")
-    if spec.divergence_at is not None:
-        if spec.divergence_at < 1:
-            raise InvalidSpecError("divergence_at must be >= 1")
-        if spec.shared_payload is None or spec.shared_iat_us is None:
-            raise InvalidSpecError("divergence_at requires shared payload and iat_us")
-    total = 0
-    for t in spec.templates:
-        if t.flows < 1:
-            raise InvalidSpecError(f"template {t.label!r}: flows must be >= 1")
-        if t.packets[0] < 1 or t.packets[0] > t.packets[1]:
-            raise InvalidSpecError(f"template {t.label!r}: bad packet count range")
-        if t.payload[0] < 0 or t.payload[0] > t.payload[1]:
-            raise InvalidSpecError(f"template {t.label!r}: bad payload range")
-        if t.iat_us[0] < 0 or t.iat_us[0] > t.iat_us[1]:
-            raise InvalidSpecError(f"template {t.label!r}: bad iat range")
-        if t.protocol not in (PROTO_TCP, PROTO_UDP):
-            raise InvalidSpecError(f"template {t.label!r}: protocol must be TCP or UDP")
-        if not isinstance(t.tcp_handshake, bool) or not isinstance(t.tcp_fin, bool):
-            raise InvalidSpecError(f"template {t.label!r}: tcp flags must be true or false")
-        if not t.client_ips or not t.server_ips or not t.server_ports:
-            raise InvalidSpecError(f"template {t.label!r}: empty endpoint pool")
-        total += t.flows
-    if total > _MAX_FLOWS:
-        raise InvalidSpecError(f"{total} flows exceed the {_MAX_FLOWS} flow limit")
+    try:
+        check("spec", spec, SynthSpec.FIELDS)
+        shared = {"payload": spec.shared_payload, "iat_us": spec.shared_iat_us}
+        check("shared", shared, SynthSpec.SHARED_FIELDS)
+        if not spec.templates:
+            raise ValueError("spec has no templates")
+        if spec.divergence_at is not None and None in shared.values():
+            raise ValueError("divergence_at requires shared payload and iat_us")
+        for t in spec.templates:
+            pools = check("template", t, FlowTemplate.FIELDS)
+            check("tcp", {"handshake": t.tcp_handshake, "fin": t.tcp_fin}, FlowTemplate.TCP_FIELDS)
+            if t.protocol not in (PROTO_TCP, PROTO_UDP):
+                raise ValueError(f"template {t.label!r}: protocol must be TCP or UDP")
+            if not (pools["client_ips"] and pools["server_ips"] and pools["server_ports"]):
+                raise ValueError(f"template {t.label!r}: empty endpoint pool")
+            if len({":" in ip for ip in pools["client_ips"] + pools["server_ips"]}) > 1:
+                raise ValueError(f"template {t.label!r}: pools mix IPv4 and IPv6 addresses")
+        total = sum(t.flows for t in spec.templates)
+        if total > _MAX_FLOWS:
+            raise ValueError(f"{total} flows exceed the {_MAX_FLOWS} flow limit")
+    except ValueError as exc:
+        raise InvalidSpecError(str(exc)) from None
 
 
 def _draw_int(rng: np.random.Generator, bounds: tuple[int, int]) -> int:

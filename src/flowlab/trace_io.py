@@ -294,6 +294,8 @@ def _synthesize_frame(pkt: RawPacket) -> bytes:
         payload = payload + b"\x00" * (pkt.payload_len - len(payload))
     src = ip_address(pkt.src_ip)
     dst = ip_address(pkt.dst_ip)
+    if src.version != dst.version:
+        raise ValueError(f"cannot synthesize a frame from IPv{src.version} to IPv{dst.version}")
 
     if pkt.protocol == PROTO_TCP:
         transport = struct.pack(

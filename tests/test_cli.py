@@ -168,6 +168,35 @@ class TestSynth:
             assert _run("synth", bad, 1, workdir / "x.pcap", workdir / "x.json") == 2, doc
             assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "template,spec,field",
+        [
+            ({"packets": ["8", 30]}, {}, "template.packets"),
+            ({"packets": 3}, {}, "template.packets"),
+            ({"iat_us": [1]}, {}, "template.iat_us"),
+            ({"marker_payload": [1]}, {}, "template.marker_payload"),
+            ({}, {"divergence_at": "3"}, "spec.divergence_at"),
+            ({}, {"divergence_at": 2.5}, "spec.divergence_at"),
+            ({"server_ports": [70000]}, {}, "template.server_ports"),
+            ({"flows": 12.9}, {}, "template.flows"),
+            ({"flows": True}, {}, "template.flows"),
+            ({"protocol": 6.5}, {}, "template.protocol"),
+            ({"start_us": [5, 1]}, {}, "template.start_us"),
+            ({"client_ips": "10.0.0.1"}, {}, "template.client_ips"),
+            ({"server_ips": ["2001:db8::1"]}, {}, "IPv4 and IPv6"),
+        ],
+    )
+    def test_bad_spec_value_exit_2_names_field(self, workdir, capsys, template, spec, field):
+        bad = workdir / "bad.json"
+        doc = {**SMALL_SPEC, **spec}
+        doc["templates"] = [{**SMALL_SPEC["templates"][0], **template}]
+        bad.write_text(json.dumps(doc))
+        pcap = workdir / "x.pcap"
+        assert _run("synth", bad, 1, pcap, workdir / "x.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not pcap.exists()
+
 
 class TestMeterCmd:
     @pytest.fixture()
@@ -314,6 +343,97 @@ class TestMeterCmd:
         rules.write_text(json.dumps(doc))
         assert _run("meter", pcap, rules, workdir / "m6") == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "rule,field",
+        [
+            ({"dst_ports": "80"}, "rule.dst_ports"),
+            ({"dst_ports": ["80", 70000, 80.9]}, "rule.dst_ports"),
+            ({"dst_ports": [70000]}, "rule.dst_ports"),
+            ({"dst_ports": [80.9]}, "rule.dst_ports"),
+            ({"dst_ports": [True]}, "rule.dst_ports"),
+            ({"src_ports": [[1, 70000]]}, "rule.src_ports"),
+            ({"window_us": [1.5, 2.7]}, "rule.window_us"),
+            ({"window_us": 5}, "rule.window_us"),
+            ({"src_ips": "10.0.0.0/8"}, "rule.src_ips"),
+            ({"dst_ips": ["10.0.0.0/33"]}, "rule.dst_ips"),
+            ({"label": None}, "rule.label"),
+        ],
+    )
+    def test_bad_rule_value_exit_2_names_field(self, workdir, synth_inputs, capsys, rule, field):
+        pcap, _ = synth_inputs
+        rules = workdir / "bad_rules.json"
+        rule = {k: v for k, v in {"label": "DoS", **rule}.items() if v is not None}
+        rules.write_text(json.dumps({"rules": [rule]}))
+        out = workdir / "m8"
+        assert _run("meter", pcap, rules, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ({"split": {"seed": 9.7}}, "split.seed"),
+            ({"split": {"seed": True}}, "split.seed"),
+            ({"split": {"seed": -1}}, "split.seed"),
+            ({"split": {"ratio": "0.6"}}, "split.ratio"),
+            ({"split": {"ratio": 1.5}}, "split.ratio"),
+            ({"min_class_count": 5.9}, "pipeline.min_class_count"),
+            ({"min_class_count": -1}, "pipeline.min_class_count"),
+            ({"rules_path": 5}, "pipeline.rules_path"),
+            ({"output_dir": ["out"]}, "pipeline.output_dir"),
+        ],
+    )
+    def test_bad_pipeline_value_exit_2_names_field(
+        self, workdir, synth_inputs, capsys, doc, field
+    ):
+        pcap, rules = synth_inputs
+        pipeline = workdir / "pipeline.json"
+        pipeline.write_text(json.dumps(doc))
+        out = workdir / "m9"
+        assert _run("meter", pcap, rules, out, "--pipeline", pipeline) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    def test_min_class_count_flag_passes_the_field_check(self, workdir, synth_inputs, capsys):
+        pcap, rules = synth_inputs
+        out = workdir / "m10"
+        assert _run("meter", pcap, rules, out, "--min-class-count", -1) == 2
+        assert "pipeline.min_class_count" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["rules_path", "output_dir"])
+    def test_pipeline_paths_other_than_the_arguments_exit_2(
+        self, workdir, synth_inputs, capsys, field
+    ):
+        pcap, rules = synth_inputs
+        pipeline = workdir / "pipeline.json"
+        pipeline.write_text(json.dumps({field: str(workdir / "elsewhere")}))
+        out = workdir / "m11"
+        assert _run("meter", pcap, rules, out, "--pipeline", pipeline) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    def test_echo_passed_back_as_pipeline(self, workdir, synth_inputs, monkeypatch):
+        pcap, rules = synth_inputs
+        monkeypatch.chdir(workdir)
+        cfg = workdir / "meter.json"
+        cfg.write_text(json.dumps({"pc_triggers": [2], "fd_triggers_ms": []}))
+        argv = ("meter", pcap, rules.name, "out", "--min-class-count", 5)
+        assert _run(*argv, "--config", cfg) == 0
+        echo = workdir / "echo.json"
+        echo.write_text((workdir / "out" / "config.json").read_text())
+        # Paths that name the same files in other words still match.
+        assert _run("meter", pcap, rules, workdir / "out", "--pipeline", echo) == 0
+        assert _run(*argv, "--pipeline", echo) == 0
+        assert (workdir / "out" / "config.json").read_text() == echo.read_text()
+        assert _run(
+            "eval", "out/cf.csv", "out/pf_pc_2.csv", "res",
+            "--task", "binary", "--trees", 2, "--pipeline", echo,
+        ) == 0
 
     def test_pipeline_defaults_apply(self, workdir, synth_inputs):
         pcap, rules = synth_inputs

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,17 @@ class TestSynthTrace:
             synth_trace(
                 SynthSpec(templates=spec.templates, divergence_at=3), seed=0
             )
+
+    @pytest.mark.parametrize(
+        "client,server",
+        [(["10.0.0.1"], ["2001:db8::2"]), (["2001:db8::/120"], ["10.0.0.0/30"]),
+         (["10.0.0.1", "2001:db8::1"], ["10.0.0.2"])],
+    )
+    def test_mixed_address_families_rejected(self, client, server):
+        spec = _minimal_spec()
+        mixed = replace(spec.templates[0], client_ips=tuple(client), server_ips=tuple(server))
+        with pytest.raises(InvalidSpecError, match="IPv4 and IPv6"):
+            synth_trace(replace(spec, templates=(mixed,)), seed=0)
 
     def test_tcp_flags_pattern(self):
         spec = _minimal_spec()

@@ -253,6 +253,14 @@ class TestReadTrace:
         ]
 
 
+def test_write_trace_rejects_mixed_address_families(tmp_path):
+    pkt = RawPacket(5, "10.0.0.1", "2001:db8::2", 1, 2, 17, 0, 3, 0, b"abc")
+    path = tmp_path / "mixed.pcap"
+    with pytest.raises(ValueError, match="IPv4 to IPv6"):
+        write_trace(PacketTrace(packets=(pkt,), source="t"), path)
+    assert not path.exists()
+
+
 _ADDR4 = st.sampled_from([bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2]), bytes([192, 168, 1, 9])])
 _ADDR6 = st.sampled_from(
     [bytes.fromhex("20010db8000000000000000000000001"), bytes(15) + b"\x01", bytes(16)]
