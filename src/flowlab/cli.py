@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import trace_io
 from .errors import ANY, INT, NUMBER, STR, Field, FlowLabError, JsonDocument, check
-from .labeling import RuleSet
+from .labeling import BENIGN, RuleSet
 from .meter import MeterConfig, Trigger, meter as run_meter
 
 if TYPE_CHECKING:
@@ -202,9 +202,11 @@ def cmd_eval(args) -> int:
     from . import dataset as ds_mod, evaluation
 
     pipeline = PipelineConfig.from_json(args.pipeline) if args.pipeline else PipelineConfig()
-    seed = args.seed if args.seed is not None else pipeline.split_seed
-    ratio = args.ratio if args.ratio is not None else pipeline.split_ratio
-    trees = args.trees if args.trees is not None else pipeline.train.n_trees
+    # Through the config's own checks, so that a bad flag names its field.
+    flags = {"split_seed": args.seed, "split_ratio": args.ratio}
+    pipeline = replace(pipeline, **{k: v for k, v in flags.items() if v is not None})
+    trees = pipeline.train.n_trees if args.trees is None else args.trees
+    tc = replace(pipeline.train, n_trees=trees, seed=pipeline.split_seed)
 
     cf = ds_mod.read_csv(args.cf)
     if cf.provenance != ds_mod.CF_PROVENANCE:
@@ -233,14 +235,13 @@ def cmd_eval(args) -> int:
         else tuple(args.scenario.split(","))
     )
 
-    tc = replace(pipeline.train, n_trees=trees, seed=seed)
-    split = evaluation.split_keys(cf, ratio, seed)
+    split = evaluation.split_keys(cf, pipeline.split_ratio, pipeline.split_seed)
     report = evaluation.sweep(
         cf, family, tasks=tasks, tc=tc, split=split, kinds=kinds, n_jobs=args.jobs
     )
 
     eval_config = {
-        "split": {"ratio": ratio, "seed": seed},
+        "split": {"ratio": pipeline.split_ratio, "seed": pipeline.split_seed},
         "train": tc.to_dict(),
         "tasks": list(tasks),
         "scenarios": list(kinds),
@@ -284,7 +285,7 @@ def cmd_synth(args) -> int:
     if args.rules_out:
         rules = synth.derive_rules(spec)
         rules_doc = {
-            "default_label": rules.default_label,
+            "default_label": BENIGN,
             "rules": [
                 {
                     "label": r.label,

@@ -17,7 +17,7 @@ from typing import AbstractSet, Iterable, get_type_hints
 import numpy as np
 
 from .errors import DatasetIOError, SchemaMismatchError
-from .labeling import RuleSet, label_flow
+from .labeling import BENIGN, RuleSet, label_flow
 from .meter import FEATURE_NAMES, FeatureVector, FlowRecord, FlowSnapshot, Trigger
 
 CF_PROVENANCE = "CF"
@@ -230,10 +230,9 @@ def audit(
     "Marginally below the idle timeout" means a flow's maximum packet
     inter-arrival time falls in [0.8 * idle, idle).
     """
-    benign = rules.default_label
     zpl: dict[str, int] = {}
     payload: dict[str, int] = {}
-    fin_b = fin_a = rst_b = rst_a = 0
+    fin, rst = [0, 0], [0, 0]  # [attack, benign]
     near_idle = 0
     key_counts: dict = {}
     lo_ms = 0.8 * idle_timeout_s * 1000
@@ -245,15 +244,9 @@ def audit(
         bucket = zpl if fv.bidirectional_payload_bytes == 0 else payload
         bucket[label] = bucket.get(label, 0) + 1
         if fv.bidirectional_fin_count > 2:
-            if label == benign:
-                fin_b += 1
-            else:
-                fin_a += 1
+            fin[label == BENIGN] += 1
         if fv.bidirectional_rst_count > 2:
-            if label == benign:
-                rst_b += 1
-            else:
-                rst_a += 1
+            rst[label == BENIGN] += 1
         if lo_ms <= fv.bidirectional_max_piat_ms < hi_ms:
             near_idle += 1
         key_counts[record.id.key] = key_counts.get(record.id.key, 0) + 1
@@ -261,10 +254,10 @@ def audit(
     return AuditReport(
         zpl_counts=zpl,
         payload_counts=payload,
-        fin_gt2_benign=fin_b,
-        fin_gt2_attack=fin_a,
-        rst_gt2_benign=rst_b,
-        rst_gt2_attack=rst_a,
+        fin_gt2_benign=fin[True],
+        fin_gt2_attack=fin[False],
+        rst_gt2_benign=rst[True],
+        rst_gt2_attack=rst[False],
         piat_near_idle=near_idle,
         repeated_key_groups=sum(1 for n in key_counts.values() if n >= 2),
     )
@@ -321,7 +314,7 @@ class DistributionSummary:
         return "\n".join(lines)
 
 
-def distribution(ds: Dataset, benign_label: str = "BENIGN") -> DistributionSummary:
+def distribution(ds: Dataset) -> DistributionSummary:
     """Count/min/mean/max of duration and packet count, per label."""
     durations_col = ds.X[:, ds.feature_schema.index("duration_ms")].tolist()
     packets_col = ds.X[:, ds.feature_schema.index("bidirectional_packets")].tolist()
@@ -343,7 +336,7 @@ def distribution(ds: Dataset, benign_label: str = "BENIGN") -> DistributionSumma
             mean_packets=sum(packets) / len(packets),
             max_packets=max(packets),
         )
-    benign_total = sum(s.count for label, s in per_label.items() if label == benign_label)
+    benign_total = sum(s.count for label, s in per_label.items() if label == BENIGN)
     total = len(ds)
     return DistributionSummary(
         per_label=per_label,

@@ -50,8 +50,13 @@ class LengthMismatchError(FlowLabError):
     """y_true and y_pred differ in length."""
 
 
+_FLOAT_LIMIT = 2**1024 - 2**970  # the least integer that float() cannot convert
+
+
 def _is_int(v) -> bool:
-    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    """An integer, not a bool, that converts to a finite float."""
+    integral = type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    return integral and -_FLOAT_LIMIT < v < _FLOAT_LIMIT
 
 
 # The kinds of config value, each named by how an error message describes it.
@@ -61,7 +66,7 @@ _TESTS = {
     ANY: lambda v: True,
     INT: _is_int,
     NUMBER: lambda v: _is_int(v) or (
-        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        isinstance(v, numbers.Real) and not isinstance(v, numbers.Integral) and math.isfinite(v)
     ),
     BOOL: lambda v: isinstance(v, bool),
     STR: lambda v: isinstance(v, str),

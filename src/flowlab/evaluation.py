@@ -17,12 +17,12 @@ import numpy as np
 from .dataset import Dataset, align
 from .errors import EmptyInputError, FlowLabError, LengthMismatchError
 from .forest import RandomForest, TrainConfig, dataset_matrix, predict_matrix, train
+from .labeling import BENIGN
 from .meter import Trigger
 
 BINARY = "binary"
 MULTICLASS = "multiclass"
 ANOMALY = "ANOMALY"
-BENIGN = "BENIGN"
 
 SCENARIO_KINDS = ("CF_CF", "PF_PF", "CF_PF")
 
@@ -89,15 +89,15 @@ class Metrics:
     confusion: dict[str, dict[str, int]]
 
 
-def binarize(labels, anomaly_labels=None, benign_label: str = BENIGN) -> list[str]:
+def binarize(labels, anomaly_labels=None) -> list[str]:
     """Map labels onto {BENIGN, ANOMALY}.
 
     With an explicit ``anomaly_labels`` set, membership decides; otherwise
-    everything except ``benign_label`` is anomalous.
+    everything except ``BENIGN`` is anomalous.
     """
     if anomaly_labels is None:
-        return [benign_label if l == benign_label else ANOMALY for l in labels]
-    return [ANOMALY if l in anomaly_labels else benign_label for l in labels]
+        return [BENIGN if l == BENIGN else ANOMALY for l in labels]
+    return [ANOMALY if l in anomaly_labels else BENIGN for l in labels]
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -111,7 +111,6 @@ def compute_metrics(
     y_pred,
     task: str = BINARY,
     anomaly_labels=None,
-    benign_label: str = BENIGN,
 ) -> Metrics:
     """Precision/recall/F1 under the binary or multiclass convention.
 
@@ -129,8 +128,8 @@ def compute_metrics(
     if not y_true:
         raise EmptyInputError("empty label vectors")
     if task == BINARY:
-        y_true = binarize(y_true, anomaly_labels, benign_label)
-        y_pred = binarize(y_pred, anomaly_labels, benign_label)
+        y_true = binarize(y_true, anomaly_labels)
+        y_pred = binarize(y_pred, anomaly_labels)
     elif task != MULTICLASS:
         raise ValueError(f"unknown task {task!r}")
 
@@ -191,7 +190,7 @@ def _sides(
 def _score(forest: RandomForest, test: Dataset, task: str) -> Metrics:
     X, y_true = dataset_matrix(test)
     y_pred = predict_matrix(forest, X)
-    return compute_metrics(y_true, y_pred, task, anomaly_labels={ANOMALY})
+    return compute_metrics(y_true, y_pred, task)
 
 
 @dataclass(frozen=True)

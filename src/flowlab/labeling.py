@@ -14,6 +14,9 @@ from ipaddress import IPv4Address, IPv6Address, ip_address, ip_network
 from .errors import ANY, BOOL, INT, PAIR, STR, Field, JsonDocument, check, checked
 from .meter import FlowRecord
 
+# The label of a flow that no rule matches, and the one class binary metrics call benign.
+BENIGN = "BENIGN"
+
 
 @dataclass(frozen=True)
 class PortSet:
@@ -147,10 +150,9 @@ class LabelRule:
 
 @dataclass(frozen=True)
 class RuleSet(JsonDocument):
-    """Ordered rules with first-match-wins semantics and a default label."""
+    """Ordered rules with first-match-wins semantics; unmatched flows are ``BENIGN``."""
 
     rules: tuple[LabelRule, ...] = ()
-    default_label: str = "BENIGN"
 
     FIELDS = {
         "rules": Field(ANY, many=tuple),
@@ -164,14 +166,16 @@ class RuleSet(JsonDocument):
     @classmethod
     def from_dict(cls, data: dict) -> RuleSet:
         values = check("rules", data, cls.FIELDS)
-        values.pop("description", None)
-        values["rules"] = tuple(map(LabelRule.from_dict, values.get("rules", ())))
-        return cls(**values)
+        # The CF/PF CSVs do not record the benign class, so eval knows it by name only.
+        default = values.get("default_label", BENIGN)
+        if default != BENIGN:
+            raise ValueError(f"rules.default_label must be {BENIGN!r}, got {default!r}")
+        return cls(tuple(map(LabelRule.from_dict, values.get("rules", ()))))
 
 
 def label_flow(record: FlowRecord, rules: RuleSet) -> str:
-    """Label of the first matching rule, or the rule set's default."""
+    """Label of the first matching rule, or ``BENIGN``."""
     for rule in rules.rules:
         if rule.matches(record):
             return rule.label
-    return rules.default_label
+    return BENIGN

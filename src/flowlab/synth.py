@@ -16,7 +16,7 @@ from ipaddress import ip_address, ip_network
 import numpy as np
 
 from .errors import ANY, BOOL, INT, PAIR, STR, Field, InvalidSpecError, JsonDocument, check
-from .labeling import LabelRule, RuleSet
+from .labeling import BENIGN, LabelRule, RuleSet
 from .meter import FlowId, FlowKey
 from .trace_io import (
     PROTO_TCP,
@@ -250,21 +250,15 @@ def synth_trace(
     )
 
 
-def derive_rules(spec: SynthSpec, default_label: str = "BENIGN") -> RuleSet:
+def derive_rules(spec: SynthSpec) -> RuleSet:
     """Build a rule set labeling flows by their template's client pool.
 
-    Assumes templates with different labels use disjoint client pools, as
-    the shipped corpora do.
+    Templates labelled ``BENIGN`` get no rule. Assumes templates with
+    different labels use disjoint client pools, as the shipped corpora do.
     """
-    rules = []
-    for template in spec.templates:
-        if template.label == default_label:
-            continue
-        rules.append(
-            LabelRule(
-                label=template.label,
-                src_ips=template.client_ips,
-                protocol=template.protocol,
-            )
-        )
-    return RuleSet(rules=tuple(rules), default_label=default_label)
+    rules = (
+        LabelRule(label=t.label, src_ips=t.client_ips, protocol=t.protocol)
+        for t in spec.templates
+        if t.label != BENIGN
+    )
+    return RuleSet(tuple(rules))

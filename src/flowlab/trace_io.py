@@ -351,17 +351,21 @@ def write_trace(trace: PacketTrace, path: str | os.PathLike) -> None:
     """Write a trace as a classic little-endian microsecond pcap file.
 
     Packets carrying their original frame bytes are written back verbatim;
-    others get a synthesized Ethernet frame.
+    others get a synthesized Ethernet frame. Raises ValueError for a packet
+    whose timestamp is outside [0, 2**32) seconds.
     """
     out = bytearray()
     out += struct.pack("<IHHiIII", _MAGIC_US_LE, 2, 4, 0, 0, 262144, _LINKTYPE_ETHERNET)
-    for pkt in trace.packets:
-        frame = pkt.raw if pkt.raw is not None else _synthesize_frame(pkt)
-        wire_len = max(pkt.wire_len, len(frame))
-        out += struct.pack(
-            "<IIII", pkt.ts_us // 1_000_000, pkt.ts_us % 1_000_000, len(frame), wire_len
-        )
-        out += frame
+    try:
+        for pkt in trace.packets:
+            frame = pkt.raw if pkt.raw is not None else _synthesize_frame(pkt)
+            wire_len = max(pkt.wire_len, len(frame))
+            out += struct.pack(
+                "<IIII", pkt.ts_us // 1_000_000, pkt.ts_us % 1_000_000, len(frame), wire_len
+            )
+            out += frame
+    except struct.error as exc:
+        raise ValueError(f"pcap seconds lie in [0, 2**32); ts_us {pkt.ts_us} is outside") from None
     with open(path, "wb") as fh:
         fh.write(out)
 

@@ -184,6 +184,8 @@ class TestSynth:
             ({"start_us": [5, 1]}, {}, "template.start_us"),
             ({"client_ips": "10.0.0.1"}, {}, "template.client_ips"),
             ({"server_ips": ["2001:db8::1"]}, {}, "IPv4 and IPv6"),
+            # Loads, but past the pcap timestamp range of 2**32 seconds.
+            ({"start_us": [4294967296000000, 4294967296000001]}, {}, "ts_us 4294967296"),
         ],
     )
     def test_bad_spec_value_exit_2_names_field(self, workdir, capsys, template, spec, field):
@@ -311,6 +313,8 @@ class TestMeterCmd:
             {"active_timeout_s": True},
             {"fd_tolerance": False},
             {"active_timeout_s": float("inf")},
+            {"idle_timeout_s": 10**400},
+            {"fd_triggers_ms": [10**400]},
         ],
     )
     def test_wrongly_typed_config_values_exit_2(self, workdir, synth_inputs, doc, capsys):
@@ -343,6 +347,27 @@ class TestMeterCmd:
         rules.write_text(json.dumps(doc))
         assert _run("meter", pcap, rules, workdir / "m6") == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_benign_class_other_than_benign_exit_2(self, workdir, synth_inputs, capsys):
+        # The CF/PF files do not record the benign class, so eval could not follow it.
+        pcap, _ = synth_inputs
+        rules = workdir / "normal_rules.json"
+        rules.write_text(json.dumps({"default_label": "NORMAL", "rules": []}))
+        out = workdir / "m12"
+        assert _run("meter", pcap, rules, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rules.default_label" in err
+        assert not out.exists()
+
+    def test_benign_totals_agree(self, workdir, synth_inputs):
+        pcap, rules = synth_inputs
+        out = workdir / "m13"
+        assert _run("meter", pcap, rules, out, "--min-class-count", 5) == 0
+        benign_rows = read_csv(out / "cf.csv").label_counts()["BENIGN"]
+        dist = json.loads((out / "distribution.json").read_text())
+        audit = json.loads((out / "audit.json").read_text())
+        assert dist["CF"]["totals"]["benign"] == benign_rows == 30
+        assert audit["payload_counts"]["BENIGN"] == benign_rows
 
     @pytest.mark.parametrize(
         "rule,field",
@@ -555,6 +580,23 @@ class TestEvalCmd:
         )
         assert rc == 2
         assert "n_jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--seed", -1, "split.seed"),
+            ("--ratio", 1.5, "split.ratio"),
+            ("--ratio", 0, "split.ratio"),
+            ("--trees", 0, "train.n_trees"),
+        ],
+    )
+    def test_bad_flag_exit_2_names_field(self, workdir, metered, flag, value, field, capsys):
+        out = workdir / "e11"
+        rc = _run("eval", metered / "cf.csv", metered / "pf_pc_2.csv", out, flag, value)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
         assert not out.exists()
 
     def test_pipeline_train_settings_apply(self, workdir, metered):

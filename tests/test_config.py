@@ -75,11 +75,14 @@ def _paths(doc, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
+# Integers that float() cannot convert.
+_UNFLOATABLE = st.sampled_from([10**400, -(10**400), 2**1024 - 2**970])
 _SCALARS = (
     st.none()
     | st.booleans()
     | st.integers()
     | st.sampled_from([-1, 0, 1, 2, 65535, 65536, 2**53 + 1, 2**64, 1_499_262_180_000_000])
+    | _UNFLOATABLE
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.text(max_size=6)
     | st.sampled_from(["sqrt", "80", "1-2", "2-1", "10.0.0.0/8", "::1", "true", "6"])
@@ -105,7 +108,8 @@ def test_any_value_for_any_field_loads_or_raises_value_error(kind, data):
     doc, load = DOCUMENTS[kind]
     doc = copy.deepcopy(doc)
     *parents, last = data.draw(st.sampled_from(list(_paths(doc))))
-    value = data.draw(_JSON)
+    # As often as all other values together: few fields take them, and each must refuse.
+    value = data.draw(_JSON | _UNFLOATABLE)
     target = doc
     for key in parents:
         target = target[key]
@@ -114,7 +118,18 @@ def test_any_value_for_any_field_loads_or_raises_value_error(kind, data):
         load(doc)
     except (ValueError, FlowLabError):
         pass
-    if isinstance(value, float) and not math.isfinite(value):
-        # No field takes an infinite or NaN number; such a value must not load.
+    if not _finite(value):
+        # No field takes an infinite or NaN number, nor an integer that
+        # float() cannot convert; such a value must not load.
         with pytest.raises((ValueError, FlowLabError)):
             load(doc)
+
+
+def _finite(value) -> bool:
+    """False for a float or int that is no finite float, True for anything else."""
+    if isinstance(value, (int, float)):
+        try:
+            return math.isfinite(float(value))
+        except OverflowError:
+            return False
+    return True

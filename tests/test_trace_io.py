@@ -261,6 +261,15 @@ def test_write_trace_rejects_mixed_address_families(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("ts_us", [-1, 2**32 * 1_000_000])
+def test_write_trace_rejects_timestamps_outside_the_pcap_range(tmp_path, ts_us):
+    pkt = RawPacket(ts_us, "10.0.0.1", "10.0.0.2", 1, 2, 17, 0, 3, 0, b"abc")
+    path = tmp_path / "far.pcap"
+    with pytest.raises(ValueError, match=f"ts_us {ts_us} is outside"):
+        write_trace(PacketTrace(packets=(pkt,), source="t"), path)
+    assert not path.exists()
+
+
 _ADDR4 = st.sampled_from([bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2]), bytes([192, 168, 1, 9])])
 _ADDR6 = st.sampled_from(
     [bytes.fromhex("20010db8000000000000000000000001"), bytes(15) + b"\x01", bytes(16)]
