@@ -358,7 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="split and training seed (default 0)")
     p.add_argument("--ratio", type=float, default=None, help="train fraction (default 0.70)")
     p.add_argument("--trees", type=int, default=None, help="trees per forest (default 100)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel tree training")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="threads training each forest, each growing a contiguous group of its trees "
+        "in lockstep; the forests are identical for any value",
+    )
     p.add_argument("--pipeline", help="pipeline config JSON supplying defaults")
     p.set_defaults(handler=cmd_eval)
 

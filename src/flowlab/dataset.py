@@ -373,12 +373,20 @@ def read_csv(path) -> Dataset:
     """Read a dataset written by write_csv.
 
     Raises SchemaMismatchError when the header does not carry the expected
-    feature schema, DatasetIOError on unreadable or inconsistent files.
-    Rows are parsed a block at a time, so only one block's cell strings are
-    held at once.
+    feature schema, DatasetIOError on unreadable or inconsistent files and
+    on a cell that is no integer in an integer column or no finite number in
+    a float column. Rows are parsed a block at a time, so only one block's
+    cell strings are held at once.
     """
     expected = list(FEATURE_NAMES) + ["label", "flow_hash", "provenance"]
     parsers = [int if name in _INT_FIELDS else float for name in FEATURE_NAMES]
+
+    def parse(name: str, parser, cells) -> list:
+        try:
+            return list(map(parser, cells))
+        except ValueError as exc:
+            raise DatasetIOError(f"{path}: column {name}: {exc}") from None
+
     hashes: list[int] = []
     labels: list[str] = []
     blocks: list[np.ndarray] = []
@@ -399,13 +407,17 @@ def read_csv(path) -> Dataset:
                     if len(row) != len(expected):
                         raise DatasetIOError(f"{path}: row with {len(row)} cells")
                 columns = list(zip(*block))
-                parsed = [list(map(p, c)) for p, c in zip(parsers, columns)]
+                parsed = [parse(*args) for args in zip(FEATURE_NAMES, parsers, columns)]
                 try:
                     blocks.append(np.array(parsed, dtype=np.float64).T)
                 except OverflowError:
                     raise DatasetIOError(f"{path}: a feature value is out of range") from None
+                finite = np.isfinite(blocks[-1]).all(axis=0)
+                if not finite.all():
+                    name = FEATURE_NAMES[int(finite.argmin())]
+                    raise DatasetIOError(f"{path}: column {name}: a value is not finite")
                 labels += columns[-3]
-                hashes += map(int, columns[-2])
+                hashes += parse("flow_hash", int, columns[-2])
                 provenances.update(columns[-1])
     except OSError as exc:
         raise DatasetIOError(f"cannot read dataset {path}: {exc}") from exc

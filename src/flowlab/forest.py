@@ -5,12 +5,18 @@ feature subsets, voting by plurality. Training is deterministic for a given
 (dataset, config) pair: each tree derives its own RNG from the config seed
 and the tree index, so serial and parallel training produce identical
 forests.
+
+The trees of a forest grow in lockstep: each step takes the next node of
+every tree and scores all of them in one segmented search over per-feature
+value ranks, so numpy's per-call cost is paid once per step rather than once
+per node. Each tree comes out as if grown alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -104,96 +110,184 @@ class RandomForest:
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
 
-def _best_split(
+def _dense_ranks(XT: np.ndarray) -> np.ndarray:
+    """Each value of the feature-major ``XT`` as its dense rank within its
+    feature: equal values share a rank, so ranks order and tie as values do."""
+    order = XT.argsort(axis=1)
+    sv = np.take_along_axis(XT, order, axis=1)
+    dense = np.zeros(XT.shape, dtype=np.int32)
+    np.cumsum(sv[:, 1:] != sv[:, :-1], axis=1, out=dense[:, 1:])
+    rank = np.empty_like(dense)
+    np.put_along_axis(rank, order, dense, axis=1)
+    return rank
+
+
+def _search(
     XT: np.ndarray,
+    rank: np.ndarray,
     y: np.ndarray,
-    idx: np.ndarray,
     counts: np.ndarray,
-    parent_gini: float,
     features: np.ndarray,
+    rows_list: list[np.ndarray],
     min_samples_leaf: int,
-) -> tuple[int, float] | None:
-    """Best-Gini-gain ``(feature, threshold)`` split of rows ``idx``, or None.
+) -> list[tuple | None]:
+    """Best-Gini-gain split of every node in ``rows_list``, in one pass.
 
-    Every sampled feature is scored in one pass: row ``j`` of each
-    ``m x n`` array holds feature ``features[j]`` over the node's rows sorted
-    by that feature, and the gains at all ``n - 1`` cut positions form one
-    ``m x (n - 1)`` array. Positions inside a run of equal values, or that
-    leave fewer than ``min_samples_leaf`` rows on a side, score -1. Ties
-    resolve as in a feature-by-feature scan: the first best cut within a
-    feature, and the first feature, in sampled order, to reach the best gain.
+    Node ``c`` holds rows ``rows_list[c]``, label counts ``counts[c]`` and
+    sampled features ``features[c]``. Slot ``s`` sorts every node's rows by
+    the key (node, rank of its slot-``s`` feature), so row ``s`` of each
+    ``m x T`` array lays the nodes' sorted values side by side, and label
+    counts restart at each node. Each cut's gain is the single-node formula
+    applied element by element, so it has the same bits whatever else shares
+    the pass. Cuts inside a run of equal values, or that leave fewer than
+    ``min_samples_leaf`` rows on a side, score -1. Ties resolve as in a
+    feature-by-feature scan: the first best cut within a slot, then the
+    first slot, in sampled order, to reach the best gain.
+
+    Returns per node None, when no cut gains, or the feature, the threshold,
+    and its rows in the winning slot's order cut into those ``<=`` the
+    threshold and the rest. The order of a node's rows changes none of its
+    gains.
     """
-    n = len(idx)
-    cols = XT[features[:, None], idx]
-    order = np.argsort(cols, axis=1, kind="stable")
-    sv = np.take_along_axis(cols, order, axis=1)
-    onehot = y[idx][order][:, :, None] == np.arange(len(counts))
-    left = onehot.cumsum(axis=1, dtype=float)[:, :-1]
-    right = counts - left
-    n_left = np.arange(1, n, dtype=float)
+    sizes = counts.sum(axis=1)
+    parent_gini = 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    rows = np.concatenate(rows_list)
+    total = len(rows)
+    nodes = np.arange(len(rows_list))
+    node = np.repeat(nodes, sizes)
+    n_rows = rank.shape[1]
+    key = rank.ravel()[np.repeat(features.T * n_rows, sizes, axis=1) + rows] + node * n_rows
+    order = key.argsort(axis=1)
+    sorted_rows = rows[order]
+    key = key[np.arange(len(key))[:, None], order]
+    # Cumulative label counts, labels x slots x rows, less those of the
+    # nodes before: exact integers, so the same numbers as float counts.
+    left = np.cumsum(y[sorted_rows] == np.arange(counts.shape[1])[:, None, None], axis=2)
+    through = np.cumsum(counts, axis=0).T
+    right = np.repeat(through, sizes, axis=1)[:, None] - left
+    left -= np.repeat(through - counts.T, sizes, axis=1)[:, None]
+    n = sizes[node]
+    n_left = np.arange(1.0, total + 1.0) - starts[node]
     n_right = n - n_left
-    gini_left = 1.0 - (left**2).sum(axis=2) / n_left**2
-    gini_right = 1.0 - (right**2).sum(axis=2) / n_right**2
+    gini_left = 1.0 - np.square(left, out=left).sum(axis=0) / n_left**2
+    # n_right is 0 only at a node's last row, which is never a valid cut.
+    gini_right = 1.0 - np.square(right, out=right).sum(axis=0) / np.maximum(n_right, 1.0) ** 2
     weighted = (n_left * gini_left + n_right * gini_right) / n
-    boundary = sv[:, 1:] != sv[:, :-1]
-    valid = boundary & (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-    gains = np.where(valid, parent_gini - weighted, -1.0)
-    cut = gains.argmax(axis=1)
-    best = gains[np.arange(len(features)), cut]
-    j = int(best.argmax())
-    if not best[j] > 0.0:
-        return None
+    # A node's last row differs in key from the next node's first: that
+    # boundary lies outside every valid cut and every count below.
+    boundary = np.ones(key.shape, dtype=bool)
+    np.not_equal(key[:, 1:], key[:, :-1], out=boundary[:, :-1])
+    valid = boundary & (np.minimum(n_left, n_right) >= min_samples_leaf)
+    gains = np.where(valid, parent_gini[node] - weighted, -1.0)
+    best = np.maximum.reduceat(gains, starts, axis=1)
+    slot = best.argmax(axis=0)
+    gain = best[slot, nodes]
+    position = np.arange(total)
+    win = slot[node] * total + position  # the winning slot's entries, flat
+    cut = np.minimum.reduceat(
+        np.where(gains.ravel()[win] == gain[node], position, total), starts
+    )
+    win_rows = sorted_rows.ravel()[win]
+    is_boundary = boundary.ravel()[win]
+    before = np.cumsum(is_boundary) - is_boundary
     # Known defect, kept so that results stay reproducible: the threshold
-    # takes the winning cut's rank k among the feature's value boundaries as
-    # a position in sv. With tied values, sv[k] and sv[k + 1] lie below the
-    # scored cut, so the split made is not the one whose gain won and may
-    # leave fewer than min_samples_leaf rows on a side.
-    k = int(np.count_nonzero(boundary[j, : cut[j]]))
-    return int(features[j]), float((sv[j, k] + sv[j, k + 1]) / 2)
+    # takes the winning cut's rank k among the node's value boundaries as a
+    # position in its sorted values. With tied values, positions k and k + 1
+    # lie below the scored cut, so the split made is not the one whose gain
+    # won and may leave fewer than min_samples_leaf rows on a side.
+    k = starts + before[cut] - before[starts]
+    feature = features[nodes, slot]
+    threshold = (XT[feature, win_rows[k]] + XT[feature, win_rows[k + 1]]) / 2
+    ends = starts + np.add.reduceat(XT[feature[node], win_rows] <= threshold[node], starts)
+    bounds = zip(starts.tolist(), ends.tolist(), (starts + sizes).tolist())
+    return [
+        (f, t, win_rows[s:e], win_rows[e:z]) if g > 0.0 else None
+        for g, f, t, (s, e, z) in zip(gain.tolist(), feature.tolist(), threshold.tolist(), bounds)
+    ]
 
 
-def _grow(XT: np.ndarray, y: np.ndarray, n_labels: int, config: TrainConfig, index: int) -> Tree:
-    """Grow tree ``index`` of a forest over the feature-major matrix ``XT``.
+def _grow(
+    XT: np.ndarray,
+    rank: np.ndarray,
+    y: np.ndarray,
+    n_labels: int,
+    config: TrainConfig,
+    indices: range,
+) -> list[Tree]:
+    """Grow trees ``indices`` of a forest in lockstep over ``XT`` and its ranks.
 
-    The tree's own RNG draws the bootstrap sample, if any, and then each
-    node's features. Nodes are expanded in preorder (a node, then its whole
-    left subtree, then its right subtree), which fixes the order of those
-    draws and makes a split's left child the node after it. A right child
-    learns its index when it is popped. An explicit stack keeps deep trees
-    clear of the interpreter's recursion limit.
+    Each tree's own RNG draws its bootstrap sample, if any, and then each
+    node's features. Every tree expands its nodes in preorder (a node, then
+    its whole left subtree, then its right subtree), which fixes the order of
+    those draws and makes a split's left child the node after it; a right
+    child learns its index when it is popped. Each step pops the next node of
+    every tree still growing and scores those that may split with one
+    ``_search`` per batch of at most twice the training rows, so the search's
+    arrays do not grow with the number of trees. An explicit stack per tree
+    keeps deep trees clear of the interpreter's recursion limit.
     """
-    rng = np.random.Generator(np.random.PCG64(tree_seed(config.seed, index)))
-    idx = rng.integers(0, len(y), size=len(y)) if config.bootstrap else np.arange(len(y))
-    n_features = XT.shape[0]
+    n_features, n = XT.shape
     m = config.resolve_max_features(n_features)
     msl = config.min_samples_leaf
-    nodes: list[list] = []  # [feature, threshold, left, right, value] per node
-    stack = [(idx, 0, -1)]  # rows, depth, the split this is the right child of
-    while stack:
-        idx, depth, parent = stack.pop()
-        node = len(nodes)
-        if parent >= 0:
-            nodes[parent][3] = node
-        counts = np.bincount(y[idx], minlength=n_labels)
-        n = len(idx)
-        split = None
-        if not (
-            np.count_nonzero(counts) <= 1
-            or (config.max_depth is not None and depth >= config.max_depth)
-            or n < 2 * msl
+    max_depth = math.inf if config.max_depth is None else config.max_depth
+    rngs = [np.random.Generator(np.random.PCG64(tree_seed(config.seed, i))) for i in indices]
+    # Per tree: pending (rows, depth, the split this is the right child of),
+    # rows 32-bit because every tree holds up to n of them at once.
+    stacks = []
+    for rng in rngs:
+        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        stacks.append([(rows.astype(np.int32), 0, -1)])
+    # Per tree, the columns of its Tree so far, 8 bytes per node each.
+    trees = [tuple(array(code) for code in "qdqqq") for _ in indices]
+    live = list(range(len(indices)))
+    while live := [t for t in live if stacks[t]]:
+        popped = [stacks[t].pop() for t in live]
+        rows_list = [rows for rows, _, _ in popped]
+        sizes = np.array([len(rows) for rows in rows_list])
+        node = np.repeat(np.arange(len(popped)), sizes)
+        counts = np.bincount(
+            node * n_labels + y[np.concatenate(rows_list)], minlength=len(popped) * n_labels
+        ).reshape(len(popped), n_labels)
+        depth = np.array([d for _, d, _ in popped])
+        tries = np.flatnonzero(
+            (counts.max(axis=1) < sizes) & (depth < max_depth) & (sizes >= 2 * msl)
+        )
+        batches, room = [], 0  # of at most 2n rows; no node holds more than n
+        for c in tries.tolist():
+            if sizes[c] > room:
+                batches.append([])
+                room = 2 * n
+            batches[-1].append(c)
+            room -= sizes[c]
+        splits = {}
+        for batch in batches:
+            features = np.array(
+                [rngs[live[c]].choice(n_features, size=m, replace=False) for c in batch]
+            )
+            rows = [rows_list[c] for c in batch]
+            found = _search(XT, rank, y, counts[batch], features, rows, msl)
+            splits.update(zip(batch, found))
+        for c, (t, (_, d, parent), value) in enumerate(
+            zip(live, popped, counts.argmax(axis=1).tolist())
         ):
-            parent_gini = 1.0 - float(((counts / n) ** 2).sum())
-            features = rng.choice(n_features, size=m, replace=False)
-            split = _best_split(XT, y, idx, counts, parent_gini, features, msl)
-        if split is None:
-            nodes.append([-1, 0.0, -1, -1, int(counts.argmax())])
-            continue
-        nodes.append([split[0], split[1], node + 1, -1, -1])
-        mask = XT[split[0], idx] <= split[1]
-        stack.append((idx[~mask], depth + 1, node))
-        stack.append((idx[mask], depth + 1, -1))
-
-    return Tree(*zip(*nodes))
+            columns = trees[t]
+            i = len(columns[0])
+            if parent >= 0:
+                columns[3][parent] = i
+            split = splits.get(c)
+            if split is None:
+                entry = (-1, 0.0, -1, -1, value)
+            else:
+                feature, threshold, left, right = split
+                entry = (feature, threshold, i + 1, -1, -1)
+                # A right child waits while the left subtree grows: copy it
+                # out of the batch's arrays so they are freed.
+                stacks[t].append((right.copy(), d + 1, i))
+                stacks[t].append((left, d + 1, -1))
+            for column, x in zip(columns, entry):
+                column.append(x)
+    return [Tree(*columns) for columns in trees]
 
 
 def dataset_matrix(ds: Dataset) -> tuple[np.ndarray, list[str]]:
@@ -204,7 +298,13 @@ def dataset_matrix(ds: Dataset) -> tuple[np.ndarray, list[str]]:
 def train(ds: Dataset, config: TrainConfig | None = None, n_jobs: int = 1) -> RandomForest:
     """Train a forest; bit-identical results for any ``n_jobs`` >= 1.
 
-    Raises ValueError when ``n_jobs`` is below 1.
+    Each of ``n_jobs`` threads grows a contiguous group of the trees in
+    lockstep (see ``_grow``). Every tree depends only on the data, the config
+    and its index, so the grouping changes nothing. A feature value of -0.0
+    trains as 0.0; the two route every sample alike.
+
+    Raises ValueError when ``n_jobs`` is below 1 or a feature value is not
+    finite: the split search orders values, and NaN has no order.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -213,27 +313,29 @@ def train(ds: Dataset, config: TrainConfig | None = None, n_jobs: int = 1) -> Ra
     if len(ds) == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
     X, label_list = dataset_matrix(ds)
+    finite = np.isfinite(X).all(axis=0)
+    if not finite.all():
+        name = ds.feature_schema[int(finite.argmin())]
+        raise ValueError(f"cannot train on non-finite values of feature {name}")
     labels = tuple(sorted(set(label_list)))
     label_to_index = {label: i for i, label in enumerate(labels)}
     y = np.array([label_to_index[label] for label in label_list], dtype=np.int64)
-    XT = np.ascontiguousarray(X.T)
+    XT = np.add(X.T, 0.0, order="C")  # a C-ordered copy, with -0.0 made 0.0
+    rank = _dense_ranks(XT)
 
-    if n_jobs > 1:
+    def grow(group: np.ndarray) -> list[Tree]:
+        return _grow(XT, rank, y, len(labels), config, range(group[0], group[-1] + 1))
+
+    groups = [g for g in np.array_split(np.arange(config.n_trees), n_jobs) if len(g)]
+    if len(groups) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            trees = tuple(
-                pool.map(
-                    lambda i: _grow(XT, y, len(labels), config, i),
-                    range(config.n_trees),
-                )
-            )
+        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+            trees = [tree for group in pool.map(grow, groups) for tree in group]
     else:
-        trees = tuple(
-            _grow(XT, y, len(labels), config, i) for i in range(config.n_trees)
-        )
+        trees = grow(groups[0])
     return RandomForest(
-        trees=trees,
+        trees=tuple(trees),
         feature_schema=ds.feature_schema,
         labels=labels,
         train_config=config,

@@ -571,6 +571,26 @@ class TestEvalCmd:
             err = capsys.readouterr().err
             assert str(metered / named) in err and "provenance" in err
 
+    @pytest.mark.parametrize(
+        "column,cell",
+        [
+            ("duration_ms", "nan"),
+            ("duration_ms", "1e999"),
+            ("bidirectional_packets", "nan"),
+            ("flow_hash", "abc"),
+        ],
+    )
+    def test_bad_cell_exit_2_names_file_and_column(self, workdir, metered, column, cell, capsys):
+        header, first, *rest = (metered / "pf_pc_3.csv").read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = cell
+        bad = metered / "pf_edited.csv"
+        bad.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        out = workdir / "e12"
+        assert _run("eval", metered / "cf.csv", bad, out, "--task", "binary", "--trees", 2) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: column {column}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_exit_2(self, workdir, metered, jobs, capsys):
         out = workdir / "e8"

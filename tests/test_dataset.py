@@ -424,7 +424,24 @@ class TestCsv:
             (lambda rows: rows + [rows[1][:-1]], DatasetIOError, "row with 48 cells"),
             (lambda rows: rows[:2] + [rows[2][:-1] + ["PC=2"]], DatasetIOError, "mixed"),
             (lambda rows: rows + [rows[1]], DatasetIOError, "duplicate flow hash"),
-            (lambda rows: _first_row_with(rows, 1, "1.5"), ValueError, "1.5"),  # int column
+            # An int column, a float column and flow_hash: each names its column.
+            *(
+                pytest.param(
+                    lambda rows, c=column, v=cell: _first_row_with(rows, c, v),
+                    DatasetIOError,
+                    match,
+                    id=f"{kind}_{cell}",
+                )
+                for kind, column, cell, match in [
+                    ("int_column", 1, "1.5", "column bidirectional_packets: .*'1.5'"),
+                    ("int_column", 1, "nan", "column bidirectional_packets: .*'nan'"),
+                    ("float_column", 0, "nan", "column duration_ms: a value is not finite"),
+                    ("float_column", 0, "-inf", "column duration_ms: a value is not finite"),
+                    ("float_column", 4, "1e999", "column bidirectional_min_ps: .*not finite"),
+                    ("flow_hash", -2, "nan", "column flow_hash: .*'nan'"),
+                    ("flow_hash", -2, "abc", "column flow_hash: .*'abc'"),
+                ]
+            ),
             (lambda rows: _first_row_with(rows, 1, "9" * 400), DatasetIOError, "range"),
             (lambda rows: _first_row_with(rows, -2, "-1"), DatasetIOError, "64-bit"),
             (lambda rows: _first_row_with(rows, -2, str(2**64)), DatasetIOError, "64-bit"),

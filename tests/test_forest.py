@@ -3,10 +3,14 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowlab import forest as forest_module
 from flowlab.dataset import Dataset, build_cf
 from flowlab.errors import EmptyDatasetError, FlowLabError, SchemaMismatchError
 from flowlab.forest import (
@@ -105,6 +109,13 @@ class TestTrain:
         with pytest.raises(EmptyDatasetError):
             train(_toy_dataset([]), TrainConfig(n_trees=1))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, value):
+        # The split search ranks each feature's values, and NaN has no rank.
+        ds = _toy_dataset([(1.0, 2.0, "A"), (3.0, value, "B")])
+        with pytest.raises(ValueError, match="non-finite values of feature y"):
+            train(ds, TrainConfig(n_trees=1))
+
     def test_determinism_runs_and_parallelism(self):
         ds = _separable(40, seed=9)
         tc = TrainConfig(n_trees=12, seed=11)
@@ -185,6 +196,93 @@ def test_trees_equal_reference(min_samples_leaf, max_depth, bootstrap, n_labels,
         seed=7,
     )
     assert train(ds, tc, n_jobs=n_jobs).trees == reference_train(ds, tc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rows=st.integers(1, 40),
+    n_features=st.integers(1, 4),
+    n_labels=st.integers(2, 9),
+    n_trees=st.integers(1, 12),
+    n_jobs=st.integers(1, 3),
+    min_samples_leaf=st.sampled_from((1, 3)),
+    max_depth=st.sampled_from((None, 2)),
+    bootstrap=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trees_equal_reference_at_any_lockstep_width(
+    n_rows, n_features, n_labels, n_trees, n_jobs, min_samples_leaf, max_depth, bootstrap, seed
+):
+    # n_jobs splits the trees into groups grown in lockstep, of unequal size
+    # whenever n_jobs does not divide n_trees; each tree must not notice.
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, size=(n_rows, n_features)).astype(float)
+    labels = [f"L{c}" for c in rng.integers(0, n_labels, size=n_rows)]
+    ds = Dataset("toy", range(n_rows), X, labels, feature_schema=tuple("abcd"[:n_features]))
+    tc = TrainConfig(
+        n_trees=n_trees,
+        max_features=rng.integers(1, n_features + 1).item(),
+        min_samples_leaf=min_samples_leaf,
+        max_depth=max_depth,
+        bootstrap=bootstrap,
+        seed=seed,
+    )
+    assert train(ds, tc, n_jobs=n_jobs).trees == reference_train(ds, tc)
+
+
+@pytest.fixture()
+def searches(monkeypatch):
+    """(row count, found a split) of each node, per call of the batched
+    split search, for the trainings made in the test."""
+    calls = []
+    search = forest_module._search
+
+    def recorded(XT, rank, y, counts, features, rows_list, min_samples_leaf):
+        found = search(XT, rank, y, counts, features, rows_list, min_samples_leaf)
+        calls.append([(len(rows), split is not None) for rows, split in zip(rows_list, found)])
+        return found
+
+    monkeypatch.setattr(forest_module, "_search", recorded)
+    return calls
+
+
+def test_search_with_and_without_a_valid_cut(searches):
+    # Feature y is constant, so a node that samples only y has no valid cut
+    # and becomes a leaf, beside nodes in the same search that split on x.
+    ds = _toy_dataset([(float(i % 4), 7.0, "AB"[i % 4 // 2 ^ i % 3 // 2]) for i in range(40)])
+    tc = TrainConfig(n_trees=8, max_features=1, seed=2)
+    assert train(ds, tc).trees == reference_train(ds, tc)
+    assert any({split for _, split in call} == {True, False} for call in searches)
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 3])
+def test_node_of_twice_min_samples_leaf(searches, min_samples_leaf):
+    # A node of exactly 2 * min_samples_leaf rows has a single cut that
+    # leaves enough rows on both sides; it is scored beside other nodes.
+    ds = _toy_dataset([(float(i % 7), float(i % 3), "ABA"[i % 5 // 2]) for i in range(60)])
+    tc = TrainConfig(n_trees=6, min_samples_leaf=min_samples_leaf, seed=5)
+    assert train(ds, tc, n_jobs=2).trees == reference_train(ds, tc)
+    assert any(
+        len(call) > 1 and any(n == 2 * min_samples_leaf for n, _ in call) for call in searches
+    )
+
+
+def test_training_memory_does_not_grow_with_the_number_of_trees():
+    # Trees grow in lockstep, but each split search takes at most twice the
+    # training rows: 20 trees must peak near 1 tree, not near 20 of them.
+    rng = np.random.default_rng(0)
+    X = np.repeat(rng.integers(0, 20, size=(1000, 1)), 6, axis=1).astype(float)
+    ds = Dataset("toy", range(1000), X, [f"L{int(v) // 5}" for v in X[:, 0]], tuple("abcdef"))
+
+    def peak(n_trees: int) -> int:
+        tracemalloc.start()
+        try:
+            train(ds, TrainConfig(n_trees=n_trees, seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20) <= 3 * peak(1)
 
 
 class TestTrainConfig:
