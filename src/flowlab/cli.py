@@ -362,8 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="threads training each forest, each growing a contiguous group of its trees "
-        "in lockstep; the forests are identical for any value",
+        help="threads training the forests, each growing a contiguous range of the tree "
+        "indices of every forest; the forests are identical for any value, but 2 is "
+        "slower than 1 (16 train sides of 140 rows on 2 cores: 0.51 s against 0.34 s "
+        "at 10 trees, 4.0 s against 2.8 s at 100)",
     )
     p.add_argument("--pipeline", help="pipeline config JSON supplying defaults")
     p.set_defaults(handler=cmd_eval)

@@ -6,8 +6,9 @@ feature subsets, voting by plurality. Training is deterministic for a given
 and the tree index, so serial and parallel training produce identical
 forests.
 
-The trees of a forest grow in lockstep: each step takes the next node of
-every tree and scores all of them in one segmented search over per-feature
+``train`` grows many forests at once, one per dataset, in lockstep: each
+step takes the next node of every tree of every forest whose dataset has as
+many labels, and scores all of them in one segmented search over per-feature
 value ranks, so numpy's per-call cost is paid once per step rather than once
 per node. Each tree comes out as if grown alone.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -110,16 +112,15 @@ class RandomForest:
     train_config: TrainConfig = field(default_factory=TrainConfig)
 
 
-def _dense_ranks(XT: np.ndarray) -> np.ndarray:
-    """Each value of the feature-major ``XT`` as its dense rank within its
-    feature: equal values share a rank, so ranks order and tie as values do."""
+def _dense_ranks(XT: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out`` each value of the feature-major ``XT`` as its dense
+    rank within its feature: equal values share a rank, so ranks order and
+    tie as values do."""
     order = XT.argsort(axis=1)
     sv = np.take_along_axis(XT, order, axis=1)
     dense = np.zeros(XT.shape, dtype=np.int32)
     np.cumsum(sv[:, 1:] != sv[:, :-1], axis=1, out=dense[:, 1:])
-    rank = np.empty_like(dense)
-    np.put_along_axis(rank, order, dense, axis=1)
-    return rank
+    np.put_along_axis(out, order, dense, axis=1)
 
 
 def _search(
@@ -198,7 +199,13 @@ def _search(
     # won and may leave fewer than min_samples_leaf rows on a side.
     k = starts + before[cut] - before[starts]
     feature = features[nodes, slot]
-    threshold = (XT[feature, win_rows[k]] + XT[feature, win_rows[k + 1]]) / 2
+    a, b = XT[feature, win_rows[k]], XT[feature, win_rows[k + 1]]
+    with np.errstate(over="ignore"):
+        mid = (a + b) / 2
+    # The midpoint of two values past half the float range overflows, and
+    # that of two adjacent floats may round to b: either would send every
+    # row to one side, so such a cut splits at a.
+    threshold = np.where((a < mid) & (mid < b), mid, a)
     ends = starts + np.add.reduceat(XT[feature[node], win_rows] <= threshold[node], starts)
     bounds = zip(starts.tolist(), ends.tolist(), (starts + sizes).tolist())
     return [
@@ -213,34 +220,42 @@ def _grow(
     y: np.ndarray,
     n_labels: int,
     config: TrainConfig,
+    bounds: list[tuple[int, int]],
     indices: range,
-) -> list[Tree]:
-    """Grow trees ``indices`` of a forest in lockstep over ``XT`` and its ranks.
+) -> list[list[Tree]]:
+    """Grow trees ``indices`` of one forest per column range ``bounds`` of
+    ``XT`` and its ranks, all in lockstep; returns each forest's trees.
 
-    Each tree's own RNG draws its bootstrap sample, if any, and then each
-    node's features. Every tree expands its nodes in preorder (a node, then
-    its whole left subtree, then its right subtree), which fixes the order of
-    those draws and makes a split's left child the node after it; a right
-    child learns its index when it is popped. Each step pops the next node of
-    every tree still growing and scores those that may split with one
-    ``_search`` per batch of at most twice the training rows, so the search's
-    arrays do not grow with the number of trees. An explicit stack per tree
-    keeps deep trees clear of the interpreter's recursion limit.
+    Each tree's own RNG draws its bootstrap sample of its forest's rows, if
+    any, and then each node's features. Every tree expands its nodes in
+    preorder (a node, then its whole left subtree, then its right subtree),
+    which fixes the order of those draws and makes a split's left child the
+    node after it; a right child learns its index when it is popped. Each
+    step pops the next node of every tree still growing and scores those
+    that may split with one ``_search`` per batch of at most twice the rows
+    of the largest forest, so the search's arrays do not grow with the
+    number of trees or forests. An explicit stack per tree keeps deep trees
+    clear of the interpreter's recursion limit.
     """
-    n_features, n = XT.shape
+    n_features = XT.shape[0]
     m = config.resolve_max_features(n_features)
     msl = config.min_samples_leaf
     max_depth = math.inf if config.max_depth is None else config.max_depth
-    rngs = [np.random.Generator(np.random.PCG64(tree_seed(config.seed, i))) for i in indices]
-    # Per tree: pending (rows, depth, the split this is the right child of),
-    # rows 32-bit because every tree holds up to n of them at once.
-    stacks = []
-    for rng in rngs:
-        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        stacks.append([(rows.astype(np.int32), 0, -1)])
+    cap = 2 * max(hi - lo for lo, hi in bounds)
+    # Per tree, forest by forest: its RNG and its pending (rows, depth, the
+    # split this is the right child of), rows 32-bit because every tree
+    # holds up to its forest's row count of them at once.
+    rngs, stacks = [], []
+    for lo, hi in bounds:
+        for i in indices:
+            rng = np.random.Generator(np.random.PCG64(tree_seed(config.seed, i)))
+            n = hi - lo
+            rows = lo + rng.integers(0, n, size=n) if config.bootstrap else np.arange(lo, hi)
+            rngs.append(rng)
+            stacks.append([(rows.astype(np.int32), 0, -1)])
     # Per tree, the columns of its Tree so far, 8 bytes per node each.
-    trees = [tuple(array(code) for code in "qdqqq") for _ in indices]
-    live = list(range(len(indices)))
+    trees = [tuple(array(code) for code in "qdqqq") for _ in stacks]
+    live = list(range(len(stacks)))
     while live := [t for t in live if stacks[t]]:
         popped = [stacks[t].pop() for t in live]
         rows_list = [rows for rows, _, _ in popped]
@@ -253,11 +268,11 @@ def _grow(
         tries = np.flatnonzero(
             (counts.max(axis=1) < sizes) & (depth < max_depth) & (sizes >= 2 * msl)
         )
-        batches, room = [], 0  # of at most 2n rows; no node holds more than n
+        batches, room = [], 0  # of at most cap rows; no node holds more than cap / 2
         for c in tries.tolist():
             if sizes[c] > room:
                 batches.append([])
-                room = 2 * n
+                room = cap
             batches[-1].append(c)
             room -= sizes[c]
         splits = {}
@@ -287,7 +302,8 @@ def _grow(
                 stacks[t].append((left, d + 1, -1))
             for column, x in zip(columns, entry):
                 column.append(x)
-    return [Tree(*columns) for columns in trees]
+    k = len(indices)
+    return [[Tree(*columns) for columns in trees[s : s + k]] for s in range(0, len(trees), k)]
 
 
 def dataset_matrix(ds: Dataset) -> tuple[np.ndarray, list[str]]:
@@ -295,51 +311,90 @@ def dataset_matrix(ds: Dataset) -> tuple[np.ndarray, list[str]]:
     return ds.X, list(ds.labels)
 
 
-def train(ds: Dataset, config: TrainConfig | None = None, n_jobs: int = 1) -> RandomForest:
-    """Train a forest; bit-identical results for any ``n_jobs`` >= 1.
+def _grow_group(
+    datasets: list[Dataset], labels: list[tuple[str, ...]], config: TrainConfig, n_jobs: int
+) -> list[list[Tree]]:
+    """The trees of one forest per dataset, grown in lockstep side by side
+    in the columns of one feature-major matrix; the datasets have as many
+    features and labels, ``labels[d]`` the sorted labels of dataset ``d``."""
+    ends = np.cumsum([len(ds) for ds in datasets]).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    XT = np.empty((datasets[0].X.shape[1], ends[-1]))
+    rank = np.empty(XT.shape, dtype=np.int32)
+    y = np.empty(ends[-1], dtype=np.int64)
+    for ds, ds_labels, (lo, hi) in zip(datasets, labels, bounds):
+        np.add(ds.X.T, 0.0, out=XT[:, lo:hi])  # -0.0 made 0.0
+        _dense_ranks(XT[:, lo:hi], out=rank[:, lo:hi])
+        label_to_index = {label: i for i, label in enumerate(ds_labels)}
+        y[lo:hi] = [label_to_index[label] for label in ds.labels.tolist()]
 
-    Each of ``n_jobs`` threads grows a contiguous group of the trees in
-    lockstep (see ``_grow``). Every tree depends only on the data, the config
-    and its index, so the grouping changes nothing. A feature value of -0.0
-    trains as 0.0; the two route every sample alike.
+    def grow(indices: range) -> list[list[Tree]]:
+        return _grow(XT, rank, y, len(labels[0]), config, bounds, indices)
 
-    Raises ValueError when ``n_jobs`` is below 1 or a feature value is not
-    finite: the split search orders values, and NaN has no order.
+    ranges = [
+        range(g[0], g[-1] + 1) for g in np.array_split(np.arange(config.n_trees), n_jobs) if len(g)
+    ]
+    if len(ranges) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+            parts = list(pool.map(grow, ranges))
+    else:
+        parts = [grow(ranges[0])]
+    return [[tree for part in parts for tree in part[d]] for d in range(len(datasets))]
+
+
+def train(
+    data: Dataset | Sequence[Dataset], config: TrainConfig | None = None, n_jobs: int = 1
+) -> RandomForest | list[RandomForest]:
+    """Train a forest on a Dataset, or a list of forests, one per Dataset of
+    a sequence; bit-identical results for any ``n_jobs`` >= 1.
+
+    The forests grow together (see ``_grow``), in one group per label and
+    feature count, each group's datasets side by side in the columns of one
+    feature-major matrix. Groups keep their label count because numpy sums
+    8 or more labels pairwise, so zero counts padded onto a node's labels
+    can change the bits of its Gini impurity. Each of ``n_jobs`` threads
+    grows a contiguous range of tree indices of every forest of a group.
+    Every tree depends only on its dataset, the config and its index, so
+    neither the grouping nor the other datasets of the call change it. A
+    feature value of -0.0 trains as 0.0; the two route every sample alike.
+
+    Raises, before any growth, ValueError when ``n_jobs`` is below 1 or a
+    feature value is not finite (the split search orders values, and NaN has
+    no order), and EmptyDatasetError for a dataset without rows.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if config is None:
         config = TrainConfig()
-    if len(ds) == 0:
-        raise EmptyDatasetError("cannot train on an empty dataset")
-    X, label_list = dataset_matrix(ds)
-    finite = np.isfinite(X).all(axis=0)
-    if not finite.all():
-        name = ds.feature_schema[int(finite.argmin())]
-        raise ValueError(f"cannot train on non-finite values of feature {name}")
-    labels = tuple(sorted(set(label_list)))
-    label_to_index = {label: i for i, label in enumerate(labels)}
-    y = np.array([label_to_index[label] for label in label_list], dtype=np.int64)
-    XT = np.add(X.T, 0.0, order="C")  # a C-ordered copy, with -0.0 made 0.0
-    rank = _dense_ranks(XT)
-
-    def grow(group: np.ndarray) -> list[Tree]:
-        return _grow(XT, rank, y, len(labels), config, range(group[0], group[-1] + 1))
-
-    groups = [g for g in np.array_split(np.arange(config.n_trees), n_jobs) if len(g)]
-    if len(groups) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            trees = [tree for group in pool.map(grow, groups) for tree in group]
-    else:
-        trees = grow(groups[0])
-    return RandomForest(
-        trees=tuple(trees),
-        feature_schema=ds.feature_schema,
-        labels=labels,
-        train_config=config,
-    )
+    datasets = [data] if isinstance(data, Dataset) else list(data)
+    labels = []
+    groups: dict[tuple[int, int], list[int]] = {}
+    for d, ds in enumerate(datasets):
+        if len(ds) == 0:
+            raise EmptyDatasetError("cannot train on an empty dataset")
+        X, label_list = dataset_matrix(ds)
+        finite = np.isfinite(X).all(axis=0)
+        if not finite.all():
+            name = ds.feature_schema[int(finite.argmin())]
+            raise ValueError(f"cannot train on non-finite values of feature {name}")
+        labels.append(tuple(sorted(set(label_list))))
+        groups.setdefault((len(labels[d]), X.shape[1]), []).append(d)
+    trees = [()] * len(datasets)
+    for members in groups.values():
+        grown = _grow_group(
+            [datasets[d] for d in members], [labels[d] for d in members], config, n_jobs
+        )
+        for d, forest_trees in zip(members, grown):
+            trees[d] = tuple(forest_trees)
+    forests = [
+        RandomForest(
+            trees=trees[d], feature_schema=ds.feature_schema, labels=labels[d], train_config=config
+        )
+        for d, ds in enumerate(datasets)
+    ]
+    return forests[0] if isinstance(data, Dataset) else forests
 
 
 def predict_matrix(forest: RandomForest, X: np.ndarray) -> list[str]:

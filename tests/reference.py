@@ -717,7 +717,11 @@ def _reference_grow(X, y, idx, n_labels, rng, config: TrainConfig, depth: int):
         if gains[b] > best_gain:
             best_gain = float(gains[b])
             best_feature = int(f)
-            best_threshold = float((sv[b] + sv[b + 1]) / 2)
+            a, c = sv[b], sv[b + 1]
+            with np.errstate(over="ignore"):
+                mid = (a + c) / 2
+            # An overflowing midpoint, or one that rounds to c, splits at a.
+            best_threshold = float(mid if a < mid < c else a)
 
     if best_feature < 0:
         return ("leaf", majority)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -323,9 +324,9 @@ class TestSweep:
         trained = []
         real_train = evaluation.train
 
-        def counting_train(ds, *args, **kwargs):
-            trained.append(ds)
-            return real_train(ds, *args, **kwargs)
+        def counting_train(sides, *args, **kwargs):
+            trained.extend(sides)
+            return real_train(sides, *args, **kwargs)
 
         monkeypatch.setattr(evaluation, "train", counting_train)
         report = sweep(cf, family, tasks=tasks, tc=tc, split=split)
@@ -353,6 +354,79 @@ class TestSweep:
                 m.reported_recall,
                 m.reported_f1,
             )
+
+    @pytest.mark.parametrize("budget_sides", [None, 1, 3])
+    def test_trains_once_per_flush(self, early_corpus, monkeypatch, budget_sides):
+        # The sweep calls evaluation.train, the name the benchmark's tracer
+        # wraps, once per flush of its queue with every queued side, and
+        # flushes once the queue's rows times the trees reach the budget.
+        cf, snapshots = _corpus_eval_inputs(early_corpus)
+        family = {
+            Trigger("pc", n): build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n))
+            for n in (2, 3, 4)
+        }
+        tc = TrainConfig(n_trees=2, seed=0)
+        calls = []
+        real_train = evaluation.train
+
+        def counting_train(sides, *args, **kwargs):
+            calls.append([len(side) for side in sides])
+            return real_train(sides, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "train", counting_train)
+        sweep(cf, family, tc=tc)
+        # The default budget holds this corpus's sides in one call: one CF
+        # side per task, shared by every threshold, and one PF side per
+        # threshold and task.
+        (sides,) = calls
+        assert len(sides) == 2 * (1 + len(family))
+        if budget_sides is None:
+            return
+        budget = tc.n_trees * sum(sides[:budget_sides])
+        monkeypatch.setattr(evaluation, "TRAIN_BUDGET_TREE_ROWS", budget)
+        calls.clear()
+        sweep(cf, family, tc=tc)
+        assert len(calls[0]) == budget_sides
+        assert [n for call in calls for n in call] == sides
+        for call in calls[:-1]:
+            assert tc.n_trees * sum(call) >= budget > tc.n_trees * sum(call[:-1])
+        assert tc.n_trees * sum(calls[-1][:-1]) < budget
+
+    @pytest.mark.parametrize("thin_pc3", [False, True])
+    def test_results_bytes_independent_of_the_budget(self, early_corpus, monkeypatch, thin_pc3):
+        cf, snapshots = _corpus_eval_inputs(early_corpus)
+        family = {
+            Trigger("pc", n): build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n))
+            for n in (2, 3, 4, 5)
+        }
+        if thin_pc3:
+            pf3 = family[Trigger("pc", 3)]
+            family[Trigger("pc", 3)] = pf3.restrict(frozenset(pf3.hash64[::2].tolist()))
+        tc = TrainConfig(n_trees=3, seed=2)
+        whole = sweep(cf, family, tc=tc)
+        smallest = min(row.n_train for row in whole.rows)
+        monkeypatch.setattr(evaluation, "TRAIN_BUDGET_TREE_ROWS", tc.n_trees * smallest)
+        assert sweep(cf, family, tc=tc).to_csv_text() == whole.to_csv_text()
+
+    def test_memory_bounded_by_the_budget_not_the_thresholds(self, early_corpus, monkeypatch):
+        # With the budget below one side's tree-rows, every side is trained
+        # and scored as soon as it is queued: 6 thresholds must peak near 1.
+        cf, snapshots = _corpus_eval_inputs(early_corpus)
+        family = {
+            Trigger("pc", n): build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n))
+            for n in range(2, 8)
+        }
+        monkeypatch.setattr(evaluation, "TRAIN_BUDGET_TREE_ROWS", 1)
+
+        def peak(family) -> int:
+            tracemalloc.start()
+            try:
+                sweep(cf, family, tc=TrainConfig(n_trees=10, seed=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(family) <= 1.5 * peak(dict(list(family.items())[:1]))
 
     def test_csv_shape(self, early_corpus):
         cf, snapshots = _corpus_eval_inputs(early_corpus)

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,9 @@ from flowlab.meter import MeterConfig, meter
 
 from conftest import random_trace
 from reference import reference_train
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+PYTHONPATH = os.environ.get("PYTHONPATH")
 
 
 def _toy_dataset(rows: list[tuple[float, float, str]]) -> Dataset:
@@ -166,6 +173,37 @@ class TestTrain:
         assert predict_matrix(back, X) == list(ds.labels)
         assert repr(forest).startswith("RandomForest(trees=(Tree(feature=array(")
 
+    @pytest.mark.parametrize(
+        "low,high",
+        [
+            (1e308, 1.5e308),  # the midpoint overflows to inf
+            (-1.5e308, -1e308),  # ... and to -inf
+            (1.0 + 2.0**-52, 1.0 + 2.0**-51),  # adjacent floats: it rounds to high
+        ],
+    )
+    def test_split_between_extreme_or_adjacent_values_ends(self, tmp_path, low, high):
+        # Each midpoint sends both rows to one side, whose child then repeats
+        # its parent: with no max_depth, training never ended. A subprocess
+        # bounds the time the case may take.
+        code = (
+            "import sys\n"
+            "from flowlab.dataset import Dataset\n"
+            "from flowlab.forest import TrainConfig, save_model, train\n"
+            "a, b = float(sys.argv[1]), float(sys.argv[2])\n"
+            "ds = Dataset('toy', [0, 1], [[a, a], [b, b]], ['A', 'B'], ('x', 'y'))\n"
+            "save_model(train(ds, TrainConfig(n_trees=2, bootstrap=False)), sys.argv[3])\n"
+        )
+        path = tmp_path / "model.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, PYTHONPATH))))
+        argv = [sys.executable, "-c", code, repr(low), repr(high), str(path)]
+        subprocess.run(argv, env=env, check=True, timeout=30)
+        forest = load_model(path)
+        X = np.array([[low, low], [high, high]])
+        for tree in forest.trees:
+            assert sorted(rows.tolist() for _, rows in _leaves(tree, X)) == [[0], [1]]
+            assert np.isfinite(tree.threshold).all()
+        assert predict_matrix(forest, X) == ["A", "B"]
+
     def test_tree_seed_mixing(self):
         seeds = {tree_seed(42, i) for i in range(1000)}
         assert len(seeds) == 1000
@@ -228,6 +266,95 @@ def test_trees_equal_reference_at_any_lockstep_width(
         seed=seed,
     )
     assert train(ds, tc, n_jobs=n_jobs).trees == reference_train(ds, tc)
+
+
+def _labelled(n_rows: int, n_labels: int, n_features: int, rng) -> Dataset:
+    """Tie-heavy integer features and shuffled cycling labels, so every
+    label appears once there are as many rows."""
+    X = rng.integers(0, 3, size=(n_rows, n_features)).astype(float)
+    labels = [f"L{c}" for c in rng.permutation(np.arange(n_rows) % n_labels)]
+    return Dataset("toy", range(n_rows), X, labels, feature_schema=tuple("abcd"[:n_features]))
+
+
+@pytest.mark.parametrize(
+    "min_samples_leaf,max_depth,bootstrap,n_jobs",
+    list(itertools.product((1, 3), (None, 2), (True, False), (1, 2, 3))),
+)
+def test_training_many_equals_training_each(min_samples_leaf, max_depth, bootstrap, n_jobs):
+    # Label counts 2, 3, 4, 5 and 9 in one call, so each group of forests
+    # grows in its own lockstep; sides of 1 row and of 2 * min_samples_leaf
+    # rows grow beside larger ones.
+    rng = np.random.default_rng(min_samples_leaf * 8 + n_jobs)
+    shapes = [(40, 2), (1, 2), (2 * min_samples_leaf, 2), (30, 3), (2, 3), (60, 9), (25, 9)]
+    shapes += [(50, 4), (45, 5)]
+    datasets = [_labelled(n_rows, n_labels, 3, rng) for n_rows, n_labels in shapes]
+    assert sorted({len(set(ds.labels.tolist())) for ds in datasets}) == [1, 2, 3, 4, 5, 9]
+    tc = TrainConfig(
+        n_trees=5,
+        max_features=2,
+        min_samples_leaf=min_samples_leaf,
+        max_depth=max_depth,
+        bootstrap=bootstrap,
+        seed=13,
+    )
+    assert train(datasets, tc, n_jobs=n_jobs) == [train(ds, tc) for ds in datasets]
+
+
+def test_forests_with_fewer_labels_keep_their_gini_bits():
+    # Cutting x halves a node of label counts (2, 4, 6, 10) into two of
+    # (1, 2, 3, 5): no gain, so the tree is a single leaf. Summed over 9
+    # labels, zeros padded, the node's Gini impurity comes out 2^-53 higher
+    # and the cut would gain; a forest of 9 labels in the same call must
+    # not change the sum.
+    labels = [f"L{c}" for c, n in enumerate((1, 2, 3, 5)) for _ in range(n)]
+    four = Dataset("toy", range(22), [[x] for x in (0.0, 1.0) for _ in labels], labels * 2, ("x",))
+    nine = Dataset("toy", range(9), [[float(i)] for i in range(9)], list("ABCDEFGHI"), ("x",))
+    tc = TrainConfig(n_trees=1, bootstrap=False)
+    forests = train([four, nine], tc)
+    assert forests == [train(four, tc), train(nine, tc)]
+    assert forests[0].trees == reference_train(four, tc) == (_leaf(3),)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(1, 30), st.sampled_from((2, 3, 4, 5, 9)), st.integers(1, 3)),
+        min_size=1,
+        max_size=5,
+    ),
+    n_trees=st.integers(1, 6),
+    n_jobs=st.integers(1, 3),
+    min_samples_leaf=st.sampled_from((1, 3)),
+    max_depth=st.sampled_from((None, 2)),
+    bootstrap=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_training_many_equals_training_each_at_any_mix(
+    shapes, n_trees, n_jobs, min_samples_leaf, max_depth, bootstrap, seed
+):
+    rng = np.random.default_rng(seed)
+    datasets = [_labelled(*shape, rng) for shape in shapes]
+    tc = TrainConfig(
+        n_trees=n_trees,
+        min_samples_leaf=min_samples_leaf,
+        max_depth=max_depth,
+        bootstrap=bootstrap,
+        seed=seed,
+    )
+    assert train(datasets, tc, n_jobs=n_jobs) == [train(ds, tc) for ds in datasets]
+
+
+def test_training_many_rejects_before_growing(monkeypatch):
+    def no_growth(*args, **kwargs):
+        raise AssertionError("grew despite a rejected dataset")
+
+    monkeypatch.setattr(forest_module, "_grow", no_growth)
+    good = _separable(5)
+    with pytest.raises(EmptyDatasetError):
+        train([good, _toy_dataset([])], TrainConfig(n_trees=1))
+    with pytest.raises(ValueError, match="non-finite values of feature x"):
+        train([good, _toy_dataset([(np.nan, 1.0, "A")])], TrainConfig(n_trees=1))
+    assert train([], TrainConfig(n_trees=1)) == []
 
 
 @pytest.fixture()
