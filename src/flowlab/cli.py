@@ -184,18 +184,15 @@ def cmd_meter(args) -> int:
 
 def _trigger_for_pf_file(path: str, ds) -> Trigger:
     if len(ds):
-        try:
-            return Trigger.parse(ds.provenance)
-        except ValueError:
-            raise FlowLabError(
-                f"{path}: provenance {ds.provenance!r} is not a trigger such as PC=5"
-            ) from None
-    match = _PF_NAME.search(os.path.basename(path))
-    if not match:
-        raise FlowLabError(
-            f"{path}: empty dataset and filename does not encode a trigger"
-        )
-    return Trigger(match.group(1), int(match.group(2)))
+        text, problem = ds.provenance, f"provenance {ds.provenance!r} is not a trigger such as PC=5"
+    else:
+        match = _PF_NAME.search(os.path.basename(path))
+        text = f"{match[1]}={match[2]}" if match else ""
+        problem = "empty dataset and filename does not encode a trigger such as pf_pc_5.csv"
+    try:
+        return Trigger.parse(text)
+    except ValueError:
+        raise FlowLabError(f"{path}: {problem}") from None
 
 
 def cmd_eval(args) -> int:
@@ -236,9 +233,7 @@ def cmd_eval(args) -> int:
     )
 
     split = evaluation.split_keys(cf, pipeline.split_ratio, pipeline.split_seed)
-    report = evaluation.sweep(
-        cf, family, tasks=tasks, tc=tc, split=split, kinds=kinds, n_jobs=args.jobs
-    )
+    report = evaluation.sweep(cf, family, tasks=tasks, tc=tc, split=split, kinds=kinds)
 
     eval_config = {
         "split": {"ratio": pipeline.split_ratio, "seed": pipeline.split_seed},
@@ -358,15 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="split and training seed (default 0)")
     p.add_argument("--ratio", type=float, default=None, help="train fraction (default 0.70)")
     p.add_argument("--trees", type=int, default=None, help="trees per forest (default 100)")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="threads training the forests, each growing a contiguous range of the tree "
-        "indices of every forest; the forests are identical for any value, but 2 is "
-        "slower than 1 (16 train sides of 140 rows on 2 cores: 0.51 s against 0.34 s "
-        "at 10 trees, 4.0 s against 2.8 s at 100)",
-    )
     p.add_argument("--pipeline", help="pipeline config JSON supplying defaults")
     p.set_defaults(handler=cmd_eval)
 

@@ -89,15 +89,10 @@ class Metrics:
     confusion: dict[str, dict[str, int]]
 
 
-def binarize(labels, anomaly_labels=None) -> list[str]:
-    """Map labels onto {BENIGN, ANOMALY}.
-
-    With an explicit ``anomaly_labels`` set, membership decides; otherwise
-    everything except ``BENIGN`` is anomalous.
-    """
-    if anomaly_labels is None:
-        return [BENIGN if l == BENIGN else ANOMALY for l in labels]
-    return [ANOMALY if l in anomaly_labels else BENIGN for l in labels]
+def binarize(labels) -> list[str]:
+    """Map labels onto {BENIGN, ANOMALY}: everything except ``BENIGN`` is
+    anomalous."""
+    return [BENIGN if l == BENIGN else ANOMALY for l in labels]
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -106,12 +101,7 @@ def _f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def compute_metrics(
-    y_true,
-    y_pred,
-    task: str = BINARY,
-    anomaly_labels=None,
-) -> Metrics:
+def compute_metrics(y_true, y_pred, task: str = BINARY) -> Metrics:
     """Precision/recall/F1 under the binary or multiclass convention.
 
     Binary: labels are first mapped onto {BENIGN, ANOMALY}; the reported
@@ -128,8 +118,8 @@ def compute_metrics(
     if not y_true:
         raise EmptyInputError("empty label vectors")
     if task == BINARY:
-        y_true = binarize(y_true, anomaly_labels)
-        y_pred = binarize(y_pred, anomaly_labels)
+        y_true = binarize(y_true)
+        y_pred = binarize(y_pred)
     elif task != MULTICLASS:
         raise ValueError(f"unknown task {task!r}")
 
@@ -279,7 +269,6 @@ def sweep(
     tc: TrainConfig | None = None,
     split: Split | None = None,
     kinds=SCENARIO_KINDS,
-    n_jobs: int = 1,
 ) -> Report:
     """Run all scenarios over every threshold and task.
 
@@ -328,7 +317,7 @@ def sweep(
 
     def flush() -> None:
         if queue:
-            forests = train([side for side, _ in queue], tc, n_jobs=n_jobs)
+            forests = train([side for side, _ in queue], tc)
             for (_, slot), forest in zip(queue, forests):
                 slot.append(forest)
             queue.clear()

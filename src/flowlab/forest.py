@@ -3,8 +3,8 @@
 Bootstrap-sampled decision trees grown by best-Gini-gain splits over random
 feature subsets, voting by plurality. Training is deterministic for a given
 (dataset, config) pair: each tree derives its own RNG from the config seed
-and the tree index, so serial and parallel training produce identical
-forests.
+and the tree index, so no tree depends on the trees and forests grown beside
+it.
 
 ``train`` grows many forests at once, one per dataset, in lockstep: each
 step takes the next node of every tree of every forest whose dataset has as
@@ -221,10 +221,10 @@ def _grow(
     n_labels: int,
     config: TrainConfig,
     bounds: list[tuple[int, int]],
-    indices: range,
 ) -> list[list[Tree]]:
-    """Grow trees ``indices`` of one forest per column range ``bounds`` of
-    ``XT`` and its ranks, all in lockstep; returns each forest's trees.
+    """Grow the ``config.n_trees`` trees of one forest per column range
+    ``bounds`` of ``XT`` and its ranks, all in lockstep; returns each
+    forest's trees.
 
     Each tree's own RNG draws its bootstrap sample of its forest's rows, if
     any, and then each node's features. Every tree expands its nodes in
@@ -247,7 +247,7 @@ def _grow(
     # holds up to its forest's row count of them at once.
     rngs, stacks = [], []
     for lo, hi in bounds:
-        for i in indices:
+        for i in range(config.n_trees):
             rng = np.random.Generator(np.random.PCG64(tree_seed(config.seed, i)))
             n = hi - lo
             rows = lo + rng.integers(0, n, size=n) if config.bootstrap else np.arange(lo, hi)
@@ -302,7 +302,7 @@ def _grow(
                 stacks[t].append((left, d + 1, -1))
             for column, x in zip(columns, entry):
                 column.append(x)
-    k = len(indices)
+    k = config.n_trees
     return [[Tree(*columns) for columns in trees[s : s + k]] for s in range(0, len(trees), k)]
 
 
@@ -312,7 +312,7 @@ def dataset_matrix(ds: Dataset) -> tuple[np.ndarray, list[str]]:
 
 
 def _grow_group(
-    datasets: list[Dataset], labels: list[tuple[str, ...]], config: TrainConfig, n_jobs: int
+    datasets: list[Dataset], labels: list[tuple[str, ...]], config: TrainConfig
 ) -> list[list[Tree]]:
     """The trees of one forest per dataset, grown in lockstep side by side
     in the columns of one feature-major matrix; the datasets have as many
@@ -327,45 +327,28 @@ def _grow_group(
         _dense_ranks(XT[:, lo:hi], out=rank[:, lo:hi])
         label_to_index = {label: i for i, label in enumerate(ds_labels)}
         y[lo:hi] = [label_to_index[label] for label in ds.labels.tolist()]
-
-    def grow(indices: range) -> list[list[Tree]]:
-        return _grow(XT, rank, y, len(labels[0]), config, bounds, indices)
-
-    ranges = [
-        range(g[0], g[-1] + 1) for g in np.array_split(np.arange(config.n_trees), n_jobs) if len(g)
-    ]
-    if len(ranges) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(grow, ranges))
-    else:
-        parts = [grow(ranges[0])]
-    return [[tree for part in parts for tree in part[d]] for d in range(len(datasets))]
+    return _grow(XT, rank, y, len(labels[0]), config, bounds)
 
 
 def train(
-    data: Dataset | Sequence[Dataset], config: TrainConfig | None = None, n_jobs: int = 1
+    data: Dataset | Sequence[Dataset], config: TrainConfig | None = None
 ) -> RandomForest | list[RandomForest]:
     """Train a forest on a Dataset, or a list of forests, one per Dataset of
-    a sequence; bit-identical results for any ``n_jobs`` >= 1.
+    a sequence.
 
     The forests grow together (see ``_grow``), in one group per label and
     feature count, each group's datasets side by side in the columns of one
     feature-major matrix. Groups keep their label count because numpy sums
     8 or more labels pairwise, so zero counts padded onto a node's labels
-    can change the bits of its Gini impurity. Each of ``n_jobs`` threads
-    grows a contiguous range of tree indices of every forest of a group.
-    Every tree depends only on its dataset, the config and its index, so
-    neither the grouping nor the other datasets of the call change it. A
-    feature value of -0.0 trains as 0.0; the two route every sample alike.
+    can change the bits of its Gini impurity. Every tree depends only on its
+    dataset, the config and its index, so neither the grouping nor the other
+    datasets of the call change it. A feature value of -0.0 trains as 0.0;
+    the two route every sample alike.
 
-    Raises, before any growth, ValueError when ``n_jobs`` is below 1 or a
-    feature value is not finite (the split search orders values, and NaN has
-    no order), and EmptyDatasetError for a dataset without rows.
+    Raises, before any growth, ValueError when a feature value is not finite
+    (the split search orders values, and NaN has no order), and
+    EmptyDatasetError for a dataset without rows.
     """
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if config is None:
         config = TrainConfig()
     datasets = [data] if isinstance(data, Dataset) else list(data)
@@ -383,9 +366,7 @@ def train(
         groups.setdefault((len(labels[d]), X.shape[1]), []).append(d)
     trees = [()] * len(datasets)
     for members in groups.values():
-        grown = _grow_group(
-            [datasets[d] for d in members], [labels[d] for d in members], config, n_jobs
-        )
+        grown = _grow_group([datasets[d] for d in members], [labels[d] for d in members], config)
         for d, forest_trees in zip(members, grown):
             trees[d] = tuple(forest_trees)
     forests = [
@@ -486,6 +467,11 @@ def load_model(path) -> RandomForest:
         with open(path, "r", encoding="utf-8") as fh:
             doc = check("model", json.load(fh), _MODEL_FIELDS)
         labels, schema, tree_docs = doc["labels"], doc["feature_schema"], doc["trees"]
+        # A vote tie goes to the smallest label index, so labels are sorted.
+        if not labels or list(labels) != sorted(set(labels)):
+            raise ValueError(f"model.labels must be sorted, distinct and non-empty: {list(labels)}")
+        if not tree_docs:
+            raise ValueError("model.trees must hold at least one tree")
         config = TrainConfig(**doc.get("train_config", {}))
     except (TypeError, ValueError) as exc:
         raise FlowLabError(f"{path}: {exc}") from None

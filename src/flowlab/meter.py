@@ -133,6 +133,7 @@ class Trigger:
     def __post_init__(self) -> None:
         if self.kind not in self._KIND_ORDER:
             raise ValueError(f"unknown trigger kind {self.kind!r}")
+        check("trigger", self, {"value": Field(INT, "[1, inf)")})
 
     def __str__(self) -> str:
         return f"{self.kind.upper()}={self.value}"

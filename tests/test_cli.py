@@ -560,16 +560,22 @@ class TestEvalCmd:
     def test_bad_cf_exit_2(self, workdir, metered, capsys):
         text = (metered / "pf_pc_2.csv").read_text()
         (metered / "pf_bad.csv").write_text(text.replace(",PC=2\n", ",PC=x\n"))
+        (metered / "pf_below_one.csv").write_text(text.replace(",PC=2\n", ",PC=-3\n"))
+        (metered / "pf_pc_0.csv").write_text(text.splitlines(keepends=True)[0])
         cases = [
-            ("pf_pc_2.csv", "pf_pc_3.csv", "pf_pc_2.csv"),  # a PF file as the CF
-            ("cf.csv", "cf.csv", "cf.csv"),  # a CF file among the PF files
-            ("cf.csv", "pf_bad.csv", "pf_bad.csv"),  # a PF provenance that is no trigger
+            ("pf_pc_2.csv", "pf_pc_3.csv", "pf_pc_2.csv", "provenance"),  # a PF file as the CF
+            ("cf.csv", "cf.csv", "cf.csv", "provenance"),  # a CF file among the PF files
+            ("cf.csv", "pf_bad.csv", "pf_bad.csv", "provenance"),  # a provenance that is no trigger
+            ("cf.csv", "pf_below_one.csv", "pf_below_one.csv", "provenance 'PC=-3'"),
+            ("cf.csv", "pf_pc_0.csv", "pf_pc_0.csv", "filename"),  # an empty file's trigger < 1
         ]
-        for cf_name, pf_name, named in cases:
-            rc = _run("eval", metered / cf_name, metered / pf_name, workdir / "e5")
+        for cf_name, pf_name, named, problem in cases:
+            out = workdir / "e5"
+            rc = _run("eval", metered / cf_name, metered / pf_name, out)
             assert rc == 2
             err = capsys.readouterr().err
-            assert str(metered / named) in err and "provenance" in err
+            assert err.startswith(f"error: {metered / named}: ") and problem in err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "column,cell",
@@ -591,15 +597,13 @@ class TestEvalCmd:
         assert capsys.readouterr().err.startswith(f"error: {bad}: column {column}: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_exit_2(self, workdir, metered, jobs, capsys):
+    def test_jobs_flag_exit_2(self, workdir, metered, capsys):
+        # Training has one path, in one thread: a thread count is no option.
         out = workdir / "e8"
-        rc = _run(
-            "eval", metered / "cf.csv", metered / "pf_pc_2.csv", out,
-            "--task", "binary", "--trees", 2, "--jobs", jobs,
-        )
-        assert rc == 2
-        assert "n_jobs" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            _run("eval", metered / "cf.csv", metered / "pf_pc_2.csv", out, "--jobs", 2)
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

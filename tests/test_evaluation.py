@@ -75,16 +75,16 @@ class TestSplitKeys:
 
 class TestComputeMetrics:
     def test_perfect_prediction(self):
-        y = ["A", "B", "A"]
+        y = ["BENIGN", "B", "BENIGN"]
         for task in ("binary", "multiclass"):
-            m = compute_metrics(y, y, task, anomaly_labels={"B"})
+            m = compute_metrics(y, y, task)
             assert m.reported_precision == 1.0
             assert m.reported_recall == 1.0
             assert m.reported_f1 == 1.0
 
     def test_hand_case(self):
         m = compute_metrics(
-            ["A", "A", "B", "B"], ["A", "B", "B", "B"], "binary", anomaly_labels={"B"}
+            ["BENIGN", "BENIGN", "B", "B"], ["BENIGN", "B", "B", "B"], "binary"
         )
         assert m.reported_precision == pytest.approx(2 / 3, abs=0)
         assert m.reported_recall == 1.0
@@ -107,13 +107,8 @@ class TestComputeMetrics:
     def test_binary_invariant_to_anomaly_composition(self):
         y_true = ["BENIGN", "X", "Y", "BENIGN"]
         y_pred = ["X", "Y", "X", "BENIGN"]
-        m1 = compute_metrics(y_true, y_pred, "binary", anomaly_labels={"X", "Y"})
-        m2 = compute_metrics(
-            ["BENIGN", "Z", "Z", "BENIGN"],
-            ["Z", "Z", "Z", "BENIGN"],
-            "binary",
-            anomaly_labels={"Z"},
-        )
+        m1 = compute_metrics(y_true, y_pred, "binary")
+        m2 = compute_metrics(["BENIGN", "Z", "Z", "BENIGN"], ["Z", "Z", "Z", "BENIGN"], "binary")
         assert (m1.reported_precision, m1.reported_recall, m1.reported_f1) == (
             m2.reported_precision,
             m2.reported_recall,
@@ -442,6 +437,5 @@ class TestSweep:
 
 
 class TestBinarize:
-    def test_default_and_explicit(self):
+    def test_every_label_but_benign_is_anomalous(self):
         assert binarize(["BENIGN", "X"]) == ["BENIGN", "ANOMALY"]
-        assert binarize(["a", "b"], anomaly_labels={"b"}) == ["BENIGN", "ANOMALY"]

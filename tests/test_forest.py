@@ -124,11 +124,12 @@ class TestTrain:
             train(ds, TrainConfig(n_trees=1))
 
     def test_determinism_runs_and_parallelism(self):
+        # The same trees from two runs, and when grown beside another forest.
         ds = _separable(40, seed=9)
         tc = TrainConfig(n_trees=12, seed=11)
         f1 = train(ds, tc)
         f2 = train(ds, tc)
-        f3 = train(ds, tc, n_jobs=4)
+        f3 = train([_separable(25, seed=1), ds], tc)[1]
         assert f1.trees == f2.trees == f3.trees
 
     def test_split_gain_positive_and_children_nonempty(self):
@@ -221,10 +222,10 @@ def _tie_heavy(n_labels: int, seed: int = 0) -> Dataset:
 
 
 @pytest.mark.parametrize(
-    "min_samples_leaf,max_depth,bootstrap,n_labels,n_jobs",
-    list(itertools.product((1, 3), (None, 2), (True, False), (2, 9), (1, 2))),
+    "min_samples_leaf,max_depth,bootstrap,n_labels",
+    list(itertools.product((1, 3), (None, 2), (True, False), (2, 9))),
 )
-def test_trees_equal_reference(min_samples_leaf, max_depth, bootstrap, n_labels, n_jobs):
+def test_trees_equal_reference(min_samples_leaf, max_depth, bootstrap, n_labels):
     ds = _tie_heavy(n_labels)
     tc = TrainConfig(
         n_trees=4,
@@ -233,7 +234,7 @@ def test_trees_equal_reference(min_samples_leaf, max_depth, bootstrap, n_labels,
         bootstrap=bootstrap,
         seed=7,
     )
-    assert train(ds, tc, n_jobs=n_jobs).trees == reference_train(ds, tc)
+    assert train(ds, tc).trees == reference_train(ds, tc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,17 +243,15 @@ def test_trees_equal_reference(min_samples_leaf, max_depth, bootstrap, n_labels,
     n_features=st.integers(1, 4),
     n_labels=st.integers(2, 9),
     n_trees=st.integers(1, 12),
-    n_jobs=st.integers(1, 3),
     min_samples_leaf=st.sampled_from((1, 3)),
     max_depth=st.sampled_from((None, 2)),
     bootstrap=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_trees_equal_reference_at_any_lockstep_width(
-    n_rows, n_features, n_labels, n_trees, n_jobs, min_samples_leaf, max_depth, bootstrap, seed
+    n_rows, n_features, n_labels, n_trees, min_samples_leaf, max_depth, bootstrap, seed
 ):
-    # n_jobs splits the trees into groups grown in lockstep, of unequal size
-    # whenever n_jobs does not divide n_trees; each tree must not notice.
+    # Every tree of the forest grows in one lockstep; each must not notice.
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 3, size=(n_rows, n_features)).astype(float)
     labels = [f"L{c}" for c in rng.integers(0, n_labels, size=n_rows)]
@@ -265,7 +264,7 @@ def test_trees_equal_reference_at_any_lockstep_width(
         bootstrap=bootstrap,
         seed=seed,
     )
-    assert train(ds, tc, n_jobs=n_jobs).trees == reference_train(ds, tc)
+    assert train(ds, tc).trees == reference_train(ds, tc)
 
 
 def _labelled(n_rows: int, n_labels: int, n_features: int, rng) -> Dataset:
@@ -277,14 +276,14 @@ def _labelled(n_rows: int, n_labels: int, n_features: int, rng) -> Dataset:
 
 
 @pytest.mark.parametrize(
-    "min_samples_leaf,max_depth,bootstrap,n_jobs",
+    "min_samples_leaf,max_depth,bootstrap,data_seed",
     list(itertools.product((1, 3), (None, 2), (True, False), (1, 2, 3))),
 )
-def test_training_many_equals_training_each(min_samples_leaf, max_depth, bootstrap, n_jobs):
+def test_training_many_equals_training_each(min_samples_leaf, max_depth, bootstrap, data_seed):
     # Label counts 2, 3, 4, 5 and 9 in one call, so each group of forests
     # grows in its own lockstep; sides of 1 row and of 2 * min_samples_leaf
     # rows grow beside larger ones.
-    rng = np.random.default_rng(min_samples_leaf * 8 + n_jobs)
+    rng = np.random.default_rng(min_samples_leaf * 8 + data_seed)
     shapes = [(40, 2), (1, 2), (2 * min_samples_leaf, 2), (30, 3), (2, 3), (60, 9), (25, 9)]
     shapes += [(50, 4), (45, 5)]
     datasets = [_labelled(n_rows, n_labels, 3, rng) for n_rows, n_labels in shapes]
@@ -297,7 +296,7 @@ def test_training_many_equals_training_each(min_samples_leaf, max_depth, bootstr
         bootstrap=bootstrap,
         seed=13,
     )
-    assert train(datasets, tc, n_jobs=n_jobs) == [train(ds, tc) for ds in datasets]
+    assert train(datasets, tc) == [train(ds, tc) for ds in datasets]
 
 
 def test_forests_with_fewer_labels_keep_their_gini_bits():
@@ -323,14 +322,13 @@ def test_forests_with_fewer_labels_keep_their_gini_bits():
         max_size=5,
     ),
     n_trees=st.integers(1, 6),
-    n_jobs=st.integers(1, 3),
     min_samples_leaf=st.sampled_from((1, 3)),
     max_depth=st.sampled_from((None, 2)),
     bootstrap=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_training_many_equals_training_each_at_any_mix(
-    shapes, n_trees, n_jobs, min_samples_leaf, max_depth, bootstrap, seed
+    shapes, n_trees, min_samples_leaf, max_depth, bootstrap, seed
 ):
     rng = np.random.default_rng(seed)
     datasets = [_labelled(*shape, rng) for shape in shapes]
@@ -341,7 +339,7 @@ def test_training_many_equals_training_each_at_any_mix(
         bootstrap=bootstrap,
         seed=seed,
     )
-    assert train(datasets, tc, n_jobs=n_jobs) == [train(ds, tc) for ds in datasets]
+    assert train(datasets, tc) == [train(ds, tc) for ds in datasets]
 
 
 def test_training_many_rejects_before_growing(monkeypatch):
@@ -388,7 +386,7 @@ def test_node_of_twice_min_samples_leaf(searches, min_samples_leaf):
     # leaves enough rows on both sides; it is scored beside other nodes.
     ds = _toy_dataset([(float(i % 7), float(i % 3), "ABA"[i % 5 // 2]) for i in range(60)])
     tc = TrainConfig(n_trees=6, min_samples_leaf=min_samples_leaf, seed=5)
-    assert train(ds, tc, n_jobs=2).trees == reference_train(ds, tc)
+    assert train(ds, tc).trees == reference_train(ds, tc)
     assert any(
         len(call) > 1 and any(n == 2 * min_samples_leaf for n, _ in call) for call in searches
     )
@@ -648,6 +646,14 @@ class TestPersistence:
             ),
             pytest.param(lambda d: d.update(trees=5), "trees must be a list", id="trees_not_list"),
             pytest.param(lambda d: d.update(tree=[]), "unknown model", id="unknown_key"),
+            pytest.param(lambda d: d.update(trees=[]), "at least one tree", id="no_trees"),
+            pytest.param(lambda d: d.update(labels=[]), "labels must be sorted", id="no_labels"),
+            pytest.param(
+                lambda d: d.update(labels=["B", "A"]), "labels must be sorted", id="unsorted_labels"
+            ),
+            pytest.param(
+                lambda d: d.update(labels=["A", "A"]), "labels must be sorted", id="repeated_labels"
+            ),
         ],
     )
     def test_malformed_document_rejected(self, tmp_path, edit, problem):

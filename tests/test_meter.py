@@ -341,6 +341,11 @@ class TestMeterConfigValues:
         with pytest.raises(ValueError):
             MeterConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("kind,value", [("pc", 0), ("fd", True), ("bc", -3), ("pc", 2.0)])
+    def test_trigger_value_not_an_integer_of_at_least_one_rejected(self, kind, value):
+        with pytest.raises(ValueError, match="trigger.value must be an integer in"):
+            Trigger(kind, value)
+
     def test_integer_collections_accepted(self):
         config = MeterConfig.from_dict(
             {"pc_triggers": [3, 2, 3], "fd_triggers_ms": [], "fin_rst_expiration": False}
