@@ -143,7 +143,7 @@ def cmd_meter(args) -> int:
         output_dir=str(args.out_dir),
     )
     rules = RuleSet.from_json(args.rules)
-    trace = trace_io.reorder(trace_io.read_trace(args.input))
+    trace = trace_io.reorder(trace_io.read_trace(args.input, keep_bytes=False))
     records, snapshots = run_meter(trace, echo.meter)
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import importlib.resources as resources
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from flowlab.meter import MeterConfig, meter
 from flowlab.synth import SynthSpec, derive_rules, synth_trace
-from flowlab.trace_io import PROTO_TCP, PROTO_UDP, PacketTrace, RawPacket
+from flowlab.trace_io import PROTO_TCP, PROTO_UDP, PacketTrace, RawPacket, write_trace
 
 
 def corpus_path(name: str):
@@ -86,3 +87,21 @@ def early_corpus(early_spec):
     trace, truth = synth_trace(early_spec, seed=11)
     records, snapshots = meter(trace, MeterConfig())
     return records, snapshots, derive_rules(early_spec), truth
+
+
+@pytest.fixture(scope="session")
+def dup_pcap(tmp_path_factory, early_spec):
+    """The early-divergence corpus (seed 3: 8,449 packets, 4.7 MB of
+    payload) as a pcap in which about one packet in twenty is followed by a
+    copy of itself 1-5 ms later: in-window duplicates for dedup, and
+    timestamps out of order for reorder."""
+    trace, _ = synth_trace(early_spec, seed=3)
+    rng = np.random.default_rng(3)
+    packets = []
+    for pkt in trace.packets:
+        packets.append(pkt)
+        if rng.random() < 0.05:
+            packets.append(replace(pkt, ts_us=pkt.ts_us + int(rng.integers(1_000, 5_001))))
+    path = tmp_path_factory.mktemp("dup") / "dup.pcap"
+    write_trace(replace(trace, packets=tuple(packets)), path)
+    return path

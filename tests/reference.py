@@ -7,7 +7,9 @@ with int.from_bytes instead of struct, and the hash is a fresh FNV-1a
 transcription. These exist so the streaming implementations can be checked
 field for field against brute force. The pcap decoder reference slices
 each header layer off the frame and formats every address afresh, where
-the library reads headers in place and caches address text. The forest
+the library reads headers in place and caches address text; the decoder
+reads the whole file at once and the writer encodes the whole file before
+writing it, where the library streams both in chunks. The forest
 reference grows each tree recursively and scores one sampled feature at a
 time, where the library scores all of them in one vectorised pass.
 """
@@ -42,6 +44,7 @@ from flowlab.trace_io import (
     PROTO_UDP,
     PacketTrace,
     RawPacket,
+    _synthesize_frame,
 )
 
 
@@ -353,6 +356,31 @@ def reference_read_trace(path) -> PacketTrace:
             packets.append(pkt)
 
     return PacketTrace(packets=tuple(packets), source=str(path), skipped=skipped)
+
+
+def reference_write_trace(trace: PacketTrace, path) -> None:
+    """Write a trace as a classic little-endian microsecond pcap file (the
+    whole-file writer: every record is encoded into one buffer, which is
+    written at the end, so a ValueError leaves no file).
+
+    Packets carrying their original frame bytes are written back verbatim;
+    others get a synthesized Ethernet frame. Raises ValueError for a packet
+    whose timestamp is outside [0, 2**32) seconds.
+    """
+    out = bytearray()
+    out += struct.pack("<IHHiIII", _MAGIC_US_LE, 2, 4, 0, 0, 262144, _LINKTYPE_ETHERNET)
+    try:
+        for pkt in trace.packets:
+            frame = pkt.raw if pkt.raw is not None else _synthesize_frame(pkt)
+            wire_len = max(pkt.wire_len, len(frame))
+            out += struct.pack(
+                "<IIII", pkt.ts_us // 1_000_000, pkt.ts_us % 1_000_000, len(frame), wire_len
+            )
+            out += frame
+    except struct.error:
+        raise ValueError(f"pcap seconds lie in [0, 2**32); ts_us {pkt.ts_us} is outside") from None
+    with open(path, "wb") as fh:
+        fh.write(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from flowlab.synth import SynthSpec, derive_rules, synth_trace
 from flowlab.trace_io import dedup, read_trace, reorder, write_trace
 
 from conftest import corpus_path, random_trace
-from reference import build_pcap, build_tcp_frame
+from reference import build_pcap, build_tcp_frame, reference_read_trace, reference_write_trace
 
 
 SMALL_SPEC = {
@@ -103,6 +104,15 @@ class TestPreprocess:
         assert [p.ts_us for p in cleaned.packets] == [
             p.ts_us for p in reorder(lib_deduped).packets
         ]
+
+    def test_output_equals_reference_writer(self, tmp_path, dup_pcap, capsys):
+        out = tmp_path / "clean.pcap"
+        assert _run("preprocess", dup_pcap, out) == 0
+        dropped = int(re.search(r"dropped: (\d+)", capsys.readouterr().out).group(1))
+        assert dropped > 300
+        want = tmp_path / "want.pcap"
+        reference_write_trace(reorder(dedup(reference_read_trace(dup_pcap))), want)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_negative_dedup_window_exit_2(self, tmp_path, capsys):
         src = tmp_path / "in.pcap"

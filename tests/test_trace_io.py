@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import os
 import struct
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flowlab import trace_io
 from flowlab.errors import FlowLabError, MalformedHeaderError, UnreadableFileError
+from flowlab.meter import MeterConfig, meter
 from flowlab.trace_io import (
     PacketTrace,
     RawPacket,
@@ -26,6 +31,7 @@ from reference import (
     build_udp_frame,
     dissect_pcap,
     reference_read_trace,
+    reference_write_trace,
 )
 
 
@@ -353,6 +359,117 @@ def test_decoder_matches_reference_on_mutated_pcaps(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "fuzz.pcap"
     path.write_bytes(blob)
     assert _decode(read_trace, path) == _decode(reference_read_trace, path)
+
+
+@given(_mutated_pcap(), st.integers(1, 80))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_decoder_matches_reference_at_any_read_chunk(tmp_path_factory, blob, chunk):
+    # Records straddle the chunk boundaries at every offset, headers included.
+    path = tmp_path_factory.getbasetemp() / "chunks.pcap"
+    path.write_bytes(blob)
+    with mock.patch.object(trace_io, "_READ_CHUNK", chunk):
+        assert _decode(read_trace, path) == _decode(reference_read_trace, path)
+
+
+# A record header that claims 0xFFFFFFF0 bytes, followed by 60 bytes of data.
+_CORRUPT_RECORD = struct.pack("<IIII", 1, 0, 0xFFFFFFF0, 60) + bytes(60)
+
+
+@pytest.mark.parametrize("before, after", [([], []), (HANDSHAKE[:2], HANDSHAKE[2:])],
+                         ids=["alone", "between_good_records"])
+def test_corrupt_record_length_ends_the_read_in_bounded_memory(tmp_path, before, after):
+    blob = build_pcap(before) + _CORRUPT_RECORD + build_pcap(after)[24:]
+    path = _write(tmp_path, blob)
+    tracemalloc.start()
+    try:
+        trace = read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A truncated final record: reading stops there, as in the reference.
+    assert (len(trace), trace.skipped) == (len(before), 1)
+    assert _decode(read_trace, path) == _decode(reference_read_trace, path)
+    assert peak < 1 << 20
+
+
+def test_not_a_regular_file_is_unreadable():
+    with pytest.raises(UnreadableFileError, match="not a regular file"):
+        read_trace(os.devnull)
+
+
+class TestHeaderOnlyRead:
+    def test_packets_keep_every_header_field(self, dup_pcap):
+        full = read_trace(dup_pcap)
+        headers = read_trace(dup_pcap, keep_bytes=False)
+        assert (headers.headers_only, full.headers_only) == (True, False)
+        assert headers.skipped == full.skipped
+        assert list(headers.packets) == [replace(p, payload=b"", raw=None) for p in full.packets]
+
+    def test_meter_output_unchanged(self, dup_pcap):
+        config = MeterConfig()
+        headers = meter(reorder(read_trace(dup_pcap, keep_bytes=False)), config)
+        assert headers == meter(reorder(read_trace(dup_pcap)), config)
+
+    def test_retains_under_half_the_memory_of_a_full_read(self, dup_pcap):
+        def retained(**kw) -> int:
+            tracemalloc.start()
+            try:
+                trace = read_trace(dup_pcap, **kw)
+                assert len(trace) > 8_000
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        # The header-only read goes first, so that it pays for the address cache.
+        headers = retained(keep_bytes=False)
+        assert headers < retained() / 2
+
+    def test_cannot_be_deduped_or_written(self, tmp_path):
+        headers = read_trace(_write(tmp_path, build_pcap(HANDSHAKE)), keep_bytes=False)
+        for trace in (headers, reorder(headers)):
+            with pytest.raises(ValueError, match="keep_bytes=False"):
+                dedup(trace)
+            path = tmp_path / "out.pcap"
+            with pytest.raises(ValueError, match="keep_bytes=False"):
+                write_trace(trace, path)
+            assert not path.exists()
+
+
+def test_write_trace_equals_reference_writer_across_flushes(tmp_path, dup_pcap):
+    read = read_trace(dup_pcap)
+    # Every other packet loses its frame, so that the writer synthesizes one.
+    mixed = replace(read, packets=tuple(
+        p if i % 2 else replace(p, raw=None) for i, p in enumerate(read.packets)
+    ))
+    tracemalloc.start()
+    try:
+        write_trace(mixed, tmp_path / "got.pcap")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    reference_write_trace(mixed, tmp_path / "want.pcap")
+    got = (tmp_path / "got.pcap").read_bytes()
+    assert len(got) > 2 << 20
+    assert got == (tmp_path / "want.pcap").read_bytes()
+    assert peak < 2 << 20  # the output is written as it is encoded
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"ts_us": -1}, "ts_us -1 is outside"),
+        ({"ts_us": 2**32 * 1_000_000}, "is outside"),
+        ({"dst_ip": "2001:db8::2", "raw": None}, "IPv4 to IPv6"),
+    ],
+    ids=["negative_ts", "ts_past_2**32_s", "mixed_families"],
+)
+def test_write_trace_failing_after_a_flush_leaves_no_file(tmp_path, dup_pcap, bad, match):
+    good = read_trace(dup_pcap).packets
+    assert sum(len(p.raw) for p in good) > 1 << 20  # past the first write
+    path = tmp_path / "late.pcap"
+    with pytest.raises(ValueError, match=match):
+        write_trace(PacketTrace(good + (replace(good[-1], **bad),), "t"), path)
+    assert not path.exists()
 
 
 def _pkt(ts, payload=b"x", src="10.0.0.1", sport=1, **kw):
