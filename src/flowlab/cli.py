@@ -14,13 +14,12 @@ import json
 import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import trace_io
-from .errors import ANY, INT, NUMBER, STR, Field, FlowLabError, JsonDocument, check
+from .errors import ANY, INT, NUMBER, STR, Field, FlowLabError, JsonDocument, check, keep
+from .errors import replacing
 from .labeling import BENIGN, RuleSet
 from .meter import MeterConfig, Trigger, meter as run_meter
 
@@ -63,8 +62,10 @@ class PipelineConfig(JsonDocument):
     SPLIT_FIELDS = {"ratio": Field(NUMBER, "(0, 1)"), "seed": Field(INT, "[0, inf)")}
 
     def __post_init__(self) -> None:
-        check("pipeline", self, self.FIELDS)
-        check("split", {"ratio": self.split_ratio, "seed": self.split_seed}, self.SPLIT_FIELDS)
+        keep(self, check("pipeline", self, self.FIELDS))
+        split = {"ratio": self.split_ratio, "seed": self.split_seed}
+        split = check("split", split, self.SPLIT_FIELDS)
+        keep(self, {"split_ratio": split["ratio"], "split_seed": split["seed"]})
 
     def to_dict(self) -> dict:
         return {
@@ -97,27 +98,13 @@ class PipelineConfig(JsonDocument):
         )
 
 
-def _atomic(path: str, write_fn) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=os.path.basename(path))
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def cmd_preprocess(args) -> int:
     trace = trace_io.read_trace(args.input)
     read_count = len(trace)
     deduped = trace_io.dedup(trace, args.dedup_window_us)
     reordered_count = trace_io.out_of_order_count(deduped)
     cleaned = trace_io.reorder(deduped)
-    _atomic(args.output, lambda p: trace_io.write_trace(cleaned, p))
+    trace_io.write_trace(cleaned, args.output)
     print(f"packets read: {read_count}")
     print(f"skipped: {trace.skipped}")
     print(f"dropped: {read_count - len(deduped)}")
@@ -148,9 +135,7 @@ def cmd_meter(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     cf = ds_mod.build_cf(records, rules, min_class_count=echo.min_class_count)
-    _atomic(
-        os.path.join(args.out_dir, "cf.csv"), lambda p: ds_mod.write_csv(cf, p)
-    )
+    ds_mod.write_csv(cf, os.path.join(args.out_dir, "cf.csv"))
 
     cf_summary = ds_mod.distribution(cf)
     dist = {"CF": cf_summary.to_dict()}
@@ -158,9 +143,7 @@ def cmd_meter(args) -> int:
     for trigger, snaps in snapshots.items():
         pf = ds_mod.build_pf(snaps, cf, trigger)
         name = f"pf_{trigger.kind}_{trigger.value}.csv"
-        _atomic(
-            os.path.join(args.out_dir, name), lambda p, pf=pf: ds_mod.write_csv(pf, p)
-        )
+        ds_mod.write_csv(pf, os.path.join(args.out_dir, name))
         if len(pf):
             summary = ds_mod.distribution(pf)
             dist[str(trigger)] = summary.to_dict()
@@ -260,7 +243,7 @@ def cmd_synth(args) -> int:
 
     spec = synth.SynthSpec.from_json(args.spec)
     trace, truth = synth.synth_trace(spec, args.seed)
-    _atomic(args.output, lambda p: trace_io.write_trace(trace, p))
+    trace_io.write_trace(trace, args.output)
     doc = {
         "name": spec.name,
         "seed": args.seed,
@@ -296,7 +279,8 @@ def cmd_synth(args) -> int:
 
 
 def _save(path: str, text: str) -> None:
-    _atomic(path, lambda p: Path(p).write_text(text, encoding="utf-8"))
+    with replacing(path, encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _json(data: dict) -> str:

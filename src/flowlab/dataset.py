@@ -16,7 +16,7 @@ from typing import AbstractSet, Iterable, get_type_hints
 
 import numpy as np
 
-from .errors import DatasetIOError, SchemaMismatchError
+from .errors import DatasetIOError, SchemaMismatchError, replacing
 from .labeling import BENIGN, RuleSet, label_flow
 from .meter import FEATURE_NAMES, FeatureVector, FlowRecord, FlowSnapshot, Trigger
 
@@ -357,7 +357,7 @@ def write_csv(ds: Dataset, path) -> None:
         (lambda v: str(int(v))) if name in _INT_FIELDS else repr for name in ds.feature_schema
     ]
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with replacing(path, encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(list(ds.feature_schema) + ["label", "flow_hash", "provenance"])
             for start in range(0, len(ds), _BLOCK_ROWS):
@@ -419,7 +419,7 @@ def read_csv(path) -> Dataset:
                 labels += columns[-3]
                 hashes += parse("flow_hash", int, columns[-2])
                 provenances.update(columns[-1])
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetIOError(f"cannot read dataset {path}: {exc}") from exc
 
     if len(provenances) > 1:

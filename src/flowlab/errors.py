@@ -1,4 +1,5 @@
-"""Exception types, and the field check of config documents, shared across the toolkit."""
+"""Exception types, the field check of config documents, and the writer of
+output files, shared across the toolkit."""
 
 from __future__ import annotations
 
@@ -6,7 +7,9 @@ import json
 import math
 import numbers
 import operator
+import os
 from collections.abc import Iterable
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 
@@ -108,7 +111,8 @@ class Field:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "allows", _test(self.kind, self.bounds))
-        object.__setattr__(self, "form", {INT: int, PAIR: tuple}.get(self.kind))
+        form = {INT: int, PAIR: lambda v: tuple(map(int, v))}.get(self.kind)
+        object.__setattr__(self, "form", form)
 
     def describe(self) -> str:
         bounds = f" in {self.bounds}" if self.bounds else ""
@@ -117,8 +121,8 @@ class Field:
 
 
 def checked(where: str, value, field: Field):
-    """``value`` as ``field`` allows it, integers as ``int`` and pairs and
-    lists as tuples (or ``many``); ValueError naming ``where`` otherwise."""
+    """``value`` as ``field`` allows it, integers (in pairs too) as ``int``,
+    pairs and lists as tuples (or ``many``); ValueError naming ``where`` otherwise."""
     if field.also and any(isinstance(value, type(a)) and value == a for a in field.also):
         return value
     form = field.form
@@ -156,10 +160,40 @@ def check(section: str, source, table: dict[str, Field]) -> dict:
     return {name: checked(f"{section}.{name}", v, table[name]) for name, v in values.items()}
 
 
+def keep(instance, values: dict) -> None:
+    """Set each field of a frozen ``instance`` to its value in ``values``,
+    such as the checked values that ``check`` returns."""
+    for name, value in values.items():
+        object.__setattr__(instance, name, value)
+
+
 class JsonDocument:
     """``from_json`` for a config type: its ``from_dict`` of a JSON file."""
 
     @classmethod
     def from_json(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise FlowLabError(f"{path}: {exc}") from None
+        return cls.from_dict(doc)
+
+
+@contextmanager
+def replacing(path, mode: str = "w", **kwargs):
+    """Write a whole file or none: the file that ``open(path, mode,
+    **kwargs)`` would give, written as a new temp file beside ``path`` that
+    replaces it when the block ends. When the block raises, the temp file
+    is removed, ``path`` is left as it was and the exception goes on. The
+    temp name is short, so that any name ``path`` may have fits."""
+    tmp = os.path.join(os.path.dirname(os.fspath(path)), f".{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise

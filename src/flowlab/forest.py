@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ANY, BOOL, INT, STR, Field, check
+from .errors import ANY, BOOL, INT, STR, Field, check, keep, replacing
 from .errors import EmptyDatasetError, FlowLabError, SchemaMismatchError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -93,7 +93,7 @@ class TrainConfig:
     }
 
     def __post_init__(self) -> None:
-        check("train", self, self.FIELDS)
+        keep(self, check("train", self, self.FIELDS))
 
     def resolve_max_features(self, n_features: int) -> int:
         if self.max_features == "sqrt":
@@ -428,7 +428,7 @@ def save_model(forest: RandomForest, path) -> None:
             for tree in forest.trees
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 

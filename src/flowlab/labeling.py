@@ -8,11 +8,11 @@ label does not depend on which endpoint happened to send the first packet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from ipaddress import IPv4Address, IPv6Address, ip_address, ip_network
+from ipaddress import ip_network
 
-from .errors import ANY, BOOL, INT, PAIR, STR, Field, JsonDocument, check, checked
+from .errors import ANY, BOOL, INT, PAIR, STR, Field, JsonDocument, check, checked, keep
 from .meter import FlowRecord
+from .trace_io import parse_ip
 
 # The label of a flow that no rule matches, and the one class binary metrics call benign.
 BENIGN = "BENIGN"
@@ -34,8 +34,7 @@ class PortSet:
     }
 
     def __post_init__(self) -> None:
-        for name, value in check("ports", self, self.FIELDS).items():
-            object.__setattr__(self, name, value)
+        keep(self, check("ports", self, self.FIELDS))
 
     @classmethod
     def parse(cls, spec, where: str = "ports") -> PortSet:
@@ -73,15 +72,10 @@ def _network(where: str, text: str):
         raise ValueError(f"{where} holds {text!r}, which is not an IP address or CIDR") from None
 
 
-@lru_cache(maxsize=65536)
-def _address(ip: str) -> IPv4Address | IPv6Address:
-    return ip_address(ip)
-
-
 def _ip_matches(networks: tuple, ip: str) -> bool:
     if not networks:
         return True
-    addr = _address(ip)
+    addr = parse_ip(ip)[0]
     return any(addr.version == net.version and addr in net for net in networks)
 
 
@@ -117,8 +111,7 @@ class LabelRule:
         for name in ("src_ports", "dst_ports"):
             if not isinstance(values[name], PortSet):
                 values[name] = PortSet.parse(values[name], f"rule.{name}")
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+        keep(self, values)
 
     def _endpoints_match(self, src: tuple[str, int], dst: tuple[str, int]) -> bool:
         return (
@@ -161,7 +154,7 @@ class RuleSet(JsonDocument):
     }
 
     def __post_init__(self) -> None:
-        check("rules", self, self.FIELDS)
+        keep(self, check("rules", self, self.FIELDS))
 
     @classmethod
     def from_dict(cls, data: dict) -> RuleSet:

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from ipaddress import ip_address
 from typing import NamedTuple
 
-from .errors import BOOL, INT, NUMBER, Field, JsonDocument, UnsortedTraceError, check
+from .errors import BOOL, INT, NUMBER, Field, JsonDocument, UnsortedTraceError, check, keep
 from .trace_io import (
     PacketTrace,
     RawPacket,
@@ -26,6 +24,7 @@ from .trace_io import (
     TCP_RST,
     TCP_SYN,
     TCP_URG,
+    parse_ip,
 )
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -34,14 +33,6 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # In the order of the bidirectional_*_count features.
 _FLAG_BITS = (TCP_SYN, TCP_FIN, TCP_RST, TCP_PSH, TCP_ACK, TCP_URG, TCP_ECE, TCP_CWR)
-
-
-@lru_cache(maxsize=65536)
-def _address(ip: str) -> tuple[bytes, str]:
-    """Packed bytes and canonical text of an address; parsing the same
-    address text repeatedly would dominate per-packet cost."""
-    addr = ip_address(ip)
-    return addr.packed, str(addr)
 
 
 def _flow_key(
@@ -53,8 +44,8 @@ def _flow_key(
     smaller (packed address, port) pair, so both orientations of a
     five-tuple, and every text form of its addresses, give one key.
     """
-    packed1, text1 = _address(ip1)
-    packed2, text2 = _address(ip2)
+    _, packed1, text1 = parse_ip(ip1)
+    _, packed2, text2 = parse_ip(ip2)
     if (packed1, port1) <= (packed2, port2):
         return (text1, port1), (text2, port2), protocol
     return (text2, port2), (text1, port1), protocol
@@ -94,9 +85,9 @@ def flow_hash(key: FlowKey, start_us: int) -> int:
     hex, and protocol and start time in decimal.
     """
     text = "{}|{:04x}|{}|{:04x}|{}|{}".format(
-        _address(key.endpoint_a[0])[0].hex(),
+        parse_ip(key.endpoint_a[0])[1].hex(),
         key.endpoint_a[1],
-        _address(key.endpoint_b[0])[0].hex(),
+        parse_ip(key.endpoint_b[0])[1].hex(),
         key.endpoint_b[1],
         key.protocol,
         start_us,
@@ -133,7 +124,7 @@ class Trigger:
     def __post_init__(self) -> None:
         if self.kind not in self._KIND_ORDER:
             raise ValueError(f"unknown trigger kind {self.kind!r}")
-        check("trigger", self, {"value": Field(INT, "[1, inf)")})
+        keep(self, check("trigger", self, {"value": Field(INT, "[1, inf)")}))
 
     def __str__(self) -> str:
         return f"{self.kind.upper()}={self.value}"
@@ -274,8 +265,7 @@ class MeterConfig(JsonDocument):
     }
 
     def __post_init__(self) -> None:
-        for name, value in check("meter", self, self.FIELDS).items():
-            object.__setattr__(self, name, value)
+        keep(self, check("meter", self, self.FIELDS))
 
     def triggers(self) -> list[Trigger]:
         """Every configured trigger, in ``Trigger.sort_key`` order."""

@@ -11,7 +11,7 @@ only from packet k onward.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from ipaddress import ip_address, ip_network
+from ipaddress import ip_network
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .trace_io import (
     TCP_PSH,
     TCP_SYN,
     _synthesize_frame,
+    parse_ip,
 )
 
 _MAX_FLOWS = 55_000  # one unique client port per flow
@@ -157,8 +158,8 @@ def _draw_ip(rng: np.random.Generator, pool: tuple[str, ...]) -> str:
     if "/" in choice:
         net = ip_network(choice, strict=False)
         offset = int(rng.integers(0, net.num_addresses))
-        return str(ip_address(int(net.network_address) + offset))
-    return str(ip_address(choice))
+        return str(net.network_address + offset)
+    return parse_ip(choice)[2]
 
 
 def synth_trace(

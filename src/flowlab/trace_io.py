@@ -14,10 +14,10 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from ipaddress import ip_address
+from ipaddress import IPv4Address, IPv6Address, ip_address
 from stat import S_ISREG
 
-from .errors import MalformedHeaderError, UnreadableFileError
+from .errors import MalformedHeaderError, UnreadableFileError, replacing
 
 # TCP flag bits (low byte of the TCP flags field).
 TCP_FIN = 0x01
@@ -112,6 +112,15 @@ class PacketTrace:
 
     def __len__(self) -> int:
         return len(self.packets)
+
+
+@lru_cache(maxsize=65536)
+def parse_ip(text: str) -> tuple[IPv4Address | IPv6Address, bytes, str]:
+    """The address that ``text`` names, its packed bytes and its canonical
+    text; ValueError if it names none. The one parser of address text, and
+    cached, since the same few addresses recur on every packet."""
+    addr = ip_address(text)
+    return addr, addr.packed, str(addr)
 
 
 @lru_cache(maxsize=65536)
@@ -318,61 +327,71 @@ def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
 
 
 def _synthesize_frame(pkt: RawPacket) -> bytes:
-    """Build an Ethernet frame for a packet without captured bytes."""
+    """Build an Ethernet frame for a packet without captured bytes;
+    ValueError names a field that does not fit the frame."""
     payload = pkt.payload
     if len(payload) < pkt.payload_len:
         payload = payload + b"\x00" * (pkt.payload_len - len(payload))
-    src = ip_address(pkt.src_ip)
-    dst = ip_address(pkt.dst_ip)
+    src, src_packed, _ = parse_ip(pkt.src_ip)
+    dst, dst_packed, _ = parse_ip(pkt.dst_ip)
     if src.version != dst.version:
         raise ValueError(f"cannot synthesize a frame from IPv{src.version} to IPv{dst.version}")
 
-    if pkt.protocol == PROTO_TCP:
-        transport = struct.pack(
-            "!HHIIBBHHH",
-            pkt.src_port,
-            pkt.dst_port,
-            0,
-            0,
-            5 << 4,
-            pkt.tcp_flags,
-            8192,
-            0,
-            0,
-        ) + payload
-    elif pkt.protocol == PROTO_UDP:
-        transport = struct.pack(
-            "!HHHH", pkt.src_port, pkt.dst_port, 8 + len(payload), 0
-        ) + payload
-    else:
-        raise ValueError(f"cannot synthesize frame for protocol {pkt.protocol}")
+    try:
+        if pkt.protocol == PROTO_TCP:
+            transport = struct.pack(
+                "!HHIIBBHHH",
+                pkt.src_port,
+                pkt.dst_port,
+                0,
+                0,
+                5 << 4,
+                pkt.tcp_flags,
+                8192,
+                0,
+                0,
+            ) + payload
+        elif pkt.protocol == PROTO_UDP:
+            transport = struct.pack(
+                "!HHHH", pkt.src_port, pkt.dst_port, 8 + len(payload), 0
+            ) + payload
+        else:
+            raise ValueError(f"cannot synthesize frame for protocol {pkt.protocol}")
 
-    if src.version == 4:
-        header = struct.pack(
-            "!BBHHHBBH4s4s",
-            0x45,
-            0,
-            20 + len(transport),
-            0,
-            0,
-            64,
-            pkt.protocol,
-            0,
-            src.packed,
-            dst.packed,
-        )
-        ethertype = _ETHERTYPE_IPV4
-    else:
-        header = struct.pack(
-            "!IHBB16s16s",
-            6 << 28,
-            len(transport),
-            pkt.protocol,
-            64,
-            src.packed,
-            dst.packed,
-        )
-        ethertype = _ETHERTYPE_IPV6
+        if src.version == 4:
+            header = struct.pack(
+                "!BBHHHBBH4s4s",
+                0x45,
+                0,
+                20 + len(transport),
+                0,
+                0,
+                64,
+                pkt.protocol,
+                0,
+                src_packed,
+                dst_packed,
+            )
+            ethertype = _ETHERTYPE_IPV4
+        else:
+            header = struct.pack(
+                "!IHBB16s16s",
+                6 << 28,
+                len(transport),
+                pkt.protocol,
+                64,
+                src_packed,
+                dst_packed,
+            )
+            ethertype = _ETHERTYPE_IPV6
+    except struct.error:
+        problem = f"a payload of {len(payload)} bytes does not fit one IP packet"
+        for name, hi in (("src_port", 0xFFFF), ("dst_port", 0xFFFF), ("tcp_flags", 0xFF)):
+            value = getattr(pkt, name)
+            if not (isinstance(value, int) and 0 <= value <= hi):
+                problem = f"{name} {value!r} is outside [0, {hi}]"
+                break
+        raise ValueError(f"cannot synthesize a frame: {problem}") from None
     eth = b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01" + struct.pack("!H", ethertype)
     return eth + header + transport
 
@@ -392,35 +411,30 @@ def write_trace(trace: PacketTrace, path: str | os.PathLike) -> None:
     others get a synthesized Ethernet frame. The file is written in chunks
     of about 1 MiB as the packets are encoded. Raises ValueError for a
     header-only trace (see ``read_trace``), for a packet whose timestamp is
-    outside [0, 2**32) seconds, and for a frame that cannot be synthesized;
-    a write that fails removes the partial file.
+    outside [0, 2**32) seconds or whose wire length is 2**32 or more, and
+    for a frame that cannot be synthesized; a write that fails leaves
+    ``path`` as it was.
     """
     _refuse_headers_only(trace, "write")
-    fh = open(path, "wb")
-    try:
-        with fh:
-            out = bytearray(
-                struct.pack("<IHHiIII", _MAGIC_US_LE, 2, 4, 0, 0, 262144, _LINKTYPE_ETHERNET)
+    with replacing(path, "wb") as fh:
+        out = bytearray(
+            struct.pack("<IHHiIII", _MAGIC_US_LE, 2, 4, 0, 0, 262144, _LINKTYPE_ETHERNET)
+        )
+        for pkt in trace.packets:
+            frame = pkt.raw if pkt.raw is not None else _synthesize_frame(pkt)
+            wire_len = max(pkt.wire_len, len(frame))
+            if not 0 <= pkt.ts_us < 2**32 * 1_000_000:
+                raise ValueError(f"pcap seconds lie in [0, 2**32); ts_us {pkt.ts_us} is outside")
+            if wire_len >> 32:
+                raise ValueError(f"pcap lengths lie in [0, 2**32); wire_len {wire_len} is outside")
+            out += struct.pack(
+                "<IIII", pkt.ts_us // 1_000_000, pkt.ts_us % 1_000_000, len(frame), wire_len
             )
-            try:
-                for pkt in trace.packets:
-                    frame = pkt.raw if pkt.raw is not None else _synthesize_frame(pkt)
-                    wire_len = max(pkt.wire_len, len(frame))
-                    out += struct.pack(
-                        "<IIII", pkt.ts_us // 1_000_000, pkt.ts_us % 1_000_000, len(frame), wire_len
-                    )
-                    out += frame
-                    if len(out) >= _WRITE_CHUNK:
-                        fh.write(out)
-                        out.clear()
-            except struct.error:
-                raise ValueError(
-                    f"pcap seconds lie in [0, 2**32); ts_us {pkt.ts_us} is outside"
-                ) from None
-            fh.write(out)
-    except BaseException:
-        os.unlink(path)
-        raise
+            out += frame
+            if len(out) >= _WRITE_CHUNK:
+                fh.write(out)
+                out.clear()
+        fh.write(out)
 
 
 def dedup(trace: PacketTrace, window_us: int = 10_000) -> PacketTrace:

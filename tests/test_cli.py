@@ -209,6 +209,38 @@ class TestSynth:
         assert err.startswith("error: ") and field in err
         assert not pcap.exists()
 
+    def test_failed_write_keeps_the_file_at_the_output_path(self, workdir, capsys):
+        # Flows start 10 ms before the end of the pcap range and run past it.
+        bad = workdir / "far.json"
+        template = {**SMALL_SPEC["templates"][0], "start_us": [2**32 * 10**6 - 10_000] * 2}
+        bad.write_text(json.dumps({**SMALL_SPEC, "templates": [template]}))
+        pcap = workdir / "x.pcap"
+        pcap.write_bytes(build_pcap([]))
+        assert _run("synth", bad, 1, pcap, workdir / "x.json") == 2
+        assert "is outside" in capsys.readouterr().err
+        assert pcap.read_bytes() == build_pcap([])
+        assert sorted(p.name for p in workdir.iterdir()) == ["far.json", "spec.json", "x.pcap"]
+
+
+def test_outputs_get_the_mode_open_gives(workdir):
+    def mode(path) -> int:
+        return path.stat().st_mode & 0o777
+
+    out = workdir / "all"
+    out.mkdir()
+    with open(out / "plain", "w"):
+        pass
+    expected = mode(out / "plain")
+    pcap, rules = out / "t.pcap", out / "rules.json"
+    cfg = out / "meter.json"
+    cfg.write_text(json.dumps({"pc_triggers": [2], "fd_triggers_ms": []}))
+    assert _run("synth", workdir / "spec.json", 3, pcap, out / "t.json", "--rules-out", rules) == 0
+    assert _run("preprocess", pcap, out / "clean.pcap") == 0
+    assert _run("meter", pcap, rules, out, "--config", cfg, "--min-class-count", 5) == 0
+    assert _run("eval", out / "cf.csv", out / "pf_pc_2.csv", out, "--trees", 2) == 0
+    written = {p.name: mode(p) for p in out.iterdir()}
+    assert len(written) == 16 and set(written.values()) == {expected}
+
 
 class TestMeterCmd:
     @pytest.fixture()
@@ -299,6 +331,15 @@ class TestMeterCmd:
         assert _run("meter", empty, rules, out) == 0
         assert (out / "cf.csv").read_text().count("\n") == 1
         assert (out / "pf_pc_2.csv").read_text().count("\n") == 1
+
+    def test_undecodable_config_exit_2_names_the_file(self, workdir, synth_inputs, capsys):
+        pcap, rules = synth_inputs
+        cfg = workdir / "bad.json"
+        cfg.write_text('{"idle_timeout_s": }')
+        assert _run("meter", pcap, rules, workdir / "m5", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: Expecting value: line 1 column 20 (char 19)\n"
+        assert not (workdir / "m5").exists()
 
     def test_bad_config_exit_2(self, workdir, synth_inputs):
         pcap, rules = synth_inputs
@@ -605,6 +646,23 @@ class TestEvalCmd:
         out = workdir / "e12"
         assert _run("eval", metered / "cf.csv", bad, out, "--task", "binary", "--trees", 2) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: column {column}: ")
+        assert not out.exists()
+
+    def test_non_utf8_cf_exit_2_names_the_file(self, workdir, metered, capsys):
+        cf = metered / "cf.csv"
+        cf.write_bytes(cf.read_bytes().replace(b"ATTACK", b"ATT\xffCK", 1))
+        out = workdir / "e13"
+        assert _run("eval", cf, metered / "pf_pc_2.csv", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read dataset {cf}: ") and "0xff" in err
+        assert not out.exists()
+
+    def test_two_pf_files_of_one_trigger_exit_2(self, workdir, metered, capsys):
+        copy = workdir / "pf_copy.csv"
+        copy.write_bytes((metered / "pf_pc_2.csv").read_bytes())
+        out = workdir / "e14"
+        assert _run("eval", metered / "cf.csv", metered / "pf_pc_2.csv", copy, out) == 2
+        assert capsys.readouterr().err == "error: duplicate partial-flow dataset for PC=2\n"
         assert not out.exists()
 
     def test_jobs_flag_exit_2(self, workdir, metered, capsys):

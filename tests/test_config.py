@@ -6,7 +6,9 @@ from __future__ import annotations
 import copy
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 from flowlab import synth
 from flowlab.cli import PipelineConfig
 from flowlab.errors import FlowLabError
-from flowlab.labeling import RuleSet
-from flowlab.meter import MeterConfig
+from flowlab.forest import TrainConfig
+from flowlab.labeling import LabelRule, PortSet, RuleSet
+from flowlab.meter import MeterConfig, Trigger
 
 from conftest import corpus_path
 
@@ -133,3 +136,44 @@ def _finite(value) -> bool:
         except OverflowError:
             return False
     return True
+
+
+def test_config_objects_keep_the_checked_values():
+    n = np.int64
+    pipeline = PipelineConfig(min_class_count=n(5), split_seed=n(4), train=TrainConfig(seed=n(4)))
+    rule = LabelRule("X", src_ips=["10.0.0.0/8"], protocol=n(6), window_us=[n(1), n(2)])
+    kept = {
+        "train.n_trees": TrainConfig(n_trees=n(2)).n_trees,
+        "train.seed": pipeline.train.seed,
+        "pipeline.min_class_count": pipeline.min_class_count,
+        "split.seed": pipeline.split_seed,
+        "trigger.value": Trigger("pc", n(3)).value,
+        "meter.pc_triggers": min(MeterConfig(pc_triggers=[n(3)]).pc_triggers),
+        "ports.singles": min(PortSet(singles=[n(80)]).singles),
+        "rule.protocol": rule.protocol,
+        "rule.window_us": rule.window_us[0],
+    }
+    assert {name: type(value) for name, value in kept.items()} == dict.fromkeys(kept, int)
+    assert rule.window_us == (1, 2)
+    assert RuleSet([rule]).rules == (rule,)
+    # The echo holds only JSON values.
+    assert json.loads(json.dumps(pipeline.to_dict()))["split"]["seed"] == 4
+
+
+@pytest.mark.parametrize("kind", DOCUMENTS)
+@pytest.mark.parametrize(
+    "blob, problem",
+    [(b'{"name": }', "Expecting value"), (b'{"name": "\xff"}', "can't decode byte 0xff")],
+    ids=["not_json", "not_utf8"],
+)
+def test_undecodable_document_names_its_file(tmp_path, kind, blob, problem):
+    loader = {
+        "pipeline": PipelineConfig,
+        "meter": MeterConfig,
+        "rules": RuleSet,
+        "spec": synth.SynthSpec,
+    }[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(blob)
+    with pytest.raises(FlowLabError, match=f"^{re.escape(str(path))}: .*{problem}"):
+        loader.from_json(path)

@@ -215,6 +215,12 @@ class TestAlign:
         acf, apf = align(cf, pf)
         assert len(acf) == 0 and len(apf) == 0
 
+    def test_first_dataset_must_be_cf(self):
+        cf = build_cf([_record(i) for i in range(3)], RuleSet(), min_class_count=1)
+        pf = build_pf([_snapshot(r) for r in [_record(0)]], cf, Trigger("pc", 2))
+        with pytest.raises(ValueError, match="first dataset has provenance 'PC=2', not CF"):
+            align(pf, cf)
+
     def test_subset_pf(self):
         records = [_record(i) for i in range(10)]
         cf = build_cf(records, RuleSet(), min_class_count=1)
@@ -445,6 +451,7 @@ class TestCsv:
             (lambda rows: _first_row_with(rows, 1, "9" * 400), DatasetIOError, "range"),
             (lambda rows: _first_row_with(rows, -2, "-1"), DatasetIOError, "64-bit"),
             (lambda rows: _first_row_with(rows, -2, str(2**64)), DatasetIOError, "64-bit"),
+            (lambda rows: [], SchemaMismatchError, "missing header"),  # an empty file
         ],
     )
     def test_inconsistent_files_rejected(self, tmp_path, edit, error, match):
@@ -482,3 +489,41 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetIOError):
             read_csv(tmp_path / "nope.csv")
+
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        ds = build_cf([_record(0), _record(1)], RuleSet(), min_class_count=1)
+        path = tmp_path / "ds.csv"
+        write_csv(ds, path)
+        path.write_bytes(path.read_bytes().replace(b"BENIGN", b"BEN\xffGN", 1))
+        with pytest.raises(DatasetIOError, match=f"cannot read dataset {path}: .*0xff"):
+            read_csv(path)
+
+    def test_unwritable_path_raises_dataset_io_error(self, tmp_path):
+        ds = build_cf([_record(0)], RuleSet(), min_class_count=1)
+        # No directory to write in, and a directory in the way of the rename.
+        for path in (tmp_path / "no_dir" / "ds.csv", tmp_path):
+            with pytest.raises(DatasetIOError, match=f"cannot write dataset {path}: "):
+                write_csv(ds, path)
+        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.parent.glob(".*.tmp")) == []
+
+    def test_longest_file_name_written(self, tmp_path):
+        ds = build_cf([_record(0)], RuleSet(), min_class_count=1)
+        path = tmp_path / ("d" * 251 + ".csv")
+        write_csv(ds, path)
+        assert read_csv(path) == ds
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_keeps_the_file_at_the_path(self, tmp_path, monkeypatch):
+        ds = build_cf([_record(i) for i in range(5)], RuleSet(), min_class_count=1)
+        path = tmp_path / "ds.csv"
+        write_csv(ds, path)
+        before = path.read_bytes()
+        # A NaN in an integer column fails in the fourth row, after three are written.
+        X = ds.X.copy()
+        X[3, FEATURE_NAMES.index("bidirectional_packets")] = np.nan
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", 1)
+        with pytest.raises(ValueError, match="NaN"):
+            write_csv(Dataset(ds.provenance, ds.hash64, X, ds.labels), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

@@ -133,6 +133,8 @@ class TestComputeMetrics:
             compute_metrics(["A"], ["A", "B"], "binary")
         with pytest.raises(EmptyInputError):
             compute_metrics([], [], "binary")
+        with pytest.raises(ValueError, match="unknown task 'bin'"):
+            compute_metrics(["A"], ["A"], "bin")
 
     def test_matches_brute_force_on_random_vectors(self):
         rng = np.random.default_rng(59)
@@ -280,6 +282,26 @@ class TestSweep:
             by_threshold.setdefault(row.threshold, []).append(row)
         assert all(r.skipped_reason for r in by_threshold["PC=19"])
         assert all(not r.skipped_reason for r in by_threshold["PC=2"])
+
+    def test_no_test_flow_in_the_pf_set_skips_every_cell(self):
+        cf = _dataset(["A", "B"] * 10)
+        split = split_keys(cf, 0.7, seed=0)
+        pf = replace(cf.restrict(split.train_keys), provenance="PC=2")
+        report = sweep(cf, {Trigger("pc", 2): pf}, tasks=("binary",), split=split,
+                       tc=TrainConfig(n_trees=2))
+        assert [(r.scenario, r.n_train, r.n_test, r.skipped_reason) for r in report.rows] == [
+            (kind, 14, 0, "empty test side") for kind in ("CF_CF", "PF_PF", "CF_PF")
+        ]
+
+    def test_scoring_error_recorded_as_skipped(self):
+        # A PF schema of two features: a CF forest cannot score it.
+        cf = _dataset(["A", "B"] * 10)
+        pf = Dataset("PC=2", cf.hash64, np.hstack([cf.X, cf.X]), cf.labels, ("x", "y"))
+        report = sweep(cf, {Trigger("pc", 2): pf}, tasks=("binary",), tc=TrainConfig(n_trees=2))
+        reasons = {r.scenario: r.skipped_reason for r in report.rows}
+        assert reasons["CF_CF"] == reasons["PF_PF"] == ""
+        assert reasons["CF_PF"] == "expected 1 features, got (6, 2)"
+        assert [r.f1 is None for r in report.rows] == [False, False, True]
 
     def test_row_cardinality_matches_enumeration(self, early_corpus):
         cf, snapshots = _corpus_eval_inputs(early_corpus)

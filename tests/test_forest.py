@@ -205,6 +205,31 @@ class TestTrain:
             assert np.isfinite(tree.threshold).all()
         assert predict_matrix(forest, X) == ["A", "B"]
 
+    def test_numpy_integer_settings_grow_the_python_int_forest(self, tmp_path):
+        ds = _separable(30, seed=7)
+        settings = {"n_trees": 3, "max_features": 1, "min_samples_leaf": 2, "max_depth": 4,
+                    "seed": 3}
+        config = TrainConfig(**{k: np.int64(v) for k, v in settings.items()})
+        assert config == TrainConfig(**settings)
+        assert all(type(v) is int for k, v in config.to_dict().items() if k in settings)
+        forest = train(ds, config)
+        assert forest == train(ds, TrainConfig(**settings))
+        path = tmp_path / "model.json"
+        save_model(forest, path)
+        assert load_model(path) == forest
+
+    def test_failed_save_keeps_the_file_at_the_path(self, tmp_path):
+        forest = train(_separable(10, seed=3), TrainConfig(n_trees=2, seed=3))
+        path = tmp_path / "model.json"
+        save_model(forest, path)
+        before = path.read_bytes()
+        # json.dump has begun the document when it reaches the unwritable label.
+        broken = RandomForest(forest.trees, forest.feature_schema, ("A", object()))
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_model(broken, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_tree_seed_mixing(self):
         seeds = {tree_seed(42, i) for i in range(1000)}
         assert len(seeds) == 1000

@@ -346,6 +346,11 @@ class TestMeterConfigValues:
         with pytest.raises(ValueError, match="trigger.value must be an integer in"):
             Trigger(kind, value)
 
+    @pytest.mark.parametrize("kind", ["PC", "xx", ""])
+    def test_unknown_trigger_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match=f"unknown trigger kind {kind!r}"):
+            Trigger(kind, 5)
+
     def test_integer_collections_accepted(self):
         config = MeterConfig.from_dict(
             {"pc_triggers": [3, 2, 3], "fd_triggers_ms": [], "fin_rst_expiration": False}

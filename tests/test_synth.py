@@ -93,6 +93,27 @@ class TestSynthTrace:
         with pytest.raises(InvalidSpecError, match="IPv4 and IPv6"):
             synth_trace(replace(spec, templates=(mixed,)), seed=0)
 
+    def test_protocol_other_than_tcp_or_udp_rejected(self):
+        spec = _minimal_spec()
+        icmp = replace(spec.templates[0], protocol=1)
+        with pytest.raises(InvalidSpecError, match="protocol must be TCP or UDP"):
+            synth_trace(replace(spec, templates=(icmp,)), seed=0)
+
+    def test_flow_limit(self):
+        spec = _minimal_spec()
+        many = replace(spec.templates[0], flows=27_500)
+        with pytest.raises(InvalidSpecError, match="55001 flows exceed the 55000 flow limit"):
+            synth_trace(replace(spec, templates=(many, replace(many, flows=27_501))), seed=0)
+
+    def test_ipv6_pool_below_2_to_the_32_stays_ipv6(self):
+        # "::/120" holds ::0-::ff, whose integers would read back as IPv4 addresses.
+        spec = _minimal_spec()
+        v6 = replace(spec.templates[0], client_ips=("::/120",), server_ips=("::1:1",), flows=5)
+        trace, truth = synth_trace(replace(spec, templates=(v6,)), seed=0)
+        assert all(":" in p.src_ip and ":" in p.dst_ip for p in trace.packets)
+        records, _ = meter(trace, MeterConfig())
+        assert {r.id.hash64 for r in records} == {fid.hash64 for fid, _ in truth}
+
     def test_tcp_flags_pattern(self):
         spec = _minimal_spec()
         data = {
@@ -192,6 +213,38 @@ class TestGroundTruthIntegration:
         expected = {fid.hash64: label for fid, label in truth}
         for record in records:
             assert label_flow(record, rules) == expected[record.id.hash64]
+
+    def test_ipv6_corpus_metered_back_to_its_truth(self, tmp_path):
+        templates = [
+            {
+                "label": label,
+                "flows": 20,
+                "packets": [3, 9],
+                "payload": payload,
+                "iat_us": [100, 5000],
+                "client_ips": [clients],
+                "server_ips": ["2001:DB8:0:0::ff"],
+                "server_ports": [443],
+                "protocol": protocol,
+                "tcp": {"handshake": True, "fin": True},
+            }
+            for label, clients, payload, protocol in (
+                ("BENIGN", "2001:db8::/120", [0, 300], 6),
+                ("ATTACK", "2001:db8:1::/120", [500, 900], 17),
+            )
+        ]
+        spec = SynthSpec.from_dict({"templates": templates})
+        trace, truth = synth_trace(spec, seed=2)
+        path = tmp_path / "v6.pcap"
+        write_trace(trace, path)
+        back = read_trace(path)
+        assert (len(back), back.skipped) == (len(trace), 0)
+        assert all(p.dst_ip == "2001:db8::ff" or p.src_ip == "2001:db8::ff" for p in back.packets)
+        records, _ = meter(back, MeterConfig())
+        expected = {fid.hash64: label for fid, label in truth}
+        assert {r.id.hash64 for r in records} == expected.keys()
+        rules = derive_rules(spec)
+        assert all(label_flow(r, rules) == expected[r.id.hash64] for r in records)
 
     def test_pcap_round_trip_preserves_flows(self, tmp_path, early_spec):
         trace, truth = synth_trace(early_spec, seed=4)

@@ -276,6 +276,52 @@ def test_write_trace_rejects_timestamps_outside_the_pcap_range(tmp_path, ts_us):
     assert not path.exists()
 
 
+def test_synthesized_frame_pads_a_short_captured_payload(tmp_path):
+    # 3 bytes captured of a 7-byte payload: the frame carries 4 zero bytes more.
+    pkt = _pkt(5, b"abc", payload_len=7)
+    write_trace(_trace(pkt), tmp_path / "pad.pcap")
+    back = read_trace(tmp_path / "pad.pcap").packets[0]
+    assert (back.payload_len, back.payload, back.wire_len) == (7, b"abc\0\0\0\0", 49)
+
+
+def test_ipv6_packets_round_trip_through_synthesized_frames(tmp_path):
+    packets = (
+        _pkt(5, b"ab", src="2001:db8::1", dst_ip="2001:DB8::2", protocol=6, tcp_flags=0x18),
+        _pkt(9, b"xyz", src="2001:db8::2", dst_ip="2001:db8::1", sport=53, dst_port=1),
+    )
+    write_trace(_trace(*packets), tmp_path / "v6.pcap")
+    back = read_trace(tmp_path / "v6.pcap")
+    assert back.skipped == 0
+    assert [(p.src_ip, p.dst_ip) for p in back.packets] == [
+        ("2001:db8::1", "2001:db8::2"),
+        ("2001:db8::2", "2001:db8::1"),
+    ]
+    fields = ("ts_us", "src_port", "dst_port", "protocol", "tcp_flags", "payload_len", "payload")
+    for got, sent in zip(back.packets, packets):
+        assert [getattr(got, f) for f in fields] == [getattr(sent, f) for f in fields]
+    # 14 Ethernet + 40 IPv6 + 20 TCP or 8 UDP header bytes
+    assert [p.wire_len for p in back.packets] == [76, 65]
+
+
+def test_parse_ip_gives_one_canonical_form_per_address():
+    forms = ["2001:db8::1", "2001:DB8::1", "2001:db8:0:0:0:0:0:1"]
+    parsed = {trace_io.parse_ip(text)[1:] for text in forms}
+    assert parsed == {(bytes.fromhex("20010db8" + "0" * 22 + "01"), "2001:db8::1")}
+    addr, packed, text = trace_io.parse_ip("10.0.0.7")
+    assert (addr.version, packed, text) == (4, bytes([10, 0, 0, 7]), "10.0.0.7")
+    with pytest.raises(ValueError):
+        trace_io.parse_ip("10.0.0.256")
+
+
+def test_frames_parse_each_distinct_address_once(tmp_path):
+    trace_io.parse_ip.cache_clear()
+    packets = [_pkt(i, src=f"10.9.0.{i % 3 + 1}") for i in range(300)]
+    with mock.patch.object(trace_io, "ip_address", wraps=trace_io.ip_address) as parse:
+        write_trace(_trace(*packets), tmp_path / "many.pcap")
+    # Three sources and one destination, for 300 synthesized frames.
+    assert parse.call_count == 4
+
+
 _ADDR4 = st.sampled_from([bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2]), bytes([192, 168, 1, 9])])
 _ADDR6 = st.sampled_from(
     [bytes.fromhex("20010db8000000000000000000000001"), bytes(15) + b"\x01", bytes(16)]
@@ -392,6 +438,44 @@ def test_corrupt_record_length_ends_the_read_in_bounded_memory(tmp_path, before,
     assert peak < 1 << 20
 
 
+_V6 = (bytes.fromhex("20010db8" + "0" * 22 + "01"), bytes.fromhex("20010db8" + "0" * 22 + "02"))
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        _frame(0x86DD, bytes(30)),
+        _frame(0x86DD, b"\x40" + _ipv6(17, _udp(1, 2, b"x"), *_V6)[1:]),
+        # A hop-by-hop header that claims 32 bytes of the 16 left.
+        _frame(0x86DD, _ipv6(0, bytes([17, 3]) + bytes(14), *_V6)),
+        # A fragment header cut after 4 of its 8 bytes.
+        _frame(0x86DD, _ipv6(44, bytes([17, 0, 0, 0]), *_V6)),
+        # An extension header cut after 1 byte.
+        _frame(0x86DD, _ipv6(60, b"\x11", *_V6)),
+        bytes(12) + b"\x81\x00\x00",
+        _frame(0x0800, bytes([0x45]) + bytes(18)),
+        _frame(0x0800, _ipv4(6, _tcp(1, 2, 0x10)[:19])),
+        _frame(0x0800, _ipv4(17, _udp(1, 2)[:7])),
+    ],
+    ids=[
+        "ipv6_header_under_40_bytes",
+        "ipv6_version_not_6",
+        "ipv6_extension_header_cut_off",
+        "ipv6_fragment_header_cut_off",
+        "ipv6_extension_header_under_2_bytes",
+        "vlan_tag_cut_off",
+        "ipv4_header_under_20_bytes",
+        "tcp_header_under_20_bytes",
+        "udp_header_under_8_bytes",
+    ],
+)
+def test_short_or_malformed_headers_skipped_as_the_reference_skips_them(tmp_path, frame):
+    path = _write(tmp_path, build_pcap([(5, frame), HANDSHAKE[0]]))
+    trace = read_trace(path)
+    assert (len(trace), trace.skipped) == (1, 1)
+    assert _decode(read_trace, path) == _decode(reference_read_trace, path)
+
+
 def test_not_a_regular_file_is_unreadable():
     with pytest.raises(UnreadableFileError, match="not a regular file"):
         read_trace(os.devnull)
@@ -460,8 +544,16 @@ def test_write_trace_equals_reference_writer_across_flushes(tmp_path, dup_pcap):
         ({"ts_us": -1}, "ts_us -1 is outside"),
         ({"ts_us": 2**32 * 1_000_000}, "is outside"),
         ({"dst_ip": "2001:db8::2", "raw": None}, "IPv4 to IPv6"),
+        # Each field that does not fit its header is named, not taken for the timestamp.
+        ({"ts_us": 5, "src_port": 70000, "raw": None}, r"src_port 70000 is outside \[0, 65535\]"),
+        ({"dst_port": -1, "raw": None}, r"dst_port -1 is outside \[0, 65535\]"),
+        ({"protocol": 6, "tcp_flags": 256, "raw": None}, r"tcp_flags 256 is outside \[0, 255\]"),
+        ({"payload_len": 65_600, "raw": None}, "a payload of 65600 bytes does not fit"),
+        ({"protocol": 1, "raw": None}, "cannot synthesize frame for protocol 1"),
+        ({"wire_len": 2**32}, "wire_len 4294967296 is outside"),
     ],
-    ids=["negative_ts", "ts_past_2**32_s", "mixed_families"],
+    ids=["negative_ts", "ts_past_2**32_s", "mixed_families", "src_port", "dst_port",
+         "tcp_flags", "payload_len", "protocol", "wire_len"],
 )
 def test_write_trace_failing_after_a_flush_leaves_no_file(tmp_path, dup_pcap, bad, match):
     good = read_trace(dup_pcap).packets
@@ -470,6 +562,18 @@ def test_write_trace_failing_after_a_flush_leaves_no_file(tmp_path, dup_pcap, ba
     with pytest.raises(ValueError, match=match):
         write_trace(PacketTrace(good + (replace(good[-1], **bad),), "t"), path)
     assert not path.exists()
+
+
+def test_write_trace_failing_after_a_flush_keeps_the_file_at_the_path(tmp_path, dup_pcap):
+    good = read_trace(dup_pcap).packets
+    path = tmp_path / "kept.pcap"
+    write_trace(_trace(*good[:3]), path)
+    before = path.read_bytes()
+    late = replace(good[-1], ts_us=-1)
+    with pytest.raises(ValueError, match="ts_us -1 is outside"):
+        write_trace(PacketTrace(good + (late,), "t"), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def _pkt(ts, payload=b"x", src="10.0.0.1", sport=1, **kw):
