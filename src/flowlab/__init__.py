@@ -29,6 +29,7 @@ from .meter import (
     FlowRecord,
     FlowSnapshot,
     MeterConfig,
+    SnapshotBlock,
     Trigger,
     flow_hash,
     meter,
@@ -106,6 +107,7 @@ __all__ = [
     "Report",
     "RuleSet",
     "SchemaMismatchError",
+    "SnapshotBlock",
     "Split",
     "SynthSpec",
     "TrainConfig",

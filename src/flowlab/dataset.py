@@ -11,20 +11,18 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
-from typing import AbstractSet, Iterable, get_type_hints
+from itertools import islice
+from typing import AbstractSet, Iterable
 
 import numpy as np
 
 from .errors import DatasetIOError, SchemaMismatchError, replacing
 from .labeling import BENIGN, RuleSet, label_flow
-from .meter import FEATURE_NAMES, FeatureVector, FlowRecord, FlowSnapshot, Trigger
+from .meter import FEATURE_NAMES, INT_FEATURES, FlowRecord, SnapshotBlock, Trigger
 
 CF_PROVENANCE = "CF"
 
-# get_type_hints, not __annotations__: with postponed evaluation the raw
-# annotations are not the int type.
-_INT_FIELDS = {name for name, t in get_type_hints(FeatureVector).items() if t is int}
+_INT_FIELDS = {name for name, is_int in zip(FEATURE_NAMES, INT_FEATURES) if is_int}
 _MAX_HASH = 0xFFFFFFFFFFFFFFFF
 _BLOCK_ROWS = 4096
 
@@ -122,30 +120,28 @@ def build_cf(
     )
 
 
-def build_pf(
-    snapshots: Iterable[FlowSnapshot], cf: Dataset, trigger: Trigger
-) -> Dataset:
+def build_pf(snapshots: SnapshotBlock, cf: Dataset, trigger: Trigger) -> Dataset:
     """Collect one snapshot per parent flow from ``trigger``'s snapshots.
 
     Only snapshots whose parent survived the complete-flow filters are
-    kept; each inherits its parent's label.
+    kept, each parent's first; each inherits its parent's label.
     """
     if cf.provenance != CF_PROVENANCE:
         raise ValueError(f"parent dataset has provenance {cf.provenance!r}, not CF")
     parent_labels = dict(zip(cf.hash64.tolist(), cf.labels.tolist()))
-    kept: list[FlowSnapshot] = []
-    seen: set[int] = set()
-    for snap in snapshots:
-        h = snap.parent_id.hash64
-        if h not in parent_labels or h in seen:
-            continue
-        seen.add(h)
-        kept.append(snap)
+    rows: list[int] = []
+    hashes: dict[int, str] = {}  # kept parent hash -> label, in row order
+    for i, parent in enumerate(snapshots.parents):
+        h = parent.hash64
+        if h in parent_labels and h not in hashes:
+            hashes[h] = parent_labels[h]
+            rows.append(i)
+    values = np.frombuffer(snapshots.values, dtype=np.float64)
     return Dataset(
         str(trigger),
-        [s.parent_id.hash64 for s in kept],
-        [s.features for s in kept],
-        [parent_labels[s.parent_id.hash64] for s in kept],
+        list(hashes),
+        values.reshape(-1, len(FEATURE_NAMES))[rows],
+        list(hashes.values()),
     )
 
 
@@ -346,25 +342,33 @@ def distribution(ds: Dataset) -> DistributionSummary:
     )
 
 
+def _cell(text: str) -> str:
+    """A CSV cell for ``text``: quoted, with ``"`` doubled, when it holds a
+    comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(ds: Dataset, path) -> None:
     """Write a dataset as CSV with full-precision floats.
 
     Columns are the feature schema followed by label, flow_hash, and
-    provenance. Integer features are written as integers. Rows are
-    formatted a block at a time.
+    provenance. Integer features are written as integers, floats as their
+    ``repr``. A cell holding a comma, a quote, ``\\r`` or ``\\n`` is quoted.
+    Rows are formatted a block at a time, each by one ``%`` template.
     """
-    formats = [
-        (lambda v: str(int(v))) if name in _INT_FIELDS else repr for name in ds.feature_schema
-    ]
+    header = [*ds.feature_schema, "label", "flow_hash", "provenance"]
+    features = ",".join("%d" if name in _INT_FIELDS else "%r" for name in ds.feature_schema)
+    template = f"{features},%s,%d,{_cell(ds.provenance).replace('%', '%%')}\n"
+    labels = {label: _cell(label) for label in set(ds.labels.tolist())}
     try:
         with replacing(path, encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(list(ds.feature_schema) + ["label", "flow_hash", "provenance"])
+            fh.write(",".join(map(_cell, header)) + "\n")
             for start in range(0, len(ds), _BLOCK_ROWS):
                 rows = slice(start, start + _BLOCK_ROWS)
-                features = [map(f, column) for f, column in zip(formats, ds.X[rows].T.tolist())]
-                hashes = map(str, ds.hash64[rows].tolist())
-                writer.writerows(zip(*features, ds.labels[rows], hashes, repeat(ds.provenance)))
+                cells = zip(ds.X[rows].tolist(), ds.labels[rows], ds.hash64[rows].tolist())
+                fh.write("".join([template % (*x, labels[label], h) for x, label, h in cells]))
     except OSError as exc:
         raise DatasetIOError(f"cannot write dataset {path}: {exc}") from exc
 

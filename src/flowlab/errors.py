@@ -172,11 +172,13 @@ class JsonDocument:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
-                raise FlowLabError(f"{path}: {exc}") from None
+        except OSError as exc:
+            raise UnreadableFileError(f"cannot read {path}: {exc}") from exc
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise FlowLabError(f"{path}: {exc}") from None
         return cls.from_dict(doc)
 
 

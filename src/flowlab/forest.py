@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ANY, BOOL, INT, STR, Field, check, keep, replacing
-from .errors import EmptyDatasetError, FlowLabError, SchemaMismatchError
+from .errors import EmptyDatasetError, FlowLabError, SchemaMismatchError, UnreadableFileError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -462,7 +462,8 @@ _MODEL_FIELDS = {
 
 
 def load_model(path) -> RandomForest:
-    """The forest ``save_model`` wrote; FlowLabError for a malformed file."""
+    """The forest ``save_model`` wrote; UnreadableFileError for a file that
+    cannot be read, FlowLabError for a malformed one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = check("model", json.load(fh), _MODEL_FIELDS)
@@ -473,6 +474,8 @@ def load_model(path) -> RandomForest:
         if not tree_docs:
             raise ValueError("model.trees must hold at least one tree")
         config = TrainConfig(**doc.get("train_config", {}))
+    except OSError as exc:
+        raise UnreadableFileError(f"cannot read model {path}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise FlowLabError(f"{path}: {exc}") from None
     trees = []

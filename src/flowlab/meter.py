@@ -9,8 +9,11 @@ triggers while the flow is still live.
 from __future__ import annotations
 
 import math
+import struct
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 from .errors import BOOL, INT, NUMBER, Field, JsonDocument, UnsortedTraceError, check, keep
 from .trace_io import (
@@ -201,6 +204,13 @@ class FeatureVector(NamedTuple):
 
 
 FEATURE_NAMES: tuple[str, ...] = FeatureVector._fields
+# Per feature, whether it is an integer count. get_type_hints, not
+# __annotations__: with postponed evaluation the raw annotations are strings.
+_HINTS = get_type_hints(FeatureVector)
+INT_FEATURES: tuple[bool, ...] = tuple(_HINTS[name] is int for name in FEATURE_NAMES)
+# One row of feature values as machine doubles: packing a row and adding
+# its bytes is several times faster than extending an array by the tuple.
+_ROW = struct.Struct(f"{len(FEATURE_NAMES)}d")
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,12 +233,79 @@ class FlowSnapshot(NamedTuple):
     """A partial-flow export: the feature state when a trigger fired.
 
     The trigger is not stored; ``meter`` returns each trigger's snapshots
-    in their own list.
+    in their own ``SnapshotBlock``.
     """
 
     exported_at_us: int
     parent_id: FlowId
     features: FeatureVector
+
+
+class SnapshotBlock(Sequence):
+    """One trigger's snapshots, held as rows of arrays, read as ``FlowSnapshot``s.
+
+    Row ``i`` is the snapshot of flow ``parents[i]`` exported at
+    ``exported_at_us[i]`` (an ``array('q')``), with its features at
+    ``values[i * 46:(i + 1) * 46]`` (one ``array('d')`` of every row, in
+    ``FEATURE_NAMES`` order). A row read back gives the integer features as
+    ``int``; like a ``Dataset``'s float64 ``X``, it keeps them exactly up to
+    2**53. ``rows`` are taken in their order; blocks are equal when their
+    rows are.
+    """
+
+    __slots__ = ("values", "exported_at_us", "parents")
+
+    def __init__(self, rows: Iterable[FlowSnapshot] = ()) -> None:
+        self.values = array("d")
+        self.exported_at_us = array("q")
+        self.parents: list[FlowId] = []
+        for exported_at_us, parent_id, features in rows:
+            self._add(exported_at_us, parent_id, features)
+
+    def _add(self, exported_at_us: int, parent_id: FlowId, features: Iterable[float]) -> None:
+        self.values.frombytes(_ROW.pack(*features))
+        self.exported_at_us.append(exported_at_us)
+        self.parents.append(parent_id)
+
+    def _sort(self) -> None:
+        """Order the rows by (export time, parent start, parent hash)."""
+        times, parents = self.exported_at_us, self.parents
+        order = sorted(
+            range(len(parents)), key=lambda i: (times[i], parents[i].start_us, parents[i].hash64)
+        )
+        if order == list(range(len(order))):
+            return
+        w = len(FEATURE_NAMES)
+        values = self.values
+        self.values = array("d")
+        for i in order:
+            self.values += values[i * w : i * w + w]
+        self.exported_at_us = array("q", [times[i] for i in order])
+        self.parents = [parents[i] for i in order]
+
+    def __len__(self) -> int:
+        return len(self.parents)
+
+    def __getitem__(self, i: int) -> FlowSnapshot:
+        i = range(len(self.parents))[i]
+        w = len(FEATURE_NAMES)
+        row = self.values[i * w : i * w + w]
+        features = FeatureVector._make(
+            int(v) if is_int else v for v, is_int in zip(row, INT_FEATURES)
+        )
+        return FlowSnapshot(self.exported_at_us[i], self.parents[i], features)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SnapshotBlock):
+            return NotImplemented
+        return (
+            self.exported_at_us == other.exported_at_us
+            and self.parents == other.parents
+            and self.values == other.values
+        )
+
+    def __repr__(self) -> str:
+        return f"SnapshotBlock({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -462,11 +539,11 @@ class _FlowState:
     def add(
         self,
         pkt: RawPacket,
-        pc: dict[int, list[FlowSnapshot]],
-        fd: list[tuple[float, float, list[FlowSnapshot]]],
-        bc: list[tuple[int, list[FlowSnapshot]]],
+        pc: dict[int, SnapshotBlock],
+        fd: list[tuple[float, float, SnapshotBlock]],
+        bc: list[tuple[int, SnapshotBlock]],
     ) -> None:
-        """Accumulate ``pkt`` and append a snapshot to each trigger's list
+        """Accumulate ``pkt`` and add a row to the block of each trigger
         that fires (the lookups are built in ``meter``)."""
         ts_us = pkt.ts_us
         wire_len = pkt.wire_len
@@ -493,19 +570,20 @@ class _FlowState:
 
         out = pc.get(n)
         if out is not None:
-            out.append(self._snapshot())
+            out._add(ts_us, self.id, self._values())
         duration_us = ts_us - self.first_us
         while duration_us >= fd[self.fd_next][0]:
             _, hi, out = fd[self.fd_next]
             self.fd_next += 1
             if duration_us <= hi:
-                out.append(self._snapshot())
+                out._add(ts_us, self.id, self._values())
             # else: overshot the tolerance band; target permanently missed
         while self.bytes >= bc[self.bc_next][0]:
-            bc[self.bc_next][1].append(self._snapshot())
+            bc[self.bc_next][1]._add(ts_us, self.id, self._values())
             self.bc_next += 1
 
-    def _features(self) -> FeatureVector:
+    def _values(self) -> tuple[float, ...]:
+        """The flow's features, in ``FeatureVector`` field order."""
         s2d, d2s = self.s2d, self.d2s
         # s2d holds the flow's first packet, so only d2s can be empty.
         min_ps, max_ps = s2d.min_ps, s2d.max_ps
@@ -514,26 +592,21 @@ class _FlowState:
             max_ps = max(max_ps, d2s.max_ps)
         n = self.packets
         span = self.last_us - self.first_us
-        return FeatureVector._make(
-            (
-                span / 1000,
-                *_size_features(
-                    n,
-                    self.bytes,
-                    s2d.payload_bytes + d2s.payload_bytes,
-                    min_ps,
-                    max_ps,
-                    s2d.sumsq_ps + d2s.sumsq_ps,
-                ),
-                *_piat_features(n, self.min_piat, self.max_piat, span, self.sumsq_piat),
-                *s2d.export(),
-                *d2s.export(),
-                *_flag_counts(self.flags),
-            )
+        return (
+            span / 1000,
+            *_size_features(
+                n,
+                self.bytes,
+                s2d.payload_bytes + d2s.payload_bytes,
+                min_ps,
+                max_ps,
+                s2d.sumsq_ps + d2s.sumsq_ps,
+            ),
+            *_piat_features(n, self.min_piat, self.max_piat, span, self.sumsq_piat),
+            *s2d.export(),
+            *d2s.export(),
+            *_flag_counts(self.flags),
         )
-
-    def _snapshot(self) -> FlowSnapshot:
-        return FlowSnapshot(self.last_us, self.id, self._features())
 
     def finish(self, reason: str) -> FlowRecord:
         return FlowRecord(
@@ -541,14 +614,14 @@ class _FlowState:
             direction_anchor=(self.anchor_src, self.anchor_dst),
             first_us=self.first_us,
             last_us=self.last_us,
-            features=self._features(),
+            features=FeatureVector._make(self._values()),
             expiration_reason=reason,
         )
 
 
 def meter(
     trace: PacketTrace, config: MeterConfig | None = None
-) -> tuple[list[FlowRecord], dict[Trigger, list[FlowSnapshot]]]:
+) -> tuple[list[FlowRecord], dict[Trigger, SnapshotBlock]]:
     """Assemble a sorted trace into complete flow records and snapshots.
 
     Per packet: an existing flow on the same key is expired first when the
@@ -558,8 +631,8 @@ def meter(
     the flow after being counted. Remaining flows expire at end of trace.
 
     Records are returned ordered by (last_us, start_us, hash64). Snapshots
-    come as one list per trigger of ``config.triggers()``, in that order
-    and also when the trigger never fired, each ordered by
+    come as one ``SnapshotBlock`` per trigger of ``config.triggers()``, in
+    that order and also when the trigger never fired, each ordered by
     (exported_at_us, parent start_us, parent hash64).
 
     Raises UnsortedTraceError on a timestamp regression.
@@ -568,9 +641,9 @@ def meter(
         config = MeterConfig()
     idle_us = int(config.idle_timeout_s * 1_000_000)
     active_us = int(config.active_timeout_s * 1_000_000)
-    snapshots: dict[Trigger, list[FlowSnapshot]] = {t: [] for t in config.triggers()}
-    # Each trigger's list, found by PC value, or through ascending
-    # (lo_us, hi_us, list) FD bands and (bytes, list) BC targets, each
+    snapshots = {t: SnapshotBlock() for t in config.triggers()}
+    # Each trigger's block, found by PC value, or through ascending
+    # (lo_us, hi_us, block) FD bands and (bytes, block) BC targets, each
     # ended by a target no flow reaches.
     tol = config.fd_tolerance
     pc = {t.value: out for t, out in snapshots.items() if t.kind == "pc"}
@@ -620,6 +693,6 @@ def meter(
         records.append(state.finish("end_of_trace"))
 
     records.sort(key=lambda r: (r.last_us, r.id.start_us, r.id.hash64))
-    for out in snapshots.values():
-        out.sort(key=lambda s: (s.exported_at_us, s.parent_id.start_us, s.parent_id.hash64))
+    for block in snapshots.values():
+        block._sort()
     return records, snapshots

@@ -11,14 +11,21 @@ the library reads headers in place and caches address text; the decoder
 reads the whole file at once and the writer encodes the whole file before
 writing it, where the library streams both in chunks. The forest
 reference grows each tree recursively and scores one sampled feature at a
-time, where the library scores all of them in one vectorised pass.
+time, where the library scores all of them in one vectorised pass. The CSV
+writer formats each cell by its own call and leaves quoting to
+``csv.writer``, where the library formats a row by one ``%`` template and
+quotes a label itself; ``csv.writer`` leaves a lone ``\\r`` unquoted, so
+the two agree on every label without one.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import struct
 from ipaddress import ip_address
+from itertools import repeat
+from typing import get_type_hints
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -795,3 +802,21 @@ def reference_train(ds, config: TrainConfig) -> tuple:
         idx = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
         trees.append(_as_tree(_reference_grow(X, y, idx, len(labels), rng, config, depth=0)))
     return tuple(trees)
+
+
+# ---------------------------------------------------------------------------
+# Dataset CSV writer: one formatting call per cell, quoting by csv.writer
+
+def reference_write_csv(ds, path) -> None:
+    """The bytes ``flowlab.dataset.write_csv(ds, path)`` must write for a
+    dataset whose labels and provenance hold no ``\\r``."""
+    int_fields = {name for name, t in get_type_hints(FeatureVector).items() if t is int}
+    formats = [(lambda v: str(int(v))) if name in int_fields else repr for name in ds.feature_schema]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(ds.feature_schema) + ["label", "flow_hash", "provenance"])
+        for start in range(0, len(ds), 4096):
+            rows = slice(start, start + 4096)
+            features = [map(f, column) for f, column in zip(formats, ds.X[rows].T.tolist())]
+            hashes = map(str, ds.hash64[rows].tolist())
+            writer.writerows(zip(*features, ds.labels[rows], hashes, repeat(ds.provenance)))

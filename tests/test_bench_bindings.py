@@ -112,3 +112,29 @@ def test_traced_stages_record_every_layer(tmp_path, monkeypatch):
         assert cli.main(argv) == 0, stage
         recorded = {span[2] for span in tracer.spans}
         assert expected <= recorded, (stage, sorted(expected - recorded))
+
+
+def test_traced_meter_counts_one_write_per_file_and_one_build_per_trigger(
+    tmp_path, monkeypatch
+):
+    # With the default triggers the meter stage writes cf.csv and 31 PF
+    # files; each write_csv span must count the rows and bytes of its file.
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "spec.json", "5", "raw.pcap", "truth.json",
+                     "--rules-out", "rules.json"]) == 0
+    module = _load_tracer()
+    tracer = module.Tracer()
+    for name, owner, attr, counts in module.WRAPPED:
+        monkeypatch.setattr(owner, attr, tracer.wrap(name, getattr(owner, attr), counts))
+    assert cli.main(["meter", "raw.pcap", "rules.json", "out", "--min-class-count", "5"]) == 0
+
+    def calls(name):
+        return [span[5] for span in tracer.spans if span[2] == name]
+
+    files = sorted((tmp_path / "out").glob("*.csv"))
+    assert len(files) == 32
+    written = [(len(f.read_text().splitlines()) - 1, f.stat().st_size) for f in files]
+    assert sum(rows for rows, _ in written) > len(files)
+    assert sorted((c["rows"], c["bytes"]) for c in calls("dataset.write_csv")) == sorted(written)
+    assert len(calls("dataset.build_pf")) == 31

@@ -598,6 +598,28 @@ class TestEvalCmd:
         )
         assert (out / "results.csv").read_text() == report.to_csv_text()
 
+    def test_label_with_a_carriage_return_reaches_eval(self, workdir):
+        # A label holding "\r" must be quoted in cf.csv and pf_*.csv, or
+        # eval reads its row as more cells than the header.
+        pcap, rules = workdir / "traffic.pcap", workdir / "rules.json"
+        assert _run(
+            "synth", workdir / "spec.json", 3, pcap, workdir / "t.json", "--rules-out", rules
+        ) == 0
+        doc = json.loads(rules.read_text())
+        (rule,) = doc["rules"]
+        rule["label"] = "AT\rTACK"
+        rules.write_text(json.dumps(doc))
+        out = workdir / "datasets"
+        cfg = workdir / "meter.json"
+        cfg.write_text(json.dumps({"pc_triggers": [3], "fd_triggers_ms": []}))
+        assert _run("meter", pcap, rules, out, "--config", cfg, "--min-class-count", 5) == 0
+        for name in ("cf.csv", "pf_pc_3.csv"):
+            assert read_csv(out / name).label_counts() == {"BENIGN": 30, "AT\rTACK": 30}
+        assert _run(
+            "eval", out / "cf.csv", out / "pf_pc_3.csv", workdir / "e", "--task", "both",
+            "--trees", 4,
+        ) == 0
+
     def test_all_cells_skipped_exit_3(self, workdir, metered):
         # a PF file with no rows: every cell is skipped
         import shutil

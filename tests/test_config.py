@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 from flowlab import synth
 from flowlab.cli import PipelineConfig
+from flowlab.dataset import read_csv
 from flowlab.errors import FlowLabError
-from flowlab.forest import TrainConfig
+from flowlab.forest import TrainConfig, load_model
 from flowlab.labeling import LabelRule, PortSet, RuleSet
 from flowlab.meter import MeterConfig, Trigger
+from flowlab.trace_io import read_trace
 
 from conftest import corpus_path
 
@@ -177,3 +179,25 @@ def test_undecodable_document_names_its_file(tmp_path, kind, blob, problem):
     path.write_bytes(blob)
     with pytest.raises(FlowLabError, match=f"^{re.escape(str(path))}: .*{problem}"):
         loader.from_json(path)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        PipelineConfig.from_json,
+        MeterConfig.from_json,
+        RuleSet.from_json,
+        synth.SynthSpec.from_json,
+        load_model,
+        read_trace,
+        read_csv,
+    ],
+    ids=["pipeline", "meter", "rules", "spec", "model", "trace", "dataset"],
+)
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unreadable_file_names_its_path(tmp_path, read, target):
+    path = tmp_path / "input"
+    if target == "directory":
+        path.mkdir()
+    with pytest.raises(FlowLabError, match=re.escape(str(path))):
+        read(path)

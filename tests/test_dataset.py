@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import sys
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flowlab import dataset
 from flowlab.dataset import (
@@ -21,17 +24,20 @@ from flowlab.errors import DatasetIOError, SchemaMismatchError
 from flowlab.labeling import LabelRule, RuleSet, label_flow
 from flowlab.meter import (
     FEATURE_NAMES,
+    INT_FEATURES,
     FeatureVector,
     FlowId,
     FlowKey,
     FlowRecord,
     FlowSnapshot,
     MeterConfig,
+    SnapshotBlock,
     Trigger,
     meter,
 )
 
 from conftest import random_trace
+from reference import reference_write_csv
 
 
 def _features(**overrides) -> FeatureVector:
@@ -150,7 +156,7 @@ class TestBuildPf:
         kept = _record(0)
         zpl = _record(1, payload=0)
         cf = build_cf([kept, zpl], RuleSet(), min_class_count=1)
-        pf = build_pf([_snapshot(kept), _snapshot(zpl)], cf, Trigger("pc", 2))
+        pf = build_pf(SnapshotBlock([_snapshot(kept), _snapshot(zpl)]), cf, Trigger("pc", 2))
         assert len(pf) == 1
         assert pf.hash64.tolist() == [kept.id.hash64]
         assert pf.provenance == "PC=2"
@@ -158,16 +164,16 @@ class TestBuildPf:
     def test_label_inherited_from_parent(self):
         record = _record(0, label_ip="10.9.0.1")
         cf = build_cf([record], _ATTACK_RULES, min_class_count=1)
-        pf = build_pf([_snapshot(record)], cf, Trigger("pc", 2))
+        pf = build_pf(SnapshotBlock([_snapshot(record)]), cf, Trigger("pc", 2))
         assert pf.labels.tolist() == ["ATTACK"]
 
     def test_trigger_filtering(self):
         record = _record(0)
         cf = build_cf([record], RuleSet(), min_class_count=1)
         snaps = {
-            Trigger("pc", 2): [_snapshot(record)],
-            Trigger("fd", 100): [_snapshot(record, packets=3)],
-            Trigger("pc", 3): [],
+            Trigger("pc", 2): SnapshotBlock([_snapshot(record)]),
+            Trigger("fd", 100): SnapshotBlock([_snapshot(record, packets=3)]),
+            Trigger("pc", 3): SnapshotBlock(),
         }
         assert len(build_pf(snaps[Trigger("pc", 2)], cf, Trigger("pc", 2))) == 1
         assert len(build_pf(snaps[Trigger("fd", 100)], cf, Trigger("fd", 100))) == 1
@@ -176,9 +182,9 @@ class TestBuildPf:
     def test_requires_cf_provenance(self):
         record = _record(0)
         cf = build_cf([record], RuleSet(), min_class_count=1)
-        pf = build_pf([_snapshot(record)], cf, Trigger("pc", 2))
+        pf = build_pf(SnapshotBlock([_snapshot(record)]), cf, Trigger("pc", 2))
         with pytest.raises(ValueError):
-            build_pf([], pf, Trigger("pc", 2))
+            build_pf(SnapshotBlock(), pf, Trigger("pc", 2))
 
     def test_membership_matches_enumeration(self):
         """PC=N membership == flows with >= N packets that survived CF."""
@@ -217,14 +223,14 @@ class TestAlign:
 
     def test_first_dataset_must_be_cf(self):
         cf = build_cf([_record(i) for i in range(3)], RuleSet(), min_class_count=1)
-        pf = build_pf([_snapshot(r) for r in [_record(0)]], cf, Trigger("pc", 2))
+        pf = build_pf(SnapshotBlock([_snapshot(_record(0))]), cf, Trigger("pc", 2))
         with pytest.raises(ValueError, match="first dataset has provenance 'PC=2', not CF"):
             align(pf, cf)
 
     def test_subset_pf(self):
         records = [_record(i) for i in range(10)]
         cf = build_cf(records, RuleSet(), min_class_count=1)
-        pf = build_pf([_snapshot(r) for r in records[:4]], cf, Trigger("pc", 2))
+        pf = build_pf(SnapshotBlock(map(_snapshot, records[:4])), cf, Trigger("pc", 2))
         acf, apf = align(cf, pf)
         assert len(acf) == 4
         assert acf.hashes() == apf.hashes() == pf.hashes()
@@ -527,3 +533,43 @@ class TestCsv:
             write_csv(Dataset(ds.provenance, ds.hash64, X, ds.labels), path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+
+# Where repr of a float switches form (exponent, digits, sign), and the extremes.
+_SWITCH_FLOATS = [1e16, 9999999999999998.0, 1e-4, 1e-5, 5e-324, sys.float_info.max, -0.0]
+# Integer features at and above 2**53, where a float no longer holds every integer.
+_BIG_INTS = [2.0**53, 2.0**53 + 2, 2.0**63, 2.0**64, 1e300]
+_TEXT = st.text(
+    st.sampled_from(',"\r\n %') | st.characters(blacklist_categories=("Cs", "Cc")),
+    max_size=6,
+)
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    n=st.sampled_from([0, 1, 2, 9, 4097]),
+    seed=st.integers(0, 2**32 - 1),
+    floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+    ints=st.lists(st.integers(-(2**64), 2**64).map(float), max_size=6),
+    labels=st.lists(_TEXT | st.sampled_from([" lead", "trail ", "é€😀"]), min_size=1, max_size=4),
+    provenance=st.sampled_from(["CF", "PC=5", "FD=100"]) | _TEXT,
+)
+def test_writer_bytes_equal_the_reference(tmp_path, n, seed, floats, ints, labels, provenance):
+    rng = np.random.default_rng(seed)
+    X = np.empty((n, len(FEATURE_NAMES)))
+    for j, is_int in enumerate(INT_FEATURES):
+        pool = np.array((ints + _BIG_INTS) if is_int else (floats + _SWITCH_FLOATS))
+        X[:, j] = pool[rng.integers(0, len(pool), n)]
+    # An odd multiplier maps distinct row numbers to distinct 64-bit hashes.
+    hashes = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed)
+    ds = Dataset(provenance, hashes, X, [labels[k] for k in rng.integers(0, len(labels), n)])
+    path, want = tmp_path / "ds.csv", tmp_path / "want.csv"
+    write_csv(ds, path)
+    back = read_csv(path)
+    assert back == ds
+    assert back.provenance == (provenance if n else CF_PROVENANCE)
+    if "\r" not in provenance + "".join(ds.labels):
+        reference_write_csv(ds, want)
+        assert path.read_bytes() == want.read_bytes()

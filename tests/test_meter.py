@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
 from typing import get_type_hints
 
 import numpy as np
@@ -12,10 +14,12 @@ from flowlab.meter import (
     FlowKey,
     FlowSnapshot,
     MeterConfig,
+    SnapshotBlock,
     Trigger,
     flow_hash,
     meter,
 )
+from flowlab.synth import SynthSpec, synth_trace
 from flowlab.trace_io import PacketTrace, RawPacket, reorder
 
 from conftest import random_trace
@@ -126,7 +130,7 @@ class TestMeterBasics:
     def test_fd_tolerance_overshoot_missed(self):
         config = MeterConfig(pc_triggers=(), fd_triggers_ms=(100,))
         _, snapshots = meter(_trace(_pkt(0), _pkt(130_000)), config)
-        assert snapshots == {Trigger("fd", 100): []}
+        assert snapshots == {Trigger("fd", 100): SnapshotBlock()}
 
     def test_fd_tolerance_within_band(self):
         config = MeterConfig(pc_triggers=(), fd_triggers_ms=(100,))
@@ -479,3 +483,77 @@ def test_feature_schema_has_expected_shape():
             assert f"{scope}_{stat}" in FEATURE_NAMES
     for flag in ("syn", "fin", "rst", "psh", "ack", "urg", "ece", "cwr"):
         assert f"bidirectional_{flag}_count" in FEATURE_NAMES
+
+
+# Two classes whose flows run long enough for every default PC and FD
+# trigger to fire on some of them.
+_SWEEP_SPEC = {
+    "name": "every-trigger",
+    "templates": [
+        {
+            "label": label,
+            "flows": 40,
+            "packets": [10, 30],
+            "payload": [40, 900],
+            "iat_us": [iat, iat * 50],
+            "client_ips": [client],
+            "server_ips": ["192.168.7.1"],
+            "server_ports": [80],
+            "protocol": 17,
+            "start_us": [0, 1000000],
+        }
+        for label, iat, client in (("BENIGN", 200, "10.1.0.0/24"), ("ATTACK", 20000, "10.2.0.0/24"))
+    ],
+}
+
+
+class TestSnapshotBlock:
+    def test_reads_back_the_snapshot_lists_the_meter_returned(self):
+        # 2,000 packets in 2 ms: many flows export at the same microsecond,
+        # so most blocks are reordered by parent start and hash. The digest
+        # was recorded from the meter when it returned one list of
+        # FlowSnapshot per trigger; each block must read back as that list,
+        # int features as int.
+        trace = random_trace(np.random.default_rng(83), 2000, n_endpoints=12, t_span_us=2_000)
+        config = MeterConfig(
+            idle_timeout_s=0.0005, fd_triggers_ms=(1,), byte_triggers=(2_000, 20_000)
+        )
+        _, snapshots = meter(trace, config)
+        assert sum(map(len, snapshots.values())) == 1940
+        text = repr([(str(t), list(block)) for t, block in snapshots.items()])
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "0c3867dd04b22cc7d30bfc65f10f752f61033b6181468323c5d0bc1c4f0a1607"
+
+    def test_rows_index_and_compare_by_content(self):
+        trace = random_trace(np.random.default_rng(5), 300, n_endpoints=5)
+        _, snapshots = meter(trace, MeterConfig(idle_timeout_s=1.0))
+        block = snapshots[Trigger("pc", 2)]
+        rows = list(block)
+        assert len(rows) == len(block) > 10
+        assert block[-1] == rows[-1] and block[0] == rows[0]
+        with pytest.raises(IndexError):
+            block[len(block)]
+        assert SnapshotBlock(rows) == block
+        assert SnapshotBlock(rows[1:]) != block
+        assert SnapshotBlock() == SnapshotBlock([]) != block
+
+    def test_retained_bytes_per_snapshot(self):
+        trace, _ = synth_trace(SynthSpec.from_dict(_SWEEP_SPEC), 7)
+        no_triggers = MeterConfig(pc_triggers=(), fd_triggers_ms=())
+
+        def retained(config):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = meter(trace, config)
+                return tracemalloc.get_traced_memory()[0] - before, out
+            finally:
+                tracemalloc.stop()
+
+        base, _ = retained(no_triggers)
+        total, (_, snapshots) = retained(MeterConfig())
+        assert len(snapshots) == 31
+        fired = [t for t, block in snapshots.items() if block]
+        assert len(fired) == 31, sorted(set(snapshots) - set(fired), key=Trigger.sort_key)
+        n = sum(map(len, snapshots.values()))
+        assert (total - base) / n <= 512, (total - base) / n
