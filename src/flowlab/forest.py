@@ -7,10 +7,12 @@ and the tree index, so no tree depends on the trees and forests grown beside
 it.
 
 ``train`` grows many forests at once, one per dataset, in lockstep: each
-step takes the next node of every tree of every forest whose dataset has as
-many labels, and scores all of them in one segmented search over per-feature
-value ranks, so numpy's per-call cost is paid once per step rather than once
-per node. Each tree comes out as if grown alone.
+step takes the next node that may split of every tree of every forest whose
+dataset has as many labels, recording the leaves before it on the way, and
+scores those nodes in few segmented searches over per-feature value ranks,
+so numpy's per-call cost is paid per step rather than per node. Each tree
+comes out as if grown alone. ``predict_matrix`` likewise walks all of a
+forest's trees at once.
 """
 
 from __future__ import annotations
@@ -214,6 +216,16 @@ def _search(
     ]
 
 
+# A split search batches nodes of at least this many rows in all. A
+# _search call costs about 0.14 ms and then about 0.1 us per row-slot (6
+# slots, one pinned core), so small nodes share calls. On the 16 train
+# sides of the snapshot-sweep eval (140 rows, 10 trees, seed 0; medians of
+# 5 fresh eval processes) no floor makes 564 searches at 40.96 MB peak RSS,
+# and a floor of 512 rows 310 at 41.01 MB; 1024 rows make 189 at 41.40 MB,
+# and one search per step 112 at 49.16 MB.
+_MIN_SEARCH_ROWS = 512
+
+
 def _grow(
     XT: np.ndarray,
     rank: np.ndarray,
@@ -227,81 +239,106 @@ def _grow(
     forest's trees.
 
     Each tree's own RNG draws its bootstrap sample of its forest's rows, if
-    any, and then each node's features. Every tree expands its nodes in
-    preorder (a node, then its whole left subtree, then its right subtree),
-    which fixes the order of those draws and makes a split's left child the
-    node after it; a right child learns its index when it is popped. Each
-    step pops the next node of every tree still growing and scores those
-    that may split with one ``_search`` per batch of at most twice the rows
-    of the largest forest, so the search's arrays do not grow with the
-    number of trees or forests. An explicit stack per tree keeps deep trees
-    clear of the interpreter's recursion limit.
+    any, and then the features of each node that tries a split. Every tree
+    expands its nodes in preorder (a node, then its whole left subtree, then
+    its right subtree), which fixes the order of those draws and makes a
+    split's left child the node after it; a right child learns its index
+    when it is popped. A node is labelled when it is made, all of a step's
+    new nodes with one ``bincount``, so its stack entry knows whether it
+    tries a split. Each step pops, per tree still growing, every node that
+    cannot split, as a leaf, up to the first that tries; those are scored by
+    one ``_search`` per batch of at most twice the rows of the largest
+    forest, or ``_MIN_SEARCH_ROWS`` if more, so the search's arrays do not
+    grow with the number of trees or forests. An explicit stack per tree
+    keeps deep trees clear of the interpreter's recursion limit.
     """
     n_features = XT.shape[0]
     m = config.resolve_max_features(n_features)
     msl = config.min_samples_leaf
     max_depth = math.inf if config.max_depth is None else config.max_depth
-    cap = 2 * max(hi - lo for lo, hi in bounds)
+    cap = max(2 * max(hi - lo for lo, hi in bounds), _MIN_SEARCH_ROWS)
     # Per tree, forest by forest: its RNG and its pending (rows, depth, the
-    # split this is the right child of), rows 32-bit because every tree
-    # holds up to its forest's row count of them at once.
-    rngs, stacks = [], []
+    # split this is the right child of, leaf value, label counts), the rows
+    # and counts None for a node that cannot split; rows 32-bit because
+    # every tree holds up to its forest's row count of them at once.
+    rngs, stacks, roots = [], [], []
     for lo, hi in bounds:
         for i in range(config.n_trees):
             rng = np.random.Generator(np.random.PCG64(tree_seed(config.seed, i)))
             n = hi - lo
             rows = lo + rng.integers(0, n, size=n) if config.bootstrap else np.arange(lo, hi)
             rngs.append(rng)
-            stacks.append([(rows.astype(np.int32), 0, -1)])
+            stacks.append([])
+            roots.append((len(roots), rows.astype(np.int32), 0, -1))
+
+    def push(nodes: list[tuple[int, np.ndarray, int, int]]) -> None:
+        """Label the nodes ``nodes``, each (tree, rows, depth, parent), and
+        push them in order onto their trees' stacks."""
+        sizes = np.array([len(rows) for _, rows, _, _ in nodes])
+        node = np.repeat(np.arange(len(nodes)), sizes)
+        rows = np.concatenate([rows for _, rows, _, _ in nodes])
+        counts = np.bincount(node * n_labels + y[rows], minlength=len(nodes) * n_labels)
+        counts = counts.reshape(len(nodes), n_labels)
+        depth = np.array([d for _, _, d, _ in nodes])
+        tries = (counts.max(axis=1) < sizes) & (depth < max_depth) & (sizes >= 2 * msl)
+        values = counts.argmax(axis=1).tolist()
+        for (t, rows, d, parent), value, c, tried in zip(
+            nodes, values, counts.tolist(), tries.tolist()
+        ):
+            if not tried:
+                rows = c = None
+            elif parent >= 0:
+                # A right child waits while the left subtree grows: copy it
+                # out of the search's arrays so they are freed.
+                rows = rows.copy()
+            stacks[t].append((rows, d, parent, value, c))
+
+    push(roots)
     # Per tree, the columns of its Tree so far, 8 bytes per node each.
     trees = [tuple(array(code) for code in "qdqqq") for _ in stacks]
     live = list(range(len(stacks)))
-    while live := [t for t in live if stacks[t]]:
-        popped = [stacks[t].pop() for t in live]
-        rows_list = [rows for rows, _, _ in popped]
-        sizes = np.array([len(rows) for rows in rows_list])
-        node = np.repeat(np.arange(len(popped)), sizes)
-        counts = np.bincount(
-            node * n_labels + y[np.concatenate(rows_list)], minlength=len(popped) * n_labels
-        ).reshape(len(popped), n_labels)
-        depth = np.array([d for _, d, _ in popped])
-        tries = np.flatnonzero(
-            (counts.max(axis=1) < sizes) & (depth < max_depth) & (sizes >= 2 * msl)
-        )
+    while live:
+        searched = []  # (tree, rows, depth, leaf value, counts) of each node to score
+        for t in live:
+            stack, columns = stacks[t], trees[t]
+            while stack:
+                rows, d, parent, value, counts = stack.pop()
+                if parent >= 0:
+                    columns[3][parent] = len(columns[0])
+                if counts is not None:
+                    searched.append((t, rows, d, value, counts))
+                    break
+                for column, x in zip(columns, (-1, 0.0, -1, -1, value)):
+                    column.append(x)
         batches, room = [], 0  # of at most cap rows; no node holds more than cap / 2
-        for c in tries.tolist():
-            if sizes[c] > room:
+        for entry in searched:
+            if len(entry[1]) > room:
                 batches.append([])
                 room = cap
-            batches[-1].append(c)
-            room -= sizes[c]
-        splits = {}
+            batches[-1].append(entry)
+            room -= len(entry[1])
+        children = []
         for batch in batches:
             features = np.array(
-                [rngs[live[c]].choice(n_features, size=m, replace=False) for c in batch]
+                [rngs[t].choice(n_features, size=m, replace=False) for t, *_ in batch]
             )
-            rows = [rows_list[c] for c in batch]
-            found = _search(XT, rank, y, counts[batch], features, rows, msl)
-            splits.update(zip(batch, found))
-        for c, (t, (_, d, parent), value) in enumerate(
-            zip(live, popped, counts.argmax(axis=1).tolist())
-        ):
-            columns = trees[t]
-            i = len(columns[0])
-            if parent >= 0:
-                columns[3][parent] = i
-            split = splits.get(c)
-            if split is None:
-                entry = (-1, 0.0, -1, -1, value)
-            else:
-                feature, threshold, left, right = split
-                entry = (feature, threshold, i + 1, -1, -1)
-                # A right child waits while the left subtree grows: copy it
-                # out of the batch's arrays so they are freed.
-                stacks[t].append((right.copy(), d + 1, i))
-                stacks[t].append((left, d + 1, -1))
-            for column, x in zip(columns, entry):
-                column.append(x)
+            counts = np.array([counts for *_, counts in batch])
+            rows_list = [rows for _, rows, *_ in batch]
+            found = _search(XT, rank, y, counts, features, rows_list, msl)
+            for (t, _, d, value, _), split in zip(batch, found):
+                columns = trees[t]
+                i = len(columns[0])
+                if split is None:
+                    entry = (-1, 0.0, -1, -1, value)
+                else:
+                    feature, threshold, left, right = split
+                    entry = (feature, threshold, i + 1, -1, -1)
+                    children += [(t, right, d + 1, i), (t, left, d + 1, -1)]
+                for column, x in zip(columns, entry):
+                    column.append(x)
+        if children:
+            push(children)
+        live = [t for t in live if stacks[t]]
     k = config.n_trees
     return [[Tree(*columns) for columns in trees[s : s + k]] for s in range(0, len(trees), k)]
 
@@ -378,29 +415,55 @@ def train(
     return forests[0] if isinstance(data, Dataset) else forests
 
 
+# Prediction walks (row, tree) pairs in blocks of rows of about this many
+# pairs, so its per-pair arrays stay near 3 MB at any forest and test size;
+# the trees' node arrays laid end to end add 40 bytes per node. 100 trees
+# of 192k nodes in all predict 50k rows in 1.2 s on one pinned core, at a
+# traced peak of 11 MB.
+_PREDICT_PAIRS = 1 << 16
+
+
 def predict_matrix(forest: RandomForest, X: np.ndarray) -> list[str]:
-    """Predict labels for a feature matrix (rows match the schema order)."""
+    """Predict labels for a feature matrix (rows match the schema order).
+
+    All the forest's trees walk at once, over their node arrays laid end to
+    end: each step moves every (row, tree) pair not yet at a leaf down one
+    level, and the leaves' votes are tallied per row at the end.
+    """
     if X.ndim != 2 or X.shape[1] != len(forest.feature_schema):
         raise SchemaMismatchError(
             f"expected {len(forest.feature_schema)} features, got {X.shape}"
         )
-    n = X.shape[0]
-    votes = np.zeros((n, len(forest.labels)), dtype=np.int64)
-    rows = np.arange(n)
-    for tree in forest.trees:
-        # Every row not yet at a leaf moves down one level per step.
-        node = np.zeros(n, dtype=np.int64)
-        active = rows[tree.feature[node] >= 0]
+    trees = forest.trees
+    k, n_labels = len(trees), len(forest.labels)
+    roots = np.cumsum([0] + [len(tree.feature) for tree in trees[:-1]])
+    feature, threshold, value = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("feature", "threshold", "value")
+    )
+    # Node i's children, offset by its tree's root: right at 2i, left at 2i + 1.
+    child = np.concatenate(
+        [np.stack((t.right, t.left), axis=1).ravel() + root for t, root in zip(trees, roots)]
+    )
+    winners = np.empty(X.shape[0], dtype=np.int64)
+    block = max(1, _PREDICT_PAIRS // k)
+    for lo in range(0, X.shape[0], block):
+        Xb = X[lo : lo + block]
+        # Pair p is row p // k of the block and tree p % k.
+        node = np.tile(roots, len(Xb))
+        active = np.flatnonzero(feature[node] >= 0)
         while active.size:
             at = node[active]
-            goes_left = X[active, tree.feature[at]] <= tree.threshold[at]
-            node[active] = np.where(goes_left, tree.left[at], tree.right[at])
-            active = active[tree.feature[node[active]] >= 0]
-        votes[rows, tree.value[node]] += 1
-    # argmax keeps the first maximum: ties go to the smallest label index,
-    # which is the lexicographically smallest label.
-    winners = votes.argmax(axis=1)
-    return [forest.labels[i] for i in winners]
+            goes_left = Xb[active // k, feature[at]] <= threshold[at]
+            at = node[active] = child[2 * at + goes_left]
+            active = active[feature[at] >= 0]
+        votes = np.bincount(
+            np.arange(len(node)) // k * n_labels + value[node], minlength=len(Xb) * n_labels
+        )
+        # argmax keeps the first maximum: ties go to the smallest label
+        # index, which is the lexicographically smallest label.
+        winners[lo : lo + block] = votes.reshape(len(Xb), n_labels).argmax(axis=1)
+    return [forest.labels[i] for i in winners.tolist()]
 
 
 def _as_row(forest: RandomForest, x) -> np.ndarray:

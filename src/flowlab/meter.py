@@ -568,18 +568,23 @@ class _FlowState:
             key = pkt.tcp_flags << 1 | forward
             self.flags[key] = self.flags.get(key, 0) + 1
 
+        # The flow's row, built at most once however many triggers fire.
+        row = None
         out = pc.get(n)
         if out is not None:
-            out._add(ts_us, self.id, self._values())
+            row = self._values()
+            out._add(ts_us, self.id, row)
         duration_us = ts_us - self.first_us
         while duration_us >= fd[self.fd_next][0]:
             _, hi, out = fd[self.fd_next]
             self.fd_next += 1
             if duration_us <= hi:
-                out._add(ts_us, self.id, self._values())
+                row = row or self._values()
+                out._add(ts_us, self.id, row)
             # else: overshot the tolerance band; target permanently missed
         while self.bytes >= bc[self.bc_next][0]:
-            bc[self.bc_next][1]._add(ts_us, self.id, self._values())
+            row = row or self._values()
+            bc[self.bc_next][1]._add(ts_us, self.id, row)
             self.bc_next += 1
 
     def _values(self) -> tuple[float, ...]:

@@ -10,7 +10,7 @@ only from packet k onward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from ipaddress import ip_network
 
 import numpy as np
@@ -235,8 +235,9 @@ def synth_trace(
                     wire_len=0,
                     payload=payload,
                 )
-                frame = _synthesize_frame(pkt)
-                packets.append(replace(pkt, wire_len=len(frame), raw=frame))
+                pkt.raw = _synthesize_frame(pkt)
+                pkt.wire_len = len(pkt.raw)
+                packets.append(pkt)
 
             key = FlowKey.from_endpoints(
                 client_ip, client_port, server_ip, server_port, template.protocol

@@ -804,6 +804,28 @@ def reference_train(ds, config: TrainConfig) -> tuple:
     return tuple(trees)
 
 
+def reference_predict(forest, X) -> list[str]:
+    """The labels ``flowlab.forest.predict_matrix(forest, X)`` must give:
+    each row walks each tree node by node, and the label of most votes wins,
+    the smallest label index on a tie."""
+    trees = [
+        (tree.feature.tolist(), tree.threshold.tolist(), tree.left.tolist(),
+         tree.right.tolist(), tree.value.tolist())
+        for tree in forest.trees
+    ]
+    predicted = []
+    for row in np.asarray(X).tolist():
+        votes = [0] * len(forest.labels)
+        for feature, threshold, left, right, value in trees:
+            node = 0
+            while feature[node] >= 0:
+                go_left = row[feature[node]] <= threshold[node]
+                node = left[node] if go_left else right[node]
+            votes[value[node]] += 1
+        predicted.append(forest.labels[votes.index(max(votes))])
+    return predicted
+
+
 # ---------------------------------------------------------------------------
 # Dataset CSV writer: one formatting call per cell, quoting by csv.writer
 

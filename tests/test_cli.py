@@ -285,6 +285,21 @@ class TestMeterCmd:
             "distribution.json": "4a663eb1e96c6ad441ff7e454d2a888a4157f0c6ce604e65a78eeef4c570eb25",
         }
 
+    def test_results_bytes_pinned(self, workdir, synth_inputs):
+        # Any change to the trees or the scores that moves a metric shows here.
+        pcap, rules = synth_inputs
+        out = workdir / "pinned"
+        cfg = workdir / "meter.json"
+        cfg.write_text(json.dumps({"pc_triggers": [2, 3, 4], "fd_triggers_ms": [50]}))
+        assert _run("meter", pcap, rules, out, "--config", cfg, "--min-class-count", 5) == 0
+        results = workdir / "results"
+        assert _run(
+            "eval", out / "cf.csv", str(out / "pf_*.csv"), results, "--task", "both",
+            "--trees", 10,
+        ) == 0
+        digest = hashlib.sha256((results / "results.csv").read_bytes()).hexdigest()
+        assert digest == "d171885b3a46d089f3598e5929164360db1667045c4e4f15a6536057cd939861"
+
     def test_distribution_matches_every_written_file(self, workdir, synth_inputs):
         pcap, rules = synth_inputs
         out = workdir / "md"

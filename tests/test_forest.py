@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -32,7 +33,7 @@ from flowlab.labeling import LabelRule, RuleSet
 from flowlab.meter import MeterConfig, meter
 
 from conftest import random_trace
-from reference import reference_train
+from reference import reference_predict, reference_train
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 PYTHONPATH = os.environ.get("PYTHONPATH")
@@ -417,6 +418,34 @@ def test_node_of_twice_min_samples_leaf(searches, min_samples_leaf):
     )
 
 
+@pytest.mark.parametrize("floor", [1, 2**30])
+def test_trees_do_not_depend_on_search_batching(monkeypatch, searches, floor):
+    # With no floor, a search holds at most twice the largest side's rows;
+    # with a floor above every step, one search holds all of a step's
+    # nodes. Sides of more than 512 rows grow beside small ones.
+    monkeypatch.setattr(forest_module, "_MIN_SEARCH_ROWS", floor)
+    rng = np.random.default_rng(41)
+    shapes = [(700, 2), (530, 2), (40, 2), (3, 2), (600, 3)]
+    datasets = [_labelled(n_rows, n_labels, 3, rng) for n_rows, n_labels in shapes]
+    tc = TrainConfig(n_trees=3, max_features=2, seed=41)
+    forests = train(datasets, tc)
+    # The first step of the 2-label group: one search, or batches of at
+    # most 1,400 rows.
+    rows = sum(n for n, _ in searches[0])
+    assert rows > 1400 if floor > 1 else rows <= 1400
+    assert forests == [train(ds, tc) for ds in datasets]
+    for ds, forest in zip(datasets, forests):
+        assert forest.trees == reference_train(ds, tc)
+
+
+def test_trained_model_bytes_pinned(tmp_path):
+    # Any change to a tree, its split or its threshold shows here.
+    ds = _tie_heavy(3)
+    save_model(train(ds, TrainConfig(n_trees=4, min_samples_leaf=2, seed=7)), tmp_path / "m.json")
+    digest = hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest()
+    assert digest == "7258cfefe027f45385e0526742f6a7a2f3bfa4c25a6540ae338b13cd2c9611d7"
+
+
 def test_training_memory_does_not_grow_with_the_number_of_trees():
     # Trees grow in lockstep, but each split search takes at most twice the
     # training rows: 20 trees must peak near 1 tree, not near 20 of them.
@@ -577,6 +606,70 @@ class TestPredict:
             predict(forest, (1.0, 2.0, 3.0))
         with pytest.raises(SchemaMismatchError):
             predict_matrix(forest, np.zeros((3, 5)))
+
+
+def _random_tree(rng, n_features: int, n_labels: int, depth: int) -> Tree:
+    """A random tree of at most ``depth`` levels, a single leaf at 0, whose
+    thresholds fall on and between the integers 0-4."""
+    nodes = []
+
+    def add(level: int) -> None:
+        i = len(nodes)
+        if level == depth or rng.random() < 0.25:
+            nodes.append([-1, 0.0, -1, -1, int(rng.integers(n_labels))])
+            return
+        nodes.append([int(rng.integers(n_features)), rng.integers(0, 9) / 2, i + 1, -1, -1])
+        add(level + 1)
+        nodes[i][3] = len(nodes)
+        add(level + 1)
+
+    add(0)
+    return Tree(*zip(*nodes))
+
+
+def _caterpillar(depth: int, n_labels: int) -> Tree:
+    """Split j sends x0 <= j + 0.5 to a leaf and the rest to split j + 1,
+    ``depth`` splits in all, so its last leaf lies ``depth`` levels down."""
+    n = 2 * depth + 1
+    is_split = np.arange(n) % 2 == 0
+    is_split[-1] = False
+    return Tree(
+        np.where(is_split, 0, -1),
+        np.where(is_split, np.arange(n) / 2 + 0.5, 0.0),
+        np.where(is_split, np.arange(n) + 1, -1),
+        np.where(is_split, np.arange(n) + 2, -1),
+        np.where(is_split, -1, np.arange(n) // 2 % n_labels),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_trees=st.integers(1, 12),
+    n_rows=st.integers(0, 40),
+    n_features=st.integers(1, 3),
+    n_labels=st.integers(1, 5),
+    deep=st.booleans(),
+    pairs=st.sampled_from((1, 5, 64, forest_module._PREDICT_PAIRS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_predict_matrix_equals_reference(
+    n_trees, n_rows, n_features, n_labels, deep, pairs, seed
+):
+    # Single leaves, trees of mixed depth, the depth-1,999 tree, and blocks
+    # of as few as 1 row each: every pair walks as it would alone.
+    rng = np.random.default_rng(seed)
+    trees = [
+        _random_tree(rng, n_features, n_labels, int(rng.integers(0, 9))) for _ in range(n_trees)
+    ]
+    X = rng.integers(0, 5, size=(n_rows, n_features)).astype(float)
+    if deep:
+        trees.insert(int(rng.integers(0, n_trees + 1)), _caterpillar(1999, n_labels))
+        X[:, 0] = rng.integers(0, 2001, size=n_rows)
+    labels = tuple(f"L{i}" for i in range(n_labels))
+    forest = RandomForest(tuple(trees), tuple("abc"[:n_features]), labels)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest_module, "_PREDICT_PAIRS", pairs)
+        assert predict_matrix(forest, X) == reference_predict(forest, X)
 
 
 class TestPersistence:

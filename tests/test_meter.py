@@ -16,6 +16,7 @@ from flowlab.meter import (
     MeterConfig,
     SnapshotBlock,
     Trigger,
+    _FlowState,
     flow_hash,
     meter,
 )
@@ -153,6 +154,24 @@ class TestMeterBasics:
         assert list(snapshots) == [Trigger("bc", 300)]
         (snap,) = snapshots[Trigger("bc", 300)]
         assert snap.features.bidirectional_bytes == 308
+
+    def test_row_built_once_per_packet_that_fires(self, monkeypatch):
+        # Packet 2 fires PC=2, FD=50 and BC=300 (308 bytes at 50 ms): the
+        # flow's row is built once there for all three, and once for its
+        # record.
+        built = []
+        values = _FlowState._values
+        monkeypatch.setattr(
+            _FlowState, "_values", lambda self: built.append(self.packets) or values(self)
+        )
+        config = MeterConfig(pc_triggers=(2,), fd_triggers_ms=(50,), byte_triggers=(300,))
+        trace = _trace(_pkt(0, payload=100), _pkt(50_000, payload=100))
+        records, snapshots = meter(trace, config)
+        assert built == [2, 2]
+        assert_meter_equal((records, snapshots), reference_meter(list(trace.packets), config))
+        assert [len(snaps) for snaps in snapshots.values()] == [1, 1, 1]
+        (pc,), (fd,), (bc,) = snapshots.values()
+        assert pc == fd == bc
 
     def test_one_list_per_configured_trigger_in_sort_order(self):
         config = MeterConfig(
