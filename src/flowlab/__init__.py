@@ -17,6 +17,7 @@ from .errors import (
     LengthMismatchError,
     MalformedHeaderError,
     SchemaMismatchError,
+    TrainConfig,
     UnreadableFileError,
     UnsortedTraceError,
 )
@@ -58,7 +59,7 @@ _LAZY = {
         ("Metrics", "Report", "Split", "compute_metrics", "split_keys", "sweep"), "evaluation"
     ),
     **dict.fromkeys(
-        ("RandomForest", "TrainConfig", "load_model", "predict", "save_model", "train"),
+        ("RandomForest", "load_model", "predict", "save_model", "train"),
         "forest",
     ),
     **dict.fromkeys(("FlowTemplate", "SynthSpec", "derive_rules", "synth_trace"), "synth"),

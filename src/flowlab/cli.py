@@ -15,28 +15,18 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 from . import trace_io
-from .errors import ANY, INT, NUMBER, STR, Field, FlowLabError, JsonDocument, check, keep
-from .errors import replacing
+from .errors import ANY, INT, NUMBER, STR, Field, FlowLabError, JsonDocument, TrainConfig
+from .errors import check, keep, replacing
 from .labeling import BENIGN, RuleSet
 from .meter import MeterConfig, Trigger, meter as run_meter
-
-if TYPE_CHECKING:
-    from .forest import TrainConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 
 _PF_NAME = re.compile(r"pf_(pc|fd|bc)_(\d+)\.csv$")
-
-
-def _default_train() -> TrainConfig:
-    from .forest import TrainConfig
-
-    return TrainConfig()
 
 
 @dataclass(frozen=True)
@@ -48,7 +38,7 @@ class PipelineConfig(JsonDocument):
     min_class_count: int = 50
     split_ratio: float = 0.70
     split_seed: int = 0
-    train: TrainConfig = field(default_factory=_default_train)
+    train: TrainConfig = field(default_factory=TrainConfig)
     output_dir: str | None = None
 
     FIELDS = {
@@ -79,8 +69,6 @@ class PipelineConfig(JsonDocument):
 
     @classmethod
     def from_dict(cls, data: dict) -> PipelineConfig:
-        from .forest import TrainConfig
-
         values = check("pipeline", data, cls.FIELDS)
         split = check("split", values.pop("split", {}), cls.SPLIT_FIELDS)
         # One seed drives the split and training, as ``flowlab eval --seed`` does.

@@ -9,60 +9,98 @@ and audits raw flow records for segmentation artifacts.
 from __future__ import annotations
 
 import csv
+import sys
+from array import array
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import AbstractSet, Iterable
 
-import numpy as np
-
 from .errors import DatasetIOError, SchemaMismatchError, replacing
 from .labeling import BENIGN, RuleSet, label_flow
-from .meter import FEATURE_NAMES, INT_FEATURES, FlowRecord, SnapshotBlock, Trigger
+from .meter import FEATURE_NAMES, INT_FEATURES, FlowRecord, SnapshotBlock, Trigger, take_rows
 
 CF_PROVENANCE = "CF"
 
 _INT_FIELDS = {name for name, is_int in zip(FEATURE_NAMES, INT_FEATURES) if is_int}
-_MAX_HASH = 0xFFFFFFFFFFFFFFFF
 _BLOCK_ROWS = 4096
 
 
-@dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable labeled feature table with provenance.
 
     Row ``i`` is the flow with hash ``hash64[i]`` (uint64), features
     ``X[i]`` (float64, one column per ``feature_schema`` name) and label
-    ``labels[i]`` (a str). The three arrays are read-only; any array-like of
-    the right shape (any empty ``X`` for no rows) is accepted and converted.
-    Provenance is "CF" for complete flows or the trigger string ("PC=5",
-    "FD=100") for partial flows. Flow hashes are unique within a dataset.
+    ``labels[i]`` (a str). The rows are kept as ``SnapshotBlock`` keeps
+    them: features row after row in one ``array('d')``, hashes in an
+    ``array('Q')`` and labels in a tuple, so building, writing and
+    summarising a dataset needs no numpy. ``X``, ``hash64`` and ``labels``
+    are read-only numpy views of them (labels an object array), made on
+    first use.
+
+    ``X`` may be any iterable of rows of numbers (any empty one for no
+    rows), or an ``array('d')`` of the rows laid end to end; an
+    ``array('d')`` or ``array('Q')`` is kept, not copied. Provenance is "CF"
+    for complete flows or the trigger string ("PC=5", "FD=100") for partial
+    flows. Flow hashes are unique within a dataset.
     """
 
-    provenance: str
-    hash64: np.ndarray
-    X: np.ndarray
-    labels: np.ndarray
-    feature_schema: tuple[str, ...] = FEATURE_NAMES
+    def __init__(
+        self,
+        provenance: str,
+        hash64: Iterable[int],
+        X,
+        labels: Iterable[str],
+        feature_schema: tuple[str, ...] = FEATURE_NAMES,
+    ) -> None:
+        hashes = hash64 if _is_array(hash64, "Q") else array("Q", hash64)
+        labels = tuple(labels)
+        n, width = len(hashes), len(feature_schema)
+        if len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for {n} flow hashes")
+        values = X if _is_array(X, "d") else array("d")
+        shape = f"expected shape ({n}, {width})"
+        if values is not X:
+            for i, row in enumerate(X):
+                try:
+                    values.extend(map(float, row))
+                except TypeError as exc:
+                    raise ValueError(f"X row {i}: {exc}; {shape}") from None
+                if len(values) != (i + 1) * width:
+                    raise ValueError(f"X row {i} has {len(values) - i * width} values; {shape}")
+        if len(values) != n * width:
+            raise ValueError(f"X of {len(values)} values; {shape}")
+        self.__dict__.update(
+            provenance=provenance,
+            feature_schema=tuple(feature_schema),
+            _hashes=hashes,
+            _values=values,
+            _labels=labels,
+        )
 
-    def __post_init__(self) -> None:
-        hash64 = np.asarray(self.hash64, dtype=np.uint64)
-        n = len(hash64)
-        labels = np.asarray(self.labels, dtype=object)
-        if hash64.ndim != 1 or labels.shape != (n,):
-            raise ValueError(f"{labels.shape} labels for {hash64.shape} flow hashes")
-        shape = (n, len(self.feature_schema))
-        X = np.asarray(self.X, dtype=np.float64)
-        if X.size == 0:
-            X = X.reshape(shape)
-        elif X.shape != shape:
-            raise ValueError(f"X of shape {X.shape}, expected {shape}")
-        for name, array in (("hash64", hash64), ("X", X), ("labels", labels)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"Dataset is immutable: cannot set {name}")
+
+    @cached_property
+    def X(self):
+        return _view(self._values, "float64").reshape(len(self), len(self.feature_schema))
+
+    @cached_property
+    def hash64(self):
+        return _view(self._hashes, "uint64")
+
+    @cached_property
+    def labels(self):
+        import numpy as np
+
+        labels = np.empty(len(self), dtype=object)
+        labels[:] = self._labels
+        labels.flags.writeable = False
+        return labels
 
     def __len__(self) -> int:
-        return len(self.hash64)
+        return len(self._hashes)
 
     def __eq__(self, other) -> bool:
         # Equality is content-level. Empty datasets carry no provenance
@@ -72,23 +110,54 @@ class Dataset:
         return (
             self.feature_schema == other.feature_schema
             and (self.provenance == other.provenance or not (len(self) or len(other)))
-            and np.array_equal(self.hash64, other.hash64)
-            and np.array_equal(self.labels, other.labels)
-            and np.array_equal(self.X, other.X)
+            and self._hashes == other._hashes
+            and self._labels == other._labels
+            and self._values == other._values
         )
 
     __hash__ = None  # type: ignore[assignment]
 
+    def __repr__(self) -> str:
+        return f"Dataset({self.provenance!r}, {len(self)} rows)"
+
+    def replace(self, **changes) -> Dataset:
+        """This dataset with the constructor arguments ``changes`` instead."""
+        fields = dict(
+            provenance=self.provenance,
+            hash64=self._hashes,
+            X=self._values,
+            labels=self._labels,
+            feature_schema=self.feature_schema,
+        )
+        return Dataset(**{**fields, **changes})
+
     def restrict(self, keys: AbstractSet[int]) -> Dataset:
         """The rows whose flow hash is in ``keys``, in their order."""
-        rows = np.fromiter((h in keys for h in self.hash64.tolist()), bool, len(self))
-        return replace(self, hash64=self.hash64[rows], X=self.X[rows], labels=self.labels[rows])
+        rows = [i for i, h in enumerate(self._hashes) if h in keys]
+        return self.replace(
+            hash64=array("Q", [self._hashes[i] for i in rows]),
+            X=take_rows(self._values, len(self.feature_schema), rows),
+            labels=[self._labels[i] for i in rows],
+        )
 
     def hashes(self) -> frozenset[int]:
-        return frozenset(self.hash64.tolist())
+        return frozenset(self._hashes)
 
     def label_counts(self) -> dict[str, int]:
-        return dict(Counter(self.labels.tolist()))
+        return dict(Counter(self._labels))
+
+
+def _is_array(value, typecode: str) -> bool:
+    return type(value) is array and value.typecode == typecode
+
+
+def _view(values: array, dtype: str):
+    """A read-only numpy view of ``values``."""
+    import numpy as np
+
+    view = np.frombuffer(values, dtype=dtype)
+    view.flags.writeable = False
+    return view
 
 
 def build_cf(
@@ -124,11 +193,12 @@ def build_pf(snapshots: SnapshotBlock, cf: Dataset, trigger: Trigger) -> Dataset
     """Collect one snapshot per parent flow from ``trigger``'s snapshots.
 
     Only snapshots whose parent survived the complete-flow filters are
-    kept, each parent's first; each inherits its parent's label.
+    kept, each parent's first; each inherits its parent's label. The kept
+    rows are copied out of the block's array.
     """
     if cf.provenance != CF_PROVENANCE:
         raise ValueError(f"parent dataset has provenance {cf.provenance!r}, not CF")
-    parent_labels = dict(zip(cf.hash64.tolist(), cf.labels.tolist()))
+    parent_labels = dict(zip(cf._hashes, cf._labels))
     rows: list[int] = []
     hashes: dict[int, str] = {}  # kept parent hash -> label, in row order
     for i, parent in enumerate(snapshots.parents):
@@ -136,12 +206,11 @@ def build_pf(snapshots: SnapshotBlock, cf: Dataset, trigger: Trigger) -> Dataset
         if h in parent_labels and h not in hashes:
             hashes[h] = parent_labels[h]
             rows.append(i)
-    values = np.frombuffer(snapshots.values, dtype=np.float64)
     return Dataset(
         str(trigger),
-        list(hashes),
-        values.reshape(-1, len(FEATURE_NAMES))[rows],
-        list(hashes.values()),
+        hashes,
+        take_rows(snapshots.values, len(FEATURE_NAMES), rows),
+        hashes.values(),
     )
 
 
@@ -312,10 +381,11 @@ class DistributionSummary:
 
 def distribution(ds: Dataset) -> DistributionSummary:
     """Count/min/mean/max of duration and packet count, per label."""
-    durations_col = ds.X[:, ds.feature_schema.index("duration_ms")].tolist()
-    packets_col = ds.X[:, ds.feature_schema.index("bidirectional_packets")].tolist()
+    width = len(ds.feature_schema)
+    durations_col = ds._values[ds.feature_schema.index("duration_ms") :: width].tolist()
+    packets_col = ds._values[ds.feature_schema.index("bidirectional_packets") :: width].tolist()
     groups: dict[str, list[int]] = {}
-    for i, label in enumerate(ds.labels.tolist()):
+    for i, label in enumerate(ds._labels):
         groups.setdefault(label, []).append(i)
 
     per_label = {}
@@ -359,15 +429,18 @@ def write_csv(ds: Dataset, path) -> None:
     Rows are formatted a block at a time, each by one ``%`` template.
     """
     header = [*ds.feature_schema, "label", "flow_hash", "provenance"]
+    width = len(ds.feature_schema)
     features = ",".join("%d" if name in _INT_FIELDS else "%r" for name in ds.feature_schema)
     template = f"{features},%s,%d,{_cell(ds.provenance).replace('%', '%%')}\n"
-    labels = {label: _cell(label) for label in set(ds.labels.tolist())}
+    labels = {label: _cell(label) for label in set(ds._labels)}
     try:
         with replacing(path, encoding="utf-8", newline="") as fh:
             fh.write(",".join(map(_cell, header)) + "\n")
             for start in range(0, len(ds), _BLOCK_ROWS):
-                rows = slice(start, start + _BLOCK_ROWS)
-                cells = zip(ds.X[rows].tolist(), ds.labels[rows], ds.hash64[rows].tolist())
+                end = start + _BLOCK_ROWS
+                values = iter(ds._values[start * width : end * width].tolist())
+                # zip of one iterator ``width`` times: the block's rows as tuples.
+                cells = zip(zip(*[values] * width), ds._labels[start:end], ds._hashes[start:end])
                 fh.write("".join([template % (*x, labels[label], h) for x, label, h in cells]))
     except OSError as exc:
         raise DatasetIOError(f"cannot write dataset {path}: {exc}") from exc
@@ -379,9 +452,12 @@ def read_csv(path) -> Dataset:
     Raises SchemaMismatchError when the header does not carry the expected
     feature schema, DatasetIOError on unreadable or inconsistent files and
     on a cell that is no integer in an integer column or no finite number in
-    a float column. Rows are parsed a block at a time, so only one block's
-    cell strings are held at once.
+    a float column. Rows are parsed a block at a time, each block's values
+    appended to the dataset's array, so only one block's cell strings and
+    the features once are held at once.
     """
+    import numpy as np
+
     expected = list(FEATURE_NAMES) + ["label", "flow_hash", "provenance"]
     parsers = [int if name in _INT_FIELDS else float for name in FEATURE_NAMES]
 
@@ -391,9 +467,9 @@ def read_csv(path) -> Dataset:
         except ValueError as exc:
             raise DatasetIOError(f"{path}: column {name}: {exc}") from None
 
-    hashes: list[int] = []
+    hashes = array("Q")
     labels: list[str] = []
-    blocks: list[np.ndarray] = []
+    values = array("d")
     provenances: set[str] = set()
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -413,29 +489,29 @@ def read_csv(path) -> Dataset:
                 columns = list(zip(*block))
                 parsed = [parse(*args) for args in zip(FEATURE_NAMES, parsers, columns)]
                 try:
-                    blocks.append(np.array(parsed, dtype=np.float64).T)
+                    rows = np.array(parsed, dtype=np.float64).T
                 except OverflowError:
                     raise DatasetIOError(f"{path}: a feature value is out of range") from None
-                finite = np.isfinite(blocks[-1]).all(axis=0)
+                finite = np.isfinite(rows).all(axis=0)
                 if not finite.all():
                     name = FEATURE_NAMES[int(finite.argmin())]
                     raise DatasetIOError(f"{path}: column {name}: a value is not finite")
-                labels += columns[-3]
-                hashes += parse("flow_hash", int, columns[-2])
+                values.frombytes(rows.tobytes())
+                labels += map(sys.intern, columns[-3])  # one str per distinct label
+                try:
+                    hashes.extend(parse("flow_hash", int, columns[-2]))
+                except OverflowError:
+                    raise DatasetIOError(f"{path}: a flow hash is not a 64-bit value") from None
                 provenances.update(columns[-1])
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetIOError(f"cannot read dataset {path}: {exc}") from exc
 
     if len(provenances) > 1:
         raise DatasetIOError(f"{path}: mixed provenance values")
-    repeated = [h for h, count in Counter(hashes).items() if count > 1]
-    if repeated:
-        raise DatasetIOError(f"{path}: duplicate flow hash {repeated[0]}")
-    if hashes and not (min(hashes) >= 0 and max(hashes) <= _MAX_HASH):
-        raise DatasetIOError(f"{path}: a flow hash is not a 64-bit value")
+    ordered = np.sort(np.frombuffer(hashes, dtype=np.uint64))
+    if (ordered[1:] == ordered[:-1]).any():
+        repeated = next(h for h, count in Counter(hashes).items() if count > 1)
+        raise DatasetIOError(f"{path}: duplicate flow hash {repeated}")
     return Dataset(
-        provenances.pop() if provenances else CF_PROVENANCE,
-        hashes,
-        np.concatenate(blocks) if blocks else (),
-        labels,
+        provenances.pop() if provenances else CF_PROVENANCE, hashes, values, labels
     )

@@ -1,5 +1,6 @@
-"""Exception types, the field check of config documents, and the writer of
-output files, shared across the toolkit."""
+"""Exception types, the field check of config documents, the forest's
+hyperparameters, and the writer of output files, shared across the toolkit.
+None of it needs numpy."""
 
 from __future__ import annotations
 
@@ -165,6 +166,38 @@ def keep(instance, values: dict) -> None:
     such as the checked values that ``check`` returns."""
     for name, value in values.items():
         object.__setattr__(instance, name, value)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Forest hyperparameters; defaults follow common practice."""
+
+    n_trees: int = 100
+    max_features: int | str = "sqrt"
+    min_samples_leaf: int = 1
+    max_depth: int | None = None
+    bootstrap: bool = True
+    seed: int = 0
+
+    FIELDS = {
+        "n_trees": Field(INT, "[1, inf)"),
+        "max_features": Field(INT, "[1, inf)", also=("sqrt",)),
+        "min_samples_leaf": Field(INT, "[1, inf)"),
+        "max_depth": Field(INT, "[1, inf)", also=(None,)),
+        "bootstrap": Field(BOOL),
+        "seed": Field(INT),
+    }
+
+    def __post_init__(self) -> None:
+        keep(self, check("train", self, self.FIELDS))
+
+    def resolve_max_features(self, n_features: int) -> int:
+        if self.max_features == "sqrt":
+            return max(1, int(math.sqrt(n_features)))
+        return min(self.max_features, n_features)
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.FIELDS}
 
 
 class JsonDocument:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,7 +162,7 @@ def _restrict(ds: Dataset, keys: frozenset[int], task: str) -> Dataset:
     """The rows of ``ds`` whose hash is in ``keys``, binarised for a binary task."""
     side = ds.restrict(keys)
     if task == BINARY:
-        side = replace(side, labels=binarize(side.labels))
+        side = side.replace(labels=binarize(side.labels))
     return side
 
 

@@ -22,11 +22,12 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ANY, BOOL, INT, STR, Field, check, keep, replacing
+from .errors import ANY, STR, Field, TrainConfig, check, replacing
 from .errors import EmptyDatasetError, FlowLabError, SchemaMismatchError, UnreadableFileError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -74,44 +75,43 @@ class Tree:
         )
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Forest hyperparameters; defaults follow common practice."""
+class _Nodes(NamedTuple):
+    """A forest's node arrays laid end to end: tree ``t``'s node ``i`` is
+    node ``roots[t] + i``, and node ``j``'s children, offset likewise, are
+    ``child[2 * j]`` (right) and ``child[2 * j + 1]`` (left)."""
 
-    n_trees: int = 100
-    max_features: int | str = "sqrt"
-    min_samples_leaf: int = 1
-    max_depth: int | None = None
-    bootstrap: bool = True
-    seed: int = 0
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
+    child: np.ndarray
 
-    FIELDS = {
-        "n_trees": Field(INT, "[1, inf)"),
-        "max_features": Field(INT, "[1, inf)", also=("sqrt",)),
-        "min_samples_leaf": Field(INT, "[1, inf)"),
-        "max_depth": Field(INT, "[1, inf)", also=(None,)),
-        "bootstrap": Field(BOOL),
-        "seed": Field(INT),
-    }
 
-    def __post_init__(self) -> None:
-        keep(self, check("train", self, self.FIELDS))
-
-    def resolve_max_features(self, n_features: int) -> int:
-        if self.max_features == "sqrt":
-            return max(1, int(math.sqrt(n_features)))
-        return min(self.max_features, n_features)
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELDS}
+def _lay_out(trees: Sequence[Tree]) -> _Nodes:
+    roots = np.cumsum([0] + [len(tree.feature) for tree in trees[:-1]])
+    feature, threshold, value = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("feature", "threshold", "value")
+    )
+    child = np.concatenate(
+        [np.stack((t.right, t.left), axis=1).ravel() + root for t, root in zip(trees, roots)]
+    )
+    return _Nodes(roots, feature, threshold, value, child)
 
 
 @dataclass(frozen=True)
 class RandomForest:
+    """Trees and what they predict; ``nodes`` lays the trees' node arrays
+    out end to end once, for ``predict_matrix``."""
+
     trees: tuple[Tree, ...]
     feature_schema: tuple[str, ...]
     labels: tuple[str, ...]  # sorted; vote ties resolve to the smallest index
     train_config: TrainConfig = field(default_factory=TrainConfig)
+    nodes: _Nodes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", _lay_out(self.trees))
 
 
 def _dense_ranks(XT: np.ndarray, out: np.ndarray) -> None:
@@ -416,35 +416,28 @@ def train(
 
 
 # Prediction walks (row, tree) pairs in blocks of rows of about this many
-# pairs, so its per-pair arrays stay near 3 MB at any forest and test size;
-# the trees' node arrays laid end to end add 40 bytes per node. 100 trees
-# of 192k nodes in all predict 50k rows in 1.2 s on one pinned core, at a
-# traced peak of 11 MB.
-_PREDICT_PAIRS = 1 << 16
+# pairs, so each per-pair array holds at most 128 KiB at any forest and test
+# size, small enough for the allocator to reuse rather than map fresh pages
+# for each one; a forest's laid-out nodes hold 40 bytes per node besides.
+# 94 trees of 192k nodes in all predict 50k rows in 0.56 s on one pinned
+# core, at a traced peak of 1.4 MB. In blocks of 2**16 pairs each array was
+# mapped afresh and faulted in: 240k page faults a call, 0.8-1.1 s.
+_PREDICT_PAIRS = 1 << 14
 
 
 def predict_matrix(forest: RandomForest, X: np.ndarray) -> list[str]:
     """Predict labels for a feature matrix (rows match the schema order).
 
-    All the forest's trees walk at once, over their node arrays laid end to
-    end: each step moves every (row, tree) pair not yet at a leaf down one
-    level, and the leaves' votes are tallied per row at the end.
+    All the forest's trees walk at once, over ``forest.nodes``: each step
+    moves every (row, tree) pair not yet at a leaf down one level, and the
+    leaves' votes are tallied per row at the end.
     """
     if X.ndim != 2 or X.shape[1] != len(forest.feature_schema):
         raise SchemaMismatchError(
             f"expected {len(forest.feature_schema)} features, got {X.shape}"
         )
-    trees = forest.trees
-    k, n_labels = len(trees), len(forest.labels)
-    roots = np.cumsum([0] + [len(tree.feature) for tree in trees[:-1]])
-    feature, threshold, value = (
-        np.concatenate([getattr(tree, name) for tree in trees])
-        for name in ("feature", "threshold", "value")
-    )
-    # Node i's children, offset by its tree's root: right at 2i, left at 2i + 1.
-    child = np.concatenate(
-        [np.stack((t.right, t.left), axis=1).ravel() + root for t, root in zip(trees, roots)]
-    )
+    roots, feature, threshold, value, child = forest.nodes
+    k, n_labels = len(roots), len(forest.labels)
     winners = np.empty(X.shape[0], dtype=np.int64)
     block = max(1, _PREDICT_PAIRS // k)
     for lo in range(0, X.shape[0], block):

@@ -241,6 +241,15 @@ class FlowSnapshot(NamedTuple):
     features: FeatureVector
 
 
+def take_rows(values: array, width: int, rows: Iterable[int]) -> array:
+    """Rows ``rows`` of ``values``, rows of ``width`` items laid end to end,
+    in that order: a new array of the same type."""
+    taken = array(values.typecode)
+    for i in rows:
+        taken += values[i * width : i * width + width]
+    return taken
+
+
 class SnapshotBlock(Sequence):
     """One trigger's snapshots, held as rows of arrays, read as ``FlowSnapshot``s.
 
@@ -275,11 +284,7 @@ class SnapshotBlock(Sequence):
         )
         if order == list(range(len(order))):
             return
-        w = len(FEATURE_NAMES)
-        values = self.values
-        self.values = array("d")
-        for i in order:
-            self.values += values[i * w : i * w + w]
+        self.values = take_rows(self.values, len(FEATURE_NAMES), order)
         self.exported_at_us = array("q", [times[i] for i in order])
         self.parents = [parents[i] for i in order]
 

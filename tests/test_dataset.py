@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from typing import get_type_hints
 
 import numpy as np
@@ -475,10 +476,15 @@ class TestCsv:
         assert empty.X.shape == (0, len(FEATURE_NAMES))
         ds = build_cf([_record(i) for i in range(3)], RuleSet(), min_class_count=1)
         assert ds.hash64.dtype == np.uint64 and ds.X.dtype == np.float64
+        assert ds.labels.dtype == object and ds.labels.tolist() == ["BENIGN"] * 3
         assert ds.X.shape == (3, len(FEATURE_NAMES))
         for array in (ds.hash64, ds.X, ds.labels):
             with pytest.raises(ValueError):
                 array[0] = 0
+        # Each view is made once and then kept.
+        assert ds.X is ds.X and ds.hash64 is ds.hash64 and ds.labels is ds.labels
+        with pytest.raises(AttributeError):
+            ds.provenance = "PC=2"
         with pytest.raises(ValueError):
             Dataset("CF", hash64=[1, 2], X=ds.X[:2], labels=["BENIGN"])
         with pytest.raises(ValueError, match="shape"):
@@ -533,6 +539,117 @@ class TestCsv:
             write_csv(Dataset(ds.provenance, ds.hash64, X, ds.labels), path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestDatasetContract:
+    def test_equality(self):
+        row = [[0.0] * len(FEATURE_NAMES)]
+        ds = Dataset("PC=2", [7], row, ["A"])
+        assert Dataset("PC=2", [], [], []) == Dataset("FD=5", [], [], [])
+        assert Dataset("PC=2", [7], [[-0.0] * len(FEATURE_NAMES)], ["A"]) == ds
+        assert Dataset("PC=2", np.array([7], dtype=np.uint64), np.array(row), ("A",)) == ds
+        for other in (
+            Dataset("PC=3", [7], row, ["A"]),
+            Dataset("PC=2", [8], row, ["A"]),
+            Dataset("PC=2", [7], row, ["B"]),
+            Dataset("PC=2", [7], [[1.0] + row[0][1:]], ["A"]),
+            Dataset("PC=2", [7], [[0.0]], ["A"], ("x",)),
+        ):
+            assert other != ds
+        nan = Dataset("PC=2", [7], [[float("nan")] * len(FEATURE_NAMES)], ["A"])
+        assert nan != nan  # as numpy compares NaN
+        assert ds != "PC=2"
+
+    @pytest.mark.parametrize(
+        "hash64, X, labels, error",
+        [
+            ([1], [[0.0] * 45], ["A"], ValueError),  # a row too short
+            ([1], [[0.0] * 47], ["A"], ValueError),  # a row too long
+            ([1], [[0.0] * 46] * 2, ["A"], ValueError),  # a row too many
+            ([1, 2], [[0.0] * 46] * 2, ["A"], ValueError),  # a label too few
+            ([1], [[0.0] * 46], ["A", "B"], ValueError),  # a label too many
+            ([2**64], [[0.0] * 46], ["A"], OverflowError),
+            ([-1], [[0.0] * 46], ["A"], OverflowError),
+            ([1], [["abc"] + [0.0] * 45], ["A"], ValueError),
+        ],
+    )
+    def test_construction_checks(self, hash64, X, labels, error):
+        with pytest.raises(error):
+            Dataset("CF", hash64, X, labels)
+
+    def test_replace_keeps_the_other_fields(self):
+        cf, _ = _metered_cf_and_pf()
+        relabelled = cf.replace(labels=["X"] * len(cf))
+        assert relabelled.provenance == "CF" and relabelled.label_counts() == {"X": len(cf)}
+        assert np.array_equal(relabelled.X, cf.X) and relabelled.hashes() == cf.hashes()
+        assert cf.replace(provenance="PC=4") != cf
+        with pytest.raises(ValueError, match="labels"):
+            cf.replace(labels=["X"])
+
+    def test_read_csv_holds_the_features_once(self, tmp_path, monkeypatch):
+        # Each parsed block is appended to the dataset's array, so the peak
+        # is the features once plus a block; joining the blocks at the end
+        # would hold them twice.
+        n = 20_000
+        rng = np.random.default_rng(3)
+        X = np.floor(rng.random((n, len(FEATURE_NAMES))) * 1e6)
+        ds = Dataset("PC=5", range(n), X, [("BENIGN", "DoS")[i % 2] for i in range(n)])
+        write_csv(ds, tmp_path / "big.csv")
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", 256)
+        read_csv(tmp_path / "big.csv")  # the first call's imports stay out of the peak
+        tracemalloc.start()
+        try:
+            back = read_csv(tmp_path / "big.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == ds
+        assert peak < 1.6 * X.nbytes, peak / X.nbytes
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    parents=st.lists(st.integers(0, 9), max_size=30),
+    in_cf=st.lists(st.booleans(), min_size=10, max_size=10),
+    floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+    ints=st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pf_round_trips_through_csv(tmp_path, parents, in_cf, floats, ints, seed):
+    # A block with repeated parents and parents outside the CF dataset.
+    rng = np.random.default_rng(seed)
+    ids = [FlowId.from_key(_KEYS[i], 1_000 * i) for i in range(10)]
+    cf_ids = [fid for fid, kept in zip(ids, in_cf) if kept]
+    cf = Dataset(
+        CF_PROVENANCE,
+        [fid.hash64 for fid in cf_ids],
+        np.zeros((len(cf_ids), len(FEATURE_NAMES))),
+        [f"L{i % 3}" for i in range(len(cf_ids))],
+    )
+    rows = [
+        [
+            (ints if is_int else floats)[int(rng.integers(0, len(ints if is_int else floats)))]
+            for is_int in INT_FEATURES
+        ]
+        for _ in parents
+    ]
+    block = SnapshotBlock(
+        FlowSnapshot(t, ids[p], _features(**dict(zip(FEATURE_NAMES, row))))
+        for t, (p, row) in enumerate(zip(parents, rows))
+    )
+    pf = build_pf(block, cf, Trigger("pc", 4))
+    first = {}
+    for p, row in zip(parents, rows):
+        if in_cf[p]:
+            first.setdefault(ids[p].hash64, row)
+    assert pf.hash64.tolist() == list(first)
+    assert pf.X.tolist() == [[float(v) for v in row] for row in first.values()]
+    write_csv(pf, tmp_path / "pf.csv")
+    back = read_csv(tmp_path / "pf.csv")
+    assert back == pf
+    assert back.provenance == ("PC=4" if len(pf) else CF_PROVENANCE)
 
 
 # Where repr of a float switches form (exponent, digits, sign), and the extremes.

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,7 +285,7 @@ class TestSweep:
     def test_no_test_flow_in_the_pf_set_skips_every_cell(self):
         cf = _dataset(["A", "B"] * 10)
         split = split_keys(cf, 0.7, seed=0)
-        pf = replace(cf.restrict(split.train_keys), provenance="PC=2")
+        pf = cf.restrict(split.train_keys).replace(provenance="PC=2")
         report = sweep(cf, {Trigger("pc", 2): pf}, tasks=("binary",), split=split,
                        tc=TrainConfig(n_trees=2))
         assert [(r.scenario, r.n_train, r.n_test, r.skipped_reason) for r in report.rows] == [
@@ -360,7 +359,7 @@ class TestSweep:
             for src, keys in ((train_src, split.train_keys), (test_src, split.test_keys)):
                 side = src.restrict(keys)
                 if row.task == "binary":
-                    side = replace(side, labels=binarize(side.labels))
+                    side = side.replace(labels=binarize(side.labels))
                 sides.append(side)
             forest = train(sides[0], tc)
             X, y_true = dataset_matrix(sides[1])

@@ -672,6 +672,28 @@ def test_predict_matrix_equals_reference(
         assert predict_matrix(forest, X) == reference_predict(forest, X)
 
 
+def test_forest_lays_out_its_nodes_once(tmp_path, monkeypatch):
+    # train and load_model lay the node arrays out as they build a forest;
+    # every later prediction walks those same arrays.
+    ds = _separable(30, seed=5)
+    forest = train(ds, TrainConfig(n_trees=4, seed=5))
+    save_model(forest, tmp_path / "model.json")
+    calls = []
+    lay_out = forest_module._lay_out
+    monkeypatch.setattr(
+        forest_module, "_lay_out", lambda trees: calls.append(len(trees)) or lay_out(trees)
+    )
+    nodes = forest.nodes
+    first = predict_matrix(forest, ds.X)
+    assert all(predict_matrix(forest, ds.X) == first for _ in range(3))
+    assert predict(forest, ds.X[0]) == first[0]
+    assert calls == [] and forest.nodes is nodes
+    back = load_model(tmp_path / "model.json")
+    assert calls == [4]
+    assert all(np.array_equal(a, b) for a, b in zip(back.nodes, nodes))
+    assert predict_matrix(back, ds.X) == first and calls == [4]
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         ds = _separable(30, seed=37)

@@ -1,12 +1,14 @@
 """Each CLI stage loads only the modules it runs.
 
-``import flowlab`` and ``flowlab preprocess`` must not load numpy or the
-numpy-backed modules; their public names resolve on first use.
+``import flowlab``, ``flowlab preprocess`` and ``flowlab meter`` must not
+load numpy or the numpy-backed modules; their public names resolve on first
+use.
 """
 
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -15,12 +17,13 @@ from pathlib import Path
 import numpy as np
 
 import flowlab
+from flowlab import cli
 from flowlab.trace_io import write_trace
 
 from conftest import random_trace
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-NUMPY_BACKED = ("numpy", "flowlab.dataset", "flowlab.forest", "flowlab.evaluation", "flowlab.synth")
+NUMPY_BACKED = ("numpy", "flowlab.forest", "flowlab.evaluation", "flowlab.synth")
 MODULES = ("errors", "trace_io", "meter", "labeling", "dataset", "evaluation", "forest", "synth")
 
 
@@ -56,6 +59,46 @@ def test_preprocess_runs_without_numpy(tmp_path):
     assert "flowlab.trace_io" in loaded
     assert loaded.isdisjoint(NUMPY_BACKED), sorted(loaded & set(NUMPY_BACKED))
     assert (tmp_path / "out.pcap").exists()
+
+
+def test_meter_runs_without_numpy(tmp_path, monkeypatch):
+    # Two classes of 12 flows: with --min-class-count 5 the meter writes a
+    # non-empty cf.csv and PF files, and summarises each, with the default
+    # triggers.
+    spec = {
+        "name": "imports",
+        "templates": [
+            {
+                "label": label,
+                "flows": 12,
+                "packets": [5, 25],
+                "payload": payload,
+                "iat_us": [1000, 5000],
+                "client_ips": [client],
+                "server_ips": ["192.168.7.1"],
+                "server_ports": [80],
+                "protocol": 6,
+                "start_us": [0, 1000000],
+            }
+            for label, payload, client in (
+                ("BENIGN", [40, 200], "10.1.0.0/24"),
+                ("ATTACK", [600, 900], "10.2.0.0/24"),
+            )
+        ],
+    }
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    argv = ["synth", "spec.json", "5", "in.pcap", "truth.json", "--rules-out", "rules.json"]
+    assert cli.main(argv) == 0
+    loaded = _imported(
+        "-m", "flowlab.cli", "meter", "in.pcap", "rules.json", "out", "--min-class-count", "5",
+        cwd=tmp_path,
+    )
+    assert "flowlab.dataset" in loaded
+    assert loaded.isdisjoint(NUMPY_BACKED), sorted(loaded & set(NUMPY_BACKED))
+    assert len(list((tmp_path / "out").glob("pf_*.csv"))) == 31
+    distribution = json.loads((tmp_path / "out" / "distribution.json").read_text())
+    assert {"CF", "PC=2"} <= distribution.keys()
 
 
 def test_every_public_name_is_its_defining_modules_object():
