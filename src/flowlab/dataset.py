@@ -24,7 +24,7 @@ from .meter import FEATURE_NAMES, INT_FEATURES, FlowRecord, SnapshotBlock, Trigg
 CF_PROVENANCE = "CF"
 
 _INT_FIELDS = {name for name, is_int in zip(FEATURE_NAMES, INT_FEATURES) if is_int}
-_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 256
 
 
 class Dataset:

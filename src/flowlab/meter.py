@@ -258,8 +258,8 @@ class SnapshotBlock(Sequence):
     ``values[i * 46:(i + 1) * 46]`` (one ``array('d')`` of every row, in
     ``FEATURE_NAMES`` order). A row read back gives the integer features as
     ``int``; like a ``Dataset``'s float64 ``X``, it keeps them exactly up to
-    2**53. ``rows`` are taken in their order; blocks are equal when their
-    rows are.
+    2**53. ``rows`` are taken in their order; a slice is a block of those
+    rows, in that order; blocks are equal when their rows are.
     """
 
     __slots__ = ("values", "exported_at_us", "parents")
@@ -276,23 +276,30 @@ class SnapshotBlock(Sequence):
         self.exported_at_us.append(exported_at_us)
         self.parents.append(parent_id)
 
-    def _sort(self) -> None:
-        """Order the rows by (export time, parent start, parent hash)."""
+    def _take(self, rows: Sequence[int]) -> SnapshotBlock:
+        """A new block of rows ``rows``, in that order."""
+        block = SnapshotBlock()
+        block.values = take_rows(self.values, len(FEATURE_NAMES), rows)
+        block.exported_at_us = array("q", [self.exported_at_us[i] for i in rows])
+        block.parents = [self.parents[i] for i in rows]
+        return block
+
+    def _sorted(self) -> SnapshotBlock:
+        """The block with its rows ordered by (export time, parent start,
+        parent hash): itself when they already are."""
         times, parents = self.exported_at_us, self.parents
         order = sorted(
             range(len(parents)), key=lambda i: (times[i], parents[i].start_us, parents[i].hash64)
         )
-        if order == list(range(len(order))):
-            return
-        self.values = take_rows(self.values, len(FEATURE_NAMES), order)
-        self.exported_at_us = array("q", [times[i] for i in order])
-        self.parents = [parents[i] for i in order]
+        return self if order == list(range(len(order))) else self._take(order)
 
     def __len__(self) -> int:
         return len(self.parents)
 
-    def __getitem__(self, i: int) -> FlowSnapshot:
+    def __getitem__(self, i: int | slice) -> FlowSnapshot | SnapshotBlock:
         i = range(len(self.parents))[i]
+        if isinstance(i, range):
+            return self._take(i)
         w = len(FEATURE_NAMES)
         row = self.values[i * w : i * w + w]
         features = FeatureVector._make(
@@ -374,44 +381,9 @@ def _stddev(n: int, total: int, total_sq: int) -> float:
     return math.sqrt(var) if var > 0 else 0.0
 
 
-def _size_features(
-    n: int, total: int, payload: int, min_ps: int, max_ps: int, sumsq_ps: int
-) -> tuple[float, ...]:
-    """Packets, bytes, payload bytes and min/mean/max/stddev packet size of
-    ``n`` packets whose sizes sum to ``total``."""
-    return (
-        n,
-        total,
-        payload,
-        float(min_ps),
-        total / n if n else 0.0,
-        float(max_ps),
-        _stddev(n, total, sumsq_ps),
-    )
-
-
-def _piat_features(
-    n: int, min_gap: int, max_gap: int, span: int, sumsq_gap: int
-) -> tuple[float, float, float, float]:
-    """Min, mean, max and stddev of the ``n - 1`` gaps between ``n`` packets
-    that arrive over ``span`` microseconds (the sum of the gaps), in ms.
-
-    PIAT features are defined (and non-zero) only from the second packet
-    of a scope onward.
-    """
-    if n < 2:
-        return (0.0, 0.0, 0.0, 0.0)
-    m = n - 1
-    return (
-        min_gap / 1000,
-        span / (m * 1000),
-        max_gap / 1000,
-        _stddev(m, span, sumsq_gap) / 1000,
-    )
-
-
 class _ScopeStats:
-    """Streaming packet-size and inter-arrival accumulators for one direction.
+    """Streaming packet-size and inter-arrival accumulators for one scope of
+    a flow: one direction, or both.
 
     Sums are kept as exact Python ints; means and population stddevs are
     materialized only at export. The byte count is the sum of packet
@@ -465,15 +437,32 @@ class _ScopeStats:
         self.last_ts = ts_us
 
     def export(self) -> tuple[float, ...]:
-        """The scope's 11 features, in ``FeatureVector`` field order."""
+        """The scope's 11 features, in ``FeatureVector`` field order: packets,
+        bytes, payload bytes, min/mean/max/stddev packet size, then
+        min/mean/max/stddev of the ``packets - 1`` gaps in ms, which are
+        defined (and non-zero) only from the scope's second packet on."""
         n = self.packets
+        total = self.bytes
+        if n < 2:
+            min_piat = mean_piat = max_piat = stddev_piat = 0.0
+        else:
+            span = self.last_ts - self.first_ts
+            min_piat = self.min_piat / 1000
+            mean_piat = span / ((n - 1) * 1000)
+            max_piat = self.max_piat / 1000
+            stddev_piat = _stddev(n - 1, span, self.sumsq_piat) / 1000
         return (
-            *_size_features(
-                n, self.bytes, self.payload_bytes, self.min_ps, self.max_ps, self.sumsq_ps
-            ),
-            *_piat_features(
-                n, self.min_piat, self.max_piat, self.last_ts - self.first_ts, self.sumsq_piat
-            ),
+            n,
+            total,
+            self.payload_bytes,
+            float(self.min_ps),
+            total / n if n else 0.0,
+            float(self.max_ps),
+            _stddev(n, total, self.sumsq_ps),
+            min_piat,
+            mean_piat,
+            max_piat,
+            stddev_piat,
         )
 
 
@@ -499,24 +488,16 @@ def _flag_counts(flags: dict[int, int]) -> list[int]:
 class _FlowState:
     """Mutable per-flow accumulation owned by one metering pass.
 
-    Per packet, only the direction's ``_ScopeStats``, the bidirectional
-    inter-arrival accumulators, the running packet and byte counts the
-    PC and BC triggers read, and one flag count are updated; the
-    bidirectional size features are combined from the two directions at
-    export.
+    Per packet, the bidirectional ``_ScopeStats`` and the packet's own
+    direction's are updated alike, and one flag count; the triggers and
+    the timeouts read the bidirectional scope.
     """
 
     __slots__ = (
         "id",
         "anchor_src",
         "anchor_dst",
-        "first_us",
-        "last_us",
-        "packets",
-        "bytes",
-        "min_piat",
-        "max_piat",
-        "sumsq_piat",
+        "bidi",
         "s2d",
         "d2s",
         "flags",
@@ -528,11 +509,7 @@ class _FlowState:
         self.id = FlowId.from_key(key, pkt.ts_us)
         self.anchor_src = (pkt.src_ip, pkt.src_port)
         self.anchor_dst = (pkt.dst_ip, pkt.dst_port)
-        self.first_us = pkt.ts_us
-        self.last_us = pkt.ts_us
-        self.packets = 0
-        self.bytes = 0
-        self.min_piat = self.max_piat = self.sumsq_piat = 0
+        self.bidi = _ScopeStats()
         self.s2d = _ScopeStats()
         self.d2s = _ScopeStats()
         # packets per (flag byte << 1 | forward), for flagged packets only
@@ -552,34 +529,22 @@ class _FlowState:
         that fires (the lookups are built in ``meter``)."""
         ts_us = pkt.ts_us
         wire_len = pkt.wire_len
+        payload_len = pkt.payload_len
         forward = (pkt.src_ip, pkt.src_port) == self.anchor_src
-        (self.s2d if forward else self.d2s).add(ts_us, wire_len, pkt.payload_len)
-        # Bidirectional gaps, from the previous packet of either direction;
-        # inline rather than a call per packet.
-        n = self.packets
-        if n:
-            gap = ts_us - self.last_us
-            if n == 1:
-                self.min_piat = self.max_piat = gap
-            elif gap < self.min_piat:
-                self.min_piat = gap
-            elif gap > self.max_piat:
-                self.max_piat = gap
-            self.sumsq_piat += gap * gap
-        self.packets = n = n + 1
-        self.bytes += wire_len
-        self.last_us = ts_us
+        (self.s2d if forward else self.d2s).add(ts_us, wire_len, payload_len)
+        bidi = self.bidi
+        bidi.add(ts_us, wire_len, payload_len)
         if pkt.tcp_flags:
             key = pkt.tcp_flags << 1 | forward
             self.flags[key] = self.flags.get(key, 0) + 1
 
         # The flow's row, built at most once however many triggers fire.
         row = None
-        out = pc.get(n)
+        out = pc.get(bidi.packets)
         if out is not None:
             row = self._values()
             out._add(ts_us, self.id, row)
-        duration_us = ts_us - self.first_us
+        duration_us = ts_us - bidi.first_ts
         while duration_us >= fd[self.fd_next][0]:
             _, hi, out = fd[self.fd_next]
             self.fd_next += 1
@@ -587,34 +552,19 @@ class _FlowState:
                 row = row or self._values()
                 out._add(ts_us, self.id, row)
             # else: overshot the tolerance band; target permanently missed
-        while self.bytes >= bc[self.bc_next][0]:
+        while bidi.bytes >= bc[self.bc_next][0]:
             row = row or self._values()
             bc[self.bc_next][1]._add(ts_us, self.id, row)
             self.bc_next += 1
 
     def _values(self) -> tuple[float, ...]:
         """The flow's features, in ``FeatureVector`` field order."""
-        s2d, d2s = self.s2d, self.d2s
-        # s2d holds the flow's first packet, so only d2s can be empty.
-        min_ps, max_ps = s2d.min_ps, s2d.max_ps
-        if d2s.packets:
-            min_ps = min(min_ps, d2s.min_ps)
-            max_ps = max(max_ps, d2s.max_ps)
-        n = self.packets
-        span = self.last_us - self.first_us
+        bidi = self.bidi
         return (
-            span / 1000,
-            *_size_features(
-                n,
-                self.bytes,
-                s2d.payload_bytes + d2s.payload_bytes,
-                min_ps,
-                max_ps,
-                s2d.sumsq_ps + d2s.sumsq_ps,
-            ),
-            *_piat_features(n, self.min_piat, self.max_piat, span, self.sumsq_piat),
-            *s2d.export(),
-            *d2s.export(),
+            (bidi.last_ts - bidi.first_ts) / 1000,
+            *bidi.export(),
+            *self.s2d.export(),
+            *self.d2s.export(),
             *_flag_counts(self.flags),
         )
 
@@ -622,8 +572,8 @@ class _FlowState:
         return FlowRecord(
             id=self.id,
             direction_anchor=(self.anchor_src, self.anchor_dst),
-            first_us=self.first_us,
-            last_us=self.last_us,
+            first_us=self.bidi.first_ts,
+            last_us=self.bidi.last_ts,
             features=FeatureVector._make(self._values()),
             expiration_reason=reason,
         )
@@ -684,10 +634,10 @@ def meter(
         key = _flow_key(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port, pkt.protocol)
         state = live.get(key)
         if state is not None:
-            if ts_us - state.last_us > idle_us:
+            if ts_us - state.bidi.last_ts > idle_us:
                 records.append(state.finish("idle"))
                 state = None
-            elif ts_us - state.first_us >= active_us:
+            elif ts_us - state.bidi.first_ts >= active_us:
                 records.append(state.finish("active"))
                 state = None
         if state is None:
@@ -703,6 +653,4 @@ def meter(
         records.append(state.finish("end_of_trace"))
 
     records.sort(key=lambda r: (r.last_us, r.id.start_us, r.id.hash64))
-    for block in snapshots.values():
-        block._sort()
-    return records, snapshots
+    return records, {t: block._sorted() for t, block in snapshots.items()}

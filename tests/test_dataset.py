@@ -586,7 +586,7 @@ class TestDatasetContract:
         with pytest.raises(ValueError, match="labels"):
             cf.replace(labels=["X"])
 
-    def test_read_csv_holds_the_features_once(self, tmp_path, monkeypatch):
+    def test_read_csv_holds_the_features_once(self, tmp_path):
         # Each parsed block is appended to the dataset's array, so the peak
         # is the features once plus a block; joining the blocks at the end
         # would hold them twice.
@@ -595,7 +595,6 @@ class TestDatasetContract:
         X = np.floor(rng.random((n, len(FEATURE_NAMES))) * 1e6)
         ds = Dataset("PC=5", range(n), X, [("BENIGN", "DoS")[i % 2] for i in range(n)])
         write_csv(ds, tmp_path / "big.csv")
-        monkeypatch.setattr(dataset, "_BLOCK_ROWS", 256)
         read_csv(tmp_path / "big.csv")  # the first call's imports stay out of the peak
         tracemalloc.start()
         try:

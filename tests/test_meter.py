@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import tracemalloc
+from collections import Counter, defaultdict
+from dataclasses import replace
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from flowlab.errors import UnsortedTraceError
 from flowlab.meter import (
@@ -162,7 +166,7 @@ class TestMeterBasics:
         built = []
         values = _FlowState._values
         monkeypatch.setattr(
-            _FlowState, "_values", lambda self: built.append(self.packets) or values(self)
+            _FlowState, "_values", lambda self: built.append(self.bidi.packets) or values(self)
         )
         config = MeterConfig(pc_triggers=(2,), fd_triggers_ms=(50,), byte_triggers=(300,))
         trace = _trace(_pkt(0, payload=100), _pkt(50_000, payload=100))
@@ -555,6 +559,9 @@ class TestSnapshotBlock:
         assert SnapshotBlock(rows) == block
         assert SnapshotBlock(rows[1:]) != block
         assert SnapshotBlock() == SnapshotBlock([]) != block
+        assert block[1:3] == SnapshotBlock(rows[1:3])
+        assert block[::-1] == SnapshotBlock(rows[::-1])
+        assert block[3:3] == SnapshotBlock() == block[len(block) :]
 
     def test_retained_bytes_per_snapshot(self):
         trace, _ = synth_trace(SynthSpec.from_dict(_SWEEP_SPEC), 7)
@@ -576,3 +583,148 @@ class TestSnapshotBlock:
         assert len(fired) == 31, sorted(set(snapshots) - set(fired), key=Trigger.sort_key)
         n = sum(map(len, snapshots.values()))
         assert (total - base) / n <= 512, (total - base) / n
+
+
+# Metamorphic relations over small generated traces: three hosts, TCP and
+# UDP, so keys return after they expire; timeouts of up to 30 ms against
+# gaps of up to 20 ms, so flows end idle, active and on FIN/RST. In half
+# the cases every gap is whole milliseconds, so durations land on FD
+# bands' edges and idle gaps on the timeout.
+_HOSTS = (("10.0.0.1", 1000), ("10.0.0.2", 80), ("10.0.0.3", 2000))
+_TCP_FLAGS = (0x10, 0x10, 0x10, 0x18, 0x18, 0x02, 0x12, 0x11, 0x14)
+
+
+@st.composite
+def _cases(draw):
+    """A sorted trace and a meter config for it."""
+    config = MeterConfig(
+        idle_timeout_s=draw(st.integers(1, 30)) / 1000,
+        active_timeout_s=draw(st.integers(1, 30)) / 1000,
+        fin_rst_expiration=draw(st.booleans()),
+        pc_triggers=draw(st.frozensets(st.integers(1, 12), max_size=4)),
+        fd_triggers_ms=draw(st.frozensets(st.integers(1, 20), max_size=6)),
+        fd_tolerance=draw(st.sampled_from((0.0, 0.0, 0.2, 0.5, 0.9))),
+        byte_triggers=draw(st.frozensets(st.integers(1, 4000), max_size=3)),
+    )
+    unit = draw(st.sampled_from((1, 1000)))
+    packet = st.tuples(
+        st.integers(0, 20_000 // unit).map(unit.__mul__),
+        st.permutations(range(len(_HOSTS))),
+        st.sampled_from((6, 6, 17)),
+        st.sampled_from(_TCP_FLAGS),
+        st.integers(0, 1460),
+    )
+    n = draw(st.integers(1, 60))
+    packets, ts = [], 0
+    for gap, (a, b, _), protocol, flags, payload in draw(st.lists(packet, min_size=n, max_size=n)):
+        ts += gap
+        (src, sport), (dst, dport) = _HOSTS[a], _HOSTS[b]
+        packets.append(_pkt(ts, src, dst, sport, dport, protocol, flags, payload))
+    return packets, config
+
+
+def _by_key(packets):
+    """Each flow key's packets, in trace order."""
+    groups = defaultdict(list)
+    for pkt in packets:
+        groups[FlowKey.from_packet(pkt)].append(pkt)
+    return groups
+
+
+def _flows(packets, records):
+    """Each record's packets, listed under its ``FlowId``: a key's packets
+    split, in order, by the packet counts of its records, which come in the
+    order its flows ended."""
+    groups = _by_key(packets)
+    flows = defaultdict(list)
+    for record in records:
+        pkts = groups[record.id.key]
+        n = record.features.bidirectional_packets
+        flows[record.id].append(pkts[:n])
+        del pkts[:n]
+    assert not any(groups.values())
+    return flows
+
+
+def _fires_at(flow, trigger, fd_tolerance):
+    """The length of the shortest prefix of ``flow`` that reaches ``trigger``,
+    or None when none does or, for FD, when it overshoots the band."""
+    total = 0
+    for n, pkt in enumerate(flow, 1):
+        total += pkt.wire_len
+        duration = pkt.ts_us - flow[0].ts_us
+        if trigger.kind == "pc" and n == trigger.value:
+            return n
+        if trigger.kind == "bc" and total >= trigger.value:
+            return n
+        if trigger.kind == "fd" and duration >= (1 - fd_tolerance) * trigger.value * 1000:
+            return n if duration <= (1 + fd_tolerance) * trigger.value * 1000 else None
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_cases(), rnd=st.randoms(use_true_random=False))
+def test_snapshot_is_the_record_of_its_shortest_prefix(case, rnd):
+    # The paper's partial flow: a snapshot's features are those of its
+    # parent flow's first packets, up to the one that reached the trigger,
+    # and a trigger fires on every flow that reaches it.
+    packets, config = case
+    tol = config.fd_tolerance
+    records, snapshots = meter(_trace(*packets), config)
+    flows = _flows(packets, records)
+    for trigger, block in snapshots.items():
+        reached = Counter(
+            fid for fid, same_id in flows.items() for f in same_id if _fires_at(f, trigger, tol)
+        )
+        assert Counter(block.parents) == reached, trigger
+
+    alone = replace(config, pc_triggers=(), fd_triggers_ms=(), byte_triggers=())
+    rows = [(t, snap) for t, block in snapshots.items() for snap in block]
+    for trigger, snap in rnd.sample(rows, min(len(rows), 20)):
+        # A one-packet flow ended by FIN/RST and the next flow on its key
+        # share a FlowId when they start in the same microsecond; the
+        # snapshot is then the prefix record of one of them.
+        prefix_records = []
+        for flow in flows[snap.parent_id]:
+            if n := _fires_at(flow, trigger, tol):
+                (record,), none = meter(_trace(*flow[:n]), alone)
+                assert none == {}
+                prefix_records.append((flow[n - 1].ts_us, record.features))
+        assert (snap.exported_at_us, snap.features) in prefix_records, trigger
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_cases())
+def test_flows_meter_independently(case):
+    # Metering each key's packets alone and merging the results in the
+    # meter's two orders gives the meter's output for the whole trace.
+    packets, config = case
+    records, snapshots = meter(_trace(*packets), config)
+    alone = [meter(_trace(*pkts), config) for pkts in _by_key(packets).values()]
+    merged = sorted(
+        (r for rs, _ in alone for r in rs), key=lambda r: (r.last_us, r.id.start_us, r.id.hash64)
+    )
+    assert merged == records
+    for trigger, block in snapshots.items():
+        rows = sorted(
+            (snap for _, blocks in alone for snap in blocks[trigger]),
+            key=lambda s: (s.exported_at_us, s.parent_id.start_us, s.parent_id.hash64),
+        )
+        assert SnapshotBlock(rows) == block, trigger
+
+
+@pytest.mark.parametrize("reason", ["idle", "active", "fin_rst"])
+def test_cases_reach_every_expiry_and_returning_keys(reason):
+    def reaches(case):
+        # A key's later flows are listed after its earlier ones.
+        packets, config = case
+        records, _ = meter(_trace(*packets), config)
+        return any(
+            r.expiration_reason == reason and any(s.id.key == r.id.key for s in records[i + 1 :])
+            for i, r in enumerate(records)
+        )
+
+    # Raises NoSuchExample when no generated case has a key that returns
+    # after a flow on it ended for ``reason``.
+    generate_only = settings(max_examples=500, database=None, phases=[Phase.generate])
+    find(_cases(), reaches, settings=generate_only)
