@@ -37,8 +37,8 @@ from .meter import (
 )
 from .trace_io import PacketTrace, RawPacket, dedup, read_trace, reorder, write_trace
 
-# Public names of the numpy-backed modules, each imported on first use so
-# that ``import flowlab`` and the trace stages never load numpy.
+# Public names of the modules imported on first use, so that ``import flowlab`` and
+# the trace stages never load numpy; ``dataset`` needs it only for ``read_csv`` and views.
 _LAZY = {
     **dict.fromkeys(
         (

@@ -120,9 +120,10 @@ def cmd_meter(args) -> int:
     rules = RuleSet.from_json(args.rules)
     trace = trace_io.reorder(trace_io.read_trace(args.input, keep_bytes=False))
     records, snapshots = run_meter(trace, echo.meter)
+    labels = [ds_mod.label_flow(r, rules) for r in records]
 
     os.makedirs(args.out_dir, exist_ok=True)
-    cf = ds_mod.build_cf(records, rules, min_class_count=echo.min_class_count)
+    cf = ds_mod.build_cf(records, labels, min_class_count=echo.min_class_count)
     ds_mod.write_csv(cf, os.path.join(args.out_dir, "cf.csv"))
 
     cf_summary = ds_mod.distribution(cf)
@@ -137,7 +138,7 @@ def cmd_meter(args) -> int:
             dist[str(trigger)] = summary.to_dict()
             dist_text += [f"== {trigger} ==", summary.to_text()]
 
-    report = ds_mod.audit(records, rules, echo.meter.idle_timeout_s)
+    report = ds_mod.audit(records, labels, echo.meter.idle_timeout_s)
     for name, text in (
         ("audit.json", _json(report.to_dict())),
         ("audit.txt", report.to_text() + "\n"),

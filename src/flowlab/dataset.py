@@ -18,7 +18,7 @@ from itertools import islice
 from typing import AbstractSet, Iterable
 
 from .errors import DatasetIOError, SchemaMismatchError, replacing
-from .labeling import BENIGN, RuleSet, label_flow
+from .labeling import BENIGN, label_flow  # cli labels via this binding, which perfbench wraps
 from .meter import FEATURE_NAMES, INT_FEATURES, FlowRecord, SnapshotBlock, Trigger, take_rows
 
 CF_PROVENANCE = "CF"
@@ -161,23 +161,22 @@ def _view(values: array, dtype: str):
 
 
 def build_cf(
-    records: Iterable[FlowRecord], rules: RuleSet, min_class_count: int = 50
+    records: Iterable[FlowRecord], labels: Iterable[str], min_class_count: int = 50
 ) -> Dataset:
-    """Label records and apply the complete-flow filters.
+    """Apply the complete-flow filters to records, each with its label.
 
     Drops flows with zero total payload, keeps only the first record for
     any repeated flow hash, and removes every class with fewer surviving
-    flows than ``min_class_count``.
+    flows than ``min_class_count``. Raises ValueError when ``records`` and
+    ``labels`` differ in length.
     """
     survivors: list[tuple[FlowRecord, str]] = []
     seen: set[int] = set()
-    for record in records:
-        if record.features.bidirectional_payload_bytes == 0:
-            continue
-        if record.id.hash64 in seen:
+    for record, label in zip(records, labels, strict=True):
+        if record.features.bidirectional_payload_bytes == 0 or record.id.hash64 in seen:
             continue
         seen.add(record.id.hash64)
-        survivors.append((record, label_flow(record, rules)))
+        survivors.append((record, label))
 
     counts = Counter(label for _, label in survivors)
     kept = [(r, label) for r, label in survivors if counts[label] >= min_class_count]
@@ -288,12 +287,13 @@ class AuditReport:
 
 
 def audit(
-    records: Iterable[FlowRecord], rules: RuleSet, idle_timeout_s: float
+    records: Iterable[FlowRecord], labels: Iterable[str], idle_timeout_s: float
 ) -> AuditReport:
-    """Tally segmentation artifacts over raw (unfiltered) records.
+    """Tally segmentation artifacts over raw (unfiltered) records and their labels.
 
     "Marginally below the idle timeout" means a flow's maximum packet
-    inter-arrival time falls in [0.8 * idle, idle).
+    inter-arrival time falls in [0.8 * idle, idle). Raises ValueError when
+    ``records`` and ``labels`` differ in length.
     """
     zpl: dict[str, int] = {}
     payload: dict[str, int] = {}
@@ -303,8 +303,7 @@ def audit(
     lo_ms = 0.8 * idle_timeout_s * 1000
     hi_ms = idle_timeout_s * 1000
 
-    for record in records:
-        label = label_flow(record, rules)
+    for record, label in zip(records, labels, strict=True):
         fv = record.features
         bucket = zpl if fv.bidirectional_payload_bytes == 0 else payload
         bucket[label] = bucket.get(label, 0) + 1
@@ -503,7 +502,7 @@ def read_csv(path) -> Dataset:
                 except OverflowError:
                     raise DatasetIOError(f"{path}: a flow hash is not a 64-bit value") from None
                 provenances.update(columns[-1])
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetIOError(f"cannot read dataset {path}: {exc}") from exc
 
     if len(provenances) > 1:

@@ -210,7 +210,7 @@ class JsonDocument:
                 doc = json.load(fh)
         except OSError as exc:
             raise UnreadableFileError(f"cannot read {path}: {exc}") from exc
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise FlowLabError(f"{path}: {exc}") from None
         return cls.from_dict(doc)
 

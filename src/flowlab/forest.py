@@ -532,7 +532,7 @@ def load_model(path) -> RandomForest:
         config = TrainConfig(**doc.get("train_config", {}))
     except OSError as exc:
         raise UnreadableFileError(f"cannot read model {path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise FlowLabError(f"{path}: {exc}") from None
     trees = []
     for i, arrays in enumerate(tree_docs):

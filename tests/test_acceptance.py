@@ -18,7 +18,7 @@ import pytest
 from flowlab.dataset import align, build_cf, build_pf, read_csv
 from flowlab.evaluation import compute_metrics, split_keys, sweep
 from flowlab.forest import TrainConfig, train, predict_matrix, dataset_matrix
-from flowlab.labeling import RuleSet
+from flowlab.labeling import RuleSet, label_flow
 from flowlab.meter import MeterConfig, Trigger, meter
 from flowlab.synth import SynthSpec, derive_rules, synth_trace
 from flowlab.trace_io import PacketTrace, dedup, reorder
@@ -216,7 +216,7 @@ def test_criterion_5_classifier_sanity(early_corpus):
     """CF_CF on the separable 2x250 corpus: f1 >= 0.99 and deterministic."""
     started = time.monotonic()
     records, snapshots, rules, _ = early_corpus
-    cf = build_cf(records, rules)
+    cf = build_cf(records, [label_flow(r, rules) for r in records])
     assert cf.label_counts() == {"BENIGN": 250, "ATTACK": 250}
     split = split_keys(cf, 0.70, seed=5005)
     tc = TrainConfig(n_trees=50, seed=5005)
@@ -249,7 +249,7 @@ def test_criterion_6_degradation_reproduction(late_corpus):
     recovers only once the divergence packet is visible."""
     started = time.monotonic()
     records, snapshots, rules, _ = late_corpus
-    cf = build_cf(records, rules)
+    cf = build_cf(records, [label_flow(r, rules) for r in records])
     split = split_keys(cf, 0.70, seed=6006)
     tc = TrainConfig(n_trees=100, seed=6006)
 
@@ -284,7 +284,7 @@ def test_criterion_6_degradation_reproduction(late_corpus):
 def test_criterion_7_consistency_robustness(early_corpus):
     """Matched train/test on snapshots stays strong at every prefix size."""
     records, snapshots, rules, _ = early_corpus
-    cf = build_cf(records, rules)
+    cf = build_cf(records, [label_flow(r, rules) for r in records])
     split = split_keys(cf, 0.70, seed=7007)
     tc = TrainConfig(n_trees=50, seed=7007)
     family = {
@@ -318,7 +318,7 @@ def test_criterion_8_cicids_wednesday_offline():
     trace = reorder(dedup(read_trace(path)))
     records, snapshots = meter(trace, MeterConfig())
     rules = RuleSet.from_json(corpus_path("wednesday_rules"))
-    cf = build_cf(records, rules, min_class_count=50)
+    cf = build_cf(records, [label_flow(r, rules) for r in records], min_class_count=50)
     counts = cf.label_counts()
     expected = {
         "BENIGN": 326_363,

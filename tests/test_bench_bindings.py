@@ -99,7 +99,8 @@ def test_traced_stages_record_every_layer(tmp_path, monkeypatch):
         "meter": (
             ["meter", "clean.pcap", "rules.json", "out", "--config", "meter.json",
              "--min-class-count", "5"],
-            {"meter.meter", "dataset.build_cf", "dataset.build_pf", "dataset.write_csv"},
+            {"meter.meter", "labeling.label_flow", "dataset.build_cf", "dataset.build_pf",
+             "dataset.write_csv"},
         ),
         "eval": (
             ["eval", "out/cf.csv", "out/pf_pc_3.csv", "results", "--task", "binary",

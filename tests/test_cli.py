@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from flowlab import cli
+from flowlab import cli, dataset
 from flowlab.dataset import build_cf, build_pf, distribution, read_csv
 from flowlab.evaluation import split_keys, sweep
 from flowlab.forest import TrainConfig
@@ -322,11 +322,12 @@ class TestMeterCmd:
         pcap, rules_path = synth_inputs
         out = workdir / "m3"
         assert _run("meter", pcap, rules_path, out) == 0
-        from flowlab.labeling import RuleSet
+        from flowlab.labeling import RuleSet, label_flow
 
         trace = reorder(read_trace(pcap))
         records, snapshots = meter(trace, MeterConfig())
-        cf = build_cf(records, RuleSet.from_json(rules_path), min_class_count=50)
+        rules = RuleSet.from_json(rules_path)
+        cf = build_cf(records, [label_flow(r, rules) for r in records], min_class_count=50)
 
         # CLI writes the same datasets the library pipeline produces
         got_cf = read_csv(out / "cf.csv")
@@ -413,6 +414,33 @@ class TestMeterCmd:
         rules.write_text(json.dumps(doc))
         assert _run("meter", pcap, rules, workdir / "m6") == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_deeply_nested_rules_exit_2_names_the_file(self, workdir, synth_inputs, capsys):
+        pcap, _ = synth_inputs
+        rules = workdir / "deep_rules.json"
+        rules.write_text("[" * 1000 + "]" * 1000)
+        assert _run("meter", pcap, rules, workdir / "m13") == 2
+        assert capsys.readouterr().err.startswith(f"error: {rules}: ")
+
+    def test_each_record_labelled_once(self, workdir, synth_inputs, monkeypatch):
+        pcap, rules = synth_inputs
+        labelled, metered = [], []
+        label_flow, run_meter = dataset.label_flow, cli.run_meter
+
+        def counting_label_flow(record, rule_set):
+            labelled.append(record)
+            return label_flow(record, rule_set)
+
+        def keeping_run_meter(*args):
+            metered.append(run_meter(*args))
+            return metered[-1]
+
+        monkeypatch.setattr(dataset, "label_flow", counting_label_flow)
+        monkeypatch.setattr(cli, "run_meter", keeping_run_meter)
+        assert _run("meter", pcap, rules, workdir / "m14") == 0
+        ((records, _),) = metered
+        assert len(records) == 60
+        assert list(map(id, labelled)) == list(map(id, records))
 
     def test_benign_class_other_than_benign_exit_2(self, workdir, synth_inputs, capsys):
         # The CF/PF files do not record the benign class, so eval could not follow it.
@@ -692,6 +720,16 @@ class TestEvalCmd:
         assert _run("eval", cf, metered / "pf_pc_2.csv", out) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read dataset {cf}: ") and "0xff" in err
+        assert not out.exists()
+
+    def test_oversized_cell_exit_2_names_the_file(self, workdir, metered, capsys):
+        # Past the csv module's field size limit of 131,072 characters.
+        cf = metered / "cf.csv"
+        cf.write_text(cf.read_text().replace("ATTACK", "A" * 200_000, 1))
+        out = workdir / "e14"
+        assert _run("eval", cf, metered / "pf_pc_2.csv", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read dataset {cf}: ") and "field" in err
         assert not out.exists()
 
     def test_two_pf_files_of_one_trigger_exit_2(self, workdir, metered, capsys):

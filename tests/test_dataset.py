@@ -80,23 +80,27 @@ def _record(i, payload=100, label_ip=None, start=0, packets=3, dur=50.0):
 _ATTACK_RULES = RuleSet(rules=(LabelRule(label="ATTACK", src_ips=("10.9.0.0/16",)),))
 
 
+def _attack_labels(records) -> list[str]:
+    return [label_flow(r, _ATTACK_RULES) for r in records]
+
+
 class TestBuildCf:
     def test_zpl_flow_dropped(self):
-        ds = build_cf([_record(0, payload=0)], RuleSet(), min_class_count=1)
+        ds = build_cf([_record(0, payload=0)], ["BENIGN"], min_class_count=1)
         assert len(ds) == 0
         assert ds.provenance == CF_PROVENANCE
 
     def test_duplicate_hash_keeps_first(self):
         r1 = _record(1, payload=10)
         r2 = _record(1, payload=20)  # same key, same start -> same hash
-        ds = build_cf([r1, r2], RuleSet(), min_class_count=1)
+        ds = build_cf([r1, r2], ["BENIGN"] * 2, min_class_count=1)
         assert len(ds) == 1
         assert _column(ds, "bidirectional_payload_bytes") == [10]
 
     def test_minority_class_dropped(self):
         records = [_record(i) for i in range(60)]
         records += [_record(100 + i, label_ip="10.9.0.1") for i in range(10)]
-        ds = build_cf(records, _ATTACK_RULES, min_class_count=50)
+        ds = build_cf(records, _attack_labels(records), min_class_count=50)
         assert ds.label_counts() == {"BENIGN": 60}
 
     def test_matches_brute_force_filter(self):
@@ -112,7 +116,7 @@ class TestBuildCf:
                 )
             )
         min_count = 20
-        ds = build_cf(records, _ATTACK_RULES, min_class_count=min_count)
+        ds = build_cf(records, _attack_labels(records), min_class_count=min_count)
 
         # oracle: independent three-stage filter
         stage1 = [r for r in records if r.features.bidirectional_payload_bytes > 0]
@@ -134,11 +138,19 @@ class TestBuildCf:
             _record(int(rng.integers(0, 80)), payload=int(rng.integers(0, 40)))
             for _ in range(150)
         ]
-        ds = build_cf(records, _ATTACK_RULES, min_class_count=5)
+        ds = build_cf(records, _attack_labels(records), min_class_count=5)
         hashes = ds.hash64.tolist()
         assert len(hashes) == len(set(hashes))
         assert all(v > 0 for v in _column(ds, "bidirectional_payload_bytes"))
         assert all(n >= 5 for n in ds.label_counts().values())
+
+    def test_labels_and_records_of_different_lengths_rejected(self):
+        records = [_record(0), _record(1)]
+        for labels in (["BENIGN"], ["BENIGN"] * 3):
+            with pytest.raises(ValueError):
+                build_cf(records, labels, min_class_count=1)
+            with pytest.raises(ValueError):
+                audit(records, labels, 60)
 
 
 def _snapshot(record, packets=2):
@@ -156,7 +168,7 @@ class TestBuildPf:
     def test_orphan_snapshot_excluded(self):
         kept = _record(0)
         zpl = _record(1, payload=0)
-        cf = build_cf([kept, zpl], RuleSet(), min_class_count=1)
+        cf = build_cf([kept, zpl], ["BENIGN"] * 2, min_class_count=1)
         pf = build_pf(SnapshotBlock([_snapshot(kept), _snapshot(zpl)]), cf, Trigger("pc", 2))
         assert len(pf) == 1
         assert pf.hash64.tolist() == [kept.id.hash64]
@@ -164,13 +176,13 @@ class TestBuildPf:
 
     def test_label_inherited_from_parent(self):
         record = _record(0, label_ip="10.9.0.1")
-        cf = build_cf([record], _ATTACK_RULES, min_class_count=1)
+        cf = build_cf([record], ["ATTACK"], min_class_count=1)
         pf = build_pf(SnapshotBlock([_snapshot(record)]), cf, Trigger("pc", 2))
         assert pf.labels.tolist() == ["ATTACK"]
 
     def test_trigger_filtering(self):
         record = _record(0)
-        cf = build_cf([record], RuleSet(), min_class_count=1)
+        cf = build_cf([record], ["BENIGN"], min_class_count=1)
         snaps = {
             Trigger("pc", 2): SnapshotBlock([_snapshot(record)]),
             Trigger("fd", 100): SnapshotBlock([_snapshot(record, packets=3)]),
@@ -182,7 +194,7 @@ class TestBuildPf:
 
     def test_requires_cf_provenance(self):
         record = _record(0)
-        cf = build_cf([record], RuleSet(), min_class_count=1)
+        cf = build_cf([record], ["BENIGN"], min_class_count=1)
         pf = build_pf(SnapshotBlock([_snapshot(record)]), cf, Trigger("pc", 2))
         with pytest.raises(ValueError):
             build_pf(SnapshotBlock(), pf, Trigger("pc", 2))
@@ -193,7 +205,7 @@ class TestBuildPf:
         trace = random_trace(rng, 600, n_endpoints=8, fin_rst_rate=0.0)
         config = MeterConfig(idle_timeout_s=30, pc_triggers=range(2, 21), fd_triggers_ms=())
         records, snapshots = meter(trace, config)
-        cf = build_cf(records, RuleSet(), min_class_count=1)
+        cf = build_cf(records, ["BENIGN"] * len(records), min_class_count=1)
         by_hash = {r.id.hash64: r for r in records}
         for n in (2, 3, 5, 8):
             pf = build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n))
@@ -206,7 +218,7 @@ class TestBuildPf:
 
     def test_pc_dataset_sizes_non_increasing_in_n(self, late_corpus):
         records, snapshots, rules, _ = late_corpus
-        cf = build_cf(records, rules)
+        cf = build_cf(records, [label_flow(r, rules) for r in records])
         sizes = [
             len(build_pf(snapshots[Trigger("pc", n)], cf, Trigger("pc", n)))
             for n in range(2, 21)
@@ -217,20 +229,20 @@ class TestBuildPf:
 
 class TestAlign:
     def test_empty_pf(self):
-        cf = build_cf([_record(i) for i in range(3)], RuleSet(), min_class_count=1)
+        cf = build_cf([_record(i) for i in range(3)], ["BENIGN"] * 3, min_class_count=1)
         pf = Dataset("PC=2", hash64=[], X=[], labels=[])
         acf, apf = align(cf, pf)
         assert len(acf) == 0 and len(apf) == 0
 
     def test_first_dataset_must_be_cf(self):
-        cf = build_cf([_record(i) for i in range(3)], RuleSet(), min_class_count=1)
+        cf = build_cf([_record(i) for i in range(3)], ["BENIGN"] * 3, min_class_count=1)
         pf = build_pf(SnapshotBlock([_snapshot(_record(0))]), cf, Trigger("pc", 2))
         with pytest.raises(ValueError, match="first dataset has provenance 'PC=2', not CF"):
             align(pf, cf)
 
     def test_subset_pf(self):
         records = [_record(i) for i in range(10)]
-        cf = build_cf(records, RuleSet(), min_class_count=1)
+        cf = build_cf(records, ["BENIGN"] * len(records), min_class_count=1)
         pf = build_pf(SnapshotBlock(map(_snapshot, records[:4])), cf, Trigger("pc", 2))
         acf, apf = align(cf, pf)
         assert len(acf) == 4
@@ -241,7 +253,7 @@ class TestAlign:
         for _ in range(1000):
             n_cf = int(rng.integers(0, 12))
             cf_records = [_record(i) for i in range(n_cf)]
-            cf = build_cf(cf_records, RuleSet(), min_class_count=1)
+            cf = build_cf(cf_records, ["BENIGN"] * n_cf, min_class_count=1)
             overlap = [r for r in cf_records if rng.random() < 0.5]
             strays = [_record(200 + int(rng.integers(0, 10)))]
             dedup = {r.id.hash64: r for r in overlap + strays}
@@ -258,7 +270,7 @@ class TestAlign:
 
 class TestAudit:
     def test_empty_input(self):
-        report = audit([], RuleSet(), 60)
+        report = audit([], [], 60)
         assert report.fin_gt2_total == 0
         assert report.rst_gt2_total == 0
         assert report.zpl_counts == {}
@@ -296,7 +308,7 @@ class TestAudit:
                 bidirectional_max_piat_ms=50_000.0, bidirectional_payload_bytes=5
             ),
         )
-        report = audit(records, _ATTACK_RULES, idle_timeout_s=60)
+        report = audit(records, _attack_labels(records), idle_timeout_s=60)
         assert report.zpl_counts == {"BENIGN": 1}
         assert report.payload_counts == {"BENIGN": 4, "ATTACK": 2}
         assert report.fin_gt2_benign == 1 and report.fin_gt2_attack == 0
@@ -313,15 +325,15 @@ class TestAudit:
                 _record(0), features=_features(bidirectional_max_piat_ms=ms)
             )
 
-        assert audit([with_piat(47_999.0)], RuleSet(), 60).piat_near_idle == 0
-        assert audit([with_piat(48_000.0)], RuleSet(), 60).piat_near_idle == 1
-        assert audit([with_piat(59_999.0)], RuleSet(), 60).piat_near_idle == 1
-        assert audit([with_piat(60_000.0)], RuleSet(), 60).piat_near_idle == 0
+        assert audit([with_piat(47_999.0)], ["BENIGN"], 60).piat_near_idle == 0
+        assert audit([with_piat(48_000.0)], ["BENIGN"], 60).piat_near_idle == 1
+        assert audit([with_piat(59_999.0)], ["BENIGN"], 60).piat_near_idle == 1
+        assert audit([with_piat(60_000.0)], ["BENIGN"], 60).piat_near_idle == 0
 
 
 class TestDistribution:
     def test_single_flow(self):
-        ds = build_cf([_record(0, packets=5, dur=100.0)], RuleSet(), min_class_count=1)
+        ds = build_cf([_record(0, packets=5, dur=100.0)], ["BENIGN"], min_class_count=1)
         summary = distribution(ds)
         stats = summary.per_label["BENIGN"]
         assert stats.count == 1
@@ -342,7 +354,7 @@ class TestDistribution:
             )
             for i in range(200)
         ]
-        ds = build_cf(records, _ATTACK_RULES, min_class_count=1)
+        ds = build_cf(records, _attack_labels(records), min_class_count=1)
         summary = distribution(ds)
         for label, stats in summary.per_label.items():
             rows = ds.labels == label
@@ -362,7 +374,7 @@ def _metered_cf_and_pf() -> tuple[Dataset, Dataset]:
     rng = np.random.default_rng(71)
     trace = random_trace(rng, 700, n_endpoints=10)
     records, snapshots = meter(trace, MeterConfig(idle_timeout_s=1.0))
-    cf = build_cf(records, _ATTACK_RULES, min_class_count=1)
+    cf = build_cf(records, _attack_labels(records), min_class_count=1)
     pf = build_pf(snapshots[Trigger("pc", 3)], cf, Trigger("pc", 3))
     assert len(cf) >= 100 and len(pf) >= 50
     return cf, pf
@@ -398,7 +410,7 @@ class TestCsv:
         assert len(back) == 0
 
     def test_single_flow_two_lines(self, tmp_path):
-        ds = build_cf([_record(0)], RuleSet(), min_class_count=1)
+        ds = build_cf([_record(0)], ["BENIGN"], min_class_count=1)
         path = tmp_path / "one.csv"
         write_csv(ds, path)
         assert path.read_text().count("\n") == 2
@@ -415,7 +427,7 @@ class TestCsv:
             _assert_round_trip(ds, tmp_path)
 
     def test_int_columns_written_as_ints(self, tmp_path):
-        ds = build_cf([_record(0, payload=12, packets=4, dur=2.5)], RuleSet(), 1)
+        ds = build_cf([_record(0, payload=12, packets=4, dur=2.5)], ["BENIGN"], 1)
         path = tmp_path / "one.csv"
         write_csv(ds, path)
         header, row = (line.split(",") for line in path.read_text().splitlines())
@@ -462,7 +474,7 @@ class TestCsv:
         ],
     )
     def test_inconsistent_files_rejected(self, tmp_path, edit, error, match):
-        ds = build_cf([_record(0), _record(1)], RuleSet(), min_class_count=1)
+        ds = build_cf([_record(0), _record(1)], ["BENIGN"] * 2, min_class_count=1)
         assert FEATURE_NAMES[1] == "bidirectional_packets"
         path = tmp_path / "ds.csv"
         write_csv(ds, path)
@@ -474,7 +486,7 @@ class TestCsv:
     def test_arrays_are_read_only_and_shaped(self):
         empty = Dataset("PC=2", hash64=[], X=[], labels=[])
         assert empty.X.shape == (0, len(FEATURE_NAMES))
-        ds = build_cf([_record(i) for i in range(3)], RuleSet(), min_class_count=1)
+        ds = build_cf([_record(i) for i in range(3)], ["BENIGN"] * 3, min_class_count=1)
         assert ds.hash64.dtype == np.uint64 and ds.X.dtype == np.float64
         assert ds.labels.dtype == object and ds.labels.tolist() == ["BENIGN"] * 3
         assert ds.X.shape == (3, len(FEATURE_NAMES))
@@ -503,7 +515,7 @@ class TestCsv:
             read_csv(tmp_path / "nope.csv")
 
     def test_non_utf8_byte_names_the_file(self, tmp_path):
-        ds = build_cf([_record(0), _record(1)], RuleSet(), min_class_count=1)
+        ds = build_cf([_record(0), _record(1)], ["BENIGN"] * 2, min_class_count=1)
         path = tmp_path / "ds.csv"
         write_csv(ds, path)
         path.write_bytes(path.read_bytes().replace(b"BENIGN", b"BEN\xffGN", 1))
@@ -511,7 +523,7 @@ class TestCsv:
             read_csv(path)
 
     def test_unwritable_path_raises_dataset_io_error(self, tmp_path):
-        ds = build_cf([_record(0)], RuleSet(), min_class_count=1)
+        ds = build_cf([_record(0)], ["BENIGN"], min_class_count=1)
         # No directory to write in, and a directory in the way of the rename.
         for path in (tmp_path / "no_dir" / "ds.csv", tmp_path):
             with pytest.raises(DatasetIOError, match=f"cannot write dataset {path}: "):
@@ -520,14 +532,14 @@ class TestCsv:
         assert list(tmp_path.parent.glob(".*.tmp")) == []
 
     def test_longest_file_name_written(self, tmp_path):
-        ds = build_cf([_record(0)], RuleSet(), min_class_count=1)
+        ds = build_cf([_record(0)], ["BENIGN"], min_class_count=1)
         path = tmp_path / ("d" * 251 + ".csv")
         write_csv(ds, path)
         assert read_csv(path) == ds
         assert list(tmp_path.iterdir()) == [path]
 
     def test_failed_write_keeps_the_file_at_the_path(self, tmp_path, monkeypatch):
-        ds = build_cf([_record(i) for i in range(5)], RuleSet(), min_class_count=1)
+        ds = build_cf([_record(i) for i in range(5)], ["BENIGN"] * 5, min_class_count=1)
         path = tmp_path / "ds.csv"
         write_csv(ds, path)
         before = path.read_bytes()

@@ -10,6 +10,7 @@ from flowlab.dataset import Dataset, align, build_cf, build_pf
 from flowlab.errors import EmptyInputError, LengthMismatchError
 from flowlab.evaluation import binarize, compute_metrics, split_keys, sweep
 from flowlab.forest import TrainConfig, dataset_matrix, predict_matrix, train
+from flowlab.labeling import label_flow
 from flowlab.meter import Trigger
 
 
@@ -186,7 +187,7 @@ class TestComputeMetrics:
 
 def _corpus_eval_inputs(corpus):
     records, snapshots, rules, _ = corpus
-    cf = build_cf(records, rules)
+    cf = build_cf(records, [label_flow(r, rules) for r in records])
     return cf, snapshots
 
 

@@ -29,7 +29,7 @@ from flowlab.forest import (
     train,
     tree_seed,
 )
-from flowlab.labeling import LabelRule, RuleSet
+from flowlab.labeling import LabelRule, RuleSet, label_flow
 from flowlab.meter import MeterConfig, meter
 
 from conftest import random_trace
@@ -591,7 +591,7 @@ class TestPredict:
     def test_metered_feature_vector_predicts_as_its_row(self):
         records, _ = meter(random_trace(np.random.default_rng(37), 400), MeterConfig())
         rules = RuleSet(rules=(LabelRule(label="ATTACK", src_ips=("10.0.0.1",)),))
-        cf = build_cf(records, rules, min_class_count=1)
+        cf = build_cf(records, [label_flow(r, rules) for r in records], min_class_count=1)
         assert len(cf.label_counts()) == 2
         forest = train(cf, TrainConfig(n_trees=5, seed=37))
         by_hash = {r.id.hash64: r for r in records}
@@ -806,7 +806,9 @@ class TestPersistence:
         with pytest.raises(FlowLabError, match=f"^{re.escape(str(path))}: .*{problem}"):
             load_model(path)
 
-    @pytest.mark.parametrize("text", ["[]", "5", '"model"', "{", ""])
+    @pytest.mark.parametrize(
+        "text", ["[]", "5", '"model"', "{", "", pytest.param("[" * 1000 + "]" * 1000, id="deep")]
+    )
     def test_document_not_a_json_object_rejected(self, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_text(text)
