@@ -35,7 +35,7 @@ from .meter import (
     flow_hash,
     meter,
 )
-from .trace_io import PacketTrace, RawPacket, dedup, read_trace, reorder, write_trace
+from .trace_io import PacketColumns, PacketTrace, RawPacket, dedup, read_trace, reorder, write_trace
 
 # Public names of the modules imported on first use, so that ``import flowlab`` and
 # the trace stages never load numpy; ``dataset`` needs it only for ``read_csv`` and views.
@@ -102,6 +102,7 @@ __all__ = [
     "MalformedHeaderError",
     "Metrics",
     "MeterConfig",
+    "PacketColumns",
     "PacketTrace",
     "RandomForest",
     "RawPacket",

@@ -9,6 +9,7 @@ import math
 import numbers
 import operator
 import os
+import reprlib
 from collections.abc import Iterable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -121,6 +122,14 @@ class Field:
         return (f"a list, each {self.kind}" if self.many else self.kind) + bounds + also
 
 
+# How an error message echoes a bad value: a few items of each list and
+# three levels of nesting, so that the message stays short for any input.
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 3
+_ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxset = _ECHO.maxfrozenset = _ECHO.maxdict = 8
+_ECHO.maxstring = _ECHO.maxother = _ECHO.maxlong = 80
+
+
 def checked(where: str, value, field: Field):
     """``value`` as ``field`` allows it, integers (in pairs too) as ``int``,
     pairs and lists as tuples (or ``many``); ValueError naming ``where`` otherwise."""
@@ -134,7 +143,7 @@ def checked(where: str, value, field: Field):
         items = tuple(value)
         if all(map(field.allows, items)):
             return field.many(items if form is None else map(form, items))
-    raise ValueError(f"{where} must be {field.describe()}, got {value!r}")
+    raise ValueError(f"{where} must be {field.describe()}, got {_ECHO.repr(value)}")
 
 
 def check(section: str, source, table: dict[str, Field]) -> dict:

@@ -495,8 +495,9 @@ class _FlowState:
 
     __slots__ = (
         "id",
-        "anchor_src",
-        "anchor_dst",
+        "src_ip",
+        "src_port",
+        "anchor",
         "bidi",
         "s2d",
         "d2s",
@@ -505,10 +506,15 @@ class _FlowState:
         "bc_next",
     )
 
-    def __init__(self, pkt: RawPacket, key: FlowKey) -> None:
-        self.id = FlowId.from_key(key, pkt.ts_us)
-        self.anchor_src = (pkt.src_ip, pkt.src_port)
-        self.anchor_dst = (pkt.dst_ip, pkt.dst_port)
+    def __init__(
+        self, start_us: int, src_ip: int, src_port: int, anchor: tuple, key: FlowKey
+    ) -> None:
+        self.id = FlowId.from_key(key, start_us)
+        # The first packet's source, as its address index and port, and its
+        # (src, dst) endpoints as text.
+        self.src_ip = src_ip
+        self.src_port = src_port
+        self.anchor = anchor
         self.bidi = _ScopeStats()
         self.s2d = _ScopeStats()
         self.d2s = _ScopeStats()
@@ -520,22 +526,22 @@ class _FlowState:
 
     def add(
         self,
-        pkt: RawPacket,
+        ts_us: int,
+        wire_len: int,
+        payload_len: int,
+        forward: bool,
+        tcp_flags: int,
         pc: dict[int, SnapshotBlock],
         fd: list[tuple[float, float, SnapshotBlock]],
         bc: list[tuple[int, SnapshotBlock]],
     ) -> None:
-        """Accumulate ``pkt`` and add a row to the block of each trigger
+        """Accumulate a packet and add a row to the block of each trigger
         that fires (the lookups are built in ``meter``)."""
-        ts_us = pkt.ts_us
-        wire_len = pkt.wire_len
-        payload_len = pkt.payload_len
-        forward = (pkt.src_ip, pkt.src_port) == self.anchor_src
         (self.s2d if forward else self.d2s).add(ts_us, wire_len, payload_len)
         bidi = self.bidi
         bidi.add(ts_us, wire_len, payload_len)
-        if pkt.tcp_flags:
-            key = pkt.tcp_flags << 1 | forward
+        if tcp_flags:
+            key = tcp_flags << 1 | forward
             self.flags[key] = self.flags.get(key, 0) + 1
 
         # The flow's row, built at most once however many triggers fire.
@@ -571,12 +577,24 @@ class _FlowState:
     def finish(self, reason: str) -> FlowRecord:
         return FlowRecord(
             id=self.id,
-            direction_anchor=(self.anchor_src, self.anchor_dst),
+            direction_anchor=self.anchor,
             first_us=self.bidi.first_ts,
             last_us=self.bidi.last_ts,
             features=FeatureVector._make(self._values()),
             expiration_reason=reason,
         )
+
+
+def _address_ranks(
+    addresses: list[str], *columns: Iterable[int]
+) -> tuple[dict[int, int], dict[int, str]]:
+    """Rank each address index that ``columns`` hold by its packed address,
+    and the canonical text of each rank: indices of one address share a
+    rank, and ranks order as the packed addresses do."""
+    parsed = {i: parse_ip(addresses[i])[1:] for i in set().union(*columns)}
+    order = {packed: r for r, packed in enumerate(sorted({p for p, _ in parsed.values()}))}
+    rank = {i: order[packed] for i, (packed, _) in parsed.items()}
+    return rank, {order[packed]: text for packed, text in parsed.values()}
 
 
 def meter(
@@ -616,22 +634,30 @@ def meter(
     bc = [(t.value, out) for t, out in snapshots.items() if t.kind == "bc"]
     bc.append((math.inf, []))
 
-    # Keyed by the plain tuple of ``_flow_key``; a FlowKey is built only
-    # when a flow starts.
+    # Keyed by (rank a, port a, rank b, port b, protocol), endpoint a the
+    # smaller (rank, port); a FlowKey is built only when a flow starts.
+    packets = trace.packets
+    addresses = packets.addresses
+    rank, canonical = _address_ranks(addresses, packets.header[1], packets.header[2])
     live: dict[tuple, _FlowState] = {}
     records: list[FlowRecord] = []
     fin_rst = TCP_FIN | TCP_RST if config.fin_rst_expiration else 0
     prev_ts = -math.inf
 
-    for pkt in trace.packets:
-        ts_us = pkt.ts_us
+    for ts_us, src, dst, sport, dport, protocol, flags, payload_len, wire_len in zip(
+        *packets.header
+    ):
         if ts_us < prev_ts:
             raise UnsortedTraceError(
                 f"timestamp regression at {ts_us} after {prev_ts}; reorder first"
             )
         prev_ts = ts_us
 
-        key = _flow_key(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port, pkt.protocol)
+        a, b = rank[src], rank[dst]
+        if a < b or (a == b and sport <= dport):
+            key = (a, sport, b, dport, protocol)
+        else:
+            key = (b, dport, a, sport, protocol)
         state = live.get(key)
         if state is not None:
             if ts_us - state.bidi.last_ts > idle_us:
@@ -641,11 +667,13 @@ def meter(
                 records.append(state.finish("active"))
                 state = None
         if state is None:
-            state = _FlowState(pkt, FlowKey(*key))
-            live[key] = state
+            anchor = ((addresses[src], sport), (addresses[dst], dport))
+            flow_key = FlowKey((canonical[key[0]], key[1]), (canonical[key[2]], key[3]), protocol)
+            state = live[key] = _FlowState(ts_us, src, sport, anchor, flow_key)
 
-        state.add(pkt, pc, fd, bc)
-        if pkt.tcp_flags & fin_rst:
+        forward = src == state.src_ip and sport == state.src_port
+        state.add(ts_us, wire_len, payload_len, forward, flags, pc, fd, bc)
+        if flags & fin_rst:
             records.append(state.finish("fin_rst"))
             del live[key]
 

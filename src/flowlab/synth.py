@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from ipaddress import ip_network
+from operator import itemgetter
 
 import numpy as np
 
@@ -21,13 +22,13 @@ from .meter import FlowId, FlowKey
 from .trace_io import (
     PROTO_TCP,
     PROTO_UDP,
+    PacketColumns,
     PacketTrace,
-    RawPacket,
     TCP_ACK,
     TCP_FIN,
     TCP_PSH,
     TCP_SYN,
-    _synthesize_frame,
+    _frame,
     parse_ip,
 )
 
@@ -173,7 +174,8 @@ def synth_trace(
     """
     _validate(spec)
     rng = np.random.Generator(np.random.PCG64(seed))
-    packets: list[RawPacket] = []
+    # Per packet, its fields in RawPacket field order.
+    rows: list[tuple] = []
     truth: list[tuple[FlowId, str]] = []
     client_port = 10_000
 
@@ -223,21 +225,13 @@ def synth_trace(
                     flags = 0
 
                 forward = i % 2 == 1  # strict alternation from the client
-                pkt = RawPacket(
-                    ts_us=ts,
-                    src_ip=client_ip if forward else server_ip,
-                    dst_ip=server_ip if forward else client_ip,
-                    src_port=client_port if forward else server_port,
-                    dst_port=server_port if forward else client_port,
-                    protocol=template.protocol,
-                    tcp_flags=flags,
-                    payload_len=size,
-                    wire_len=0,
-                    payload=payload,
+                src_ip, dst_ip = (client_ip, server_ip) if forward else (server_ip, client_ip)
+                ports = (client_port, server_port) if forward else (server_port, client_port)
+                frame = _frame(src_ip, dst_ip, *ports, template.protocol, flags, size, payload)
+                rows.append(
+                    (ts, src_ip, dst_ip, *ports, template.protocol, flags, size, len(frame),
+                     payload, frame)
                 )
-                pkt.raw = _synthesize_frame(pkt)
-                pkt.wire_len = len(pkt.raw)
-                packets.append(pkt)
 
             key = FlowKey.from_endpoints(
                 client_ip, client_port, server_ip, server_port, template.protocol
@@ -245,11 +239,8 @@ def synth_trace(
             truth.append((FlowId.from_key(key, start_us), template.label))
             client_port += 1
 
-    packets.sort(key=lambda p: p.ts_us)
-    return (
-        PacketTrace(packets=tuple(packets), source=f"synthetic:{seed}"),
-        truth,
-    )
+    rows.sort(key=itemgetter(0))
+    return PacketTrace(PacketColumns.from_fields(list(zip(*rows))), f"synthetic:{seed}"), truth
 
 
 def derive_rules(spec: SynthSpec) -> RuleSet:

@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import os
 import struct
+from array import array
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from ipaddress import IPv4Address, IPv6Address, ip_address
+from itertools import accumulate, compress, count, islice, repeat
+from operator import attrgetter, eq, getitem, le, sub
 from stat import S_ISREG
 
 from .errors import MalformedHeaderError, UnreadableFileError, replacing
@@ -65,7 +69,8 @@ class RawPacket:
     which may be shorter if the capture was truncated. ``raw`` keeps the
     original link-layer frame so traces can be rewritten losslessly.
     A packet read with ``read_trace(..., keep_bytes=False)`` holds neither:
-    its ``payload`` is ``b""`` and its ``raw`` is None.
+    its ``payload`` is ``b""`` and its ``raw`` is None. A trace keeps its
+    packets as ``PacketColumns`` and builds a ``RawPacket`` when one is read.
     """
 
     ts_us: int
@@ -96,19 +101,210 @@ class RawPacket:
         )
 
 
+# The array type of each header column, in ``RawPacket`` field order from
+# ``ts_us`` to ``wire_len``; the address columns hold indices. A column given
+# a value its type cannot hold (a RawPacket may hold any value) is a list.
+_HEADER_TYPES = "qIIHHBBII"
+_FIELDS = tuple(RawPacket.__dataclass_fields__)
+# The frame length of a packet without frame bytes.
+_NO_FRAME = 0xFFFFFFFF
+
+
+def _column(typecode: str, values: list | tuple) -> array | list:
+    """An array of ``values``, or a list if one does not fit the type."""
+    try:
+        return array(typecode, values)
+    except (OverflowError, TypeError):
+        return list(values)
+
+
+def _runs(rows: Sequence[int]) -> list[slice] | None:
+    """``rows`` as slices of consecutive rows, or None if they fall in
+    more than one run per four rows. Copying runs is several times faster
+    than gathering rows one by one when most rows follow their neighbour,
+    as after ``dedup`` or a ``reorder`` of a nearly sorted trace."""
+    steps = map(sub, islice(rows, 1, None), rows)
+    breaks = list(compress(count(1), map((1).__ne__, steps)))
+    if len(breaks) * 4 > len(rows):
+        return None
+    bounds = zip([0, *breaks], [*breaks, len(rows)])
+    return [slice(rows[start], rows[end - 1] + 1) for start, end in bounds if end > start]
+
+
+def _take(column: array | list, rows: Sequence[int], runs: list[slice] | None) -> array | list:
+    """Rows ``rows`` of ``column``, copied as the slices ``runs`` when given."""
+    if runs is None:
+        taken = [column[i] for i in rows]
+        return array(column.typecode, taken) if isinstance(column, array) else taken
+    taken = column[:0]
+    for run in runs:
+        taken += column[run]
+    return taken
+
+
+class PacketColumns(Sequence):
+    """A trace's packets, held as typed columns, read as ``RawPacket``s.
+
+    ``header`` holds one column per header field, in ``RawPacket`` field
+    order, with ``src_ip`` and ``dst_ip`` as indices into ``addresses``, the
+    address texts as read or given. The bytes of the packets lie in
+    ``chunks``, each held once, and ``spans`` holds five columns: per packet,
+    its chunk, the start and length of its frame (``_NO_FRAME`` for none)
+    and the start and end of its captured payload there. ``spans`` is None
+    when no packet holds bytes. Indexing builds a ``RawPacket``; a slice, or
+    ``take``, gives the columns of those rows, sharing the addresses and the
+    chunks; columns are equal when their packets are.
+    """
+
+    __slots__ = ("header", "addresses", "chunks", "spans")
+
+    def __init__(
+        self,
+        header: list,
+        addresses: list[str],
+        chunks: list[bytes] | None = None,
+        spans: list | None = None,
+    ) -> None:
+        self.header = header
+        self.addresses = addresses
+        self.chunks = chunks
+        self.spans = spans
+
+    @classmethod
+    def of(cls, packets: Iterable[RawPacket]) -> PacketColumns:
+        """The columns of ``packets``."""
+        packets = packets if isinstance(packets, (list, tuple)) else list(packets)
+        return cls.from_fields([list(map(attrgetter(name), packets)) for name in _FIELDS])
+
+    @classmethod
+    def from_fields(cls, columns: Sequence[Sequence]) -> PacketColumns:
+        """The columns of packets given as one sequence per ``RawPacket``
+        field, in field order. Their frames and payloads are copied into one
+        chunk; a payload that ends its frame is not copied twice."""
+        ts, src, dst, *fields, payloads, frames = columns
+        index = dict.fromkeys(src)
+        index.update(dict.fromkeys(dst))
+        for i, text in enumerate(index):
+            index[text] = i
+        header = [
+            _column("q", ts),
+            array("I", map(index.__getitem__, src)),
+            array("I", map(index.__getitem__, dst)),
+            *map(_column, _HEADER_TYPES[3:], fields),
+        ]
+
+        try:  # most often every payload ends its frame
+            tails = None not in frames and all(map(bytes.endswith, frames, payloads))
+        except TypeError:
+            tails = False
+        if tails:
+            lengths = list(map(len, frames))
+            ends = list(accumulate(lengths))
+            starts = list(map(sub, ends, map(len, payloads)))
+            spans = [list(map(sub, ends, lengths)), lengths, starts, ends]
+            parts = frames
+        else:
+            parts, spans, pos = [], [], 0
+            for raw, payload in zip(frames, payloads):
+                frame, length = pos, _NO_FRAME
+                if raw is not None:
+                    parts.append(raw)
+                    length = len(raw)
+                    pos += length
+                if raw is not None and raw.endswith(payload):
+                    start = pos - len(payload)
+                else:
+                    parts.append(payload)
+                    start = pos
+                    pos += len(payload)
+                spans.append((frame, length, start, start + len(payload)))
+            if pos == 0 and frames.count(None) == len(frames):
+                return cls(header, list(index))  # no packet holds bytes
+            spans = list(zip(*spans))
+        columns = [array("I", bytes(4 * len(ts))), *map(_column, "IIII", spans)]
+        return cls(header, list(index), [b"".join(parts)], columns)
+
+    def __len__(self) -> int:
+        return len(self.header[0])
+
+    def __getitem__(self, i: int | slice) -> RawPacket | PacketColumns:
+        if isinstance(i, slice):
+            spans = None if self.spans is None else [c[i] for c in self.spans]
+            return PacketColumns([c[i] for c in self.header], self.addresses, self.chunks, spans)
+        i = range(len(self))[i]
+        return next(iter(self[i : i + 1]))
+
+    def __iter__(self) -> Iterator[RawPacket]:
+        ts, src, dst, *rest = self.header
+        fields = [ts, map(self.addresses.__getitem__, src), map(self.addresses.__getitem__, dst)]
+        if self.spans is None:
+            return map(RawPacket, *fields, *rest)
+        return map(RawPacket, *fields, *rest, self.payloads(), self.frames())
+
+    def take(self, rows: Sequence[int]) -> PacketColumns:
+        """The columns of rows ``rows``, in that order."""
+        runs = _runs(rows)
+        spans = None if self.spans is None else [_take(c, rows, runs) for c in self.spans]
+        header = [_take(c, rows, runs) for c in self.header]
+        return PacketColumns(header, self.addresses, self.chunks, spans)
+
+    def identity(self, i: int) -> tuple:
+        """Packet ``i``'s header fields but its timestamp, then its
+        captured payload: what ``dedup`` tells packets apart by."""
+        payload = b""
+        if self.spans is not None:
+            chunk, _, _, start, end = (c[i] for c in self.spans)
+            payload = self.chunks[chunk][start:end]
+        return (*(c[i] for c in self.header[1:]), payload)
+
+    def payloads(self) -> Iterator[bytes]:
+        """Each packet's captured payload, in order."""
+        if self.spans is None:
+            return repeat(b"", len(self))
+        chunk, _, _, start, end = self.spans
+        return map(getitem, map(self.chunks.__getitem__, chunk), map(slice, start, end))
+
+    def frames(self) -> Iterator[bytes | None]:
+        """Each packet's frame bytes, or None, in order."""
+        if self.spans is None:
+            return repeat(None, len(self))
+        chunks = self.chunks
+        chunk, frame, length, _, _ = self.spans
+        return (
+            None if n == _NO_FRAME else chunks[c][f : f + n]
+            for c, f, n in zip(chunk, frame, length)
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PacketColumns):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __add__(self, other: Iterable[RawPacket]) -> tuple[RawPacket, ...]:
+        return (*self, *other)
+
+    def __repr__(self) -> str:
+        return f"PacketColumns({list(self)!r})"
+
+
 @dataclass(frozen=True, slots=True)
 class PacketTrace:
     """An ordered packet sequence plus provenance and skip tally.
 
-    ``headers_only`` marks a trace read with ``keep_bytes=False``: its
-    packets hold no payload or frame bytes, so ``dedup`` and
-    ``write_trace`` refuse it.
+    ``packets`` are ``PacketColumns``; packets given any other way (such
+    as a tuple of ``RawPacket``s) are converted to them. ``headers_only``
+    marks a trace read with ``keep_bytes=False``: its packets hold no
+    payload or frame bytes, so ``dedup`` and ``write_trace`` refuse it.
     """
 
-    packets: tuple[RawPacket, ...]
+    packets: PacketColumns
     source: str
     skipped: int = 0
     headers_only: bool = False
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.packets, PacketColumns):
+            object.__setattr__(self, "packets", PacketColumns.of(self.packets))
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -123,11 +319,8 @@ def parse_ip(text: str) -> tuple[IPv4Address | IPv6Address, bytes, str]:
     return addr, addr.packed, str(addr)
 
 
-@lru_cache(maxsize=65536)
-def _ip_text(packed: bytes) -> str:
-    return str(ip_address(packed))
-
-
+# A pcap record header as written: seconds, microseconds, captured and wire length.
+_RECORD = struct.Struct("<IIII")
 # Precompiled header layouts, read in place at offsets into the frame.
 _ETHERTYPE = struct.Struct("!H")
 # IPv4: version/IHL, total length, fragment field, protocol, source, destination.
@@ -142,9 +335,10 @@ _TCP = struct.Struct("!HH8xBB")
 _UDP = struct.Struct("!HHH")
 
 
-def _parse_ipv6(buf: bytes, offset: int, end: int) -> tuple[str, str, int, int, int] | None:
-    """Return (src, dst, protocol, payload_len, transport offset) or None
-    for the IPv6 header at ``offset``, walking its extension headers."""
+def _parse_ipv6(buf: bytes, offset: int, end: int) -> tuple[bytes, bytes, int, int, int] | None:
+    """Return (packed src, packed dst, protocol, payload_len, transport
+    offset) or None for the IPv6 header at ``offset``, walking its
+    extension headers."""
     if end - offset < 40:
         return None
     ver_tc, payload_len, next_header, src, dst = _IPV6.unpack_from(buf, offset)
@@ -170,7 +364,7 @@ def _parse_ipv6(buf: bytes, offset: int, end: int) -> tuple[str, str, int, int, 
             return None
         pos += ext_len
         payload_len = max(payload_len - ext_len, 0)
-    return _ip_text(src), _ip_text(dst), next_header, payload_len, pos
+    return src, dst, next_header, payload_len, pos
 
 
 def read_trace(path: str | os.PathLike, *, keep_bytes: bool = True) -> PacketTrace:
@@ -202,7 +396,8 @@ def read_trace(path: str | os.PathLike, *, keep_bytes: bool = True) -> PacketTra
 
 def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
     """The body of ``read_trace``: parse each record of ``fh`` in place in
-    the chunk that holds it, copying out only the bytes a packet keeps."""
+    the chunk that holds it into the header columns, and keep the chunk
+    (with ``keep_bytes``) for the frames and payloads that lie in it."""
     st = os.fstat(fh.fileno())
     if not S_ISREG(st.st_mode):
         raise UnreadableFileError(f"cannot read capture {path}: not a regular file")
@@ -230,7 +425,25 @@ def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
 
     ethernet = linktype == _LINKTYPE_ETHERNET
     record = struct.Struct(endian + "IIII").unpack_from
-    packets: list[RawPacket] = []
+    header = [array(t) for t in _HEADER_TYPES]
+    spans = [array("I") for _ in range(5)] if keep_bytes else None
+    chunks: list[bytes] = []
+    index: dict[bytes, int] = {}  # packed address -> its index in the address table
+    # Per packet of the chunk: its header fields, then its frame's start and
+    # length and its payload's start and end in the chunk.
+    rows: list[tuple] = []
+
+    def flush(chunk: bytes) -> None:
+        columns = zip(*rows)
+        for column, values in zip(header, columns):
+            column.extend(values)
+        if keep_bytes:
+            spans[0].extend(repeat(len(chunks), len(rows)))
+            for column, values in zip(spans[1:], columns):
+                column.extend(values)
+            chunks.append(chunk)
+        rows.clear()
+
     records = 0  # whole records read; every one not kept is skipped
     left = st.st_size - 24  # bytes of the file not yet read into buf
     buf, i, n = b"", 0, 0
@@ -244,7 +457,10 @@ def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
             short = end - n
         if short > 0:
             # The record runs past the chunk: carry it into the next one,
-            # unless the file ends first.
+            # unless the file ends first. The chunk's packets keep its bytes
+            # up to the carried record.
+            if rows:
+                flush(buf[:i])
             if short > left:
                 break
             more = fh.read(min(left, max(short, _READ_CHUNK)))
@@ -274,14 +490,13 @@ def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
             # (which holds no transport header).
             if ver_ihl >> 4 != 4 or ihl < 20 or end - offset < ihl or frag & 0x1FFF:
                 continue
-            src_ip, dst_ip = _ip_text(src), _ip_text(dst)
             ip_payload_len = max(total_len - ihl, 0)
             start = offset + ihl
         elif ethertype == _ETHERTYPE_IPV6:
             parsed = _parse_ipv6(buf, offset, end)
             if parsed is None:
                 continue
-            src_ip, dst_ip, protocol, ip_payload_len, start = parsed
+            src, dst, protocol, ip_payload_len, start = parsed
         else:  # not IP, or a VLAN tag cut off
             continue
 
@@ -304,96 +519,65 @@ def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
         else:
             continue
 
-        # Positional, in field order: keyword arguments would more than double
-        # the cost of building the packet.
-        packets.append(
-            RawPacket(
-                ts_sec * 1_000_000 + (ts_frac // 1000 if ns else ts_frac),
-                src_ip,
-                dst_ip,
-                src_port,
-                dst_port,
-                protocol,
-                flags,
-                payload_len,
-                wire_len,
-                buf[start : min(start + payload_len, end)] if keep_bytes else b"",
-                buf[base:end] if keep_bytes else None,
-            )
-        )
+        ts_us = ts_sec * 1_000_000 + (ts_frac // 1000 if ns else ts_frac)
+        src, dst = index.setdefault(src, len(index)), index.setdefault(dst, len(index))
+        rows.append((ts_us, src, dst, src_port, dst_port, protocol, flags, payload_len, wire_len,
+                     base, incl_len, start, min(start + payload_len, end)))
 
+    packets = PacketColumns(header, [str(ip_address(packed)) for packed in index], chunks, spans)
     skipped = records - len(packets) + (n - i + left > 0)  # and a truncated final record
-    return PacketTrace(tuple(packets), path, skipped, headers_only=not keep_bytes)
+    return PacketTrace(packets, path, skipped, headers_only=not keep_bytes)
 
 
 def _synthesize_frame(pkt: RawPacket) -> bytes:
     """Build an Ethernet frame for a packet without captured bytes;
     ValueError names a field that does not fit the frame."""
-    payload = pkt.payload
-    if len(payload) < pkt.payload_len:
-        payload = payload + b"\x00" * (pkt.payload_len - len(payload))
-    src, src_packed, _ = parse_ip(pkt.src_ip)
-    dst, dst_packed, _ = parse_ip(pkt.dst_ip)
+    return _frame(
+        pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.protocol, pkt.tcp_flags,
+        pkt.payload_len, pkt.payload,
+    )
+
+
+def _frame(src_ip, dst_ip, src_port, dst_port, protocol, tcp_flags, payload_len, payload) -> bytes:
+    """The frame of ``_synthesize_frame``, from the packet's fields."""
+    if len(payload) < payload_len:
+        payload = payload + b"\x00" * (payload_len - len(payload))
+    src, src_packed, _ = parse_ip(src_ip)
+    dst, dst_packed, _ = parse_ip(dst_ip)
     if src.version != dst.version:
         raise ValueError(f"cannot synthesize a frame from IPv{src.version} to IPv{dst.version}")
 
     try:
-        if pkt.protocol == PROTO_TCP:
+        if protocol == PROTO_TCP:
             transport = struct.pack(
-                "!HHIIBBHHH",
-                pkt.src_port,
-                pkt.dst_port,
-                0,
-                0,
-                5 << 4,
-                pkt.tcp_flags,
-                8192,
-                0,
-                0,
-            ) + payload
-        elif pkt.protocol == PROTO_UDP:
-            transport = struct.pack(
-                "!HHHH", pkt.src_port, pkt.dst_port, 8 + len(payload), 0
-            ) + payload
+                "!HHIIBBHHH", src_port, dst_port, 0, 0, 5 << 4, tcp_flags, 8192, 0, 0
+            )
+        elif protocol == PROTO_UDP:
+            transport = struct.pack("!HHHH", src_port, dst_port, 8 + len(payload), 0)
         else:
-            raise ValueError(f"cannot synthesize frame for protocol {pkt.protocol}")
-
+            raise ValueError(f"cannot synthesize frame for protocol {protocol}")
+        size = len(transport) + len(payload)
         if src.version == 4:
             header = struct.pack(
-                "!BBHHHBBH4s4s",
-                0x45,
-                0,
-                20 + len(transport),
-                0,
-                0,
-                64,
-                pkt.protocol,
-                0,
-                src_packed,
-                dst_packed,
+                "!BBHHHBBH4s4s", 0x45, 0, 20 + size, 0, 0, 64, protocol, 0, src_packed, dst_packed
             )
             ethertype = _ETHERTYPE_IPV4
         else:
-            header = struct.pack(
-                "!IHBB16s16s",
-                6 << 28,
-                len(transport),
-                pkt.protocol,
-                64,
-                src_packed,
-                dst_packed,
-            )
+            header = struct.pack("!IHBB16s16s", 6 << 28, size, protocol, 64, src_packed, dst_packed)
             ethertype = _ETHERTYPE_IPV6
     except struct.error:
         problem = f"a payload of {len(payload)} bytes does not fit one IP packet"
-        for name, hi in (("src_port", 0xFFFF), ("dst_port", 0xFFFF), ("tcp_flags", 0xFF)):
-            value = getattr(pkt, name)
+        for name, value, hi in (
+            ("src_port", src_port, 0xFFFF),
+            ("dst_port", dst_port, 0xFFFF),
+            ("tcp_flags", tcp_flags, 0xFF),
+        ):
             if not (isinstance(value, int) and 0 <= value <= hi):
                 problem = f"{name} {value!r} is outside [0, {hi}]"
                 break
         raise ValueError(f"cannot synthesize a frame: {problem}") from None
     eth = b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01" + struct.pack("!H", ethertype)
-    return eth + header + transport
+    return b"".join((eth, header, transport, payload))
 
 
 def _refuse_headers_only(trace: PacketTrace, action: str) -> None:
@@ -416,25 +600,39 @@ def write_trace(trace: PacketTrace, path: str | os.PathLike) -> None:
     ``path`` as it was.
     """
     _refuse_headers_only(trace, "write")
+    packets = trace.packets
+    chunks = packets.chunks
+    # Per packet, its chunk and the start and length of its frame there.
+    spans = packets.spans[:3] if packets.spans else (repeat(0), repeat(0), repeat(_NO_FRAME))
     with replacing(path, "wb") as fh:
         out = bytearray(
             struct.pack("<IHHiIII", _MAGIC_US_LE, 2, 4, 0, 0, 262144, _LINKTYPE_ETHERNET)
         )
-        for pkt in trace.packets:
-            frame = pkt.raw if pkt.raw is not None else _synthesize_frame(pkt)
-            wire_len = max(pkt.wire_len, len(frame))
-            if not 0 <= pkt.ts_us < 2**32 * 1_000_000:
-                raise ValueError(f"pcap seconds lie in [0, 2**32); ts_us {pkt.ts_us} is outside")
+        rows = zip(count(), packets.header[0], packets.header[8], *spans)
+        for i, ts_us, wire_len, chunk, start, length in rows:
+            if length == _NO_FRAME:
+                frame = _synthesize_frame(packets[i])
+                length = len(frame)
+            else:
+                frame = chunks[chunk][start : start + length]
+            if length > wire_len:
+                wire_len = length
+            if not 0 <= ts_us < 2**32 * 1_000_000:
+                raise ValueError(f"pcap seconds lie in [0, 2**32); ts_us {ts_us} is outside")
             if wire_len >> 32:
                 raise ValueError(f"pcap lengths lie in [0, 2**32); wire_len {wire_len} is outside")
-            out += struct.pack(
-                "<IIII", pkt.ts_us // 1_000_000, pkt.ts_us % 1_000_000, len(frame), wire_len
-            )
+            out += _RECORD.pack(ts_us // 1_000_000, ts_us % 1_000_000, length, wire_len)
             out += frame
             if len(out) >= _WRITE_CHUNK:
                 fh.write(out)
                 out.clear()
         fh.write(out)
+
+
+# The digest of a packet's identity (its header fields but the timestamp, and
+# its payload) that ``dedup`` keys on; packets with equal digests are told
+# apart by their fields and bytes.
+_digest = hash
 
 
 def dedup(trace: PacketTrace, window_us: int = 10_000) -> PacketTrace:
@@ -444,7 +642,8 @@ def dedup(trace: PacketTrace, window_us: int = 10_000) -> PacketTrace:
     lengths and payload content) occurs earlier in the sequence with a
     timestamp difference of at most ``window_us``. Survivors keep their
     relative order; the first occurrence of any packet value always survives.
-    Idempotent, and works on unordered traces.
+    Idempotent, and works on unordered traces; a trace without duplicates
+    is returned as it is.
 
     Raises ValueError on a negative window and for a header-only trace
     (see ``read_trace``), whose packets could be told apart by headers only.
@@ -452,45 +651,57 @@ def dedup(trace: PacketTrace, window_us: int = 10_000) -> PacketTrace:
     if window_us < 0:
         raise ValueError(f"dedup window must be >= 0 microseconds, got {window_us}")
     _refuse_headers_only(trace, "dedup")
-    # Per key, the timestamp of its one packet so far, or the sorted
-    # timestamps of all of them once the key repeats.
-    seen: dict[tuple, int | list[int]] = {}
-    kept: list[RawPacket] = []
-    for pkt in trace.packets:
-        key = pkt.dedup_key()
-        ts = pkt.ts_us
-        earlier = seen.get(key)
-        if earlier is None:
-            seen[key] = ts
-            kept.append(pkt)
+    packets = trace.packets
+    # Per digest, the row of its one packet so far; once a digest repeats,
+    # a list of [row, timestamps...] per distinct identity, with the sorted
+    # timestamps of every packet of that identity so far.
+    seen: dict[int, int | list[list[int]]] = {}
+    kept = array("q")
+    identities = zip(*packets.header[1:], packets.payloads())
+    for row, ts, identity in zip(count(), packets.header[0], identities):
+        key = _digest(identity)
+        groups = seen.get(key)
+        if groups is None:
+            seen[key] = row
+            kept.append(row)
             continue
-        if isinstance(earlier, list):
-            i = bisect_left(earlier, ts)
-            duplicate = (i < len(earlier) and earlier[i] - ts <= window_us) or (
-                i > 0 and ts - earlier[i - 1] <= window_us
-            )
-            earlier.insert(i, ts)
+        if type(groups) is int:
+            groups = seen[key] = [[groups, packets.header[0][groups]]]
+        for group in groups:
+            if packets.identity(group[0]) == identity:
+                break
         else:
-            duplicate = abs(ts - earlier) <= window_us
-            seen[key] = [earlier, ts] if earlier <= ts else [ts, earlier]
+            groups.append([row, ts])
+            kept.append(row)
+            continue
+        i = bisect_left(group, ts, 1)
+        duplicate = (i < len(group) and group[i] - ts <= window_us) or (
+            i > 1 and ts - group[i - 1] <= window_us
+        )
+        group.insert(i, ts)
         if not duplicate:
-            kept.append(pkt)
-    return replace(trace, packets=tuple(kept))
+            kept.append(row)
+    if len(kept) == len(packets):
+        return trace
+    return replace(trace, packets=packets.take(kept))
 
 
 def reorder(trace: PacketTrace) -> PacketTrace:
-    """Stable-sort packets by timestamp; equal timestamps keep input order."""
-    ordered = tuple(sorted(trace.packets, key=lambda p: p.ts_us))
-    return replace(trace, packets=ordered)
+    """Stable-sort packets by timestamp; equal timestamps keep input order.
+    A trace already in order is returned as it is."""
+    ts = trace.packets.header[0]
+    if all(map(le, ts, islice(ts, 1, None))):
+        return trace
+    return replace(trace, packets=trace.packets.take(sorted(range(len(ts)), key=ts.__getitem__)))
 
 
 def out_of_order_count(trace: PacketTrace) -> int:
     """Number of packets arriving with a timestamp below the running maximum."""
     count = 0
     high = None
-    for pkt in trace.packets:
-        if high is not None and pkt.ts_us < high:
+    for ts_us in trace.packets.header[0]:
+        if high is not None and ts_us < high:
             count += 1
         else:
-            high = pkt.ts_us
+            high = ts_us
     return count

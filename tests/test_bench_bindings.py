@@ -8,9 +8,10 @@ name, or a module-level ``from .dataset import build_cf`` in ``cli``) as a
 silently thinner one, so both are checked here.
 
 Every benchmark set-up also runs ``perfbench/setup_corpus.py``'s
-``reference_check``, which imports ``tests/reference.py``; a name that file
-imports from flowlab and that is gone would fail every benchmark run at
-set-up, so that check runs here too.
+``build`` and ``reference_check``, which imports ``tests/reference.py``; a
+change to the trace API they use, or a name that file imports from flowlab
+and that is gone, would fail every benchmark run at set-up, so both run
+here too.
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from flowlab import cli
 from flowlab.synth import SynthSpec, synth_trace
+from flowlab.trace_io import dedup, out_of_order_count, read_trace, reorder
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -66,6 +70,25 @@ def test_setup_reference_check_passes(monkeypatch):
     trace, _ = synth_trace(SynthSpec.from_dict(SPEC), 5)
     assert len(trace.packets) > 100
     assert setup.reference_check(trace, METER_CONFIG) == ""
+
+
+@pytest.mark.parametrize("workload", ["snapshot-sweep", "ingest-dup"])
+def test_setup_builds_every_workload(tmp_path, monkeypatch, workload):
+    # Each benchmark set-up builds its corpus through the PacketTrace API
+    # (list(trace.packets), dataclasses.replace of packets and traces), so a
+    # change to that API that fails every set-up fails here first.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    setup = _load("perfbench_setup_corpus", PERFBENCH / "setup_corpus.py")
+    work = setup.WORKLOADS[workload]
+    trace, truth, n_packets = setup.build(work, 5, 0.05, str(tmp_path))
+    back = read_trace(tmp_path / "input.pcap")
+    assert (len(back), back.skipped) == (n_packets, 0) and len(truth) > 4
+    # The perturbed file cleans back to the synthetic trace, bytes included.
+    deduped = dedup(back)
+    assert reorder(deduped).packets == trace.packets
+    if work.perturb:
+        assert len(deduped) < len(back) and out_of_order_count(deduped) > 0
+    assert setup.reference_check(trace, work.meter_config) == ""
 
 
 def test_every_wrapped_attribute_is_callable():

@@ -422,6 +422,20 @@ class TestMeterCmd:
         assert _run("meter", pcap, rules, workdir / "m13") == 2
         assert capsys.readouterr().err.startswith(f"error: {rules}: ")
 
+    @pytest.mark.parametrize(
+        "src_ips",
+        [json.dumps(list(range(200_000))), "[" * 990 + "0" + "]" * 990],
+        ids=["200k_integers", "990_deep"],
+    )
+    def test_bad_value_echoed_in_under_1_kb(self, workdir, synth_inputs, src_ips, capsys):
+        pcap, _ = synth_inputs
+        rules = workdir / "echo_rules.json"
+        rules.write_text('{"rules": [{"label": "DoS", "src_ips": %s}]}' % src_ips)
+        assert _run("meter", pcap, rules, workdir / "m15") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 1024, len(err)
+
     def test_each_record_labelled_once(self, workdir, synth_inputs, monkeypatch):
         pcap, rules = synth_inputs
         labelled, metered = [], []

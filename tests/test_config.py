@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from flowlab import synth
 from flowlab.cli import PipelineConfig
 from flowlab.dataset import read_csv
-from flowlab.errors import FlowLabError
+from flowlab.errors import STR, Field, FlowLabError, checked
 from flowlab.forest import TrainConfig, load_model
 from flowlab.labeling import LabelRule, PortSet, RuleSet
 from flowlab.meter import MeterConfig, Trigger
@@ -201,3 +201,21 @@ def test_unreadable_file_names_its_path(tmp_path, read, target):
         path.mkdir()
     with pytest.raises(FlowLabError, match=re.escape(str(path))):
         read(path)
+
+
+def test_bad_value_echo_is_cut_in_length_and_depth():
+    deep = 0
+    for _ in range(990):
+        deep = [deep]
+    for value, echo in (
+        (list(range(200_000)), "[0, 1, 2, 3, 4, 5, 6, 7, ...]"),
+        (deep, "[[[[...]]]]"),
+        ("x" * 100_000, None),
+        ({str(i): [i] for i in range(1000)}, None),
+    ):
+        with pytest.raises(ValueError) as raised:
+            checked("rule.src_ips", value, Field(STR, many=tuple))
+        message = str(raised.value)
+        assert message.startswith("rule.src_ips must be a list, each a string, got ")
+        assert len(message) < 200, message
+        assert echo is None or message.endswith(f"got {echo}")

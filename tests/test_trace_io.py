@@ -508,6 +508,18 @@ class TestHeaderOnlyRead:
         headers = retained(keep_bytes=False)
         assert headers < retained() / 2
 
+    def test_holds_at_most_64_bytes_per_packet(self, dup_pcap):
+        read_trace(dup_pcap, keep_bytes=False)  # pays for the address cache
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = read_trace(dup_pcap, keep_bytes=False)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) > 8_000
+        assert held / len(trace) <= 64, held / len(trace)
+
     def test_cannot_be_deduped_or_written(self, tmp_path):
         headers = read_trace(_write(tmp_path, build_pcap(HANDSHAKE)), keep_bytes=False)
         for trace in (headers, reorder(headers)):
@@ -517,6 +529,22 @@ class TestHeaderOnlyRead:
             with pytest.raises(ValueError, match="keep_bytes=False"):
                 write_trace(trace, path)
             assert not path.exists()
+
+
+def test_trace_with_bytes_holds_its_pcap_plus_64_bytes_per_packet(dup_pcap):
+    # Each frame is held once, in the chunk it was read in, and its payload
+    # is a span of it, not a copy.
+    read_trace(dup_pcap)  # pays for the address cache
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = read_trace(dup_pcap)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(dup_pcap)
+    assert len(trace) > 8_000 and size > 4 << 20
+    assert held <= size + 64 * len(trace), (held - size) / len(trace)
 
 
 def test_write_trace_equals_reference_writer_across_flushes(tmp_path, dup_pcap):
@@ -646,16 +674,67 @@ class TestDedup:
         once = dedup(trace, window)
         twice = dedup(once, window)
         assert list(once.packets) == list(twice.packets)
-        # the first occurrence of every packet value always survives
-        seen = set()
-        firsts = []
+        # the first occurrence of every packet value always survives, and is
+        # the first of its value kept (packets are built when read, so they
+        # are told apart by value, not by identity)
+        firsts, leads = {}, {}
         for p in trace.packets:
-            if p.dedup_key() not in seen:
-                seen.add(p.dedup_key())
-                firsts.append(p)
-        kept = set(id(p) for p in once.packets)
-        for p in firsts:
-            assert id(p) in kept
+            firsts.setdefault(p.dedup_key(), p)
+        for p in once.packets:
+            leads.setdefault(p.dedup_key(), p)
+        assert leads == firsts
+
+
+    def test_digest_collisions_told_apart_by_fields_and_bytes(self, monkeypatch):
+        # One digest for every packet: dedup then keeps packets apart by
+        # their header fields and payload bytes alone.
+        monkeypatch.setattr(trace_io, "_digest", lambda identity: 0)
+        same_headers = [_pkt(ts, payload) for ts, payload in
+                        ((0, b"a"), (10, b"b"), (20, b"a"), (30, b"b"), (20_000, b"a"))]
+        assert list(dedup(_trace(*same_headers)).packets) == [same_headers[i] for i in (0, 1, 4)]
+        # The traces of acceptance criterion 3.
+        rng = np.random.default_rng(3003)
+        for _ in range(850):
+            n = int(rng.integers(0, 60))
+            window = int(rng.integers(0, 20_000))
+            pkts = list(
+                random_trace(
+                    rng, n, n_endpoints=2, t_span_us=30_000, sorted_ts=bool(rng.random() < 0.5)
+                ).packets
+            )
+            got = dedup(PacketTrace(packets=tuple(pkts), source="fuzz"), window)
+            assert list(got.packets) == brute_force_dedup(pkts, window)
+
+
+class TestPacketColumns:
+    def test_packets_given_come_back_equal(self, dup_pcap):
+        read = list(read_trace(dup_pcap).packets[:3])
+        given = [
+            *read,
+            replace(read[0], raw=None),
+            replace(read[1], payload=b"not in the frame"),
+            replace(read[2], payload=b"", raw=b""),
+            _pkt(-1, b"abc", src="2001:DB8::2", dst_ip="2001:db8::1", wire_len=2**32),
+            _pkt(7, b"", sport=70_000, tcp_flags=256, protocol=1.5, raw=None),
+        ]
+        packets = PacketTrace(packets=given, source="t").packets
+        assert isinstance(packets, trace_io.PacketColumns)
+        assert list(packets) == given
+        assert [packets[i] for i in range(-len(given), len(given))] == given * 2
+        assert list(packets[2:6]) == given[2:6] and list(packets[::-3]) == given[::-3]
+        assert list(packets.take([5, 0, 1, 2, 7])) == [given[i] for i in (5, 0, 1, 2, 7)]
+        assert packets[1:4] == PacketTrace(packets=given[1:4], source="t").packets
+        assert packets[1:4] != packets[1:5] and packets[:0] == PacketTrace((), "t").packets
+        with pytest.raises(IndexError):
+            packets[len(given)]
+
+    def test_payloads_that_end_their_frames_are_held_once(self, dup_pcap):
+        read = list(read_trace(dup_pcap).packets[:200])
+        packets = trace_io.PacketColumns.of(read)
+        assert [len(chunk) for chunk in packets.chunks] == [sum(len(p.raw) for p in read)]
+        assert list(packets) == read
+        headers = [replace(p, payload=b"", raw=None) for p in read]
+        assert trace_io.PacketColumns.of(headers).spans is None
 
 
 class TestReorder:
