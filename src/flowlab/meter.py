@@ -38,6 +38,13 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FLAG_BITS = (TCP_SYN, TCP_FIN, TCP_RST, TCP_PSH, TCP_ACK, TCP_URG, TCP_ECE, TCP_CWR)
 
 
+def _comes_first(addr1, port1: int, addr2, port2: int) -> bool:
+    """Whether endpoint 1 is ``endpoint_a`` of its flow key: the smaller
+    (address, port) pair. The addresses are packed bytes, or ranks that
+    order as they do (see ``_address_ranks``)."""
+    return addr1 < addr2 or (addr1 == addr2 and port1 <= port2)
+
+
 def _flow_key(
     ip1: str, port1: int, ip2: str, port2: int, protocol: int
 ) -> tuple[tuple[str, int], tuple[str, int], int]:
@@ -49,7 +56,7 @@ def _flow_key(
     """
     _, packed1, text1 = parse_ip(ip1)
     _, packed2, text2 = parse_ip(ip2)
-    if (packed1, port1) <= (packed2, port2):
+    if _comes_first(packed1, port1, packed2, port2):
         return (text1, port1), (text2, port2), protocol
     return (text2, port2), (text1, port1), protocol
 
@@ -654,7 +661,7 @@ def meter(
         prev_ts = ts_us
 
         a, b = rank[src], rank[dst]
-        if a < b or (a == b and sport <= dport):
+        if _comes_first(a, sport, b, dport):
             key = (a, sport, b, dport, protocol)
         else:
             key = (b, dport, a, sport, protocol)

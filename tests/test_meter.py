@@ -95,6 +95,26 @@ class TestFlowHash:
 
 
 class TestMeterBasics:
+    def test_keys_equal_from_endpoints(self):
+        # The meter orders endpoints by address rank, FlowKey.from_endpoints
+        # by packed address: every orientation and text form must agree.
+        texts = ["10.0.0.1", "10.0.0.10", "9.255.255.255", "2001:db8::1",
+                 "2001:DB8:0:0::1", "::1", "::ffff:a00:1"]
+        packets = [
+            _pkt(0, src=a, dst=b, sport=p, dport=q, proto=17)
+            for a in texts for b in texts for p, q in ((80, 80), (80, 1000), (1000, 80))
+        ]
+        packets = [replace(p, ts_us=i) for i, p in enumerate(packets)]
+        keys = {
+            FlowKey.from_endpoints(p.src_ip, p.src_port, p.dst_ip, p.dst_port, 17)
+            for p in packets
+        }
+        records, _ = meter(_trace(*packets), MeterConfig(pc_triggers=(), fd_triggers_ms=()))
+        assert {r.id.key for r in records} == keys and len(records) == len(keys)
+        for r in records:
+            (ip1, port1), (ip2, port2) = r.direction_anchor
+            assert r.id.key == FlowKey.from_endpoints(ip1, port1, ip2, port2, 17)
+
     def test_idle_split(self):
         config = MeterConfig(pc_triggers=(), fd_triggers_ms=())
         records, _ = meter(_trace(_pkt(0), _pkt(70_000_000)), config)
