@@ -87,15 +87,18 @@ class PipelineConfig(JsonDocument):
 
 
 def cmd_preprocess(args) -> int:
+    # One name for the trace at each step, so that each step's input is
+    # dropped once its output is made; only the counts are kept.
     trace = trace_io.read_trace(args.input)
-    read_count = len(trace)
-    deduped = trace_io.dedup(trace, args.dedup_window_us)
-    reordered_count = trace_io.out_of_order_count(deduped)
-    cleaned = trace_io.reorder(deduped)
-    trace_io.write_trace(cleaned, args.output)
+    read_count, skipped = len(trace), trace.skipped
+    trace = trace_io.dedup(trace, args.dedup_window_us)
+    kept = len(trace)
+    reordered_count = trace_io.out_of_order_count(trace)
+    trace = trace_io.reorder(trace)
+    trace_io.write_trace(trace, args.output)
     print(f"packets read: {read_count}")
-    print(f"skipped: {trace.skipped}")
-    print(f"dropped: {read_count - len(deduped)}")
+    print(f"skipped: {skipped}")
+    print(f"dropped: {read_count - kept}")
     print(f"reordered: {reordered_count}")
     return EXIT_OK
 

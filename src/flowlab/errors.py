@@ -9,10 +9,12 @@ import math
 import numbers
 import operator
 import os
+import re
 import reprlib
 from collections.abc import Iterable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 class FlowLabError(Exception):
@@ -209,6 +211,20 @@ class TrainConfig:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
+# How deep a config document may nest. Its depth is counted on the text,
+# without recursion, before it is parsed, so whether a document loads does
+# not depend on how deep the caller's stack runs.
+_MAX_DEPTH = 100
+_NESTING = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _depth(text: str) -> int:
+    """How deep the arrays and objects of JSON ``text`` nest: its brackets
+    outside strings, counted up and down."""
+    brackets = re.findall(r"[][{}]", re.sub(r'(?s)"[^"\\]*(?:\\.[^"\\]*)*"', "", text))
+    return max(accumulate(map(_NESTING.__getitem__, brackets)), default=0)
+
+
 class JsonDocument:
     """``from_json`` for a config type: its ``from_dict`` of a JSON file."""
 
@@ -216,10 +232,13 @@ class JsonDocument:
     def from_json(cls, path):
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                text = fh.read()
+            if _depth(text) > _MAX_DEPTH:
+                raise FlowLabError(f"{path}: nested deeper than {_MAX_DEPTH} levels")
+            doc = json.loads(text)
         except OSError as exc:
             raise UnreadableFileError(f"cannot read {path}: {exc}") from exc
-        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+        except ValueError as exc:  # not JSON or not UTF-8
             raise FlowLabError(f"{path}: {exc}") from None
         return cls.from_dict(doc)
 

@@ -4,21 +4,23 @@ Reads classic pcap files (Ethernet link layer, IPv4/IPv6, TCP/UDP),
 suppresses duplicate packets inside a time window, and restores timestamp
 order, producing a clean packet sequence for flow metering. Reads and
 writes stream the file in chunks, so no stage holds a buffer the size of
-the trace.
+the trace; a trace read with bytes leaves them in the file and reads them
+back when they are asked for.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import weakref
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from ipaddress import IPv4Address, IPv6Address, ip_address
-from itertools import compress, count, islice, repeat
-from operator import add, attrgetter, eq, getitem, le, sub
+from itertools import chain, compress, count, islice, repeat
+from operator import add, attrgetter, eq, getitem, le, ne, sub
 from stat import S_ISREG
 
 from .errors import MalformedHeaderError, UnreadableFileError, replacing
@@ -139,18 +141,69 @@ def _take(column: array | list, runs: list[slice]) -> array | list:
     return taken
 
 
+class _FileChunks(Sequence):
+    """The chunks of a capture read with bytes, left in the file.
+
+    Chunk ``c`` is the ``lengths[c]`` bytes at file offset ``offsets[c]``,
+    read with ``os.pread`` on a duplicate of the capture's descriptor when
+    it is asked for; the last chunk read is kept. A read that comes up
+    short, or a capture whose size or modification time differs from
+    ``st``'s, raises UnreadableFileError, so a trace never yields bytes
+    other than those it read. The descriptor is closed once nothing holds
+    the chunks.
+    """
+
+    __slots__ = ("_fd", "_path", "_stat", "offsets", "lengths", "_last", "__weakref__")
+
+    def __init__(self, fd: int, path: str, st: os.stat_result, offsets: array, lengths: array):
+        self._fd = os.dup(fd)
+        weakref.finalize(self, os.close, self._fd)
+        self._path = path
+        self._stat = (st.st_size, st.st_mtime_ns)
+        self.offsets = offsets
+        self.lengths = lengths
+        self._last: tuple[int | None, bytes] = (None, b"")
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, c: int) -> bytes:
+        if self._last[0] != c:
+            self._last = (c, self.span(c, 0, self.lengths[c]))
+        return self._last[1]
+
+    def span(self, c: int, start: int, end: int) -> bytes:
+        """Bytes ``start`` to ``end`` of chunk ``c``, read alone unless it
+        is the chunk kept, which stays kept."""
+        if self._last[0] == c:
+            return self._last[1][start:end]
+        try:
+            data = os.pread(self._fd, end - start, self.offsets[c] + start)
+            st = os.fstat(self._fd)
+        except OSError as exc:
+            raise UnreadableFileError(f"cannot read capture {self._path}: {exc}") from exc
+        if len(data) != end - start or (st.st_size, st.st_mtime_ns) != self._stat:
+            raise UnreadableFileError(
+                f"cannot read capture {self._path}: it has changed since it was read"
+            )
+        return data
+
+
 class PacketColumns(Sequence):
     """A trace's packets, held as typed columns, read as ``RawPacket``s.
 
     ``header`` holds one column per header field, in ``RawPacket`` field
     order, with ``src_ip`` and ``dst_ip`` as indices into ``addresses``, the
     address texts as read or given. The bytes of the packets lie in
-    ``chunks``, each held once, and ``spans`` holds five columns: per packet,
-    its chunk, the start and length of its frame (``_NO_FRAME`` for none)
-    and the start and end of its captured payload there. ``spans`` is None
-    when no packet holds bytes. Indexing builds a ``RawPacket``; a slice, or
-    ``take``, gives the columns of those rows, sharing the addresses and the
-    chunks; columns are equal when their packets are.
+    ``chunks``: one chunk in memory for packets given, and the file's
+    chunks, left in the file (``_FileChunks``), for a trace read with
+    bytes; rows fetch their chunk once per run of rows in it. ``spans``
+    holds five columns: per packet, its chunk, the start and length of its
+    frame (``_NO_FRAME`` for none) and the start and end of its captured
+    payload there. ``spans`` is None when no packet holds bytes. Indexing
+    builds a ``RawPacket``; a slice, or ``take``, gives the columns of those
+    rows, sharing the addresses and the chunks; columns are equal when their
+    packets are.
     """
 
     __slots__ = ("header", "addresses", "chunks", "spans")
@@ -159,7 +212,7 @@ class PacketColumns(Sequence):
         self,
         header: list,
         addresses: list[str],
-        chunks: list[bytes] | None = None,
+        chunks: Sequence[bytes] | None = None,
         spans: list | None = None,
     ) -> None:
         self.header = header
@@ -240,26 +293,39 @@ class PacketColumns(Sequence):
         captured payload: what ``dedup`` tells packets apart by."""
         payload = b""
         if self.spans is not None:
+            chunks = self.chunks
             chunk, _, _, start, end = (c[i] for c in self.spans)
-            payload = self.chunks[chunk][start:end]
+            if isinstance(chunks, _FileChunks):
+                payload = chunks.span(chunk, start, end)  # the chunk kept stays kept
+            else:
+                payload = chunks[chunk][start:end]
         return (*(c[i] for c in self.header[1:]), payload)
+
+    def _row_chunks(self) -> Iterator[bytes]:
+        """Each packet's chunk, in order, fetched once per run of packets in it."""
+        column = self.spans[0]
+        ends = [*compress(count(1), map(ne, islice(column, 1, None), column)), len(column)]
+        return chain.from_iterable(
+            repeat(self.chunks[column[start]], end - start)
+            for start, end in zip([0, *ends], ends)
+            if end > start
+        )
 
     def payloads(self) -> Iterator[bytes]:
         """Each packet's captured payload, in order."""
         if self.spans is None:
             return repeat(b"", len(self))
-        chunk, _, _, start, end = self.spans
-        return map(getitem, map(self.chunks.__getitem__, chunk), map(slice, start, end))
+        _, _, _, start, end = self.spans
+        return map(getitem, self._row_chunks(), map(slice, start, end))
 
     def frames(self) -> Iterator[bytes | None]:
         """Each packet's frame bytes, or None, in order."""
         if self.spans is None:
             return repeat(None, len(self))
-        chunks = self.chunks
-        chunk, frame, length, _, _ = self.spans
+        _, frame, length, _, _ = self.spans
         return (
-            None if n == _NO_FRAME else chunks[c][f : f + n]
-            for c, f, n in zip(chunk, frame, length)
+            None if n == _NO_FRAME else chunk[f : f + n]
+            for chunk, f, n in zip(self._row_chunks(), frame, length)
         )
 
     def __eq__(self, other) -> bool:
@@ -362,10 +428,13 @@ def read_trace(path: str | os.PathLike, *, keep_bytes: bool = True) -> PacketTra
 
     The file is read in chunks of 64 KiB, and no read asks for more bytes
     than the file holds, so a corrupt record length ends the read as a
-    truncated final record. With ``keep_bytes=False`` each packet keeps
-    its header fields only (``payload=b""``, ``raw=None``), which is all
-    the meter reads; the trace is then ``headers_only``, and ``dedup`` and
-    ``write_trace`` refuse it.
+    truncated final record. The frames and payloads stay in the file: the
+    trace holds each chunk's offset and length and reads a chunk back when
+    its bytes are asked for, which raises UnreadableFileError if the file
+    has changed since (see ``_FileChunks``). With ``keep_bytes=False`` each
+    packet keeps its header fields only (``payload=b""``, ``raw=None``),
+    which is all the meter reads; the trace is then ``headers_only``, and
+    ``dedup`` and ``write_trace`` refuse it.
 
     Raises UnreadableFileError if the file cannot be opened or read, or is
     not a regular file, and MalformedHeaderError on an unknown magic number
@@ -380,8 +449,9 @@ def read_trace(path: str | os.PathLike, *, keep_bytes: bool = True) -> PacketTra
 
 def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
     """The body of ``read_trace``: parse each record of ``fh`` in place in
-    the chunk that holds it into the header columns, and keep the chunk
-    (with ``keep_bytes``) for the frames and payloads that lie in it."""
+    the chunk that holds it into the header columns, and note the chunk's
+    place in the file (with ``keep_bytes``) for the frames and payloads
+    that lie in it."""
     st = os.fstat(fh.fileno())
     if not S_ISREG(st.st_mode):
         raise UnreadableFileError(f"cannot read capture {path}: not a regular file")
@@ -411,26 +481,27 @@ def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
     record = struct.Struct(endian + "IIII").unpack_from
     header = [array(t) for t in _HEADER_TYPES]
     spans = [array("I") for _ in range(5)] if keep_bytes else None
-    chunks: list[bytes] = []
+    offsets, lengths = array("q"), array("I")  # of each chunk in the file
     index: dict[bytes, int] = {}  # packed address -> its index in the address table
     # Per packet of the chunk: its header fields, then its frame's start and
     # length and its payload's start and end in the chunk.
     rows: list[tuple] = []
 
-    def flush(chunk: bytes) -> None:
+    def flush(offset: int, length: int) -> None:
         columns = zip(*rows)
         for column, values in zip(header, columns):
             column.extend(values)
         if keep_bytes:
-            spans[0].extend(repeat(len(chunks), len(rows)))
+            spans[0].extend(repeat(len(offsets), len(rows)))
             for column, values in zip(spans[1:], columns):
                 column.extend(values)
-            chunks.append(chunk)
+            offsets.append(offset)
+            lengths.append(length)
         rows.clear()
 
     records = 0  # whole records read; every one not kept is skipped
     left = st.st_size - 24  # bytes of the file not yet read into buf
-    buf, i, n = b"", 0, 0
+    buf, at, i, n = b"", 24, 0, 0  # buf holds the file's bytes from offset at
     while True:
         if n - i < 16:
             short = 16 - (n - i)
@@ -441,15 +512,16 @@ def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
             short = end - n
         if short > 0:
             # The record runs past the chunk: carry it into the next one,
-            # unless the file ends first. The chunk's packets keep its bytes
-            # up to the carried record.
+            # unless the file ends first. The chunk's packets lie in its
+            # bytes up to the carried record.
             if rows:
-                flush(buf[:i])
+                flush(at, i)
             if short > left:
                 break
             more = fh.read(min(left, max(short, _READ_CHUNK)))
             left = left - len(more) if more else 0
             buf = buf[i:] + more
+            at += i
             i, n = 0, len(buf)
             continue
         i = end
@@ -508,6 +580,7 @@ def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
         rows.append((ts_us, src, dst, src_port, dst_port, protocol, flags, payload_len, wire_len,
                      base, incl_len, start, min(start + payload_len, end)))
 
+    chunks = _FileChunks(fh.fileno(), path, st, offsets, lengths) if keep_bytes else None
     packets = PacketColumns(header, [str(ip_address(packed)) for packed in index], chunks, spans)
     skipped = records - len(packets) + (n - i + left > 0)  # and a truncated final record
     return PacketTrace(packets, path, skipped, headers_only=not keep_bytes)
@@ -585,9 +658,11 @@ def write_trace(trace: PacketTrace, path: str | os.PathLike) -> None:
     """
     _refuse_headers_only(trace, "write")
     packets = trace.packets
-    chunks = packets.chunks
+    addresses = packets.addresses
     # Per packet, its chunk and the start and length of its frame there.
-    spans = packets.spans[:3] if packets.spans else (repeat(0), repeat(0), repeat(_NO_FRAME))
+    spans = (repeat(b""), repeat(0), repeat(_NO_FRAME))
+    if packets.spans:
+        spans = (packets._row_chunks(), *packets.spans[1:3])
     with replacing(path, "wb") as fh:
         out = bytearray(
             struct.pack("<IHHiIII", _MAGIC_US_LE, 2, 4, 0, 0, 262144, _LINKTYPE_ETHERNET)
@@ -595,10 +670,11 @@ def write_trace(trace: PacketTrace, path: str | os.PathLike) -> None:
         rows = zip(count(), packets.header[0], packets.header[8], *spans)
         for i, ts_us, wire_len, chunk, start, length in rows:
             if length == _NO_FRAME:
-                frame = _synthesize_frame(packets[i])
+                src, dst, *fields, _, payload = packets.identity(i)
+                frame = _frame(addresses[src], addresses[dst], *fields, payload)
                 length = len(frame)
             else:
-                frame = chunks[chunk][start : start + length]
+                frame = chunk[start : start + length]
             if length > wire_len:
                 wire_len = length
             if not 0 <= ts_us < 2**32 * 1_000_000:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.resources as resources
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,21 @@ from flowlab.trace_io import PROTO_TCP, PROTO_UDP, PacketTrace, RawPacket, write
 
 def corpus_path(name: str):
     return resources.files("flowlab").joinpath(f"data/{name}.json")
+
+
+def truncate(path) -> None:
+    """Cut the last 100 bytes off the file at ``path``."""
+    os.truncate(path, os.path.getsize(path) - 100)
+
+
+def rewrite_in_place(path) -> None:
+    """Zero the file at ``path`` past its pcap header, keeping its size,
+    and move its mtime on by a second."""
+    st = os.stat(path)
+    with open(path, "r+b") as fh:
+        fh.seek(24)
+        fh.write(bytes(st.st_size - 24))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
 
 
 def random_packets(

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from flowlab import cli, dataset
+from flowlab import cli, dataset, trace_io
 from flowlab.dataset import build_cf, build_pf, distribution, read_csv
 from flowlab.evaluation import split_keys, sweep
 from flowlab.forest import TrainConfig
@@ -15,7 +15,7 @@ from flowlab.meter import MeterConfig, Trigger, meter
 from flowlab.synth import SynthSpec, derive_rules, synth_trace
 from flowlab.trace_io import dedup, read_trace, reorder, write_trace
 
-from conftest import corpus_path, random_trace
+from conftest import corpus_path, random_trace, rewrite_in_place, truncate
 from reference import build_pcap, build_tcp_frame, reference_read_trace, reference_write_trace
 
 
@@ -136,6 +136,32 @@ class TestPreprocess:
 
     def test_unreadable_input_exit_2(self, tmp_path):
         assert _run("preprocess", tmp_path / "missing.pcap", tmp_path / "o.pcap") == 2
+
+    @pytest.mark.parametrize("change", [truncate, rewrite_in_place])
+    def test_input_changed_after_the_read_exit_2(
+        self, tmp_path, dup_pcap, monkeypatch, capsys, change
+    ):
+        src, out = tmp_path / "in.pcap", tmp_path / "out.pcap"
+        src.write_bytes(dup_pcap.read_bytes())
+        read = trace_io.read_trace
+
+        def read_then_change(path, **kw):
+            trace = read(path, **kw)
+            change(path)
+            return trace
+
+        monkeypatch.setattr(trace_io, "read_trace", read_then_change)
+        assert _run("preprocess", src, out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read capture {src}: it has changed since it was read\n"
+        assert not out.exists()
+
+    def test_in_place_writes_what_another_path_gets(self, tmp_path, dup_pcap):
+        path, other = tmp_path / "x.pcap", tmp_path / "other.pcap"
+        path.write_bytes(dup_pcap.read_bytes())
+        assert _run("preprocess", path, other) == 0
+        assert _run("preprocess", path, path) == 0
+        assert path.read_bytes() == other.read_bytes() != dup_pcap.read_bytes()
 
     def test_bad_magic_exit_2(self, tmp_path):
         bad = tmp_path / "bad.pcap"
@@ -435,6 +461,22 @@ class TestMeterCmd:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err.encode()) < 1024, len(err)
+
+    @pytest.mark.parametrize("depth", [986, 990])
+    def test_deep_rules_get_one_answer_at_any_stack_depth(
+        self, workdir, synth_inputs, depth, capsys
+    ):
+        pcap, _ = synth_inputs
+        rules = workdir / f"deep_{depth}_rules.json"
+        rules.write_text('{"rules": [{"label": "DoS", "src_ips": %s}]}'
+                         % ("[" * depth + "0" + "]" * depth))
+
+        def run_at(frames: int) -> int:
+            return run_at(frames - 1) if frames else _run("meter", pcap, rules, workdir / "m16")
+
+        for frames in (0, 600):
+            assert run_at(frames) == 2
+            assert capsys.readouterr().err == f"error: {rules}: nested deeper than 100 levels\n"
 
     def test_each_record_labelled_once(self, workdir, synth_inputs, monkeypatch):
         pcap, rules = synth_inputs

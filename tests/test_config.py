@@ -165,8 +165,14 @@ def test_config_objects_keep_the_checked_values():
 @pytest.mark.parametrize("kind", DOCUMENTS)
 @pytest.mark.parametrize(
     "blob, problem",
-    [(b'{"name": }', "Expecting value"), (b'{"name": "\xff"}', "can't decode byte 0xff")],
-    ids=["not_json", "not_utf8"],
+    [
+        (b'{"name": }', "Expecting value"),
+        (b'{"name": "\xff"}', "can't decode byte 0xff"),
+        (b"[" * 101 + b"]" * 101, "nested deeper than 100 levels"),
+        # Brackets in a string (after an escaped quote) do not nest.
+        (b'{"name": "\\"' + b"[" * 200 + b'", }', "Expecting property name"),
+    ],
+    ids=["not_json", "not_utf8", "nested_101_deep", "brackets_in_a_string"],
 )
 def test_undecodable_document_names_its_file(tmp_path, kind, blob, problem):
     loader = {

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import os
 import struct
 import tracemalloc
 from dataclasses import replace
+from hashlib import sha256
 from unittest import mock
 
 import numpy as np
@@ -23,7 +25,7 @@ from flowlab.trace_io import (
     write_trace,
 )
 
-from conftest import random_trace
+from conftest import random_trace, rewrite_in_place, truncate
 from reference import (
     brute_force_dedup,
     build_pcap,
@@ -494,17 +496,21 @@ class TestHeaderOnlyRead:
         headers = meter(reorder(read_trace(dup_pcap, keep_bytes=False)), config)
         assert headers == meter(reorder(read_trace(dup_pcap)), config)
 
-    def test_retains_under_half_the_memory_of_a_full_read(self, dup_pcap):
-        def retained(**kw) -> int:
+    def test_full_read_holds_at_most_24_bytes_per_packet_more(self, dup_pcap):
+        # A full read leaves the bytes in the file and adds the five span
+        # columns, 20 bytes a packet, to the header columns.
+        def held(**kw) -> tuple[int, int]:
             tracemalloc.start()
             try:
+                before = tracemalloc.get_traced_memory()[0]
                 trace = read_trace(dup_pcap, **kw)
-                assert len(trace) > 8_000
-                return tracemalloc.get_traced_memory()[0]
+                return tracemalloc.get_traced_memory()[0] - before, len(trace)
             finally:
                 tracemalloc.stop()
 
-        assert retained(keep_bytes=False) < retained() / 2
+        (headers, n), (full, _) = held(keep_bytes=False), held()
+        assert n > 8_000
+        assert full - headers <= 24 * n, (full - headers) / n
 
     def test_holds_at_most_64_bytes_per_packet(self, dup_pcap):
         tracemalloc.start()
@@ -528,19 +534,95 @@ class TestHeaderOnlyRead:
             assert not path.exists()
 
 
-def test_trace_with_bytes_holds_its_pcap_plus_64_bytes_per_packet(dup_pcap):
-    # Each frame is held once, in the chunk it was read in, and its payload
-    # is a span of it, not a copy.
+def test_trace_with_bytes_holds_64_bytes_per_packet_plus_one_chunk(dup_pcap):
+    # The frames stay in the file; a read of the bytes keeps the last chunk
+    # it fetched, and a payload is a span of it, not a copy.
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         trace = read_trace(dup_pcap)
+        assert sum(map(len, trace.packets.payloads())) > 4 << 20
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    size = os.path.getsize(dup_pcap)
-    assert len(trace) > 8_000 and size > 4 << 20
-    assert held <= size + 64 * len(trace), (held - size) / len(trace)
+    chunk = max(trace.packets.chunks.lengths)
+    assert len(trace) > 8_000 and chunk <= trace_io._READ_CHUNK + 2048
+    assert held <= 64 * len(trace) + chunk, (held - chunk) / len(trace)
+
+
+def _resized(trace: PacketTrace, size: int) -> PacketTrace:
+    """``trace`` with each payload replaced by ``size`` bytes derived from
+    it (an empty one stays empty), so that duplicates stay duplicates."""
+    return replace(trace, packets=tuple(
+        replace(p, payload=(sha256(p.payload).digest() * size)[:size], raw=None,
+                payload_len=size, wire_len=p.wire_len - p.payload_len + size)
+        if p.payload else p
+        for p in trace.packets
+    ))
+
+
+def test_preprocess_peak_does_not_grow_with_payload_size(tmp_path, dup_pcap):
+    # The same packets with 100-byte and with 1,400-byte payloads: 14 times
+    # the bytes in the file, and the same peak while they are cleaned.
+    read = read_trace(dup_pcap)
+    peaks, kept = [], []
+    for size in (100, 1400):
+        path = tmp_path / f"in_{size}.pcap"
+        write_trace(_resized(read, size), path)
+        tracemalloc.start()
+        try:
+            cleaned = reorder(dedup(read_trace(path)))
+            write_trace(cleaned, tmp_path / f"out_{size}.pcap")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        kept.append(len(cleaned))
+        del cleaned
+    assert os.path.getsize(tmp_path / "in_1400.pcap") > 10 << 20
+    assert kept[0] == kept[1] < len(read)
+    assert abs(peaks[1] - peaks[0]) < 2 << 20, peaks
+
+
+class TestChangedCapture:
+    @pytest.mark.parametrize("change", [truncate, rewrite_in_place])
+    def test_using_the_trace_raises(self, tmp_path, dup_pcap, change):
+        path = tmp_path / "in.pcap"
+        path.write_bytes(dup_pcap.read_bytes())
+        traces = read_trace(path), read_trace(path)
+        change(path)
+        with pytest.raises(UnreadableFileError, match="has changed since it was read"):
+            dedup(traces[0])
+        with pytest.raises(UnreadableFileError, match="has changed since it was read"):
+            write_trace(traces[1], tmp_path / "out.pcap")
+        assert not (tmp_path / "out.pcap").exists()
+
+    def test_chunk_read_before_the_change_is_kept(self, tmp_path):
+        path = _write(tmp_path, build_pcap(HANDSHAKE))
+        packets = read_trace(path).packets
+        frames = list(packets.frames())
+        truncate(path)
+        assert list(packets.frames()) == frames
+        assert packets.identity(0)[-1] == b""  # the span lies in the chunk kept
+
+
+class TestDescriptors:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_traces_dropped_close_their_descriptors(self, tmp_path):
+        path = _write(tmp_path, build_pcap(HANDSHAKE))
+        read_trace(path)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(2_000):
+            assert len(read_trace(path)) == len(HANDSHAKE)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_slice_and_take_outlive_the_trace(self, tmp_path, dup_pcap):
+        want = list(read_trace(dup_pcap).packets)
+        packets = read_trace(dup_pcap).packets
+        part, taken = packets[100:3000:7], packets.take([5000, 3, 4, 8000])
+        del packets
+        gc.collect()
+        assert list(part) == want[100:3000:7]
+        assert list(taken) == [want[i] for i in (5000, 3, 4, 8000)]
 
 
 def test_write_trace_equals_reference_writer_across_flushes(tmp_path, dup_pcap):
