@@ -220,8 +220,9 @@ _NESTING = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 def _depth(text: str) -> int:
     """How deep the arrays and objects of JSON ``text`` nest: its brackets
-    outside strings, counted up and down."""
-    brackets = re.findall(r"[][{}]", re.sub(r'(?s)"[^"\\]*(?:\\.[^"\\]*)*"', "", text))
+    outside strings, counted up and down. A string left open runs to the
+    end of the text, so each string is scanned once, closed or not."""
+    brackets = re.findall(r"[][{}]", re.sub(r'(?s)"[^"\\]*(?:\\.[^"\\]*)*"?', "", text))
     return max(accumulate(map(_NESTING.__getitem__, brackets)), default=0)
 
 

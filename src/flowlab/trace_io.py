@@ -19,8 +19,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from ipaddress import IPv4Address, IPv6Address, ip_address
-from itertools import chain, compress, count, islice, repeat
-from operator import add, attrgetter, eq, getitem, le, ne, sub
+from itertools import compress, count, islice, repeat
+from operator import add, attrgetter, eq, getitem, le, sub
 from stat import S_ISREG
 
 from .errors import MalformedHeaderError, UnreadableFileError, replacing
@@ -148,9 +148,13 @@ class _FileChunks(Sequence):
     read with ``os.pread`` on a duplicate of the capture's descriptor when
     it is asked for; the last chunk read is kept. A read that comes up
     short, or a capture whose size or modification time differs from
-    ``st``'s, raises UnreadableFileError, so a trace never yields bytes
-    other than those it read. The descriptor is closed once nothing holds
-    the chunks.
+    ``st``'s, raises UnreadableFileError; so does a capture still being
+    written to, once it has grown. Only the size and the modification time
+    are checked: a rewrite that keeps both (at the same size within the
+    file system's timestamp granularity, or with the time set back) is not
+    seen. A file replaced by a rename is not a change, since the descriptor
+    keeps the old file. The descriptor is closed once nothing holds the
+    chunks.
     """
 
     __slots__ = ("_fd", "_path", "_stat", "offsets", "lengths", "_last", "__weakref__")
@@ -168,24 +172,18 @@ class _FileChunks(Sequence):
         return len(self.offsets)
 
     def __getitem__(self, c: int) -> bytes:
-        if self._last[0] != c:
-            self._last = (c, self.span(c, 0, self.lengths[c]))
-        return self._last[1]
-
-    def span(self, c: int, start: int, end: int) -> bytes:
-        """Bytes ``start`` to ``end`` of chunk ``c``, read alone unless it
-        is the chunk kept, which stays kept."""
         if self._last[0] == c:
-            return self._last[1][start:end]
+            return self._last[1]
         try:
-            data = os.pread(self._fd, end - start, self.offsets[c] + start)
+            data = os.pread(self._fd, self.lengths[c], self.offsets[c])
             st = os.fstat(self._fd)
         except OSError as exc:
             raise UnreadableFileError(f"cannot read capture {self._path}: {exc}") from exc
-        if len(data) != end - start or (st.st_size, st.st_mtime_ns) != self._stat:
+        if len(data) != self.lengths[c] or (st.st_size, st.st_mtime_ns) != self._stat:
             raise UnreadableFileError(
                 f"cannot read capture {self._path}: it has changed since it was read"
             )
+        self._last = (c, data)
         return data
 
 
@@ -197,7 +195,7 @@ class PacketColumns(Sequence):
     address texts as read or given. The bytes of the packets lie in
     ``chunks``: one chunk in memory for packets given, and the file's
     chunks, left in the file (``_FileChunks``), for a trace read with
-    bytes; rows fetch their chunk once per run of rows in it. ``spans``
+    bytes, where a run of rows in one chunk reads it once. ``spans``
     holds five columns: per packet, its chunk, the start and length of its
     frame (``_NO_FRAME`` for none) and the start and end of its captured
     payload there. ``spans`` is None when no packet holds bytes. Indexing
@@ -293,39 +291,26 @@ class PacketColumns(Sequence):
         captured payload: what ``dedup`` tells packets apart by."""
         payload = b""
         if self.spans is not None:
-            chunks = self.chunks
             chunk, _, _, start, end = (c[i] for c in self.spans)
-            if isinstance(chunks, _FileChunks):
-                payload = chunks.span(chunk, start, end)  # the chunk kept stays kept
-            else:
-                payload = chunks[chunk][start:end]
+            payload = self.chunks[chunk][start:end]
         return (*(c[i] for c in self.header[1:]), payload)
-
-    def _row_chunks(self) -> Iterator[bytes]:
-        """Each packet's chunk, in order, fetched once per run of packets in it."""
-        column = self.spans[0]
-        ends = [*compress(count(1), map(ne, islice(column, 1, None), column)), len(column)]
-        return chain.from_iterable(
-            repeat(self.chunks[column[start]], end - start)
-            for start, end in zip([0, *ends], ends)
-            if end > start
-        )
 
     def payloads(self) -> Iterator[bytes]:
         """Each packet's captured payload, in order."""
         if self.spans is None:
             return repeat(b"", len(self))
-        _, _, _, start, end = self.spans
-        return map(getitem, self._row_chunks(), map(slice, start, end))
+        chunk, _, _, start, end = self.spans
+        return map(getitem, map(self.chunks.__getitem__, chunk), map(slice, start, end))
 
     def frames(self) -> Iterator[bytes | None]:
         """Each packet's frame bytes, or None, in order."""
         if self.spans is None:
             return repeat(None, len(self))
-        _, frame, length, _, _ = self.spans
+        chunks = self.chunks
+        chunk, frame, length, _, _ = self.spans
         return (
-            None if n == _NO_FRAME else chunk[f : f + n]
-            for chunk, f, n in zip(self._row_chunks(), frame, length)
+            None if n == _NO_FRAME else chunks[c][f : f + n]
+            for c, f, n in zip(chunk, frame, length)
         )
 
     def __eq__(self, other) -> bool:
@@ -430,8 +415,8 @@ def read_trace(path: str | os.PathLike, *, keep_bytes: bool = True) -> PacketTra
     than the file holds, so a corrupt record length ends the read as a
     truncated final record. The frames and payloads stay in the file: the
     trace holds each chunk's offset and length and reads a chunk back when
-    its bytes are asked for, which raises UnreadableFileError if the file
-    has changed since (see ``_FileChunks``). With ``keep_bytes=False`` each
+    its bytes are asked for, which raises UnreadableFileError if the file's
+    size or modification time has changed since (see ``_FileChunks``). With ``keep_bytes=False`` each
     packet keeps its header fields only (``payload=b""``, ``raw=None``),
     which is all the meter reads; the trace is then ``headers_only``, and
     ``dedup`` and ``write_trace`` refuse it.
@@ -658,11 +643,9 @@ def write_trace(trace: PacketTrace, path: str | os.PathLike) -> None:
     """
     _refuse_headers_only(trace, "write")
     packets = trace.packets
-    addresses = packets.addresses
+    chunks = packets.chunks
     # Per packet, its chunk and the start and length of its frame there.
-    spans = (repeat(b""), repeat(0), repeat(_NO_FRAME))
-    if packets.spans:
-        spans = (packets._row_chunks(), *packets.spans[1:3])
+    spans = packets.spans[:3] if packets.spans else (repeat(0), repeat(0), repeat(_NO_FRAME))
     with replacing(path, "wb") as fh:
         out = bytearray(
             struct.pack("<IHHiIII", _MAGIC_US_LE, 2, 4, 0, 0, 262144, _LINKTYPE_ETHERNET)
@@ -670,11 +653,10 @@ def write_trace(trace: PacketTrace, path: str | os.PathLike) -> None:
         rows = zip(count(), packets.header[0], packets.header[8], *spans)
         for i, ts_us, wire_len, chunk, start, length in rows:
             if length == _NO_FRAME:
-                src, dst, *fields, _, payload = packets.identity(i)
-                frame = _frame(addresses[src], addresses[dst], *fields, payload)
+                frame = _synthesize_frame(packets[i])
                 length = len(frame)
             else:
-                frame = chunk[start : start + length]
+                frame = chunks[chunk][start : start + length]
             if length > wire_len:
                 wire_len = length
             if not 0 <= ts_us < 2**32 * 1_000_000:

@@ -171,8 +171,11 @@ def test_config_objects_keep_the_checked_values():
         (b"[" * 101 + b"]" * 101, "nested deeper than 100 levels"),
         # Brackets in a string (after an escaped quote) do not nest.
         (b'{"name": "\\"' + b"[" * 200 + b'", }', "Expecting property name"),
+        # 300 KB of escaped quotes in a string left open: one scan, not one
+        # per quote (which took minutes at this size).
+        (b'{"name": "' + b'\\"' * 150_000, "Unterminated string"),
     ],
-    ids=["not_json", "not_utf8", "nested_101_deep", "brackets_in_a_string"],
+    ids=["not_json", "not_utf8", "nested_101_deep", "brackets_in_a_string", "open_string"],
 )
 def test_undecodable_document_names_its_file(tmp_path, kind, blob, problem):
     loader = {

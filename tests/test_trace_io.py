@@ -602,7 +602,7 @@ class TestChangedCapture:
         frames = list(packets.frames())
         truncate(path)
         assert list(packets.frames()) == frames
-        assert packets.identity(0)[-1] == b""  # the span lies in the chunk kept
+        assert packets.identity(0)[-1] == b""  # its chunk is the one kept
 
 
 class TestDescriptors:
