@@ -13,8 +13,9 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
+from operator import add
 from typing import AbstractSet, Iterable
 
 from .errors import DatasetIOError, SchemaMismatchError, replacing
@@ -389,13 +390,13 @@ def distribution(ds: Dataset) -> DistributionSummary:
 
     per_label = {}
     for label, rows in groups.items():
-        # Summed left to right in Python: a pairwise np.sum can change the last bit.
+        # Summed left to right: np.sum, and sum() since Python 3.12, can change the last bit.
         durations = [durations_col[i] for i in rows]
         packets = [int(packets_col[i]) for i in rows]
         per_label[label] = LabelStats(
             count=len(rows),
             min_duration_ms=min(durations),
-            mean_duration_ms=sum(durations) / len(durations),
+            mean_duration_ms=reduce(add, durations, 0.0) / len(durations),
             max_duration_ms=max(durations),
             min_packets=min(packets),
             mean_packets=sum(packets) / len(packets),

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -144,9 +146,10 @@ def compute_metrics(y_true, y_pred, task: str = BINARY) -> Metrics:
         rp, rr, rf = reported.precision, reported.recall, reported.f1
     else:
         present = sorted(set(y_true))
-        rp = sum(per_class[c].precision for c in present) / len(present)
-        rr = sum(per_class[c].recall for c in present) / len(present)
-        rf = sum(per_class[c].f1 for c in present) / len(present)
+        # Summed left to right: since Python 3.12, sum() compensates float sums.
+        rp = reduce(add, (per_class[c].precision for c in present), 0.0) / len(present)
+        rr = reduce(add, (per_class[c].recall for c in present), 0.0) / len(present)
+        rf = reduce(add, (per_class[c].f1 for c in present), 0.0) / len(present)
 
     return Metrics(
         task=task,

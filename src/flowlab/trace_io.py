@@ -72,7 +72,9 @@ class RawPacket:
     original link-layer frame so traces can be rewritten losslessly.
     A packet read with ``read_trace(..., keep_bytes=False)`` holds neither:
     its ``payload`` is ``b""`` and its ``raw`` is None. A trace keeps its
-    packets as ``PacketColumns`` and builds a ``RawPacket`` when one is read.
+    packets as ``PacketColumns`` and builds a ``RawPacket`` when one is read;
+    a field value that its column cannot hold (see ``_HEADER_TYPES``) is
+    refused with ValueError when the trace is built.
     """
 
     ts_us: int
@@ -88,36 +90,35 @@ class RawPacket:
     raw: bytes | None = None
 
     def dedup_key(self) -> tuple:
-        """Identity used for duplicate suppression: five-tuple, flags,
-        lengths, and payload content when captured."""
-        return (
-            self.src_ip,
-            self.src_port,
-            self.dst_ip,
-            self.dst_port,
-            self.protocol,
-            self.tcp_flags,
-            self.payload_len,
-            self.wire_len,
-            self.payload,
-        )
+        """Identity used for duplicate suppression: the header fields but
+        the timestamp, then the captured payload, as ``PacketColumns.identity``."""
+        return _identity(self)
 
 
 # The array type of each header column, in ``RawPacket`` field order from
-# ``ts_us`` to ``wire_len``; the address columns hold indices. A column given
-# a value its type cannot hold (a RawPacket may hold any value) is a list.
+# ``ts_us`` to ``wire_len``; the address columns hold indices.
 _HEADER_TYPES = "qIIHHBBII"
 _FIELDS = tuple(RawPacket.__dataclass_fields__)
+_identity = attrgetter(*_FIELDS[1:9], "payload")
 # The frame length of a packet without frame bytes.
 _NO_FRAME = 0xFFFFFFFF
 
 
-def _column(typecode: str, values: list | tuple) -> array | list:
-    """An array of ``values``, or a list if one does not fit the type."""
+def _column(name: str, typecode: str, values: Sequence) -> array:
+    """An array of ``values``; ValueError names ``name`` and the first
+    value that the type cannot hold."""
     try:
         return array(typecode, values)
     except (OverflowError, TypeError):
-        return list(values)
+        signed = typecode == "q"
+        bits = 8 * array(typecode).itemsize - signed
+        low, high = -(1 << bits) * signed, (1 << bits) - 1
+        for value in values:
+            try:
+                array(typecode, [value])
+            except (OverflowError, TypeError):
+                raise ValueError(f"{name} {value!r} is not an integer in [{low}, {high}]") from None
+        raise
 
 
 def _runs(rows: Sequence[int]) -> list[slice]:
@@ -133,7 +134,7 @@ def _runs(rows: Sequence[int]) -> list[slice]:
     return [slice(rows[start], rows[end - 1] + 1) for start, end in bounds if end > start]
 
 
-def _take(column: array | list, runs: list[slice]) -> array | list:
+def _take(column: array, runs: list[slice]) -> array:
     """The rows of ``column`` in ``runs``, in that order, as a column of its type."""
     taken = column[:0]
     for run in runs:
@@ -190,28 +191,29 @@ class _FileChunks(Sequence):
 class PacketColumns(Sequence):
     """A trace's packets, held as typed columns, read as ``RawPacket``s.
 
-    ``header`` holds one column per header field, in ``RawPacket`` field
-    order, with ``src_ip`` and ``dst_ip`` as indices into ``addresses``, the
-    address texts as read or given. The bytes of the packets lie in
-    ``chunks``: one chunk in memory for packets given, and the file's
-    chunks, left in the file (``_FileChunks``), for a trace read with
-    bytes, where a run of rows in one chunk reads it once. ``spans``
-    holds five columns: per packet, its chunk, the start and length of its
-    frame (``_NO_FRAME`` for none) and the start and end of its captured
-    payload there. ``spans`` is None when no packet holds bytes. Indexing
-    builds a ``RawPacket``; a slice, or ``take``, gives the columns of those
-    rows, sharing the addresses and the chunks; columns are equal when their
-    packets are.
+    ``header`` holds one array per header field, in ``RawPacket`` field
+    order and of the type in ``_HEADER_TYPES``, with ``src_ip`` and
+    ``dst_ip`` as indices into ``addresses``, the address texts as read or
+    given. The bytes of the packets lie in ``chunks``: one chunk in memory
+    for packets given (empty when none holds bytes), and the file's chunks,
+    left in the file (``_FileChunks``), for a trace read with bytes, where a
+    run of rows in one chunk reads it once. ``spans`` holds five ``'I'``
+    arrays: per packet, its chunk, the start and length of its frame
+    (``_NO_FRAME`` for none) and the start and end of its captured payload
+    there. ``spans`` and ``chunks`` are None for a trace read with
+    ``keep_bytes=False`` and only then. Indexing builds a ``RawPacket``; a
+    slice, or ``take``, gives the columns of those rows, sharing the
+    addresses and the chunks; columns are equal when their packets are.
     """
 
     __slots__ = ("header", "addresses", "chunks", "spans")
 
     def __init__(
         self,
-        header: list,
+        header: list[array],
         addresses: list[str],
-        chunks: Sequence[bytes] | None = None,
-        spans: list | None = None,
+        chunks: Sequence[bytes] | None,
+        spans: list[array] | None,
     ) -> None:
         self.header = header
         self.addresses = addresses
@@ -228,17 +230,18 @@ class PacketColumns(Sequence):
     def from_fields(cls, columns: Sequence[Sequence]) -> PacketColumns:
         """The columns of packets given as one sequence per ``RawPacket``
         field, in field order. Their frames and payloads are copied into one
-        chunk; a payload that ends its frame is not copied twice."""
+        chunk; a payload that ends its frame is not copied twice. Raises
+        ValueError, naming the field, for a value its column cannot hold."""
         ts, src, dst, *fields, payloads, frames = columns
         index = dict.fromkeys(src)
         index.update(dict.fromkeys(dst))
         for i, text in enumerate(index):
             index[text] = i
         header = [
-            _column("q", ts),
+            _column("ts_us", "q", ts),
             array("I", map(index.__getitem__, src)),
             array("I", map(index.__getitem__, dst)),
-            *map(_column, _HEADER_TYPES[3:], fields),
+            *map(_column, _FIELDS[3:9], _HEADER_TYPES[3:], fields),
         ]
 
         parts, firsts, lengths, starts, pos = [], [], [], [], 0
@@ -256,10 +259,9 @@ class PacketColumns(Sequence):
             parts.append(payload)
             starts.append(pos)
             pos += len(payload)
-        if pos == 0 and frames.count(None) == len(frames):
-            return cls(header, list(index))  # no packet holds bytes
         spans = firsts, lengths, starts, list(map(add, starts, map(len, payloads)))
-        columns = [array("I", bytes(4 * len(ts))), *map(_column, "IIII", spans)]
+        names = "frame start", "frame length", "payload start", "payload end"
+        columns = [array("I", bytes(4 * len(ts))), *map(_column, names, "IIII", spans)]
         return cls(header, list(index), [b"".join(parts)], columns)
 
     def __len__(self) -> int:
@@ -289,23 +291,16 @@ class PacketColumns(Sequence):
     def identity(self, i: int) -> tuple:
         """Packet ``i``'s header fields but its timestamp, then its
         captured payload: what ``dedup`` tells packets apart by."""
-        payload = b""
-        if self.spans is not None:
-            chunk, _, _, start, end = (c[i] for c in self.spans)
-            payload = self.chunks[chunk][start:end]
-        return (*(c[i] for c in self.header[1:]), payload)
+        chunk, _, _, start, end = (c[i] for c in self.spans)
+        return (*(c[i] for c in self.header[1:]), self.chunks[chunk][start:end])
 
     def payloads(self) -> Iterator[bytes]:
         """Each packet's captured payload, in order."""
-        if self.spans is None:
-            return repeat(b"", len(self))
         chunk, _, _, start, end = self.spans
         return map(getitem, map(self.chunks.__getitem__, chunk), map(slice, start, end))
 
     def frames(self) -> Iterator[bytes | None]:
         """Each packet's frame bytes, or None, in order."""
-        if self.spans is None:
-            return repeat(None, len(self))
         chunks = self.chunks
         chunk, frame, length, _, _ = self.spans
         return (
@@ -327,19 +322,24 @@ class PacketTrace:
     """An ordered packet sequence plus provenance and skip tally.
 
     ``packets`` are ``PacketColumns``; packets given any other way (such
-    as a tuple of ``RawPacket``s) are converted to them. ``headers_only``
-    marks a trace read with ``keep_bytes=False``: its packets hold no
-    payload or frame bytes, so ``dedup`` and ``write_trace`` refuse it.
+    as a tuple of ``RawPacket``s) are converted to them, and a value that
+    no column holds raises ValueError.
     """
 
     packets: PacketColumns
     source: str
     skipped: int = 0
-    headers_only: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.packets, PacketColumns):
             object.__setattr__(self, "packets", PacketColumns.of(self.packets))
+
+    @property
+    def headers_only(self) -> bool:
+        """Whether the trace was read with ``keep_bytes=False``: its packets
+        hold no payload or frame bytes, so ``dedup`` and ``write_trace``
+        refuse it."""
+        return self.packets.spans is None
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -568,7 +568,7 @@ def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
     chunks = _FileChunks(fh.fileno(), path, st, offsets, lengths) if keep_bytes else None
     packets = PacketColumns(header, [str(ip_address(packed)) for packed in index], chunks, spans)
     skipped = records - len(packets) + (n - i + left > 0)  # and a truncated final record
-    return PacketTrace(packets, path, skipped, headers_only=not keep_bytes)
+    return PacketTrace(packets, path, skipped)
 
 
 def _synthesize_frame(pkt: RawPacket) -> bytes:
@@ -609,14 +609,6 @@ def _frame(src_ip, dst_ip, src_port, dst_port, protocol, tcp_flags, payload_len,
             ethertype = _ETHERTYPE_IPV6
     except struct.error:
         problem = f"a payload of {len(payload)} bytes does not fit one IP packet"
-        for name, value, hi in (
-            ("src_port", src_port, 0xFFFF),
-            ("dst_port", dst_port, 0xFFFF),
-            ("tcp_flags", tcp_flags, 0xFF),
-        ):
-            if not (isinstance(value, int) and 0 <= value <= hi):
-                problem = f"{name} {value!r} is outside [0, {hi}]"
-                break
         raise ValueError(f"cannot synthesize a frame: {problem}") from None
     eth = b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01" + struct.pack("!H", ethertype)
     return b"".join((eth, header, transport, payload))
@@ -637,20 +629,18 @@ def write_trace(trace: PacketTrace, path: str | os.PathLike) -> None:
     others get a synthesized Ethernet frame. The file is written in chunks
     of about 1 MiB as the packets are encoded. Raises ValueError for a
     header-only trace (see ``read_trace``), for a packet whose timestamp is
-    outside [0, 2**32) seconds or whose wire length is 2**32 or more, and
-    for a frame that cannot be synthesized; a write that fails leaves
-    ``path`` as it was.
+    outside [0, 2**32) seconds, and for a frame that cannot be synthesized;
+    a write that fails leaves ``path`` as it was.
     """
     _refuse_headers_only(trace, "write")
     packets = trace.packets
     chunks = packets.chunks
-    # Per packet, its chunk and the start and length of its frame there.
-    spans = packets.spans[:3] if packets.spans else (repeat(0), repeat(0), repeat(_NO_FRAME))
     with replacing(path, "wb") as fh:
         out = bytearray(
             struct.pack("<IHHiIII", _MAGIC_US_LE, 2, 4, 0, 0, 262144, _LINKTYPE_ETHERNET)
         )
-        rows = zip(count(), packets.header[0], packets.header[8], *spans)
+        # Per packet, its chunk and the start and length of its frame there.
+        rows = zip(count(), packets.header[0], packets.header[8], *packets.spans[:3])
         for i, ts_us, wire_len, chunk, start, length in rows:
             if length == _NO_FRAME:
                 frame = _synthesize_frame(packets[i])
@@ -661,8 +651,6 @@ def write_trace(trace: PacketTrace, path: str | os.PathLike) -> None:
                 wire_len = length
             if not 0 <= ts_us < 2**32 * 1_000_000:
                 raise ValueError(f"pcap seconds lie in [0, 2**32); ts_us {ts_us} is outside")
-            if wire_len >> 32:
-                raise ValueError(f"pcap lengths lie in [0, 2**32); wire_len {wire_len} is outside")
             out += _RECORD.pack(ts_us // 1_000_000, ts_us % 1_000_000, length, wire_len)
             out += frame
             if len(out) >= _WRITE_CHUNK:

@@ -343,6 +343,12 @@ class TestDistribution:
         assert summary.anomaly_total == 0
         assert summary.total == 1
 
+    def test_mean_duration_sums_left_to_right(self):
+        # 0.20000000000000004 on every Python; sum() since 3.12 gives 0.19999999999999998.
+        records = [_record(i, dur=dur) for i, dur in enumerate((0.1, 0.2, 0.3))]
+        ds = build_cf(records, ["BENIGN"] * 3, min_class_count=1)
+        assert distribution(ds).per_label["BENIGN"].mean_duration_ms == 0.20000000000000004
+
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(61)
         records = [

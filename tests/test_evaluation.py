@@ -123,6 +123,16 @@ class TestComputeMetrics:
         macro_f1 = (m.per_class["A"].f1 + m.per_class["B"].f1 + m.per_class["C"].f1) / 3
         assert m.reported_f1 == pytest.approx(macro_f1, abs=1e-15)
 
+    def test_macro_average_sums_left_to_right(self):
+        # Precisions 1/10, 1/5 and 3/10: summed left to right they average
+        # 0.20000000000000004 on every Python; sum() since 3.12 gives
+        # 0.19999999999999998.
+        y_true = ["A"] + ["B"] * 9 + ["B"] * 2 + ["C"] * 8 + ["C"] * 3 + ["A"] * 7
+        y_pred = ["A"] * 10 + ["B"] * 10 + ["C"] * 10
+        m = compute_metrics(y_true, y_pred, "multiclass")
+        assert [m.per_class[c].precision for c in "ABC"] == [1 / 10, 1 / 5, 3 / 10]
+        assert m.reported_precision == 0.20000000000000004
+
     def test_macro_only_over_classes_in_truth(self):
         m = compute_metrics(["A", "A"], ["A", "B"], "multiclass")
         # B appears only in predictions; macro averages over {A}

@@ -523,6 +523,15 @@ class TestHeaderOnlyRead:
         assert len(trace) > 8_000
         assert held / len(trace) <= 64, held / len(trace)
 
+    def test_slice_take_and_reorder_stay_headers_only(self, dup_pcap):
+        headers = read_trace(dup_pcap, keep_bytes=False)
+        ordered = reorder(headers)
+        assert ordered is not headers  # the dup pcap is out of order
+        for packets in (headers.packets[5:100:3], headers.packets.take([9, 2, 3]), ordered.packets):
+            assert (packets.spans, packets.chunks) == (None, None)
+            assert PacketTrace(packets, "t").headers_only
+        assert ordered.headers_only
+
     def test_cannot_be_deduped_or_written(self, tmp_path):
         headers = read_trace(_write(tmp_path, build_pcap(HANDSHAKE)), keep_bytes=False)
         for trace in (headers, reorder(headers)):
@@ -650,16 +659,10 @@ def test_write_trace_equals_reference_writer_across_flushes(tmp_path, dup_pcap):
         ({"ts_us": -1}, "ts_us -1 is outside"),
         ({"ts_us": 2**32 * 1_000_000}, "is outside"),
         ({"dst_ip": "2001:db8::2", "raw": None}, "IPv4 to IPv6"),
-        # Each field that does not fit its header is named, not taken for the timestamp.
-        ({"ts_us": 5, "src_port": 70000, "raw": None}, r"src_port 70000 is outside \[0, 65535\]"),
-        ({"dst_port": -1, "raw": None}, r"dst_port -1 is outside \[0, 65535\]"),
-        ({"protocol": 6, "tcp_flags": 256, "raw": None}, r"tcp_flags 256 is outside \[0, 255\]"),
         ({"payload_len": 65_600, "raw": None}, "a payload of 65600 bytes does not fit"),
         ({"protocol": 1, "raw": None}, "cannot synthesize frame for protocol 1"),
-        ({"wire_len": 2**32}, "wire_len 4294967296 is outside"),
     ],
-    ids=["negative_ts", "ts_past_2**32_s", "mixed_families", "src_port", "dst_port",
-         "tcp_flags", "payload_len", "protocol", "wire_len"],
+    ids=["negative_ts", "ts_past_2**32_s", "mixed_families", "payload_len", "protocol"],
 )
 def test_write_trace_failing_after_a_flush_leaves_no_file(tmp_path, dup_pcap, bad, match):
     good = read_trace(dup_pcap).packets
@@ -792,15 +795,14 @@ class TestPacketColumns:
             replace(read[0], raw=None),
             replace(read[1], payload=b"not in the frame"),
             replace(read[2], payload=b"", raw=b""),
-            _pkt(-1, b"abc", src="2001:DB8::2", dst_ip="2001:db8::1", wire_len=2**32),
-            _pkt(7, b"", sport=70_000, tcp_flags=256, protocol=1.5, raw=None),
+            _pkt(-1, b"abc", src="2001:DB8::2", dst_ip="2001:db8::1", wire_len=2**32 - 1),
         ]
         packets = PacketTrace(packets=given, source="t").packets
         assert isinstance(packets, trace_io.PacketColumns)
         assert list(packets) == given
         assert [packets[i] for i in range(-len(given), len(given))] == given * 2
         assert list(packets[2:6]) == given[2:6] and list(packets[::-3]) == given[::-3]
-        assert list(packets.take([5, 0, 1, 2, 7])) == [given[i] for i in (5, 0, 1, 2, 7)]
+        assert list(packets.take([5, 0, 1, 2, 6])) == [given[i] for i in (5, 0, 1, 2, 6)]
         assert packets[1:4] == PacketTrace(packets=given[1:4], source="t").packets
         assert packets[1:4] != packets[1:5] and packets[:0] == PacketTrace((), "t").packets
         with pytest.raises(IndexError):
@@ -812,7 +814,46 @@ class TestPacketColumns:
         assert [len(chunk) for chunk in packets.chunks] == [sum(len(p.raw) for p in read)]
         assert list(packets) == read
         headers = [replace(p, payload=b"", raw=None) for p in read]
-        assert trace_io.PacketColumns.of(headers).spans is None
+        bytesless = trace_io.PacketColumns.of(headers)
+        assert list(bytesless.chunks) == [b""] and len(bytesless.spans) == 5
+        assert list(bytesless) == headers
+
+    def test_trace_without_bytes_writes_and_dedups_as_packets(self, tmp_path, dup_pcap):
+        # Packets given without bytes are not a headers-only read: the
+        # writer synthesizes their frames and dedup compares empty payloads.
+        given = [replace(p, payload=b"", raw=None) for p in read_trace(dup_pcap).packets[:400]]
+        trace = PacketTrace(given, "t")
+        assert not trace.headers_only
+        write_trace(trace, tmp_path / "got.pcap")
+        reference_write_trace(trace, tmp_path / "want.pcap")
+        assert (tmp_path / "got.pcap").read_bytes() == (tmp_path / "want.pcap").read_bytes()
+        kept = list(dedup(trace).packets)
+        assert kept == brute_force_dedup(given, 10_000) and len(kept) < len(given)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"ts_us": 2**63}, r"ts_us 9223372036854775808 is not an integer in \[-9\d+, 9\d+\]"),
+            ({"src_port": 70_000}, r"src_port 70000 is not an integer in \[0, 65535\]"),
+            ({"dst_port": -1}, r"dst_port -1 is not an integer in \[0, 65535\]"),
+            ({"protocol": 256}, r"protocol 256 is not an integer in \[0, 255\]"),
+            ({"protocol": 1.5}, r"protocol 1.5 is not an integer in \[0, 255\]"),
+            ({"tcp_flags": 256}, r"tcp_flags 256 is not an integer in \[0, 255\]"),
+            ({"payload_len": -1}, r"payload_len -1 is not an integer in \[0, 4294967295\]"),
+            ({"wire_len": 2**32}, r"wire_len 4294967296 is not an integer in \[0, 4294967295\]"),
+        ],
+        ids=["ts_past_int64", "src_port", "dst_port", "protocol", "float_protocol", "tcp_flags",
+             "payload_len", "wire_len"],
+    )
+    def test_value_no_column_holds_is_refused_when_built(self, bad, match):
+        good = _pkt(5)
+        packets = [good, replace(good, **bad), good]
+        with pytest.raises(ValueError, match=match):
+            PacketTrace(packets, "t")
+        with pytest.raises(ValueError, match=match):
+            trace_io.PacketColumns.from_fields(
+                [[getattr(p, name) for p in packets] for name in RawPacket.__dataclass_fields__]
+            )
 
 
 class TestReorder:
