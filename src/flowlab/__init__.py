@@ -7,6 +7,7 @@ on partial ones.
 """
 
 import importlib
+import types
 
 from .errors import (
     DatasetIOError,
@@ -28,7 +29,6 @@ from .meter import (
     FlowId,
     FlowKey,
     FlowRecord,
-    FlowSnapshot,
     MeterConfig,
     SnapshotBlock,
     Trigger,
@@ -81,62 +81,13 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditReport",
-    "Dataset",
-    "DatasetIOError",
-    "DistributionSummary",
-    "EmptyDatasetError",
-    "EmptyInputError",
-    "FEATURE_NAMES",
-    "FeatureVector",
-    "FlowId",
-    "FlowKey",
-    "FlowLabError",
-    "FlowRecord",
-    "FlowSnapshot",
-    "FlowTemplate",
-    "InvalidSpecError",
-    "LabelRule",
-    "LengthMismatchError",
-    "MalformedHeaderError",
-    "Metrics",
-    "MeterConfig",
-    "PacketColumns",
-    "PacketTrace",
-    "RandomForest",
-    "RawPacket",
-    "Report",
-    "RuleSet",
-    "SchemaMismatchError",
-    "SnapshotBlock",
-    "Split",
-    "SynthSpec",
-    "TrainConfig",
-    "Trigger",
-    "UnreadableFileError",
-    "UnsortedTraceError",
-    "align",
-    "audit",
-    "build_cf",
-    "build_pf",
-    "compute_metrics",
-    "dedup",
-    "derive_rules",
-    "distribution",
-    "flow_hash",
-    "label_flow",
-    "load_model",
-    "meter",
-    "predict",
-    "read_csv",
-    "read_trace",
-    "reorder",
-    "save_model",
-    "split_keys",
-    "sweep",
-    "synth_trace",
-    "train",
-    "write_csv",
-    "write_trace",
-]
+# The names imported above and the lazy ones; the submodules that the
+# imports bind here are not public names.
+__all__ = sorted(
+    [
+        name
+        for name, value in list(globals().items())
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    + list(_LAZY)
+)

@@ -25,6 +25,7 @@ from .meter import FEATURE_NAMES, INT_FEATURES, FlowRecord, SnapshotBlock, Trigg
 CF_PROVENANCE = "CF"
 
 _INT_FIELDS = {name for name, is_int in zip(FEATURE_NAMES, INT_FEATURES) if is_int}
+_PAYLOAD = FEATURE_NAMES.index("bidirectional_payload_bytes")
 _BLOCK_ROWS = 256
 
 
@@ -161,57 +162,55 @@ def _view(values: array, dtype: str):
     return view
 
 
+def _first_rows(
+    provenance: str, block: SnapshotBlock, labels: Iterable[str | None], min_class_count: int = 0
+) -> Dataset:
+    """The dataset of ``block``'s first row of each flow hash among the rows
+    with a label (not None), less every class with fewer of them than
+    ``min_class_count``. The kept rows are copied out of the block's array.
+    Raises ValueError when ``block`` and ``labels`` differ in length."""
+    first: dict[int, tuple[int, str]] = {}  # flow hash -> (row, label), in row order
+    for i, ((fid, _), label) in enumerate(zip(block.flows, labels, strict=True)):
+        if label is not None and fid.hash64 not in first:
+            first[fid.hash64] = (i, label)
+    counts = Counter(label for _, label in first.values())
+    kept = {h: row for h, row in first.items() if counts[row[1]] >= min_class_count}
+    return Dataset(
+        provenance,
+        kept,
+        take_rows(block.values, len(FEATURE_NAMES), [i for i, _ in kept.values()]),
+        [label for _, label in kept.values()],
+    )
+
+
 def build_cf(
-    records: Iterable[FlowRecord], labels: Iterable[str], min_class_count: int = 50
+    records: SnapshotBlock | Iterable[FlowRecord], labels: Iterable[str], min_class_count: int = 50
 ) -> Dataset:
     """Apply the complete-flow filters to records, each with its label.
 
     Drops flows with zero total payload, keeps only the first record for
     any repeated flow hash, and removes every class with fewer surviving
-    flows than ``min_class_count``. Raises ValueError when ``records`` and
-    ``labels`` differ in length.
+    flows than ``min_class_count``. ``records`` is the meter's block, or
+    ``FlowRecord``s that are put in one. Raises ValueError when ``records``
+    and ``labels`` differ in length.
     """
-    survivors: list[tuple[FlowRecord, str]] = []
-    seen: set[int] = set()
-    for record, label in zip(records, labels, strict=True):
-        if record.features.bidirectional_payload_bytes == 0 or record.id.hash64 in seen:
-            continue
-        seen.add(record.id.hash64)
-        survivors.append((record, label))
-
-    counts = Counter(label for _, label in survivors)
-    kept = [(r, label) for r, label in survivors if counts[label] >= min_class_count]
-    return Dataset(
-        CF_PROVENANCE,
-        [r.id.hash64 for r, _ in kept],
-        [r.features for r, _ in kept],
-        [label for _, label in kept],
-    )
+    block = records if isinstance(records, SnapshotBlock) else SnapshotBlock(records)
+    payload = block.values[_PAYLOAD :: len(FEATURE_NAMES)]
+    labels = (label if p else None for p, label in zip(payload, labels, strict=True))
+    return _first_rows(CF_PROVENANCE, block, labels, min_class_count)
 
 
 def build_pf(snapshots: SnapshotBlock, cf: Dataset, trigger: Trigger) -> Dataset:
     """Collect one snapshot per parent flow from ``trigger``'s snapshots.
 
     Only snapshots whose parent survived the complete-flow filters are
-    kept, each parent's first; each inherits its parent's label. The kept
-    rows are copied out of the block's array.
+    kept, each parent's first; each inherits its parent's label.
     """
     if cf.provenance != CF_PROVENANCE:
         raise ValueError(f"parent dataset has provenance {cf.provenance!r}, not CF")
     parent_labels = dict(zip(cf._hashes, cf._labels))
-    rows: list[int] = []
-    hashes: dict[int, str] = {}  # kept parent hash -> label, in row order
-    for i, parent in enumerate(snapshots.parents):
-        h = parent.hash64
-        if h in parent_labels and h not in hashes:
-            hashes[h] = parent_labels[h]
-            rows.append(i)
-    return Dataset(
-        str(trigger),
-        hashes,
-        take_rows(snapshots.values, len(FEATURE_NAMES), rows),
-        hashes.values(),
-    )
+    labels = (parent_labels.get(fid.hash64) for fid, _ in snapshots.flows)
+    return _first_rows(str(trigger), snapshots, labels)
 
 
 def align(cf: Dataset, pf: Dataset) -> tuple[Dataset, Dataset]:

@@ -215,6 +215,7 @@ FEATURE_NAMES: tuple[str, ...] = FeatureVector._fields
 # __annotations__: with postponed evaluation the raw annotations are strings.
 _HINTS = get_type_hints(FeatureVector)
 INT_FEATURES: tuple[bool, ...] = tuple(_HINTS[name] is int for name in FEATURE_NAMES)
+_INT_COLUMNS = [j for j, is_int in enumerate(INT_FEATURES) if is_int]
 # One row of feature values as machine doubles: packing a row and adding
 # its bytes is several times faster than extending an array by the tuple.
 _ROW = struct.Struct(f"{len(FEATURE_NAMES)}d")
@@ -222,30 +223,27 @@ _ROW = struct.Struct(f"{len(FEATURE_NAMES)}d")
 
 @dataclass(frozen=True, slots=True)
 class FlowRecord:
-    """A complete flow exported at natural termination."""
+    """A flow's features over its packets up to ``last_us``.
+
+    A record ends with its flow (``expiration_reason`` idle, active,
+    fin_rst or end_of_trace); a snapshot is the record of the prefix a
+    trigger fired on, exported while the flow was live (reason "live").
+    """
 
     id: FlowId
     direction_anchor: tuple[tuple[str, int], tuple[str, int]]
     first_us: int
     last_us: int
     features: FeatureVector
-    expiration_reason: str  # idle | active | fin_rst | end_of_trace
+    expiration_reason: str  # live | idle | active | fin_rst | end_of_trace
 
     @property
     def protocol(self) -> int:
         return self.id.key.protocol
 
 
-class FlowSnapshot(NamedTuple):
-    """A partial-flow export: the feature state when a trigger fired.
-
-    The trigger is not stored; ``meter`` returns each trigger's snapshots
-    in their own ``SnapshotBlock``.
-    """
-
-    exported_at_us: int
-    parent_id: FlowId
-    features: FeatureVector
+# Expiration reasons by their code in ``SnapshotBlock.reasons``.
+_REASONS = ("live", "idle", "active", "fin_rst", "end_of_trace")
 
 
 def take_rows(values: array, width: int, rows: Iterable[int]) -> array:
@@ -258,68 +256,83 @@ def take_rows(values: array, width: int, rows: Iterable[int]) -> array:
 
 
 class SnapshotBlock(Sequence):
-    """One trigger's snapshots, held as rows of arrays, read as ``FlowSnapshot``s.
+    """Flow records held as rows of arrays, read as ``FlowRecord``s: the
+    meter's records, or one trigger's snapshots.
 
-    Row ``i`` is the snapshot of flow ``parents[i]`` exported at
-    ``exported_at_us[i]`` (an ``array('q')``), with its features at
-    ``values[i * 46:(i + 1) * 46]`` (one ``array('d')`` of every row, in
-    ``FEATURE_NAMES`` order). A row read back gives the integer features as
-    ``int``; like a ``Dataset``'s float64 ``X``, it keeps them exactly up to
-    2**53. ``rows`` are taken in their order; a slice is a block of those
-    rows, in that order; blocks are equal when their rows are.
+    Row ``i`` holds its flow's ``(FlowId, direction anchor)`` pair in
+    ``flows[i]`` (one pair object per flow, shared by its rows), its last
+    packet's time in ``last_us[i]`` (an ``array('q')``), its expiration
+    reason's code in ``reasons[i]`` (an ``array('B')``) and its features
+    at ``values[i * 46:(i + 1) * 46]`` (one ``array('d')`` of every row, in
+    ``FEATURE_NAMES`` order). A row read back gives its id's ``start_us`` as
+    ``first_us``, and the integer features as ``int``; like a ``Dataset``'s
+    float64 ``X``, it keeps them exactly up to 2**53. ``SnapshotBlock(records)``
+    takes ``records`` in their order, and raises ValueError for one whose
+    ``first_us`` is not its id's start. A slice is a block of those rows,
+    in that order; blocks are equal when their rows are.
     """
 
-    __slots__ = ("values", "exported_at_us", "parents")
+    __slots__ = ("values", "last_us", "flows", "reasons")
 
-    def __init__(self, rows: Iterable[FlowSnapshot] = ()) -> None:
+    def __init__(self, records: Iterable[FlowRecord] = ()) -> None:
         self.values = array("d")
-        self.exported_at_us = array("q")
-        self.parents: list[FlowId] = []
-        for exported_at_us, parent_id, features in rows:
-            self._add(exported_at_us, parent_id, features)
+        self.last_us = array("q")
+        self.flows: list[tuple[FlowId, tuple]] = []
+        self.reasons = array("B")
+        for r in records:
+            if r.first_us != r.id.start_us:
+                raise ValueError(f"first_us {r.first_us} is not its id's start {r.id.start_us}")
+            reason = _REASONS.index(r.expiration_reason)
+            self._add(r.last_us, (r.id, r.direction_anchor), r.features, reason)
 
-    def _add(self, exported_at_us: int, parent_id: FlowId, features: Iterable[float]) -> None:
+    def _add(self, last_us: int, flow: tuple, features: Iterable[float], reason: int = 0) -> None:
         self.values.frombytes(_ROW.pack(*features))
-        self.exported_at_us.append(exported_at_us)
-        self.parents.append(parent_id)
+        self.last_us.append(last_us)
+        self.flows.append(flow)
+        self.reasons.append(reason)
 
     def _take(self, rows: Sequence[int]) -> SnapshotBlock:
         """A new block of rows ``rows``, in that order."""
         block = SnapshotBlock()
         block.values = take_rows(self.values, len(FEATURE_NAMES), rows)
-        block.exported_at_us = array("q", [self.exported_at_us[i] for i in rows])
-        block.parents = [self.parents[i] for i in rows]
+        block.last_us = array("q", [self.last_us[i] for i in rows])
+        block.flows = [self.flows[i] for i in rows]
+        block.reasons = array("B", [self.reasons[i] for i in rows])
         return block
 
     def _sorted(self) -> SnapshotBlock:
-        """The block with its rows ordered by (export time, parent start,
-        parent hash): itself when they already are."""
-        times, parents = self.exported_at_us, self.parents
+        """The block with its rows ordered by (last_us, flow start, flow
+        hash): itself when they already are."""
+        times, flows = self.last_us, self.flows
         order = sorted(
-            range(len(parents)), key=lambda i: (times[i], parents[i].start_us, parents[i].hash64)
+            range(len(flows)), key=lambda i: (times[i], flows[i][0].start_us, flows[i][0].hash64)
         )
         return self if order == list(range(len(order))) else self._take(order)
 
     def __len__(self) -> int:
-        return len(self.parents)
+        return len(self.flows)
 
-    def __getitem__(self, i: int | slice) -> FlowSnapshot | SnapshotBlock:
-        i = range(len(self.parents))[i]
+    def __getitem__(self, i: int | slice) -> FlowRecord | SnapshotBlock:
+        i = range(len(self.flows))[i]
         if isinstance(i, range):
             return self._take(i)
         w = len(FEATURE_NAMES)
-        row = self.values[i * w : i * w + w]
-        features = FeatureVector._make(
-            int(v) if is_int else v for v, is_int in zip(row, INT_FEATURES)
+        row = self.values[i * w : i * w + w].tolist()
+        for j in _INT_COLUMNS:
+            row[j] = int(row[j])
+        fid, anchor = self.flows[i]
+        reason = _REASONS[self.reasons[i]]
+        return FlowRecord(
+            fid, anchor, fid.start_us, self.last_us[i], FeatureVector._make(row), reason
         )
-        return FlowSnapshot(self.exported_at_us[i], self.parents[i], features)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SnapshotBlock):
             return NotImplemented
         return (
-            self.exported_at_us == other.exported_at_us
-            and self.parents == other.parents
+            self.last_us == other.last_us
+            and self.flows == other.flows
+            and self.reasons == other.reasons
             and self.values == other.values
         )
 
@@ -501,10 +514,9 @@ class _FlowState:
     """
 
     __slots__ = (
-        "id",
+        "flow",
         "src_ip",
         "src_port",
-        "anchor",
         "bidi",
         "s2d",
         "d2s",
@@ -516,12 +528,11 @@ class _FlowState:
     def __init__(
         self, start_us: int, src_ip: int, src_port: int, anchor: tuple, key: FlowKey
     ) -> None:
-        self.id = FlowId.from_key(key, start_us)
-        # The first packet's source, as its address index and port, and its
-        # (src, dst) endpoints as text.
+        # The (FlowId, direction anchor) pair that every row of the flow
+        # holds, and the first packet's source as its address index and port.
+        self.flow = (FlowId.from_key(key, start_us), anchor)
         self.src_ip = src_ip
         self.src_port = src_port
-        self.anchor = anchor
         self.bidi = _ScopeStats()
         self.s2d = _ScopeStats()
         self.d2s = _ScopeStats()
@@ -556,18 +567,18 @@ class _FlowState:
         out = pc.get(bidi.packets)
         if out is not None:
             row = self._values()
-            out._add(ts_us, self.id, row)
+            out._add(ts_us, self.flow, row)
         duration_us = ts_us - bidi.first_ts
         while duration_us >= fd[self.fd_next][0]:
             _, hi, out = fd[self.fd_next]
             self.fd_next += 1
             if duration_us <= hi:
                 row = row or self._values()
-                out._add(ts_us, self.id, row)
+                out._add(ts_us, self.flow, row)
             # else: overshot the tolerance band; target permanently missed
         while bidi.bytes >= bc[self.bc_next][0]:
             row = row or self._values()
-            bc[self.bc_next][1]._add(ts_us, self.id, row)
+            bc[self.bc_next][1]._add(ts_us, self.flow, row)
             self.bc_next += 1
 
     def _values(self) -> tuple[float, ...]:
@@ -581,15 +592,9 @@ class _FlowState:
             *_flag_counts(self.flags),
         )
 
-    def finish(self, reason: str) -> FlowRecord:
-        return FlowRecord(
-            id=self.id,
-            direction_anchor=self.anchor,
-            first_us=self.bidi.first_ts,
-            last_us=self.bidi.last_ts,
-            features=FeatureVector._make(self._values()),
-            expiration_reason=reason,
-        )
+    def finish(self, reason: str, records: SnapshotBlock) -> None:
+        """Add the flow's record, ended for ``reason``, to ``records``."""
+        records._add(self.bidi.last_ts, self.flow, self._values(), _REASONS.index(reason))
 
 
 def _address_ranks(
@@ -606,7 +611,7 @@ def _address_ranks(
 
 def meter(
     trace: PacketTrace, config: MeterConfig | None = None
-) -> tuple[list[FlowRecord], dict[Trigger, SnapshotBlock]]:
+) -> tuple[SnapshotBlock, dict[Trigger, SnapshotBlock]]:
     """Assemble a sorted trace into complete flow records and snapshots.
 
     Per packet: an existing flow on the same key is expired first when the
@@ -615,10 +620,11 @@ def meter(
     accumulated, PC/FD/BC snapshots fire, and a FIN or RST packet expires
     the flow after being counted. Remaining flows expire at end of trace.
 
-    Records are returned ordered by (last_us, start_us, hash64). Snapshots
-    come as one ``SnapshotBlock`` per trigger of ``config.triggers()``, in
-    that order and also when the trigger never fired, each ordered by
-    (exported_at_us, parent start_us, parent hash64).
+    A record is the snapshot of its whole flow, so both come as
+    ``SnapshotBlock`` rows, each block ordered by (last_us, flow start_us,
+    flow hash64): the records in one block, and the snapshots in one block
+    per trigger of ``config.triggers()``, in that order and also when the
+    trigger never fired. A snapshot's ``last_us`` is its export time.
 
     Raises UnsortedTraceError on a timestamp regression.
     """
@@ -647,7 +653,7 @@ def meter(
     addresses = packets.addresses
     rank, canonical = _address_ranks(addresses, packets.header[1], packets.header[2])
     live: dict[tuple, _FlowState] = {}
-    records: list[FlowRecord] = []
+    records = SnapshotBlock()
     fin_rst = TCP_FIN | TCP_RST if config.fin_rst_expiration else 0
     prev_ts = -math.inf
 
@@ -668,10 +674,10 @@ def meter(
         state = live.get(key)
         if state is not None:
             if ts_us - state.bidi.last_ts > idle_us:
-                records.append(state.finish("idle"))
+                state.finish("idle", records)
                 state = None
             elif ts_us - state.bidi.first_ts >= active_us:
-                records.append(state.finish("active"))
+                state.finish("active", records)
                 state = None
         if state is None:
             anchor = ((addresses[src], sport), (addresses[dst], dport))
@@ -681,11 +687,14 @@ def meter(
         forward = src == state.src_ip and sport == state.src_port
         state.add(ts_us, wire_len, payload_len, forward, flags, pc, fd, bc)
         if flags & fin_rst:
-            records.append(state.finish("fin_rst"))
+            state.finish("fin_rst", records)
             del live[key]
 
     for state in live.values():
-        records.append(state.finish("end_of_trace"))
+        state.finish("end_of_trace", records)
 
-    records.sort(key=lambda r: (r.last_us, r.id.start_us, r.id.hash64))
-    return records, {t: block._sorted() for t, block in snapshots.items()}
+    # Each block is released as its sorted copy is made, so sorting holds
+    # at most one block twice.
+    del live, pc, fd, bc
+    records = records._sorted()
+    return records, {t: snapshots.pop(t)._sorted() for t in list(snapshots)}

@@ -677,8 +677,9 @@ def features_close(a: FeatureVector, b: FeatureVector, rel: float = 1e-9) -> boo
 
 
 def assert_meter_equal(actual, expected, rel: float = 1e-9) -> None:
-    """``actual`` is ``meter``'s (records, one list per trigger); ``expected``
-    is ``reference_meter``'s (records, one list over every trigger)."""
+    """``actual`` is ``meter``'s (records, one block per trigger); ``expected``
+    is ``reference_meter``'s (records, one list over every trigger). A
+    snapshot row must be live and carry its flow's direction anchor."""
     a_records, a_snaps = actual
     e_records, e_snaps = expected
     assert len(a_records) == len(e_records), (len(a_records), len(e_records))
@@ -692,14 +693,17 @@ def assert_meter_equal(actual, expected, rel: float = 1e-9) -> None:
     by_trigger: dict[Trigger, list[RefSnapshot]] = {}
     for esnap in e_snaps:
         by_trigger.setdefault(esnap.trigger, []).append(esnap)
+    anchors = {(r.id, r.direction_anchor) for r in e_records}
     fired = {t for t, snaps in a_snaps.items() if snaps}
     assert fired == set(by_trigger), (fired, set(by_trigger))
     for trigger, want in by_trigger.items():
         got = a_snaps[trigger]
         assert len(got) == len(want), (trigger, len(got), len(want))
         for asnap, esnap in zip(got, want):
-            assert asnap.parent_id == esnap.parent_id, trigger
-            assert asnap.exported_at_us == esnap.exported_at_us, trigger
+            assert asnap.id == esnap.parent_id, trigger
+            assert asnap.last_us == esnap.exported_at_us, trigger
+            assert asnap.expiration_reason == "live", trigger
+            assert (asnap.id, asnap.direction_anchor) in anchors, trigger
             assert features_close(asnap.features, esnap.features, rel), (trigger, asnap, esnap)
 
 

@@ -78,7 +78,7 @@ def test_criterion_2_snapshot_consistency(late_spec):
             if trigger.kind == "pc":
                 if snap.features.bidirectional_packets != trigger.value:
                     violations += 1
-                by_parent[(snap.parent_id.hash64, trigger.value)] = snap
+                by_parent[(snap.id.hash64, trigger.value)] = snap
             elif trigger.kind == "fd":
                 t = trigger.value
                 if not (

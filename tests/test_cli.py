@@ -496,7 +496,8 @@ class TestMeterCmd:
         assert _run("meter", pcap, rules, workdir / "m14") == 0
         ((records, _),) = metered
         assert len(records) == 60
-        assert list(map(id, labelled)) == list(map(id, records))
+        # Rows are read afresh each time, so the records compare by flow id.
+        assert [r.id for r in labelled] == [r.id for r in records]
 
     def test_benign_class_other_than_benign_exit_2(self, workdir, synth_inputs, capsys):
         # The CF/PF files do not record the benign class, so eval could not follow it.

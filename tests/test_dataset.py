@@ -30,7 +30,6 @@ from flowlab.meter import (
     FlowId,
     FlowKey,
     FlowRecord,
-    FlowSnapshot,
     MeterConfig,
     SnapshotBlock,
     Trigger,
@@ -154,13 +153,16 @@ class TestBuildCf:
 
 
 def _snapshot(record, packets=2):
-    return FlowSnapshot(
-        exported_at_us=record.first_us + 10,
-        parent_id=record.id,
+    return FlowRecord(
+        id=record.id,
+        direction_anchor=record.direction_anchor,
+        first_us=record.first_us,
+        last_us=record.first_us + 10,
         features=_features(
             bidirectional_packets=packets,
             bidirectional_payload_bytes=7,
         ),
+        expiration_reason="live",
     )
 
 
@@ -653,7 +655,7 @@ def test_pf_round_trips_through_csv(tmp_path, parents, in_cf, floats, ints, seed
         for _ in parents
     ]
     block = SnapshotBlock(
-        FlowSnapshot(t, ids[p], _features(**dict(zip(FEATURE_NAMES, row))))
+        FlowRecord(ids[p], (), ids[p].start_us, t, FeatureVector(*row), "live")
         for t, (p, row) in enumerate(zip(parents, rows))
     )
     pf = build_pf(block, cf, Trigger("pc", 4))
