@@ -26,6 +26,11 @@ CF_PROVENANCE = "CF"
 
 _INT_FIELDS = {name for name, is_int in zip(FEATURE_NAMES, INT_FEATURES) if is_int}
 _PAYLOAD = FEATURE_NAMES.index("bidirectional_payload_bytes")
+# The feature columns that ``audit`` reads, in the order it reads them.
+_AUDITED = [
+    FEATURE_NAMES.index(f"bidirectional_{name}")
+    for name in ("payload_bytes", "fin_count", "rst_count", "max_piat_ms")
+]
 _BLOCK_ROWS = 256
 
 
@@ -287,33 +292,35 @@ class AuditReport:
 
 
 def audit(
-    records: Iterable[FlowRecord], labels: Iterable[str], idle_timeout_s: float
+    records: SnapshotBlock | Iterable[FlowRecord], labels: Iterable[str], idle_timeout_s: float
 ) -> AuditReport:
     """Tally segmentation artifacts over raw (unfiltered) records and their labels.
 
     "Marginally below the idle timeout" means a flow's maximum packet
-    inter-arrival time falls in [0.8 * idle, idle). Raises ValueError when
-    ``records`` and ``labels`` differ in length.
+    inter-arrival time falls in [0.8 * idle, idle). ``records`` is the
+    meter's block, or ``FlowRecord``s that are put in one; the tally reads
+    its feature columns and flow keys. Raises ValueError when ``records``
+    and ``labels`` differ in length.
     """
+    block = records if isinstance(records, SnapshotBlock) else SnapshotBlock(records)
+    columns = (block.values[j :: len(FEATURE_NAMES)] for j in _AUDITED)
     zpl: dict[str, int] = {}
     payload: dict[str, int] = {}
     fin, rst = [0, 0], [0, 0]  # [attack, benign]
     near_idle = 0
-    key_counts: dict = {}
     lo_ms = 0.8 * idle_timeout_s * 1000
     hi_ms = idle_timeout_s * 1000
 
-    for record, label in zip(records, labels, strict=True):
-        fv = record.features
-        bucket = zpl if fv.bidirectional_payload_bytes == 0 else payload
+    for label, payload_bytes, fins, rsts, max_piat_ms in zip(labels, *columns, strict=True):
+        bucket = zpl if payload_bytes == 0 else payload
         bucket[label] = bucket.get(label, 0) + 1
-        if fv.bidirectional_fin_count > 2:
+        if fins > 2:
             fin[label == BENIGN] += 1
-        if fv.bidirectional_rst_count > 2:
+        if rsts > 2:
             rst[label == BENIGN] += 1
-        if lo_ms <= fv.bidirectional_max_piat_ms < hi_ms:
+        if lo_ms <= max_piat_ms < hi_ms:
             near_idle += 1
-        key_counts[record.id.key] = key_counts.get(record.id.key, 0) + 1
+    key_counts = Counter(fid.key for fid, _ in block.flows)
 
     return AuditReport(
         zpl_counts=zpl,

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from ipaddress import IPv4Address, IPv6Address, ip_address
-from itertools import compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, attrgetter, eq, getitem, le, sub
 from stat import S_ISREG
 
@@ -51,10 +51,15 @@ _LINKTYPE_ETHERNET = 1
 
 # Bytes read from a capture at a time (a longer record is read whole), and
 # bytes of encoded records buffered before each write. On a 12 MB pcap,
-# reads of 1 MiB raised the meter stage's peak RSS by 2 MB over 64 KiB; the
-# write size did not move it.
+# reads of 1 MiB raised the meter stage's peak RSS by 2 MB over 64 KiB. A
+# write buffer of 1 MiB raised ``flowlab preprocess``'s peak RSS by 0.95 MB
+# once dedup and reorder held no state per packet; one of 256 KiB leaves
+# the peak where reorder put it.
 _READ_CHUNK = 1 << 16
-_WRITE_CHUNK = 1 << 20
+_WRITE_CHUNK = 1 << 18
+# Rows per block of a timestamp column: ``dedup`` lets entries go, and
+# ``reorder`` may cut the trace, only where one block ends and the next begins.
+_BLOCK = 1 << 10
 
 
 @dataclass(slots=True)
@@ -121,17 +126,30 @@ def _column(name: str, typecode: str, values: Sequence) -> array:
         raise
 
 
-def _runs(rows: Sequence[int]) -> list[slice]:
-    """``rows`` as slices of consecutive rows, in order. The rows that
-    ``dedup`` keeps, and a ``reorder`` of a nearly sorted trace, fall in
-    few runs: on a 28,369-packet pcap with 5% duplicates and 2% swaps,
-    the two copy their columns in 7 ms by runs and in 27-50 ms row by row
-    (``flowlab preprocess`` ran 26% slower at 50 ms). A shuffled trace, in
-    runs of one row, takes about 2.4 times as long this way."""
+def _runs(rows: Sequence[int], base: int = 0) -> list[slice]:
+    """``rows``, each moved on by ``base``, as slices of consecutive rows, in
+    order. The rows that ``dedup`` keeps, and a ``reorder`` of a nearly
+    sorted trace, fall in few runs: on a 28,369-packet pcap with 5%
+    duplicates and 2% swaps, the two copy their columns in 7 ms by runs and
+    in 27-50 ms row by row (``flowlab preprocess`` ran 26% slower at 50 ms).
+    A shuffled trace, in runs of one row, takes about 2.4 times as long
+    this way."""
     steps = map(sub, islice(rows, 1, None), rows)
     breaks = list(compress(count(1), map((1).__ne__, steps)))
-    bounds = zip([0, *breaks], [*breaks, len(rows)])
-    return [slice(rows[start], rows[end - 1] + 1) for start, end in bounds if end > start]
+    bounds = zip(chain((0,), breaks), chain(breaks, (len(rows),)))
+    runs = [slice(rows[start], rows[end - 1] + 1) for start, end in bounds if end > start]
+    return [slice(run.start + base, run.stop + base) for run in runs] if base else runs
+
+
+def _bounds(ts: array) -> tuple[list[int], list[int]]:
+    """Per block of ``_BLOCK`` rows of ``ts``, the least time in it or after
+    it, and the greatest time in it or before it."""
+    least, greatest = [], []
+    for start in range(0, len(ts), _BLOCK):
+        block = ts[start : start + _BLOCK].tolist()
+        least.append(min(block))
+        greatest.append(max(block))
+    return list(accumulate(reversed(least), min))[::-1], list(accumulate(greatest, max))
 
 
 def _take(column: array, runs: list[slice]) -> array:
@@ -283,7 +301,10 @@ class PacketColumns(Sequence):
 
     def take(self, rows: Sequence[int]) -> PacketColumns:
         """The columns of rows ``rows``, in that order."""
-        runs = _runs(rows)
+        return self._take(_runs(rows))
+
+    def _take(self, runs: list[slice]) -> PacketColumns:
+        """The columns of the rows in ``runs``, slices of rows, in that order."""
         spans = None if self.spans is None else [_take(c, runs) for c in self.spans]
         header = [_take(c, runs) for c in self.header]
         return PacketColumns(header, self.addresses, self.chunks, spans)
@@ -627,7 +648,7 @@ def write_trace(trace: PacketTrace, path: str | os.PathLike) -> None:
 
     Packets carrying their original frame bytes are written back verbatim;
     others get a synthesized Ethernet frame. The file is written in chunks
-    of about 1 MiB as the packets are encoded. Raises ValueError for a
+    of about 256 KiB as the packets are encoded. Raises ValueError for a
     header-only trace (see ``read_trace``), for a packet whose timestamp is
     outside [0, 2**32) seconds, and for a frame that cannot be synthesized;
     a write that fails leaves ``path`` as it was.
@@ -675,6 +696,15 @@ def dedup(trace: PacketTrace, window_us: int = 10_000) -> PacketTrace:
     Idempotent, and works on unordered traces; a trace without duplicates
     is returned as it is.
 
+    Beyond the columns, ``dedup`` holds the rows it drops and an entry per
+    distinct packet in two generations. The older is let go whole once all
+    its times lie more than ``window_us`` before the least time still to
+    come (read off the timestamp column per block of rows), so the result
+    is exact for any input order and a trace in order holds about two
+    windows of packets. Behind a time far ahead of the rest, the older
+    generation is swept entry by entry as the entries double; a reversed
+    trace keeps every entry.
+
     Raises ValueError on a negative window and for a header-only trace
     (see ``read_trace``), whose packets could be told apart by headers only.
     """
@@ -682,47 +712,105 @@ def dedup(trace: PacketTrace, window_us: int = 10_000) -> PacketTrace:
         raise ValueError(f"dedup window must be >= 0 microseconds, got {window_us}")
     _refuse_headers_only(trace, "dedup")
     packets = trace.packets
+    times = packets.header[0]
     # Per digest, the row of its one packet so far; once a digest repeats,
     # a list of [row, timestamps...] per distinct identity, with the sorted
-    # timestamps of every packet of that identity so far.
-    seen: dict[int, int | list[list[int]]] = {}
-    kept = array("q")
-    identities = zip(*packets.header[1:], packets.payloads())
-    for row, ts, identity in zip(count(), packets.header[0], identities):
-        key = _digest(identity)
-        groups = seen.get(key)
-        if groups is None:
-            seen[key] = row
-            kept.append(row)
-            continue
-        if type(groups) is int:
-            groups = seen[key] = [[groups, packets.header[0][groups]]]
-        for group in groups:
-            if packets.identity(group[0]) == identity:
-                break
-        else:
-            groups.append([row, ts])
-            kept.append(row)
-            continue
-        i = bisect_left(group, ts, 1)
-        duplicate = (i < len(group) and group[i] - ts <= window_us) or (
-            i > 1 and ts - group[i - 1] <= window_us
-        )
-        group.insert(i, ts)
-        if not duplicate:
-            kept.append(row)
-    if len(kept) == len(packets):
+    # timestamps of every packet of that identity so far. ``young`` takes
+    # every entry made or changed; ``old`` holds no time after ``old_high``.
+    young: dict[int, int | list[list[int]]] = {}
+    old: dict[int, int | list[list[int]]] = {}
+    old_high = high = float("-inf")
+    dropped = array("q")
+    rows = zip(count(), times, zip(*packets.header[1:], packets.payloads()))
+    for least, greatest in zip(*_bounds(times)):
+        cutoff = least - window_us
+        if old_high < cutoff:
+            old, young, old_high = young, {}, high
+        elif len(young) >= max(len(old), _BLOCK):
+            # A time ahead of the rest, or a least time still to come that
+            # lies far back, keeps ``old``: sweep it entry by entry, as
+            # often as the entries double, so the cost is spread over rows.
+            young.update(old)
+            old, young, old_high = young, {}, high
+            _sweep(old, times, cutoff)
+        high = greatest
+        for row, ts, identity in islice(rows, _BLOCK):
+            key = _digest(identity)
+            groups = young.get(key)
+            if groups is None:
+                groups = old.pop(key, None)
+                if groups is None:
+                    young[key] = row
+                    continue
+                young[key] = groups
+            if type(groups) is int:
+                groups = young[key] = [[groups, times[groups]]]
+            for group in groups:
+                if packets.identity(group[0]) == identity:
+                    break
+            else:
+                groups.append([row, ts])
+                continue
+            i = bisect_left(group, ts, 1)
+            if (i < len(group) and group[i] - ts <= window_us) or (
+                i > 1 and ts - group[i - 1] <= window_us
+            ):
+                dropped.append(row)
+            group.insert(i, ts)
+    if not dropped:
         return trace
-    return replace(trace, packets=packets.take(kept))
+    bounds = zip(chain((0,), map((1).__add__, dropped)), chain(dropped, (len(packets),)))
+    runs = [slice(start, stop) for start, stop in bounds if stop > start]
+    return replace(trace, packets=packets._take(runs))
+
+
+def _sweep(seen: dict, times: array, cutoff: int) -> None:
+    """Take out of ``seen``, entries of ``dedup``, every timestamp before
+    ``cutoff`` and the entries left with none. Entries are deleted in
+    place, so a sweep that lets nothing go copies nothing."""
+    gone = []
+    for key, groups in seen.items():
+        if type(groups) is int:
+            if times[groups] < cutoff:
+                gone.append(key)
+            continue
+        for group in groups:
+            del group[1 : bisect_left(group, cutoff, 1)]
+        groups[:] = [group for group in groups if len(group) > 1]
+        if not groups:
+            gone.append(key)
+    for key in gone:
+        del seen[key]
 
 
 def reorder(trace: PacketTrace) -> PacketTrace:
     """Stable-sort packets by timestamp; equal timestamps keep input order.
-    A trace already in order is returned as it is."""
+    A trace already in order is returned as it is.
+
+    The trace is cut where a block of rows ends and no earlier time is
+    later than a time after it; only the stretches between cuts that are
+    out of order are sorted, so beyond the columns ``reorder`` holds the
+    longest of those and one slice per run of rows in order. A trace with
+    no cut, such as a reversed one, is sorted whole.
+    """
     ts = trace.packets.header[0]
     if all(map(le, ts, islice(ts, 1, None))):
         return trace
-    return replace(trace, packets=trace.packets.take(sorted(range(len(ts)), key=ts.__getitem__)))
+    least, greatest = _bounds(ts)
+    cuts = [b * _BLOCK for b, (g, l) in enumerate(zip(greatest, least[1:]), 1) if g <= l]
+    runs: list[slice] = []
+    for start, stop in zip([0, *cuts], [*cuts, len(ts)]):
+        # A stretch of more than a block is out of order, or it would be cut.
+        block = ts[start:stop] if stop - start <= _BLOCK else ()
+        if block and all(map(le, block, islice(block, 1, None))):
+            runs.append(slice(start, stop))
+        else:
+            # A list of the times makes a faster key than the array. Neither
+            # it nor the order is named, so each is let go once it is used.
+            runs += _runs(
+                sorted(range(stop - start), key=ts[start:stop].tolist().__getitem__), start
+            )
+    return replace(trace, packets=trace.packets._take(runs))
 
 
 def out_of_order_count(trace: PacketTrace) -> int:

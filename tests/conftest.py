@@ -80,6 +80,27 @@ def random_trace(rng: np.random.Generator, n: int, **kw) -> PacketTrace:
     return PacketTrace(packets=tuple(random_packets(rng, n, **kw)), source="test")
 
 
+def paced_packets(n: int) -> list[RawPacket]:
+    """``n`` distinct UDP packets, one every 100 us over 250 hosts, in which
+    2% of adjacent packets are swapped and 5% are followed by a copy of
+    themselves 1-5 ms later, inside the default dedup window: a capture
+    in order but for local disorder."""
+    rng = np.random.default_rng(n)
+    packets = [
+        RawPacket(100 * i, f"10.0.{i % 250}.1", "10.0.0.2", i % 1000 + 1, 2, PROTO_UDP, 0, 4, 46,
+                  i.to_bytes(4, "big"))
+        for i in range(n)
+    ]
+    for i in np.flatnonzero(rng.random(n - 1) < 0.02):
+        packets[i], packets[i + 1] = packets[i + 1], packets[i]
+    captured = []
+    for pkt, copied, delay in zip(packets, rng.random(n) < 0.05, rng.integers(1_000, 5_001, n)):
+        captured.append(pkt)
+        if copied:
+            captured.append(replace(pkt, ts_us=pkt.ts_us + int(delay)))
+    return captured
+
+
 @pytest.fixture(scope="session")
 def late_spec() -> SynthSpec:
     return SynthSpec.from_json(corpus_path("late_divergence"))

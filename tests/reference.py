@@ -23,8 +23,11 @@ from __future__ import annotations
 import csv
 import math
 import struct
+from array import array
+from bisect import bisect_left
+from dataclasses import replace
 from ipaddress import ip_address
-from itertools import repeat
+from itertools import count, repeat
 from typing import get_type_hints
 
 import numpy as np
@@ -404,6 +407,52 @@ def brute_force_dedup(packets: list[RawPacket], window_us: int) -> list[RawPacke
         if not dup:
             kept.append(pkt)
     return kept
+
+
+# ---------------------------------------------------------------------------
+# Whole-trace preprocessing
+
+def whole_trace_dedup(trace: PacketTrace, window_us: int = 10_000) -> PacketTrace:
+    """``dedup`` on the plan whose state grows with the trace: an entry for
+    every distinct packet, kept until the trace ends, and the row of every
+    packet kept. Its peak memory is what a plan bounded by the window must
+    not exceed on any input."""
+    packets = trace.packets
+    times = packets.header[0]
+    # Per digest, the row of its one packet so far, then [row, timestamps...]
+    # per distinct identity.
+    seen: dict = {}
+    kept = array("q")
+    identities = zip(*packets.header[1:], packets.payloads())
+    for row, ts, identity in zip(count(), times, identities):
+        key = hash(identity)
+        groups = seen.get(key)
+        if groups is None:
+            seen[key] = row
+            kept.append(row)
+            continue
+        if type(groups) is int:
+            groups = seen[key] = [[groups, times[groups]]]
+        group = next((g for g in groups if packets.identity(g[0]) == identity), None)
+        if group is None:
+            groups.append([row, ts])
+            kept.append(row)
+            continue
+        i = bisect_left(group, ts, 1)
+        if not ((i < len(group) and group[i] - ts <= window_us)
+                or (i > 1 and ts - group[i - 1] <= window_us)):
+            kept.append(row)
+        group.insert(i, ts)
+    return replace(trace, packets=packets.take(kept))
+
+
+def whole_trace_reorder(trace: PacketTrace) -> PacketTrace:
+    """``reorder`` as a stable sort of every row at once: the output, and
+    the peak memory, that a reorder bounded by the trace's disorder must not
+    exceed on any input."""
+    times = trace.packets.header[0]
+    order = sorted(range(len(times)), key=times.__getitem__)
+    return replace(trace, packets=trace.packets.take(order))
 
 
 # ---------------------------------------------------------------------------

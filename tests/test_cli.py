@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +17,15 @@ from flowlab.meter import MeterConfig, Trigger, meter
 from flowlab.synth import SynthSpec, derive_rules, synth_trace
 from flowlab.trace_io import dedup, read_trace, reorder, write_trace
 
-from conftest import corpus_path, random_trace, rewrite_in_place, truncate
-from reference import build_pcap, build_tcp_frame, reference_read_trace, reference_write_trace
+from conftest import corpus_path, paced_packets, random_trace, rewrite_in_place, truncate
+from reference import (
+    build_pcap,
+    build_tcp_frame,
+    reference_read_trace,
+    reference_write_trace,
+    whole_trace_dedup,
+    whole_trace_reorder,
+)
 
 
 SMALL_SPEC = {
@@ -113,6 +122,37 @@ class TestPreprocess:
         want = tmp_path / "want.pcap"
         reference_write_trace(reorder(dedup(reference_read_trace(dup_pcap))), want)
         assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_capture_without_a_cut_costs_no_more_than_a_whole_trace_sort(
+        self, tmp_path, capsys, monkeypatch, order
+    ):
+        # No block boundary of these captures can be cut, so reorder sorts
+        # the whole trace, and dedup lets go of no entry until near the end.
+        # Either plan runs through the command, which adds the same to each.
+        packets = paced_packets(5_000)
+        if order == "reversed":
+            packets.reverse()
+        else:
+            packets = [packets[i] for i in np.random.default_rng(6).permutation(len(packets))]
+        src = tmp_path / "in.pcap"
+        write_trace(trace_io.PacketTrace(packets, "t"), src)
+        peaks = []
+        for plan in ("bounded", "whole"):
+            if plan == "whole":
+                monkeypatch.setattr(trace_io, "dedup", whole_trace_dedup)
+                monkeypatch.setattr(trace_io, "reorder", whole_trace_reorder)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert _run("preprocess", src, tmp_path / f"{plan}.pcap") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "bounded.pcap").read_bytes() == (tmp_path / "whole.pcap").read_bytes()
+        # one of each packet and its copy is dropped
+        assert capsys.readouterr().out.count(f"dropped: {len(packets) - 5_000}\n") == 2
+        assert peaks[0] <= peaks[1], peaks
 
     def test_negative_dedup_window_exit_2(self, tmp_path, capsys):
         src = tmp_path / "in.pcap"

@@ -25,7 +25,7 @@ from flowlab.trace_io import (
     write_trace,
 )
 
-from conftest import random_trace, rewrite_in_place, truncate
+from conftest import paced_packets, random_trace, rewrite_in_place, truncate
 from reference import (
     brute_force_dedup,
     build_pcap,
@@ -705,17 +705,27 @@ def _trace(*packets):
     return PacketTrace(packets=tuple(packets), source="test")
 
 
+# Rows per block at which dedup and reorder are checked: sizes that put a
+# block boundary at every row and at odd offsets in small traces, and the
+# size they run at.
+_BLOCKS = (1, 2, 3, 7, trace_io._BLOCK)
+
+
 class TestDedup:
     def test_identical_within_window_dropped(self):
         out = dedup(_trace(_pkt(0), _pkt(5000)))
         assert len(out) == 1
         assert out.packets[0].ts_us == 0
 
-    def test_identical_at_window_boundary_dropped(self):
-        assert len(dedup(_trace(_pkt(0), _pkt(10_000)))) == 1
+    def test_identical_at_window_boundary_dropped(self, monkeypatch):
+        for block in _BLOCKS:
+            monkeypatch.setattr(trace_io, "_BLOCK", block)
+            assert len(dedup(_trace(_pkt(0), _pkt(10_000)))) == 1, block
 
-    def test_identical_just_outside_window_kept(self):
-        assert len(dedup(_trace(_pkt(0), _pkt(10_001)))) == 2
+    def test_identical_just_outside_window_kept(self, monkeypatch):
+        for block in _BLOCKS:
+            monkeypatch.setattr(trace_io, "_BLOCK", block)
+            assert len(dedup(_trace(_pkt(0), _pkt(10_001)))) == 2, block
 
     def test_different_payload_kept(self):
         assert len(dedup(_trace(_pkt(0, b"x"), _pkt(100, b"y")))) == 2
@@ -734,13 +744,23 @@ class TestDedup:
         want = brute_force_dedup(merged, 10_000)
         assert list(got.packets) == want
 
-    def test_dedup_on_unordered_trace_matches_brute_force(self):
+    def test_dedup_on_unordered_trace_matches_brute_force(self, monkeypatch):
         rng = np.random.default_rng(13)
-        pkts = list(
+        fuzz = list(
             random_trace(rng, 150, n_endpoints=2, t_span_us=50_000, sorted_ts=False).packets
         )
-        got = dedup(_trace(*pkts), 10_000)
-        assert list(got.packets) == brute_force_dedup(pkts, 10_000)
+        # A copy exactly a window after the first, alone and behind a copy
+        # far ahead, and times ahead of the rows that follow them, at the
+        # turn of a block.
+        edge = [_pkt(0), _pkt(10_000, b"y"), _pkt(10_000)]
+        behind = [_pkt(0), _pkt(50_000), _pkt(10_000, b"y"), _pkt(10_000)]
+        ahead = [_pkt(ts, payload) for ts, payload in
+                 ((15_000, b"y"), (31_000, b"x"), (26_000, b"y"), (28_000, b"y"), (37_000, b"x"))]
+        for pkts in (fuzz, edge, behind, ahead):
+            want = brute_force_dedup(pkts, 10_000)
+            for block in _BLOCKS:
+                monkeypatch.setattr(trace_io, "_BLOCK", block)
+                assert list(dedup(_trace(*pkts), 10_000).packets) == want, block
 
     @given(
         st.lists(
@@ -752,18 +772,22 @@ class TestDedup:
     @settings(max_examples=200, deadline=None)
     def test_idempotent_and_first_occurrence_preserved(self, items, window):
         trace = _trace(*[_pkt(ts, payload) for ts, payload in items])
-        once = dedup(trace, window)
-        twice = dedup(once, window)
-        assert list(once.packets) == list(twice.packets)
-        # the first occurrence of every packet value always survives, and is
-        # the first of its value kept (packets are built when read, so they
-        # are told apart by value, not by identity)
-        firsts, leads = {}, {}
+        firsts = {}
         for p in trace.packets:
             firsts.setdefault(p.dedup_key(), p)
-        for p in once.packets:
-            leads.setdefault(p.dedup_key(), p)
-        assert leads == firsts
+        for block in _BLOCKS:
+            with mock.patch.object(trace_io, "_BLOCK", block):
+                once = dedup(trace, window)
+                twice = dedup(once, window)
+            assert list(once.packets) == list(twice.packets)
+            assert list(once.packets) == brute_force_dedup(list(trace.packets), window)
+            # the first occurrence of every packet value always survives, and
+            # is the first of its value kept (packets are built when read, so
+            # they are told apart by value, not by identity)
+            leads = {}
+            for p in once.packets:
+                leads.setdefault(p.dedup_key(), p)
+            assert leads == firsts
 
 
     def test_digest_collisions_told_apart_by_fields_and_bytes(self, monkeypatch):
@@ -783,8 +807,11 @@ class TestDedup:
                     rng, n, n_endpoints=2, t_span_us=30_000, sorted_ts=bool(rng.random() < 0.5)
                 ).packets
             )
-            got = dedup(PacketTrace(packets=tuple(pkts), source="fuzz"), window)
-            assert list(got.packets) == brute_force_dedup(pkts, window)
+            trace = PacketTrace(packets=tuple(pkts), source="fuzz")
+            want = brute_force_dedup(pkts, window)
+            for block in _BLOCKS:
+                monkeypatch.setattr(trace_io, "_BLOCK", block)
+                assert list(dedup(trace, window).packets) == want, block
 
 
 class TestPacketColumns:
@@ -865,24 +892,85 @@ class TestReorder:
         trace = _trace(_pkt(30), _pkt(10), _pkt(20))
         assert [p.ts_us for p in reorder(trace).packets] == [10, 20, 30]
 
-    def test_matches_reference_stable_sort(self):
+    def test_matches_reference_stable_sort(self, monkeypatch):
         rng = np.random.default_rng(3)
-        # coarse timestamps force plenty of ties
+        # coarse timestamps force plenty of ties; the second trace is nearly
+        # in order, so that blocks of a few rows are cut between stretches
         pkts = [
             _pkt(int(rng.integers(0, 50)), bytes([i % 256]), sport=i % 7 + 1)
             for i in range(1000)
         ]
-        got = reorder(_trace(*pkts))
-        decorated = sorted(enumerate(pkts), key=lambda pair: (pair[1].ts_us, pair[0]))
-        want = [p for _, p in decorated]
-        assert list(got.packets) == want
+        nearly = [replace(p, ts_us=i // 4 + int(rng.integers(0, 3))) for i, p in enumerate(pkts)]
+        for trace in (pkts, nearly):
+            decorated = sorted(enumerate(trace), key=lambda pair: (pair[1].ts_us, pair[0]))
+            want = [p for _, p in decorated]
+            for block in _BLOCKS:
+                monkeypatch.setattr(trace_io, "_BLOCK", block)
+                assert list(reorder(_trace(*trace)).packets) == want, block
 
-    def test_idempotent_and_permutation(self):
+    def test_idempotent_and_permutation(self, monkeypatch):
         rng = np.random.default_rng(4)
         trace = random_trace(rng, 300, sorted_ts=False)
-        once = reorder(trace)
-        assert list(reorder(once).packets) == list(once.packets)
-        assert sorted(p.ts_us for p in trace.packets) == [
-            p.ts_us for p in once.packets
-        ]
-        assert sorted(map(repr, trace.packets)) == sorted(map(repr, once.packets))
+        for block in _BLOCKS:
+            monkeypatch.setattr(trace_io, "_BLOCK", block)
+            once = reorder(trace)
+            assert list(reorder(once).packets) == list(once.packets)
+            assert sorted(p.ts_us for p in trace.packets) == [
+                p.ts_us for p in once.packets
+            ]
+            assert sorted(map(repr, trace.packets)) == sorted(map(repr, once.packets))
+
+
+def test_preprocess_state_does_not_grow_with_the_trace(tmp_path):
+    # dedup holds the packets of about two windows and reorder the trace's
+    # disorder, so beyond the columns of the trace read and the trace
+    # cleaned, the traced peak of a capture 4 times as long, at the same
+    # packet rate, grows only by a slice per run of rows kept in order (one
+    # per copy dropped and per swap) and by the columns' room to grow: about
+    # 10 bytes a packet, against 115 when dedup kept every packet and
+    # reorder sorted every row.
+    def held(n: int) -> tuple[int, int]:
+        path = tmp_path / f"{n}.pcap"
+        write_trace(PacketTrace(paced_packets(n), "t"), path)
+        read = len(read_trace(path))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            clean = reorder(dedup(read_trace(path)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(clean) < read and list(clean.packets) == sorted(
+            clean.packets, key=lambda p: p.ts_us
+        )
+        row = sum(c.itemsize for c in (*clean.packets.header, *clean.packets.spans))
+        return peak - row * (read + len(clean)), read
+
+    (small, rows), (large, more_rows) = held(5_000), held(20_000)
+    per_row = (large - small) / (more_rows - rows)
+    assert per_row < 16, per_row
+
+
+def test_dedup_state_does_not_grow_behind_a_time_far_ahead():
+    # A packet stamped far ahead of the rest keeps the older generation of
+    # dedup's entries; dedup then sweeps them one by one, so what it holds
+    # beyond the columns grows by about 14 bytes a packet, against 109 if
+    # the older generation were never swept.
+    def held(n: int) -> tuple[int, int]:
+        packets = paced_packets(n)
+        packets.insert(0, replace(packets[0], ts_us=10**12, payload=b"late"))
+        trace = PacketTrace(packets, "t")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            clean = dedup(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(clean) == n + 1
+        row = sum(c.itemsize for c in (*clean.packets.header, *clean.packets.spans))
+        return peak - row * len(clean), len(trace)
+
+    (small, rows), (large, more_rows) = held(5_000), held(20_000)
+    per_row = (large - small) / (more_rows - rows)
+    assert per_row < 24, per_row
