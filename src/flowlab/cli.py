@@ -123,7 +123,7 @@ def cmd_meter(args) -> int:
     rules = RuleSet.from_json(args.rules)
     trace = trace_io.reorder(trace_io.read_trace(args.input, keep_bytes=False))
     records, snapshots = run_meter(trace, echo.meter)
-    labels = [ds_mod.label_flow(r, rules) for r in records]
+    labels = [ds_mod.label_flow(row, rules) for row in zip(records.flows, records.last_us)]
 
     os.makedirs(args.out_dir, exist_ok=True)
     cf = ds_mod.build_cf(records, labels, min_class_count=echo.min_class_count)

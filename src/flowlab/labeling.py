@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from ipaddress import ip_network
 
 from .errors import ANY, BOOL, INT, PAIR, STR, Field, JsonDocument, check, checked, keep
-from .meter import FlowRecord
+from .meter import FlowId, FlowRecord
 from .trace_io import parse_ip
 
 # The label of a flow that no rule matches, and the one class binary metrics call benign.
@@ -121,15 +121,17 @@ class LabelRule:
             and self.dst_ports.matches(dst[1])
         )
 
-    def matches(self, record: FlowRecord) -> bool:
-        if self.protocol is not None and record.protocol != self.protocol:
+    def matches(self, protocol: int, anchor: tuple, first_us: int, last_us: int) -> bool:
+        """Whether a flow of ``protocol``, with direction anchor ``anchor``,
+        seen from ``first_us`` to ``last_us``, matches."""
+        if self.protocol is not None and protocol != self.protocol:
             return False
         if self.window_us is not None:
             # Overlap, not containment: the flow's lifetime touches the window.
             a, b = self.window_us
-            if record.last_us < a or record.first_us > b:
+            if last_us < a or first_us > b:
                 return False
-        src, dst = record.direction_anchor
+        src, dst = anchor
         if self._endpoints_match(src, dst):
             return True
         return self.bidirectional and self._endpoints_match(dst, src)
@@ -166,9 +168,20 @@ class RuleSet(JsonDocument):
         return cls(tuple(map(LabelRule.from_dict, values.get("rules", ()))))
 
 
-def label_flow(record: FlowRecord, rules: RuleSet) -> str:
-    """Label of the first matching rule, or ``BENIGN``."""
+def label_flow(record: FlowRecord | tuple[tuple[FlowId, tuple], int], rules: RuleSet) -> str:
+    """Label of the first matching rule, or ``BENIGN``. ``record`` is a
+    ``FlowRecord``, or a ``SnapshotBlock`` row given as its
+    ``(flows[i], last_us[i])``, which labels the row without building its
+    record; the row's flow starts at its id's ``start_us``."""
+    if isinstance(record, FlowRecord):
+        fid, anchor, first_us, last_us = (
+            record.id, record.direction_anchor, record.first_us, record.last_us
+        )
+    else:
+        (fid, anchor), last_us = record
+        first_us = fid.start_us
+    protocol = fid.key.protocol
     for rule in rules.rules:
-        if rule.matches(record):
+        if rule.matches(protocol, anchor, first_us, last_us):
             return rule.label
     return BENIGN

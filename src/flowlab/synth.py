@@ -10,9 +10,12 @@ only from packet k onward.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from io import BytesIO
 from ipaddress import ip_network
-from operator import itemgetter
+from itertools import accumulate
+from operator import sub
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .trace_io import (
     TCP_FIN,
     TCP_PSH,
     TCP_SYN,
+    _HEADER_TYPES,
     _frame,
     parse_ip,
 )
@@ -174,8 +178,13 @@ def synth_trace(
     """
     _validate(spec)
     rng = np.random.Generator(np.random.PCG64(seed))
-    # Per packet, its fields in RawPacket field order.
-    rows: list[tuple] = []
+    # Per packet in draw order, its header fields as columns (its addresses
+    # as indices into ``index``) and its frame, which its payload ends; the
+    # frames lie end to end in ``frames``.
+    header = [array(t) for t in _HEADER_TYPES]
+    frames = BytesIO()
+    index: dict[str, int] = {}
+    rows: list[tuple] = []  # the flow's packets' header fields, until the flow ends
     truth: list[tuple[FlowId, str]] = []
     client_port = 10_000
 
@@ -228,10 +237,13 @@ def synth_trace(
                 src_ip, dst_ip = (client_ip, server_ip) if forward else (server_ip, client_ip)
                 ports = (client_port, server_port) if forward else (server_port, client_port)
                 frame = _frame(src_ip, dst_ip, *ports, template.protocol, flags, size, payload)
-                rows.append(
-                    (ts, src_ip, dst_ip, *ports, template.protocol, flags, size, len(frame),
-                     payload, frame)
-                )
+                src = index.setdefault(src_ip, len(index))
+                dst = index.setdefault(dst_ip, len(index))
+                rows.append((ts, src, dst, *ports, template.protocol, flags, size, len(frame)))
+                frames.write(frame)
+            for column, values in zip(header, zip(*rows)):
+                column.extend(values)
+            rows.clear()
 
             key = FlowKey.from_endpoints(
                 client_ip, client_port, server_ip, server_port, template.protocol
@@ -239,8 +251,18 @@ def synth_trace(
             truth.append((FlowId.from_key(key, start_us), template.label))
             client_port += 1
 
-    rows.sort(key=itemgetter(0))
-    return PacketTrace(PacketColumns.from_fields(list(zip(*rows))), f"synthetic:{seed}"), truth
+    chunk = frames.getvalue()  # the buffer itself, trimmed to its size
+    ends = array("I", accumulate(header[8]))  # a frame's length is its wire_len
+    # Sorted once by time. That order interleaves every flow, so each column
+    # is gathered row by row: ``take`` would copy runs of one row.
+    order = sorted(range(len(ends)), key=header[0].tolist().__getitem__)
+    *header, ends = (array(c.typecode, map(c.__getitem__, order)) for c in (*header, ends))
+    sizes, lengths = header[7], header[8]
+    frame_starts, payload_starts = (array("I", map(sub, ends, n)) for n in (lengths, sizes))
+    spans = [array("I", bytes(4 * len(ends))), frame_starts, array("I", lengths),
+             payload_starts, ends]
+    packets = PacketColumns(header, list(index), [chunk], spans)
+    return PacketTrace(packets, f"synthetic:{seed}"), truth
 
 
 def derive_rules(spec: SynthSpec) -> RuleSet:

@@ -389,6 +389,11 @@ _IPV6_FRAG = struct.Struct("!BxH")
 _TCP = struct.Struct("!HH8xBB")
 # UDP: ports, length.
 _UDP = struct.Struct("!HHH")
+# The common frame from its ethertype on, read at once: ethertype; IPv4
+# version/IHL, total length, fragment field, protocol, source, destination;
+# ports, then UDP's length or the top of TCP's sequence number; TCP's data
+# offset and flags. It spans bytes 12-47 of the frame.
+_COMMON = struct.Struct("!HBxHxxHxB2x4s4sHHH6xBB")
 
 
 def _parse_ipv6(buf: bytes, offset: int, end: int) -> tuple[bytes, bytes, int, int, int] | None:
@@ -434,10 +439,17 @@ def read_trace(path: str | os.PathLike, *, keep_bytes: bool = True) -> PacketTra
 
     The file is read in chunks of 64 KiB, and no read asks for more bytes
     than the file holds, so a corrupt record length ends the read as a
-    truncated final record. The frames and payloads stay in the file: the
-    trace holds each chunk's offset and length and reads a chunk back when
-    its bytes are asked for, which raises UnreadableFileError if the file's
-    size or modification time has changed since (see ``_FileChunks``). With ``keep_bytes=False`` each
+    truncated final record. Each frame is decoded in place in its chunk.
+    One ``struct`` read of bytes 12-47 decodes the common frame: IPv4
+    (ethertype 0x0800, first byte 0x45, fragment offset 0) carrying TCP
+    with its whole header captured (54 bytes) and a data offset of at least
+    5 words, or UDP in at least 48 bytes. Every other frame (VLAN tags,
+    IPv6, IPv4 options, fragments, short frames, other protocols) takes the
+    layered parse, one read per header. The frames and payloads stay in
+    the file: the trace holds each chunk's offset and length and reads a
+    chunk back when its bytes are asked for, which raises
+    UnreadableFileError if the file's size or modification time has
+    changed since (see ``_FileChunks``). With ``keep_bytes=False`` each
     packet keeps its header fields only (``payload=b""``, ``raw=None``),
     which is all the meter reads; the trace is then ``headers_only``, and
     ``dedup`` and ``write_trace`` refuse it.
@@ -489,6 +501,7 @@ def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
     spans = [array("I") for _ in range(5)] if keep_bytes else None
     offsets, lengths = array("q"), array("I")  # of each chunk in the file
     index: dict[bytes, int] = {}  # packed address -> its index in the address table
+    get, common = index.get, _COMMON.unpack_from
     # Per packet of the chunk: its header fields, then its frame's start and
     # length and its payload's start and end in the chunk.
     rows: list[tuple] = []
@@ -535,56 +548,84 @@ def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
         if not ethernet or incl_len < 14:
             continue
 
-        # One parse per frame, read in place: link, network, transport.
-        ethertype = _ETHERTYPE.unpack_from(buf, base + 12)[0]
-        offset = base + 14
-        while ethertype in _ETHERTYPE_VLAN:
-            if end - offset < 4:
-                break
-            ethertype = _ETHERTYPE.unpack_from(buf, offset + 2)[0]
-            offset += 4
-        if ethertype == _ETHERTYPE_IPV4:
-            if end - offset < 20:
+        # The common frame, Ethernet and IPv4 without options or a fragment
+        # offset carrying a whole TCP header or a UDP one, is decoded by one
+        # read; every other frame takes the layered parse below.
+        one_call = False
+        if incl_len >= 48:
+            (ethertype, ver_ihl, ip_len, frag, protocol, src, dst, src_port, dst_port, udp_len,
+             data_offset, flags) = common(buf, base + 12)
+            if ethertype == _ETHERTYPE_IPV4 and ver_ihl == 0x45 and not frag & 0x1FFF:
+                if protocol == PROTO_TCP and data_offset >= 0x50 and incl_len >= 54:
+                    one_call = True
+                    data_offset = (data_offset >> 4) * 4
+                    payload_len = ip_len - 20 - data_offset
+                    payload_len = payload_len if payload_len > 0 else 0
+                    start = base + 34 + data_offset
+                elif protocol == PROTO_UDP:
+                    one_call = True
+                    flags = 0
+                    ip_len -= 20
+                    payload_len = (udp_len if udp_len < ip_len else ip_len) - 8
+                    payload_len = payload_len if payload_len > 0 else 0
+                    start = base + 42
+        if not one_call:
+            # One parse per frame, read in place: link, network, transport.
+            ethertype = _ETHERTYPE.unpack_from(buf, base + 12)[0]
+            offset = base + 14
+            while ethertype in _ETHERTYPE_VLAN:
+                if end - offset < 4:
+                    break
+                ethertype = _ETHERTYPE.unpack_from(buf, offset + 2)[0]
+                offset += 4
+            if ethertype == _ETHERTYPE_IPV4:
+                if end - offset < 20:
+                    continue
+                ver_ihl, total_len, frag, protocol, src, dst = _IPV4.unpack_from(buf, offset)
+                ihl = (ver_ihl & 0x0F) * 4
+                # Not version 4, a bad header length, or a non-first fragment
+                # (which holds no transport header).
+                if ver_ihl >> 4 != 4 or ihl < 20 or end - offset < ihl or frag & 0x1FFF:
+                    continue
+                ip_payload_len = max(total_len - ihl, 0)
+                start = offset + ihl
+            elif ethertype == _ETHERTYPE_IPV6:
+                parsed = _parse_ipv6(buf, offset, end)
+                if parsed is None:
+                    continue
+                src, dst, protocol, ip_payload_len, start = parsed
+            else:  # not IP, or a VLAN tag cut off
                 continue
-            ver_ihl, total_len, frag, protocol, src, dst = _IPV4.unpack_from(buf, offset)
-            ihl = (ver_ihl & 0x0F) * 4
-            # Not version 4, a bad header length, or a non-first fragment
-            # (which holds no transport header).
-            if ver_ihl >> 4 != 4 or ihl < 20 or end - offset < ihl or frag & 0x1FFF:
-                continue
-            ip_payload_len = max(total_len - ihl, 0)
-            start = offset + ihl
-        elif ethertype == _ETHERTYPE_IPV6:
-            parsed = _parse_ipv6(buf, offset, end)
-            if parsed is None:
-                continue
-            src, dst, protocol, ip_payload_len, start = parsed
-        else:  # not IP, or a VLAN tag cut off
-            continue
 
-        if protocol == PROTO_TCP:
-            if end - start < 20:
+            if protocol == PROTO_TCP:
+                if end - start < 20:
+                    continue
+                src_port, dst_port, data_offset, flags = _TCP.unpack_from(buf, start)
+                data_offset = (data_offset >> 4) * 4
+                if data_offset < 20:
+                    continue
+                payload_len = max(ip_payload_len - data_offset, 0)
+                start += data_offset
+            elif protocol == PROTO_UDP:
+                if end - start < 8:
+                    continue
+                src_port, dst_port, udp_len = _UDP.unpack_from(buf, start)
+                flags = 0
+                payload_len = max(min(udp_len, ip_payload_len) - 8, 0)
+                start += 8
+            else:
                 continue
-            src_port, dst_port, data_offset, flags = _TCP.unpack_from(buf, start)
-            data_offset = (data_offset >> 4) * 4
-            if data_offset < 20:
-                continue
-            payload_len = max(ip_payload_len - data_offset, 0)
-            start += data_offset
-        elif protocol == PROTO_UDP:
-            if end - start < 8:
-                continue
-            src_port, dst_port, udp_len = _UDP.unpack_from(buf, start)
-            flags = 0
-            payload_len = max(min(udp_len, ip_payload_len) - 8, 0)
-            start += 8
-        else:
-            continue
 
         ts_us = ts_sec * 1_000_000 + (ts_frac // 1000 if ns else ts_frac)
-        src, dst = index.setdefault(src, len(index)), index.setdefault(dst, len(index))
-        rows.append((ts_us, src, dst, src_port, dst_port, protocol, flags, payload_len, wire_len,
-                     base, incl_len, start, min(start + payload_len, end)))
+        src_index = get(src)
+        if src_index is None:
+            src_index = index[src] = len(index)
+        dst_index = get(dst)
+        if dst_index is None:
+            dst_index = index[dst] = len(index)
+        stop = start + payload_len
+        rows.append((ts_us, src_index, dst_index, src_port, dst_port, protocol, flags, payload_len,
+                     wire_len, base, incl_len, start, stop if stop < end else end))
 
     chunks = _FileChunks(fh.fileno(), path, st, offsets, lengths) if keep_bytes else None
     packets = PacketColumns(header, [str(ip_address(packed)) for packed in index], chunks, spans)

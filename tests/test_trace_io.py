@@ -478,6 +478,42 @@ def test_short_or_malformed_headers_skipped_as_the_reference_skips_them(tmp_path
     assert _decode(read_trace, path) == _decode(reference_read_trace, path)
 
 
+def _decode_path_frames() -> list[bytes]:
+    """Frames on both sides of the one-call decode's conditions: IHL 5 and
+    6, TCP data offsets 4-6, UDP lengths below and above the IP payload, a
+    non-first fragment, and options claimed by a first byte of 0x46."""
+    payload = b"0123456789abcdef"
+    frames = []
+    for ihl in (5, 6):
+        for doff in (4, 5, 6):
+            tcp = _tcp(1234 + doff, 80, 0x18, payload, doff)
+            frames.append(_frame(0x0800, _ipv4(6, tcp, bytes([10, ihl, doff, 1]), ihl_words=ihl)))
+        for length in (8 + len(payload) - 5, 8 + len(payload) + 5):
+            udp = _udp(5353, 53, payload, length)
+            ip = _ipv4(17, udp, bytes([10, ihl, 9, length]), ihl_words=ihl)
+            frames.append(_frame(0x0800, ip))
+    fragment = _ipv4(6, _tcp(1234, 80, 0x10, payload), frag=0x2000 | 185)
+    options = bytearray(_ipv4(6, _tcp(1234, 80, 0x10, payload), bytes([10, 7, 7, 7])))
+    options[0] = 0x46
+    return [*frames, _frame(0x0800, fragment), _frame(0x0800, bytes(options))]
+
+
+def test_decode_paths_match_reference_at_every_cut(tmp_path):
+    # Each frame cut at every length: a TCP frame takes the one-call decode
+    # only once its whole TCP header is captured, 54 bytes, not at 48.
+    cuts = [frame[:n] for frame in _decode_path_frames() for n in range(len(frame) + 1)]
+    path = _write(tmp_path, build_pcap(list(enumerate(cuts))))
+    want = reference_read_trace(path)
+    assert len(want) > 100
+    full, headers = read_trace(path), read_trace(path, keep_bytes=False)
+    assert (full.packets, full.skipped) == (want.packets, want.skipped)
+    assert list(headers.packets) == [replace(p, payload=b"", raw=None) for p in want.packets]
+    assert headers.skipped == want.skipped
+    # Addresses are numbered as they first appear, source before destination.
+    first_seen = list(dict.fromkeys(ip for p in want.packets for ip in (p.src_ip, p.dst_ip)))
+    assert full.packets.addresses == headers.packets.addresses == first_seen
+
+
 def test_not_a_regular_file_is_unreadable():
     with pytest.raises(UnreadableFileError, match="not a regular file"):
         read_trace(os.devnull)
