@@ -72,11 +72,24 @@ def _network(where: str, text: str):
         raise ValueError(f"{where} holds {text!r}, which is not an IP address or CIDR") from None
 
 
-def _ip_matches(networks: tuple, ip: str) -> bool:
-    if not networks:
+def _key(addr) -> int:
+    """An address as one integer: an IPv4 address's own, an IPv6 address's
+    above every IPv4 one, so each network spans one range of keys."""
+    return int(addr) + (1 << 32 if addr.version == 6 else 0)
+
+
+def _spans(networks: tuple) -> tuple[tuple[int, int], ...]:
+    return tuple((_key(n.network_address), _key(n.broadcast_address)) for n in networks)
+
+
+def _ip_matches(spans: tuple, ip: str) -> bool:
+    if not spans:
         return True
-    addr = parse_ip(ip)[0]
-    return any(addr.version == net.version and addr in net for net in networks)
+    key = _key(parse_ip(ip)[0])
+    for lo, hi in spans:
+        if lo <= key <= hi:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -112,11 +125,12 @@ class LabelRule:
             if not isinstance(values[name], PortSet):
                 values[name] = PortSet.parse(values[name], f"rule.{name}")
         keep(self, values)
+        keep(self, {"_src_spans": _spans(self.src_ips), "_dst_spans": _spans(self.dst_ips)})
 
     def _endpoints_match(self, src: tuple[str, int], dst: tuple[str, int]) -> bool:
         return (
-            _ip_matches(self.src_ips, src[0])
-            and _ip_matches(self.dst_ips, dst[0])
+            _ip_matches(self._src_spans, src[0])
+            and _ip_matches(self._dst_spans, dst[0])
             and self.src_ports.matches(src[1])
             and self.dst_ports.matches(dst[1])
         )

@@ -38,6 +38,7 @@ from .trace_io import (
 
 _MAX_FLOWS = 55_000  # one unique client port per flow
 _PAYLOAD = "[0, 65495]"  # the largest TCP payload an IPv4 packet holds
+_MAX_DRAW = 2**63 - 1  # numpy draws int64 values, and synth replays its draws
 
 
 @dataclass(frozen=True)
@@ -138,15 +139,27 @@ def _validate(spec: SynthSpec) -> None:
             raise ValueError("spec has no templates")
         if spec.divergence_at is not None and None in shared.values():
             raise ValueError("divergence_at requires shared payload and iat_us")
+        if spec.shared_iat_us is not None and spec.shared_iat_us[1] > _MAX_DRAW:
+            raise ValueError("shared.iat_us ends above 2**63 - 1")
         for t in spec.templates:
-            pools = check("template", t, FlowTemplate.FIELDS)
+            values = check("template", t, FlowTemplate.FIELDS)
             check("tcp", {"handshake": t.tcp_handshake, "fin": t.tcp_fin}, FlowTemplate.TCP_FIELDS)
             if t.protocol not in (PROTO_TCP, PROTO_UDP):
                 raise ValueError(f"template {t.label!r}: protocol must be TCP or UDP")
-            if not (pools["client_ips"] and pools["server_ips"] and pools["server_ports"]):
+            if not (values["client_ips"] and values["server_ips"] and values["server_ports"]):
                 raise ValueError(f"template {t.label!r}: empty endpoint pool")
-            if len({":" in ip for ip in pools["client_ips"] + pools["server_ips"]}) > 1:
+            if len({":" in ip for ip in values["client_ips"] + values["server_ips"]}) > 1:
                 raise ValueError(f"template {t.label!r}: pools mix IPv4 and IPv6 addresses")
+            for name in ("packets", "iat_us", "start_us"):
+                if values[name][1] > _MAX_DRAW:
+                    raise ValueError(f"template {t.label!r}: {name} ends above 2**63 - 1")
+            for name in ("client_ips", "server_ips"):
+                for text in values[name]:
+                    if "/" in text and ip_network(text, strict=False).num_addresses > 2**63:
+                        raise ValueError(
+                            f"template {t.label!r}: {name} holds {text!r}, a pool of more"
+                            " than 2**63 addresses"
+                        )
         total = sum(t.flows for t in spec.templates)
         if total > _MAX_FLOWS:
             raise ValueError(f"{total} flows exceed the {_MAX_FLOWS} flow limit")
@@ -154,16 +167,108 @@ def _validate(spec: SynthSpec) -> None:
         raise InvalidSpecError(str(exc)) from None
 
 
-def _draw_int(rng: np.random.Generator, bounds: tuple[int, int]) -> int:
-    return int(rng.integers(bounds[0], bounds[1] + 1))
+# Raw outputs fetched at a time, 32 KiB of words; a larger payload fetches what it needs.
+_BLOCK = 1 << 12
 
 
-def _draw_ip(rng: np.random.Generator, pool: tuple[str, ...]) -> str:
-    choice = pool[int(rng.integers(0, len(pool)))]
+class _Draws:
+    """The values ``Generator(PCG64(seed))`` gives synth, replayed in Python
+    from PCG64's raw output, fetched in blocks, so a draw is no numpy call.
+
+    numpy's ``Generator`` draws from a stream of 32-bit words: each raw
+    64-bit output gives its low half, then its high half at the next 32-bit
+    draw. ``integers(lo, hi + 1)`` takes nothing when ``hi == lo``, one word
+    when ``hi - lo == 2**32 - 1``, Lemire's nearly divisionless draw on words
+    when the range is narrower, and the same on whole raw outputs when it is
+    wider; a high half left pending stays pending across such a draw.
+    ``bytes(n)`` writes ``ceil(n / 4)`` words little-endian and keeps the
+    first ``n`` bytes. ``tests/test_synth.py`` checks the replay against
+    numpy draw for draw. Words fetched and never drawn are dropped: nothing
+    else draws from the generator.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._bits = np.random.PCG64(seed)
+        self._words = memoryview(np.empty(0, np.uint32))
+        self._stream = b""  # ``_words`` written little-endian
+        self._at = 0  # the next word to draw; odd while a high half is pending
+
+    def _hold(self, n: int) -> None:
+        """Fetch raw output until ``n`` words from ``_at`` on are held."""
+        if self._at + n <= len(self._words):
+            return
+        drop = self._at & ~1  # whole raw outputs, so ``_at`` keeps its parity
+        raw = self._bits.random_raw(max(_BLOCK, n // 2 + 1))
+        words = np.empty(2 * len(raw), np.uint32)
+        words[0::2] = raw & 0xFFFFFFFF
+        words[1::2] = raw >> 32
+        self._store(np.concatenate((self._words[drop:], words)))
+        self._at -= drop
+
+    def _store(self, words: np.ndarray) -> None:
+        self._words = memoryview(words)
+        self._stream = words.astype("<u4").tobytes()
+
+    def _word(self) -> int:
+        if self._at == len(self._words):
+            self._hold(1)
+        self._at += 1
+        return self._words[self._at - 1]
+
+    def _raw(self) -> int:
+        """The next whole raw output, skipping a pending high half, which
+        moves to just past it and so stays the next word drawn."""
+        self._hold(3)
+        at, words = self._at, self._words
+        pending = at & 1
+        value = words[at + pending] | words[at + pending + 1] << 32
+        if pending:
+            words[at + 2] = words[at]
+            self._store(np.asarray(words))
+        self._at = at + 2
+        return value
+
+    def integer(self, lo: int, hi: int) -> int:
+        """``Generator.integers(lo, hi + 1)``, for ``0 <= lo <= hi < 2**63``."""
+        n = hi - lo + 1
+        if n == 1:
+            return lo
+        if n > 1 << 32:
+            return lo + _lemire(n, self._raw, 64)
+        if n == 1 << 32:
+            return lo + self._word()
+        return lo + _lemire(n, self._word, 32)
+
+    def choice(self, pool: tuple):
+        """``pool[Generator.integers(0, len(pool))]``."""
+        return pool[self.integer(0, len(pool) - 1)]
+
+    def bytes(self, n: int) -> bytes:
+        """``Generator.bytes(n)``."""
+        k = (n + 3) >> 2
+        self._hold(k)
+        at = self._at
+        self._at = at + k
+        return self._stream[4 * at : 4 * at + n]
+
+
+def _lemire(n: int, draw, bits: int) -> int:
+    """A draw below ``n`` from ``draw``'s uniform ``bits``-bit values, by
+    Lemire's nearly divisionless method, as numpy draws it."""
+    low = (1 << bits) - 1
+    m = draw() * n
+    if m & low < n:
+        floor = ((1 << bits) - n) % n  # below it, a product is redrawn
+        while m & low < floor:
+            m = draw() * n
+    return m >> bits
+
+
+def _draw_ip(draws: _Draws, pool: tuple[str, ...]) -> str:
+    choice = draws.choice(pool)
     if "/" in choice:
         net = ip_network(choice, strict=False)
-        offset = int(rng.integers(0, net.num_addresses))
-        return str(net.network_address + offset)
+        return str(net.network_address + draws.integer(0, net.num_addresses - 1))
     return parse_ip(choice)[2]
 
 
@@ -177,7 +282,7 @@ def synth_trace(
     and one (FlowId, label) entry per generated flow.
     """
     _validate(spec)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = _Draws(seed)
     # Per packet in draw order, its header fields as columns (its addresses
     # as indices into ``index``) and its frame, which its payload ends; the
     # frames lie end to end in ``frames``.
@@ -190,13 +295,11 @@ def synth_trace(
 
     for template in spec.templates:
         for _ in range(template.flows):
-            client_ip = _draw_ip(rng, template.client_ips)
-            server_ip = _draw_ip(rng, template.server_ips)
-            server_port = int(
-                template.server_ports[int(rng.integers(0, len(template.server_ports)))]
-            )
-            n_packets = _draw_int(rng, template.packets)
-            ts = _draw_int(rng, template.start_us)
+            client_ip = _draw_ip(draws, template.client_ips)
+            server_ip = _draw_ip(draws, template.server_ips)
+            server_port = draws.choice(template.server_ports)
+            n_packets = draws.integer(*template.packets)
+            ts = draws.integer(*template.start_us)
             start_us = ts
             tcp = template.protocol == PROTO_TCP
 
@@ -215,11 +318,11 @@ def synth_trace(
                 else:
                     size_range = template.payload
                 if i > 1:
-                    ts += _draw_int(rng, iat_range)
+                    ts += draws.integer(*iat_range)
 
                 handshake = tcp and template.tcp_handshake and i <= 2
-                size = 0 if handshake else _draw_int(rng, size_range)
-                payload = rng.bytes(size) if size else b""
+                size = 0 if handshake else draws.integer(*size_range)
+                payload = draws.bytes(size) if size else b""
 
                 if tcp:
                     if template.tcp_handshake and i == 1:

@@ -87,6 +87,27 @@ class TestLabelFlow:
         assert label_flow(_record(src=("10.3.4.5", 1)), RuleSet((rule,))) == "X"
         assert label_flow(_record(src=("11.0.0.1", 1)), RuleSet((rule,))) == "BENIGN"
 
+    @pytest.mark.parametrize(
+        "network", ["0.0.0.0/0", "10.0.0.0/31", "255.255.255.255/32", "::/0", "::/96",
+                    "::ffff:0:0/96", "2001:db8::/127", "ffff::/16"],
+    )
+    def test_cidr_matching_agrees_with_ipaddress(self, network):
+        # An IPv4 address and an IPv6 one with the same integer, and each
+        # network's ends and their neighbours.
+        net = ipaddress.ip_network(network)
+        addrs = {ipaddress.ip_address(text) for text in (
+            "0.0.0.0", "0.0.0.1", "10.0.0.1", "10.0.0.2", "255.255.255.255",
+            "::", "::1", "::ffff:ffff", "::1:0:0", "::ffff:a00:1", "2001:db8::2", "ffff::",
+        )}
+        for end in (net.network_address, net.broadcast_address):
+            values = (int(end) + step for step in (-1, 0, 1))
+            addrs |= {type(end)(v) for v in values if 0 <= v < 2**net.max_prefixlen}
+        rule = LabelRule(label="X", src_ips=(network,), bidirectional=False)
+        for addr in addrs:
+            other = "10.9.9.9" if addr.version == 4 else "2001:db8:9::9"
+            label = label_flow(_record(src=(str(addr), 1), dst=(other, 2)), RuleSet((rule,)))
+            assert (label == "X") == (addr in net), (network, addr)
+
     def test_first_match_wins(self):
         rules = RuleSet(
             rules=(

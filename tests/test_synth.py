@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from flowlab import cli
 from flowlab.errors import InvalidSpecError
 from flowlab.labeling import label_flow
 from flowlab.meter import MeterConfig, meter
-from flowlab.synth import FlowTemplate, SynthSpec, derive_rules, synth_trace
+from flowlab.synth import FlowTemplate, SynthSpec, _Draws, derive_rules, synth_trace
 from flowlab.trace_io import read_trace, write_trace
 
 
@@ -31,6 +36,74 @@ def _minimal_spec(**overrides) -> SynthSpec:
     }
     data.update(overrides)
     return SynthSpec.from_dict(data)
+
+
+# A draw: ("int", width, lo), an integer in [lo, lo + width], or ("bytes", n).
+_WIDTHS = st.sampled_from([0, 1, 9, 2**32 - 2, 2**32 - 1, 2**32, 2**40, 2**63 - 1])
+_DRAW = st.one_of(
+    st.tuples(st.just("int"), _WIDTHS | st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)),
+    st.tuples(st.just("bytes"), st.integers(1, 64) | st.integers(1, 65495), st.just(0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(_DRAW, max_size=60))
+# A 32-bit draw leaves raw 0's high half pending, the 64-bit draw takes raw
+# 1 whole, and the half still pending is the next 32-bit draw.
+@example(0, [("int", 9, 0), ("int", 2**40 - 1, 0), ("int", 2**32 - 1, 0), ("bytes", 5, 0)])
+def test_draws_replay_numpy_draw_for_draw(seed, draws):
+    replay = _Draws(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for kind, size, lo in draws:
+        if kind == "bytes":
+            assert replay.bytes(size) == rng.bytes(size)
+        else:
+            lo %= 2**63 - size
+            assert replay.integer(lo, lo + size) == int(rng.integers(lo, lo + size + 1))
+
+
+# A spec whose draws take every path of the replay: /65 pools and a start
+# range wider than 2**32 draw 64-bit values between 32-bit ones; fixed packet
+# counts and gaps draw nothing; payloads of 1-9 bytes take odd and even word
+# counts; one TCP template with handshake and FIN, one UDP with a marker.
+_DRAW_PATHS = {
+    "name": "draw-paths",
+    "divergence_at": 3,
+    "shared": {"payload": [0, 40], "iat_us": [1, 5000]},
+    "templates": [
+        {
+            "label": "BENIGN", "flows": 5, "packets": [4, 9], "payload": [1, 1400],
+            "iat_us": [0, 100000],
+            "client_ips": ["2001:db8:0:0:8000::/65", "2001:db8:1::7"],
+            "server_ips": ["2001:db8:ffff::/120", "2001:db8:fffe::1"],
+            "server_ports": [443, 8443, 22], "protocol": 6,
+            "start_us": [0, 10000000000], "tcp": {"handshake": True, "fin": True},
+        },
+        {
+            "label": "ATTACK", "flows": 5, "packets": [6, 6], "payload": [0, 7],
+            "iat_us": [10, 10],
+            "client_ips": ["2001:db8:2::/65"], "server_ips": ["2001:db8:ffff::1"],
+            "server_ports": [53], "protocol": 17,
+            "start_us": [5000000000, 9000000000], "marker_payload": [1, 9],
+        },
+    ],
+}
+
+
+def test_synth_bytes_pinned_where_the_benchmark_does_not_reach(tmp_path):
+    # Recorded from numpy's own per-packet draws, before synth replayed them.
+    (tmp_path / "spec.json").write_text(json.dumps(_DRAW_PATHS))
+    argv = ["synth", str(tmp_path / "spec.json"), "1", str(tmp_path / "s.pcap"),
+            str(tmp_path / "t.json")]
+    assert cli.main(argv) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("s.pcap", "t.json")
+    }
+    assert digests == {
+        "s.pcap": "7c464113e2e281c2dd6b7c788e9792ab371e72e1fded7ad8b6a112c17fe51ce1",
+        "t.json": "05463fe903266d7b08acfb2b4e0906aa3fd1beda1026000a72b73b6aaf57e9a9",
+    }
 
 
 class TestSynthTrace:
@@ -121,6 +194,38 @@ class TestSynthTrace:
         many = replace(spec.templates[0], flows=27_500)
         with pytest.raises(InvalidSpecError, match="55001 flows exceed the 55000 flow limit"):
             synth_trace(replace(spec, templates=(many, replace(many, flows=27_501))), seed=0)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"client_ips": ("2001:db8::/64",)}, "client_ips holds '2001:db8::/64'"),
+            ({"server_ips": ("::/0",)}, "server_ips holds '::/0'"),
+            ({"packets": (1, 2**63)}, "packets ends above"),
+            ({"iat_us": (0, 2**64)}, "iat_us ends above"),
+            ({"start_us": (2**63, 2**63)}, "start_us ends above"),
+        ],
+    )
+    def test_pool_or_range_beyond_int64_draws_rejected(self, change, message):
+        spec = _minimal_spec()
+        v6 = replace(spec.templates[0], client_ips=("2001:db8::1",), server_ips=("::1",))
+        bad = replace(v6, **change)
+        with pytest.raises(InvalidSpecError, match=f"template 'BENIGN': {message}"):
+            synth_trace(replace(spec, templates=(bad,)), seed=0)
+
+    def test_shared_range_beyond_int64_draws_rejected(self):
+        spec = _minimal_spec()
+        shared = replace(spec, divergence_at=2, shared_payload=(0, 1), shared_iat_us=(0, 2**63))
+        with pytest.raises(InvalidSpecError, match="shared.iat_us ends above"):
+            synth_trace(shared, seed=0)
+
+    def test_pool_and_ranges_at_the_int64_bound_drawn(self):
+        spec = _minimal_spec()
+        widest = replace(
+            spec.templates[0], packets=(1, 1), iat_us=(0, 2**63 - 1), start_us=(0, 2**62),
+            client_ips=("2001:db8::/65",), server_ips=("::1",),
+        )
+        trace, truth = synth_trace(replace(spec, templates=(widest,)), seed=0)
+        assert len(trace) == 1 and trace.packets[0].src_ip.startswith("2001:db8::")
 
     def test_ipv6_pool_below_2_to_the_32_stays_ipv6(self):
         # "::/120" holds ::0-::ff, whose integers would read back as IPv4 addresses.
