@@ -19,7 +19,9 @@ from operator import sub
 
 import numpy as np
 
-from .errors import ANY, BOOL, INT, PAIR, STR, Field, InvalidSpecError, JsonDocument, check
+from .errors import (
+    ANY, BOOL, INT, PAIR, STR, Field, InvalidSpecError, JsonDocument, check, checked
+)
 from .labeling import BENIGN, LabelRule, RuleSet
 from .meter import FlowId, FlowKey
 from .trace_io import (
@@ -32,7 +34,7 @@ from .trace_io import (
     TCP_PSH,
     TCP_SYN,
     _HEADER_TYPES,
-    _frame,
+    _framer,
     parse_ip,
 )
 
@@ -130,7 +132,10 @@ class SynthSpec(JsonDocument):
         )
 
 
-def _validate(spec: SynthSpec) -> None:
+def _validate(spec: SynthSpec) -> dict:
+    """Raise InvalidSpecError for a spec that synth cannot generate; return
+    its CIDR pools, each parsed once, as ``_draw_ip`` draws from them."""
+    networks: dict = {}
     try:
         check("spec", spec, SynthSpec.FIELDS)
         shared = {"payload": spec.shared_payload, "iat_us": spec.shared_iat_us}
@@ -155,7 +160,12 @@ def _validate(spec: SynthSpec) -> None:
                     raise ValueError(f"template {t.label!r}: {name} ends above 2**63 - 1")
             for name in ("client_ips", "server_ips"):
                 for text in values[name]:
-                    if "/" in text and ip_network(text, strict=False).num_addresses > 2**63:
+                    if "/" not in text:
+                        continue
+                    if text not in networks:
+                        net = ip_network(text, strict=False)
+                        networks[text] = net.network_address, net.num_addresses - 1
+                    if networks[text][1] >= 2**63:
                         raise ValueError(
                             f"template {t.label!r}: {name} holds {text!r}, a pool of more"
                             " than 2**63 addresses"
@@ -165,6 +175,7 @@ def _validate(spec: SynthSpec) -> None:
             raise ValueError(f"{total} flows exceed the {_MAX_FLOWS} flow limit")
     except ValueError as exc:
         raise InvalidSpecError(str(exc)) from None
+    return networks
 
 
 # Raw outputs fetched at a time, 32 KiB of words; a larger payload fetches what it needs.
@@ -233,11 +244,21 @@ class _Draws:
         n = hi - lo + 1
         if n == 1:
             return lo
-        if n > 1 << 32:
-            return lo + _lemire(n, self._raw, 64)
+        if n < 1 << 32:  # ``_lemire``'s draw, on 32-bit words
+            at = self._at
+            if at == len(self._words):
+                self._hold(1)
+                at = self._at
+            self._at = at + 1
+            m = self._words[at] * n
+            if m & 0xFFFFFFFF < n:
+                floor = ((1 << 32) - n) % n
+                while m & 0xFFFFFFFF < floor:
+                    m = self._word() * n
+            return lo + (m >> 32)
         if n == 1 << 32:
             return lo + self._word()
-        return lo + _lemire(n, self._word, 32)
+        return lo + _lemire(n, self._raw)
 
     def choice(self, pool: tuple):
         """``pool[Generator.integers(0, len(pool))]``."""
@@ -246,30 +267,60 @@ class _Draws:
     def bytes(self, n: int) -> bytes:
         """``Generator.bytes(n)``."""
         k = (n + 3) >> 2
-        self._hold(k)
+        if self._at + k > len(self._words):
+            self._hold(k)
         at = self._at
         self._at = at + k
         return self._stream[4 * at : 4 * at + n]
 
 
-def _lemire(n: int, draw, bits: int) -> int:
-    """A draw below ``n`` from ``draw``'s uniform ``bits``-bit values, by
-    Lemire's nearly divisionless method, as numpy draws it."""
-    low = (1 << bits) - 1
+def _lemire(n: int, draw) -> int:
+    """A draw below ``n`` from ``draw``'s uniform 64-bit values, by Lemire's
+    nearly divisionless method, as numpy draws it."""
     m = draw() * n
-    if m & low < n:
-        floor = ((1 << bits) - n) % n  # below it, a product is redrawn
-        while m & low < floor:
+    if m & 0xFFFFFFFFFFFFFFFF < n:
+        floor = ((1 << 64) - n) % n  # below it, a product is redrawn
+        while m & 0xFFFFFFFFFFFFFFFF < floor:
             m = draw() * n
-    return m >> bits
+    return m >> 64
 
 
-def _draw_ip(draws: _Draws, pool: tuple[str, ...]) -> str:
+def _draw_ip(draws: _Draws, pool: tuple[str, ...], networks: dict) -> str:
+    """An address drawn from ``pool``, whose CIDR pools ``networks`` holds
+    as their first address and their size less one."""
     choice = draws.choice(pool)
-    if "/" in choice:
-        net = ip_network(choice, strict=False)
-        return str(net.network_address + draws.integer(0, net.num_addresses - 1))
-    return parse_ip(choice)[2]
+    if "/" not in choice:
+        return parse_ip(choice)[2]
+    first, last = networks[choice]
+    return str(first + draws.integer(0, last))
+
+
+def _phases(spec: SynthSpec, template: FlowTemplate) -> list[tuple]:
+    """A flow's packets as runs that draw alike: per run, its first packet
+    and the one after it (1-based), the ranges of its gaps and payload
+    sizes, its TCP flags and the flag that a payload adds. Runs start at
+    packet 1 (no gap), 2, 3 (past a handshake), the divergence index and
+    the packet after it (past a marker)."""
+    tcp = template.protocol == PROTO_TCP
+    handshake = tcp and template.tcp_handshake
+    at = spec.divergence_at or 0
+    starts = sorted({1, 2, 3, at, at + 1} - {0})
+    phases = []
+    for first, stop in zip(starts, [*starts[1:], _MAX_DRAW + 1]):
+        pre_divergence = first < at
+        gaps = (0, 0) if first == 1 else spec.shared_iat_us if pre_divergence else template.iat_us
+        if handshake and first <= 2:  # no payload, so no size is drawn
+            sizes, flags, psh = (0, 0), TCP_SYN if first == 1 else TCP_SYN | TCP_ACK, 0
+        else:
+            if pre_divergence:
+                sizes = spec.shared_payload
+            elif template.marker_payload is not None and first == at:
+                sizes = template.marker_payload
+            else:
+                sizes = template.payload
+            flags, psh = (TCP_ACK, TCP_PSH) if tcp else (0, 0)
+        phases.append((first, stop, *gaps, *sizes, flags, psh))
+    return phases
 
 
 def synth_trace(
@@ -281,76 +332,60 @@ def synth_trace(
     one-to-one onto metered flows. Returns the packets sorted by timestamp
     and one (FlowId, label) entry per generated flow.
     """
-    _validate(spec)
+    seed = checked("seed", seed, Field(INT, "[0, inf)"))
+    networks = _validate(spec)
     draws = _Draws(seed)
+    integer, random_bytes = draws.integer, draws.bytes
     # Per packet in draw order, its header fields as columns (its addresses
     # as indices into ``index``) and its frame, which its payload ends; the
     # frames lie end to end in ``frames``.
     header = [array(t) for t in _HEADER_TYPES]
     frames = BytesIO()
+    write = frames.write
     index: dict[str, int] = {}
     rows: list[tuple] = []  # the flow's packets' header fields, until the flow ends
     truth: list[tuple[FlowId, str]] = []
     client_port = 10_000
 
     for template in spec.templates:
+        protocol = template.protocol
+        phases = _phases(spec, template)
         for _ in range(template.flows):
-            client_ip = _draw_ip(draws, template.client_ips)
-            server_ip = _draw_ip(draws, template.server_ips)
+            client_ip = _draw_ip(draws, template.client_ips, networks)
+            server_ip = _draw_ip(draws, template.server_ips, networks)
             server_port = draws.choice(template.server_ports)
-            n_packets = draws.integer(*template.packets)
-            ts = draws.integer(*template.start_us)
-            start_us = ts
-            tcp = template.protocol == PROTO_TCP
-
-            for i in range(1, n_packets + 1):
-                pre_divergence = (
-                    spec.divergence_at is not None and i < spec.divergence_at
-                )
-                iat_range = spec.shared_iat_us if pre_divergence else template.iat_us
-                if pre_divergence:
-                    size_range = spec.shared_payload
-                elif (
-                    template.marker_payload is not None
-                    and i == spec.divergence_at
-                ):
-                    size_range = template.marker_payload
-                else:
-                    size_range = template.payload
-                if i > 1:
-                    ts += draws.integer(*iat_range)
-
-                handshake = tcp and template.tcp_handshake and i <= 2
-                size = 0 if handshake else draws.integer(*size_range)
-                payload = draws.bytes(size) if size else b""
-
-                if tcp:
-                    if template.tcp_handshake and i == 1:
-                        flags = TCP_SYN
-                    elif template.tcp_handshake and i == 2:
-                        flags = TCP_SYN | TCP_ACK
+            n_packets = integer(*template.packets)
+            ts = start_us = integer(*template.start_us)
+            fin = n_packets if protocol == PROTO_TCP and template.tcp_fin else 0
+            client = index.setdefault(client_ip, len(index))
+            server = index.setdefault(server_ip, len(index))
+            # Each direction's frame builder and fixed header fields; packets
+            # alternate strictly, the odd ones from the client.
+            directions = (
+                (_framer(server_ip, client_ip, server_port, client_port, protocol),
+                 (server, client, server_port, client_port, protocol)),
+                (_framer(client_ip, server_ip, client_port, server_port, protocol),
+                 (client, server, client_port, server_port, protocol)),
+            )
+            for first, stop, gap_lo, gap_hi, size_lo, size_hi, flags, psh in phases:
+                for i in range(first, min(stop, n_packets + 1)):
+                    ts += integer(gap_lo, gap_hi)
+                    size = integer(size_lo, size_hi)
+                    if size:
+                        payload, tcp_flags = random_bytes(size), flags | psh
                     else:
-                        flags = TCP_ACK | (TCP_PSH if size else 0)
-                    if template.tcp_fin and i == n_packets:
-                        flags |= TCP_FIN
-                else:
-                    flags = 0
-
-                forward = i % 2 == 1  # strict alternation from the client
-                src_ip, dst_ip = (client_ip, server_ip) if forward else (server_ip, client_ip)
-                ports = (client_port, server_port) if forward else (server_port, client_port)
-                frame = _frame(src_ip, dst_ip, *ports, template.protocol, flags, size, payload)
-                src = index.setdefault(src_ip, len(index))
-                dst = index.setdefault(dst_ip, len(index))
-                rows.append((ts, src, dst, *ports, template.protocol, flags, size, len(frame)))
-                frames.write(frame)
+                        payload, tcp_flags = b"", flags
+                    if i == fin:
+                        tcp_flags |= TCP_FIN
+                    frame, fields = directions[i & 1]
+                    data = frame(tcp_flags, size, payload)
+                    rows.append((ts, *fields, tcp_flags, size, len(data)))
+                    write(data)
             for column, values in zip(header, zip(*rows)):
                 column.extend(values)
             rows.clear()
 
-            key = FlowKey.from_endpoints(
-                client_ip, client_port, server_ip, server_port, template.protocol
-            )
+            key = FlowKey.from_endpoints(client_ip, client_port, server_ip, server_port, protocol)
             truth.append((FlowId.from_key(key, start_us), template.label))
             client_port += 1
 

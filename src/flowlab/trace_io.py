@@ -42,10 +42,14 @@ PROTO_UDP = 17
 # endiannesses. pcapng is not supported.
 _MAGIC_US_LE = 0xA1B2C3D4
 _MAGIC_NS_LE = 0xA1B23C4D
+# A magic number read little-endian: the capture's byte order, and whether it counts ns.
+_MAGICS = {_MAGIC_US_LE: ("<", False), _MAGIC_NS_LE: ("<", True),
+           0xD4C3B2A1: (">", False), 0x4D3CB2A1: (">", True)}
 
 _ETHERTYPE_IPV4 = 0x0800
 _ETHERTYPE_IPV6 = 0x86DD
 _ETHERTYPE_VLAN = (0x8100, 0x88A8)
+_MACS = b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01"  # of synthesized frames
 
 _LINKTYPE_ETHERNET = 1
 
@@ -394,6 +398,12 @@ _UDP = struct.Struct("!HHH")
 # ports, then UDP's length or the top of TCP's sequence number; TCP's data
 # offset and flags. It spans bytes 12-47 of the frame.
 _COMMON = struct.Struct("!HBxHxxHxB2x4s4sHHH6xBB")
+# A synthesized frame's headers by IP version and protocol: the bytes before
+# the IP length, it, the bytes up to TCP's flags or UDP's length, it, the rest.
+_FRAME = {
+    (4, PROTO_TCP): struct.Struct("!16sH29sB6s"), (4, PROTO_UDP): struct.Struct("!16sH20sH2s"),
+    (6, PROTO_TCP): struct.Struct("!18sH47sB6s"), (6, PROTO_UDP): struct.Struct("!18sH38sH2s"),
+}
 
 
 def _parse_ipv6(buf: bytes, offset: int, end: int) -> tuple[bytes, bytes, int, int, int] | None:
@@ -477,21 +487,10 @@ def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
     if len(head) < 24:
         raise MalformedHeaderError(f"{path}: truncated pcap global header")
     magic = struct.unpack_from("<I", head, 0)[0]
-    if magic == _MAGIC_US_LE:
-        endian, ns = "<", False
-    elif magic == _MAGIC_NS_LE:
-        endian, ns = "<", True
-    else:
-        magic_be = struct.unpack_from(">I", head, 0)[0]
-        if magic_be == _MAGIC_US_LE:
-            endian, ns = ">", False
-        elif magic_be == _MAGIC_NS_LE:
-            endian, ns = ">", True
-        else:
-            raise MalformedHeaderError(f"{path}: bad pcap magic 0x{magic:08x}")
-    version_major, _minor, _zone, _sigfigs, _snaplen, linktype = struct.unpack_from(
-        endian + "HHiIII", head, 4
-    )
+    if magic not in _MAGICS:
+        raise MalformedHeaderError(f"{path}: bad pcap magic 0x{magic:08x}")
+    endian, ns = _MAGICS[magic]
+    version_major, *_, linktype = struct.unpack_from(endian + "HHiIII", head, 4)
     if version_major != 2:
         raise MalformedHeaderError(f"{path}: unsupported pcap version {version_major}")
 
@@ -633,47 +632,46 @@ def _read(fh, path: str, keep_bytes: bool) -> PacketTrace:
     return PacketTrace(packets, path, skipped)
 
 
-def _synthesize_frame(pkt: RawPacket) -> bytes:
-    """Build an Ethernet frame for a packet without captured bytes;
-    ValueError names a field that does not fit the frame."""
-    return _frame(
-        pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.protocol, pkt.tcp_flags,
-        pkt.payload_len, pkt.payload,
-    )
-
-
 def _frame(src_ip, dst_ip, src_port, dst_port, protocol, tcp_flags, payload_len, payload) -> bytes:
-    """The frame of ``_synthesize_frame``, from the packet's fields."""
-    if len(payload) < payload_len:
-        payload = payload + b"\x00" * (payload_len - len(payload))
-    src, src_packed, _ = parse_ip(src_ip)
-    dst, dst_packed, _ = parse_ip(dst_ip)
+    """The frame of a packet without captured bytes: ``_framer``'s one-packet case."""
+    return _framer(src_ip, dst_ip, src_port, dst_port, protocol)(tcp_flags, payload_len, payload)
+
+
+def _framer(src_ip, dst_ip, src_port, dst_port, protocol):
+    """``frame(tcp_flags, payload_len, payload)``: a packet's Ethernet frame between these
+    endpoints, or ValueError naming what does not fit. The addresses are parsed and
+    checked and the bytes the endpoints fix packed once, so a frame is one ``struct`` call."""
+    (src, src_packed, _), (dst, dst_packed, _) = parse_ip(src_ip), parse_ip(dst_ip)
     if src.version != dst.version:
         raise ValueError(f"cannot synthesize a frame from IPv{src.version} to IPv{dst.version}")
-
+    addresses = src_packed + dst_packed
+    layout = _FRAME.get((src.version, protocol))
+    if layout is None:
+        raise ValueError(f"cannot synthesize frame for protocol {protocol}")
+    tcp, v4 = protocol == PROTO_TCP, src.version == 4
+    # The headers of an empty payload, lengths and flags 0, cut around those: IPv4
+    # with TTL 64 or IPv6 with hop limit 64, TCP's data offset 5 and window 8192.
     try:
-        if protocol == PROTO_TCP:
-            transport = struct.pack(
-                "!HHIIBBHHH", src_port, dst_port, 0, 0, 5 << 4, tcp_flags, 8192, 0, 0
-            )
-        elif protocol == PROTO_UDP:
-            transport = struct.pack("!HHHH", src_port, dst_port, 8 + len(payload), 0)
-        else:
-            raise ValueError(f"cannot synthesize frame for protocol {protocol}")
-        size = len(transport) + len(payload)
-        if src.version == 4:
-            header = struct.pack(
-                "!BBHHHBBH4s4s", 0x45, 0, 20 + size, 0, 0, 64, protocol, 0, src_packed, dst_packed
-            )
-            ethertype = _ETHERTYPE_IPV4
-        else:
-            header = struct.pack("!IHBB16s16s", 6 << 28, size, protocol, 64, src_packed, dst_packed)
-            ethertype = _ETHERTYPE_IPV6
-    except struct.error:
-        problem = f"a payload of {len(payload)} bytes does not fit one IP packet"
-        raise ValueError(f"cannot synthesize a frame: {problem}") from None
-    eth = b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01" + struct.pack("!H", ethertype)
-    return b"".join((eth, header, transport, payload))
+        ip = (struct.pack("!HB7xBB2x8s", _ETHERTYPE_IPV4, 0x45, 64, protocol, addresses) if v4
+              else struct.pack("!HI2xBB32s", _ETHERTYPE_IPV6, 6 << 28, protocol, 64, addresses))
+        transport = (struct.pack("!HH8xBxH4x", src_port, dst_port, 5 << 4, 8192) if tcp
+                     else struct.pack("!HH4x", src_port, dst_port))
+        head, _, mid, _, tail = layout.unpack(_MACS + ip + transport)
+    except struct.error:  # a port that does not fit fails each frame, as a long payload does
+        head = mid = tail = None
+    pack, empty = layout.pack, (20 if tcp else 8) + (20 if v4 else 0)  # IP length, no payload
+
+    def frame(tcp_flags, payload_len, payload):
+        if len(payload) < payload_len:
+            payload = payload + b"\x00" * (payload_len - len(payload))
+        size = len(payload)
+        try:
+            return pack(head, empty + size, mid, tcp_flags if tcp else 8 + size, tail) + payload
+        except struct.error:
+            problem = f"a payload of {size} bytes does not fit one IP packet"
+            raise ValueError(f"cannot synthesize a frame: {problem}") from None
+
+    return frame
 
 
 def _refuse_headers_only(trace: PacketTrace, action: str) -> None:
@@ -705,7 +703,9 @@ def write_trace(trace: PacketTrace, path: str | os.PathLike) -> None:
         rows = zip(count(), packets.header[0], packets.header[8], *packets.spans[:3])
         for i, ts_us, wire_len, chunk, start, length in rows:
             if length == _NO_FRAME:
-                frame = _synthesize_frame(packets[i])
+                pkt = packets[i]
+                frame = _frame(pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.protocol,
+                               pkt.tcp_flags, pkt.payload_len, pkt.payload)
                 length = len(frame)
             else:
                 frame = chunks[chunk][start : start + length]

@@ -9,7 +9,9 @@ field for field against brute force. The pcap decoder reference slices
 each header layer off the frame and formats every address afresh, where
 the library reads headers in place and caches address text; the decoder
 reads the whole file at once and the writer encodes the whole file before
-writing it, where the library streams both in chunks. The forest
+writing it, where the library streams both in chunks; the writer packs
+each synthesized frame's headers whole from its fields, where the library
+packs the bytes an endpoint pair fixes once. The forest
 reference grows each tree recursively and scores one sampled feature at a
 time, where the library scores all of them in one vectorised pass. The CSV
 writer formats each cell by its own call and leaves quoting to
@@ -54,7 +56,7 @@ from flowlab.trace_io import (
     PROTO_UDP,
     PacketTrace,
     RawPacket,
-    _synthesize_frame,
+    parse_ip,
 )
 
 
@@ -368,6 +370,43 @@ def reference_read_trace(path) -> PacketTrace:
     return PacketTrace(packets=tuple(packets), source=str(path), skipped=skipped)
 
 
+def reference_frame(
+    src_ip, dst_ip, src_port, dst_port, protocol, tcp_flags, payload_len, payload
+) -> bytes:
+    """The synthesized frame of a packet without captured bytes, each header
+    packed whole from the packet's fields, one packet at a time."""
+    if len(payload) < payload_len:
+        payload = payload + b"\x00" * (payload_len - len(payload))
+    src, src_packed, _ = parse_ip(src_ip)
+    dst, dst_packed, _ = parse_ip(dst_ip)
+    if src.version != dst.version:
+        raise ValueError(f"cannot synthesize a frame from IPv{src.version} to IPv{dst.version}")
+
+    try:
+        if protocol == PROTO_TCP:
+            transport = struct.pack(
+                "!HHIIBBHHH", src_port, dst_port, 0, 0, 5 << 4, tcp_flags, 8192, 0, 0
+            )
+        elif protocol == PROTO_UDP:
+            transport = struct.pack("!HHHH", src_port, dst_port, 8 + len(payload), 0)
+        else:
+            raise ValueError(f"cannot synthesize frame for protocol {protocol}")
+        size = len(transport) + len(payload)
+        if src.version == 4:
+            header = struct.pack(
+                "!BBHHHBBH4s4s", 0x45, 0, 20 + size, 0, 0, 64, protocol, 0, src_packed, dst_packed
+            )
+            ethertype = _ETHERTYPE_IPV4
+        else:
+            header = struct.pack("!IHBB16s16s", 6 << 28, size, protocol, 64, src_packed, dst_packed)
+            ethertype = _ETHERTYPE_IPV6
+    except struct.error:
+        problem = f"a payload of {len(payload)} bytes does not fit one IP packet"
+        raise ValueError(f"cannot synthesize a frame: {problem}") from None
+    eth = b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01" + struct.pack("!H", ethertype)
+    return b"".join((eth, header, transport, payload))
+
+
 def reference_write_trace(trace: PacketTrace, path) -> None:
     """Write a trace as a classic little-endian microsecond pcap file (the
     whole-file writer: every record is encoded into one buffer, which is
@@ -381,7 +420,13 @@ def reference_write_trace(trace: PacketTrace, path) -> None:
     out += struct.pack("<IHHiIII", _MAGIC_US_LE, 2, 4, 0, 0, 262144, _LINKTYPE_ETHERNET)
     try:
         for pkt in trace.packets:
-            frame = pkt.raw if pkt.raw is not None else _synthesize_frame(pkt)
+            if pkt.raw is None:
+                frame = reference_frame(
+                    pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.protocol,
+                    pkt.tcp_flags, pkt.payload_len, pkt.payload,
+                )
+            else:
+                frame = pkt.raw
             wire_len = max(pkt.wire_len, len(frame))
             out += struct.pack(
                 "<IIII", pkt.ts_us // 1_000_000, pkt.ts_us % 1_000_000, len(frame), wire_len

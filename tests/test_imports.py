@@ -2,7 +2,7 @@
 
 ``import flowlab``, ``flowlab preprocess`` and ``flowlab meter`` must not
 load numpy or the numpy-backed modules; their public names resolve on first
-use.
+use. ``flowlab eval`` loads numpy but never ``flowlab.synth``.
 """
 
 from __future__ import annotations
@@ -61,44 +61,60 @@ def test_preprocess_runs_without_numpy(tmp_path):
     assert (tmp_path / "out.pcap").exists()
 
 
-def test_meter_runs_without_numpy(tmp_path, monkeypatch):
-    # Two classes of 12 flows: with --min-class-count 5 the meter writes a
-    # non-empty cf.csv and PF files, and summarises each, with the default
-    # triggers.
-    spec = {
-        "name": "imports",
-        "templates": [
-            {
-                "label": label,
-                "flows": 12,
-                "packets": [5, 25],
-                "payload": payload,
-                "iat_us": [1000, 5000],
-                "client_ips": [client],
-                "server_ips": ["192.168.7.1"],
-                "server_ports": [80],
-                "protocol": 6,
-                "start_us": [0, 1000000],
-            }
-            for label, payload, client in (
-                ("BENIGN", [40, 200], "10.1.0.0/24"),
-                ("ATTACK", [600, 900], "10.2.0.0/24"),
-            )
-        ],
-    }
+# Two classes of 12 flows: with --min-class-count 5 the meter writes a
+# non-empty cf.csv and PF files, and summarises each, with the default
+# triggers.
+_SPEC = {
+    "name": "imports",
+    "templates": [
+        {
+            "label": label,
+            "flows": 12,
+            "packets": [5, 25],
+            "payload": payload,
+            "iat_us": [1000, 5000],
+            "client_ips": [client],
+            "server_ips": ["192.168.7.1"],
+            "server_ports": [80],
+            "protocol": 6,
+            "start_us": [0, 1000000],
+        }
+        for label, payload, client in (
+            ("BENIGN", [40, 200], "10.1.0.0/24"),
+            ("ATTACK", [600, 900], "10.2.0.0/24"),
+        )
+    ],
+}
+_METER = ("meter", "in.pcap", "rules.json", "out", "--min-class-count", "5")
+
+
+def _synthesize(tmp_path, monkeypatch) -> None:
+    """Write ``_SPEC``'s pcap and rules into ``tmp_path``, the working directory."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "spec.json").write_text(json.dumps(_SPEC))
     argv = ["synth", "spec.json", "5", "in.pcap", "truth.json", "--rules-out", "rules.json"]
     assert cli.main(argv) == 0
-    loaded = _imported(
-        "-m", "flowlab.cli", "meter", "in.pcap", "rules.json", "out", "--min-class-count", "5",
-        cwd=tmp_path,
-    )
+
+
+def test_meter_runs_without_numpy(tmp_path, monkeypatch):
+    _synthesize(tmp_path, monkeypatch)
+    loaded = _imported("-m", "flowlab.cli", *_METER, cwd=tmp_path)
     assert "flowlab.dataset" in loaded
     assert loaded.isdisjoint(NUMPY_BACKED), sorted(loaded & set(NUMPY_BACKED))
     assert len(list((tmp_path / "out").glob("pf_*.csv"))) == 31
     distribution = json.loads((tmp_path / "out" / "distribution.json").read_text())
     assert {"CF", "PC=2"} <= distribution.keys()
+
+
+def test_eval_never_loads_synth(tmp_path, monkeypatch):
+    # eval loads numpy, and with it nothing that only synth runs.
+    _synthesize(tmp_path, monkeypatch)
+    assert cli.main(list(_METER)) == 0
+    eval_args = ("eval", "out/cf.csv", "out/pf_pc_3.csv", "res", "--trees", "2")
+    loaded = _imported("-m", "flowlab.cli", *eval_args, cwd=tmp_path)
+    assert {"numpy", "flowlab.forest", "flowlab.evaluation"} <= loaded
+    assert "flowlab.synth" not in loaded
+    assert (tmp_path / "res" / "results.csv").exists()
 
 
 def test_every_public_name_is_its_defining_modules_object():

@@ -39,7 +39,10 @@ def _minimal_spec(**overrides) -> SynthSpec:
 
 
 # A draw: ("int", width, lo), an integer in [lo, lo + width], or ("bytes", n).
-_WIDTHS = st.sampled_from([0, 1, 9, 2**32 - 2, 2**32 - 1, 2**32, 2**40, 2**63 - 1])
+# 2**31 and 3 * 2**30 + 7 redraw a word with odds of about 1/2 and 1/4.
+_WIDTHS = st.sampled_from(
+    [0, 1, 9, 2**31, 3 * 2**30 + 7, 2**32 - 2, 2**32 - 1, 2**32, 2**40, 2**63 - 1]
+)
 _DRAW = st.one_of(
     st.tuples(st.just("int"), _WIDTHS | st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)),
     st.tuples(st.just("bytes"), st.integers(1, 64) | st.integers(1, 65495), st.just(0)),
@@ -51,6 +54,7 @@ _DRAW = st.one_of(
 # A 32-bit draw leaves raw 0's high half pending, the 64-bit draw takes raw
 # 1 whole, and the half still pending is the next 32-bit draw.
 @example(0, [("int", 9, 0), ("int", 2**40 - 1, 0), ("int", 2**32 - 1, 0), ("bytes", 5, 0)])
+@example(3, [("int", 2**31, 0)] * 8 + [("int", 3 * 2**30 + 7, 5)] * 8)
 def test_draws_replay_numpy_draw_for_draw(seed, draws):
     replay = _Draws(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -104,6 +108,73 @@ def test_synth_bytes_pinned_where_the_benchmark_does_not_reach(tmp_path):
         "s.pcap": "7c464113e2e281c2dd6b7c788e9792ab371e72e1fded7ad8b6a112c17fe51ce1",
         "t.json": "05463fe903266d7b08acfb2b4e0906aa3fd1beda1026000a72b73b6aaf57e9a9",
     }
+
+
+# The flag and phase branches that the benchmark and ``_DRAW_PATHS`` miss,
+# on IPv4: TCP without handshake or FIN (payloads of 0-2 bytes, with and
+# without PSH) and a marker; TCP with both on flows of 1-4 packets, so the
+# SYN-ACK's gap is a shared one and FIN can fall on the SYN or the SYN-ACK;
+# TCP with FIN but no handshake and a marker range from 0; UDP with a marker.
+_FLAG_PHASES = {
+    "name": "flag-phases",
+    "divergence_at": 3,
+    "shared": {"payload": [0, 30], "iat_us": [1, 500]},
+    "templates": [
+        {
+            "label": "BENIGN", "flows": 6, "packets": [1, 6], "payload": [0, 2],
+            "marker_payload": [100, 120], "iat_us": [0, 1000], "client_ips": ["10.1.0.0/24"],
+            "server_ips": ["10.9.0.1"], "server_ports": [80, 8080], "protocol": 6,
+            "start_us": [0, 50000], "tcp": {"handshake": False, "fin": False},
+        },
+        {
+            "label": "SCAN", "flows": 6, "packets": [1, 4], "payload": [5, 9],
+            "iat_us": [10, 20], "client_ips": ["10.2.0.0/30", "10.2.1.1"],
+            "server_ips": ["10.9.0.0/29"], "server_ports": [22], "protocol": 6,
+            "start_us": [0, 50000], "tcp": {"handshake": True, "fin": True},
+        },
+        {
+            "label": "EXFIL", "flows": 4, "packets": [2, 5], "payload": [0, 1],
+            "marker_payload": [0, 3], "iat_us": [7, 7], "client_ips": ["10.3.0.0/28"],
+            "server_ips": ["10.9.0.2"], "server_ports": [443], "protocol": 6,
+            "start_us": [0, 50000], "tcp": {"handshake": False, "fin": True},
+        },
+        {
+            "label": "FLOOD", "flows": 4, "packets": [3, 3], "payload": [1, 40],
+            "marker_payload": [900, 1000], "iat_us": [100, 300], "client_ips": ["10.4.0.0/24"],
+            "server_ips": ["10.9.0.3"], "server_ports": [53], "protocol": 17,
+            "start_us": [0, 50000],
+        },
+    ],
+}
+
+
+def test_synth_bytes_pinned_on_the_flag_and_phase_branches(tmp_path):
+    # Recorded when each packet still chose its ranges and flags itself.
+    (tmp_path / "spec.json").write_text(json.dumps(_FLAG_PHASES))
+    argv = ["synth", str(tmp_path / "spec.json"), "1", str(tmp_path / "s.pcap"),
+            str(tmp_path / "t.json")]
+    assert cli.main(argv) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("s.pcap", "t.json")
+    }
+    assert digests == {
+        "s.pcap": "6eb71a077f46674ae7254031fed20ca0778c293a008b56224d58beece835be00",
+        "t.json": "906bab77f4ef8fbcd803328bc47cc0bdc1f59966d5394f896f6f578cbdef4281",
+    }
+    flags = {p.tcp_flags for p in read_trace(tmp_path / "s.pcap").packets}
+    assert {0x10, 0x18, 0x11, 0x19, 0x02, 0x03, 0x12, 0x13, 0} <= flags, sorted(flags)
+
+
+def test_negative_seed_rejected_with_its_bound(tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, inf\), got -3"):
+        synth_trace(_minimal_spec(), -3)
+    (tmp_path / "spec.json").write_text(json.dumps(_FLAG_PHASES))
+    argv = ["synth", str(tmp_path / "spec.json"), "-1", str(tmp_path / "s.pcap"),
+            str(tmp_path / "t.json")]
+    assert cli.main(argv) == 2
+    assert "error: seed must be an integer in [0, inf), got -1" in capsys.readouterr().err
+    assert not (tmp_path / "s.pcap").exists()
 
 
 class TestSynthTrace:

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from flowlab import trace_io
@@ -32,6 +32,7 @@ from reference import (
     build_tcp_frame,
     build_udp_frame,
     dissect_pcap,
+    reference_frame,
     reference_read_trace,
     reference_write_trace,
 )
@@ -313,6 +314,55 @@ def test_parse_ip_gives_one_canonical_form_per_address():
     assert (addr.version, packed, text) == (4, bytes([10, 0, 0, 7]), "10.0.0.7")
     with pytest.raises(ValueError):
         trace_io.parse_ip("10.0.0.256")
+
+
+def _outcome(make):
+    """What ``make()`` gives: its bytes, or the text of its ValueError."""
+    try:
+        return make()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+_V4_TEXTS = st.sampled_from(["10.0.0.1", "192.168.1.9", "0.0.0.0"])
+_V6_TEXTS = st.sampled_from(["2001:db8::1", "::1", "2001:DB8:0:0::ff"])
+# 0, a few bytes, the largest TCP payload of an IPv4 packet, and one byte
+# past the largest payload of IPv4/TCP, IPv4/UDP, IPv6/TCP and IPv6/UDP.
+_PAYLOAD_LENS = st.sampled_from([0, 1, 7, 65_495, 65_496, 65_508, 65_516, 65_528])
+# (tcp_flags, payload_len, captured payload): a payload shorter than its
+# length is padded with zero bytes; one longer than it is framed whole.
+_PACKET = st.tuples(
+    st.integers(0, 255), _PAYLOAD_LENS | st.integers(0, 70_000), st.binary(max_size=24)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.tuples(_V4_TEXTS, _V4_TEXTS), st.tuples(_V6_TEXTS, _V6_TEXTS),
+              st.tuples(_V4_TEXTS, _V6_TEXTS), st.tuples(_V6_TEXTS, _V4_TEXTS)),
+    st.tuples(st.integers(0, 65535), st.integers(0, 65535)),
+    st.sampled_from([6, 17, 1]),
+    st.lists(_PACKET, min_size=1, max_size=4),
+)
+@example(("10.0.0.1", "10.0.0.2"), (1, 2), 6, [(0x18, 0, b""), (0x10, 5, b"ab"), (2, 65_495, b"")])
+@example(("10.0.0.1", "10.0.0.2"), (1, 2), 6, [(0x10, 65_496, b"")])
+@example(("10.0.0.1", "10.0.0.2"), (1, 2), 17, [(0, 65_507, b""), (0, 65_508, b"")])
+@example(("::1", "2001:db8::1"), (1, 2), 6, [(0x10, 65_515, b""), (0x10, 65_516, b"")])
+@example(("::1", "2001:db8::1"), (1, 2), 17, [(0, 65_527, b"x"), (0, 65_528, b"x")])
+@example(("10.0.0.1", "::1"), (1, 2), 17, [(0, 3, b"abc")])
+@example(("10.0.0.1", "10.0.0.2"), (1, 2), 1, [(0, 3, b"abc")])
+def test_frames_built_per_endpoint_pair_match_the_reference(ends, ports, protocol, packets):
+    # ``_frame`` builds each frame afresh, and one ``_framer`` builds every
+    # frame of the pair: both give the reference's bytes or its ValueError.
+    args = (*ends, *ports, protocol)
+    built = _outcome(lambda: trace_io._framer(*args))
+    for flags, payload_len, payload in packets:
+        want = _outcome(lambda: reference_frame(*args, flags, payload_len, payload))
+        assert _outcome(lambda: trace_io._frame(*args, flags, payload_len, payload)) == want
+        if isinstance(built, str):
+            assert built == want
+        else:
+            assert _outcome(lambda: built(flags, payload_len, payload)) == want
 
 
 def test_frames_parse_each_distinct_address_once(tmp_path):
