@@ -14,8 +14,6 @@ from array import array
 from dataclasses import dataclass
 from io import BytesIO
 from ipaddress import ip_network
-from itertools import accumulate
-from operator import sub
 
 import numpy as np
 
@@ -41,6 +39,7 @@ from .trace_io import (
 _MAX_FLOWS = 55_000  # one unique client port per flow
 _PAYLOAD = "[0, 65495]"  # the largest TCP payload an IPv4 packet holds
 _MAX_DRAW = 2**63 - 1  # numpy draws int64 values, and synth replays its draws
+_MAX_FRAME_BYTES = 2**32 - 1  # a frame's place in the trace's one chunk is an 'I' value
 
 
 @dataclass(frozen=True)
@@ -381,6 +380,14 @@ def synth_trace(
                     data = frame(tcp_flags, size, payload)
                     rows.append((ts, *fields, tcp_flags, size, len(data)))
                     write(data)
+            if ts > _MAX_DRAW:
+                raise InvalidSpecError(
+                    f"template {template.label!r}: a packet time passes 2**63 - 1 µs"
+                )
+            if frames.tell() > _MAX_FRAME_BYTES:
+                raise InvalidSpecError(
+                    f"template {template.label!r}: the trace's frames pass 2**32 - 1 bytes"
+                )
             for column, values in zip(header, zip(*rows)):
                 column.extend(values)
             rows.clear()
@@ -390,16 +397,16 @@ def synth_trace(
             client_port += 1
 
     chunk = frames.getvalue()  # the buffer itself, trimmed to its size
-    ends = array("I", accumulate(header[8]))  # a frame's length is its wire_len
-    # Sorted once by time. That order interleaves every flow, so each column
-    # is gathered row by row: ``take`` would copy runs of one row.
-    order = sorted(range(len(ends)), key=header[0].tolist().__getitem__)
-    *header, ends = (array(c.typecode, map(c.__getitem__, order)) for c in (*header, ends))
-    sizes, lengths = header[7], header[8]
-    frame_starts, payload_starts = (array("I", map(sub, ends, n)) for n in (lengths, sizes))
-    spans = [array("I", bytes(4 * len(ends))), frame_starts, array("I", lengths),
-             payload_starts, ends]
-    packets = PacketColumns(header, list(index), [chunk], spans)
+    # Frames lie end to end in draw order, each ended by its payload: the
+    # spans are found there, then gathered with the header in time order.
+    columns = [np.frombuffer(c, c.typecode) for c in header]
+    sizes, lengths = columns[7:9]  # a frame's length is its wire_len
+    ends = np.cumsum(lengths, dtype=np.int64).astype(np.uint32)  # checked per flow above
+    columns += ends - lengths, lengths, ends - sizes, ends
+    order = np.argsort(columns[0], kind="stable")  # packets of one time keep their draw order
+    header = [array(t, c[order].tobytes()) for t, c in zip(_HEADER_TYPES + "IIII", columns)]
+    spans = [array("I", bytes(4 * len(order))), *header[9:]]
+    packets = PacketColumns(header[:9], list(index), [chunk], spans)
     return PacketTrace(packets, f"synthetic:{seed}"), truth
 
 

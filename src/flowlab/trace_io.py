@@ -169,7 +169,8 @@ class _FileChunks(Sequence):
 
     Chunk ``c`` is the ``lengths[c]`` bytes at file offset ``offsets[c]``,
     read with ``os.pread`` on a duplicate of the capture's descriptor when
-    it is asked for; the last chunk read is kept. A read that comes up
+    it is asked for; the two chunks read last are kept, so rows that
+    alternate between two chunks read each once. A read that comes up
     short, or a capture whose size or modification time differs from
     ``st``'s, raises UnreadableFileError; so does a capture still being
     written to, once it has grown. Only the size and the modification time
@@ -180,7 +181,7 @@ class _FileChunks(Sequence):
     chunks.
     """
 
-    __slots__ = ("_fd", "_path", "_stat", "offsets", "lengths", "_last", "__weakref__")
+    __slots__ = ("_fd", "_path", "_stat", "offsets", "lengths", "_kept", "__weakref__")
 
     def __init__(self, fd: int, path: str, st: os.stat_result, offsets: array, lengths: array):
         self._fd = os.dup(fd)
@@ -189,14 +190,17 @@ class _FileChunks(Sequence):
         self._stat = (st.st_size, st.st_mtime_ns)
         self.offsets = offsets
         self.lengths = lengths
-        self._last: tuple[int | None, bytes] = (None, b"")
+        self._kept: tuple = ((None, b""), (None, b""))  # (chunk, bytes), the last read first
 
     def __len__(self) -> int:
         return len(self.offsets)
 
     def __getitem__(self, c: int) -> bytes:
-        if self._last[0] == c:
-            return self._last[1]
+        last, other = self._kept
+        if last[0] == c:
+            return last[1]
+        if other[0] == c:
+            return other[1]
         try:
             data = os.pread(self._fd, self.lengths[c], self.offsets[c])
             st = os.fstat(self._fd)
@@ -206,7 +210,7 @@ class _FileChunks(Sequence):
             raise UnreadableFileError(
                 f"cannot read capture {self._path}: it has changed since it was read"
             )
-        self._last = (c, data)
+        self._kept = (c, data), last
         return data
 
 

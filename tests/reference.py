@@ -17,16 +17,22 @@ time, where the library scores all of them in one vectorised pass. The CSV
 writer formats each cell by its own call and leaves quoting to
 ``csv.writer``, where the library formats a row by one ``%`` template and
 quotes a label itself; ``csv.writer`` leaves a lone ``\\r`` unquoted, so
-the two agree on every label without one.
+the two agree on every label without one. The pipeline reference runs the
+references above from pcap bytes to CSV files over plain lists, and pairs
+each snapshot with its own flow's record, where the library pairs a
+snapshot with the complete-flow row of its flow hash.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
+import tempfile
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import replace
 from ipaddress import ip_address
 from itertools import count, repeat
@@ -36,7 +42,9 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from flowlab.forest import TrainConfig, Tree, dataset_matrix, tree_seed
+from flowlab.labeling import label_flow
 from flowlab.meter import (
+    FEATURE_NAMES,
     FeatureVector,
     FlowId,
     FlowKey,
@@ -670,12 +678,14 @@ class _SegmentArrays:
 
 @dataclass(frozen=True)
 class RefSnapshot:
-    """One snapshot of the reference meter, carrying the trigger that fired."""
+    """One snapshot of the reference meter, carrying the trigger that fired
+    and its own flow's record, which two flows sharing a ``FlowId`` tell apart."""
 
     parent_id: FlowId
     trigger: Trigger
     features: FeatureVector
     exported_at_us: int
+    record: FlowRecord = field(compare=False, repr=False)
 
 
 def reference_meter(
@@ -696,19 +706,18 @@ def reference_meter(
         for seg in _segment_group(group, config):
             pkts = seg.packets
             fid = FlowId.from_key(key, pkts[0].ts_us)
-            records.append(
-                FlowRecord(
-                    id=fid,
-                    direction_anchor=(
-                        (pkts[0].src_ip, pkts[0].src_port),
-                        (pkts[0].dst_ip, pkts[0].dst_port),
-                    ),
-                    first_us=pkts[0].ts_us,
-                    last_us=pkts[-1].ts_us,
-                    features=_features_of(pkts),
-                    expiration_reason=seg.reason,
-                )
+            record = FlowRecord(
+                id=fid,
+                direction_anchor=(
+                    (pkts[0].src_ip, pkts[0].src_port),
+                    (pkts[0].dst_ip, pkts[0].dst_port),
+                ),
+                first_us=pkts[0].ts_us,
+                last_us=pkts[-1].ts_us,
+                features=_features_of(pkts),
+                expiration_reason=seg.reason,
             )
+            records.append(record)
             arrays = _SegmentArrays(pkts)
             fd_pending = sorted(config.fd_triggers_ms)
             bc_pending = sorted(config.byte_triggers)
@@ -717,7 +726,7 @@ def reference_meter(
                 if n in config.pc_triggers:
                     snapshots.append(
                         RefSnapshot(
-                            fid, Trigger("pc", n), arrays.prefix_features(n), exported
+                            fid, Trigger("pc", n), arrays.prefix_features(n), exported, record
                         )
                     )
                 duration_us = exported - pkts[0].ts_us
@@ -729,7 +738,8 @@ def reference_meter(
                     if duration_us <= (1 + config.fd_tolerance) * t * 1000:
                         snapshots.append(
                             RefSnapshot(
-                                fid, Trigger("fd", t), arrays.prefix_features(n), exported
+                                fid, Trigger("fd", t), arrays.prefix_features(n), exported,
+                                record,
                             )
                         )
                 total_bytes = sum(arrays.wire[:n])
@@ -740,6 +750,7 @@ def reference_meter(
                             Trigger("bc", bc_pending.pop(0)),
                             arrays.prefix_features(n),
                             exported,
+                            record,
                         )
                     )
 
@@ -940,3 +951,71 @@ def reference_write_csv(ds, path) -> None:
             features = [map(f, column) for f, column in zip(formats, ds.X[rows].T.tolist())]
             hashes = map(str, ds.hash64[rows].tolist())
             writer.writerows(zip(*features, ds.labels[rows], hashes, repeat(ds.provenance)))
+
+
+# ---------------------------------------------------------------------------
+# Whole pipeline: pcap bytes in, CSV text out, over plain lists
+
+def reference_build_cf(records, labels, min_class_count: int) -> list[tuple]:
+    """(record, label) of each flow the complete-flow dataset keeps, in
+    record order: the first record of each flow hash among those with
+    payload, less every class with fewer than ``min_class_count`` of them."""
+    first: dict[int, tuple] = {}  # flow hash -> (record, label)
+    for record, label in zip(records, labels):
+        if record.features.bidirectional_payload_bytes > 0:
+            first.setdefault(record.id.hash64, (record, label))
+    counts = Counter(label for _, label in first.values())
+    return [(r, label) for r, label in first.values() if counts[label] >= min_class_count]
+
+
+def reference_build_pf(snapshots, cf, trigger: Trigger) -> list[tuple]:
+    """(snapshot, label) of each snapshot of ``trigger`` that its
+    partial-flow dataset keeps, in order: the first of each flow whose own
+    record ``cf`` kept, with that record's label."""
+    labels = {id(record): label for record, label in cf}
+    kept: dict[int, tuple] = {}
+    for snap in snapshots:
+        if snap.trigger == trigger and id(snap.record) in labels:
+            kept.setdefault(id(snap.record), (snap, labels[id(snap.record)]))
+    return list(kept.values())
+
+
+class _Table:
+    """What ``reference_write_csv`` reads of a dataset, made from rows of
+    (flow hash, features, label)."""
+
+    feature_schema = FEATURE_NAMES
+
+    def __init__(self, provenance: str, rows: list[tuple]) -> None:
+        self.provenance = provenance
+        self.hash64 = np.array([h for h, _, _ in rows], dtype=np.uint64)
+        features = np.array([f for _, f, _ in rows], dtype=np.float64)
+        self.X = features.reshape(len(rows), len(FEATURE_NAMES))
+        self.labels = [label for _, _, label in rows]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def reference_pipeline(
+    pcap, rules, config: MeterConfig, min_class_count: int
+) -> dict[str, str]:
+    """The text of each CSV file that ``flowlab preprocess`` (its default
+    10 ms window) and then ``flowlab meter`` write for ``pcap``, by name:
+    ``cf.csv``, and ``pf_<kind>_<value>.csv`` for every trigger of ``config``."""
+    trace = whole_trace_reorder(whole_trace_dedup(reference_read_trace(pcap)))
+    records, snapshots = reference_meter(list(trace.packets), config)
+    cf = reference_build_cf(records, [label_flow(r, rules) for r in records], min_class_count)
+    tables = {"cf.csv": _Table("CF", [(r.id.hash64, r.features, label) for r, label in cf])}
+    for trigger in config.triggers():
+        pf = reference_build_pf(snapshots, cf, trigger)
+        rows = [(s.parent_id.hash64, s.features, label) for s, label in pf]
+        tables[f"pf_{trigger.kind}_{trigger.value}.csv"] = _Table(str(trigger), rows)
+    texts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, table in tables.items():
+            path = os.path.join(tmp, name)
+            reference_write_csv(table, path)
+            with open(path, encoding="utf-8", newline="") as fh:
+                texts[name] = fh.read()
+    return texts

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowlab import cli
+from flowlab import cli, synth
 from flowlab.errors import InvalidSpecError
 from flowlab.labeling import label_flow
 from flowlab.meter import MeterConfig, meter
@@ -66,6 +66,20 @@ def test_draws_replay_numpy_draw_for_draw(seed, draws):
             assert replay.integer(lo, lo + size) == int(rng.integers(lo, lo + size + 1))
 
 
+def _synth(tmp_path, spec: dict, seed: str = "1") -> int:
+    """``flowlab synth`` of ``spec`` into ``s.pcap`` and ``t.json``; its exit code."""
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    return cli.main(["synth", str(tmp_path / "spec.json"), seed, str(tmp_path / "s.pcap"),
+                     str(tmp_path / "t.json")])
+
+
+def _digests(tmp_path) -> dict:
+    return {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("s.pcap", "t.json")
+    }
+
+
 # A spec whose draws take every path of the replay: /65 pools and a start
 # range wider than 2**32 draw 64-bit values between 32-bit ones; fixed packet
 # counts and gaps draw nothing; payloads of 1-9 bytes take odd and even word
@@ -96,15 +110,8 @@ _DRAW_PATHS = {
 
 def test_synth_bytes_pinned_where_the_benchmark_does_not_reach(tmp_path):
     # Recorded from numpy's own per-packet draws, before synth replayed them.
-    (tmp_path / "spec.json").write_text(json.dumps(_DRAW_PATHS))
-    argv = ["synth", str(tmp_path / "spec.json"), "1", str(tmp_path / "s.pcap"),
-            str(tmp_path / "t.json")]
-    assert cli.main(argv) == 0
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("s.pcap", "t.json")
-    }
-    assert digests == {
+    assert _synth(tmp_path, _DRAW_PATHS) == 0
+    assert _digests(tmp_path) == {
         "s.pcap": "7c464113e2e281c2dd6b7c788e9792ab371e72e1fded7ad8b6a112c17fe51ce1",
         "t.json": "05463fe903266d7b08acfb2b4e0906aa3fd1beda1026000a72b73b6aaf57e9a9",
     }
@@ -150,15 +157,8 @@ _FLAG_PHASES = {
 
 def test_synth_bytes_pinned_on_the_flag_and_phase_branches(tmp_path):
     # Recorded when each packet still chose its ranges and flags itself.
-    (tmp_path / "spec.json").write_text(json.dumps(_FLAG_PHASES))
-    argv = ["synth", str(tmp_path / "spec.json"), "1", str(tmp_path / "s.pcap"),
-            str(tmp_path / "t.json")]
-    assert cli.main(argv) == 0
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("s.pcap", "t.json")
-    }
-    assert digests == {
+    assert _synth(tmp_path, _FLAG_PHASES) == 0
+    assert _digests(tmp_path) == {
         "s.pcap": "6eb71a077f46674ae7254031fed20ca0778c293a008b56224d58beece835be00",
         "t.json": "906bab77f4ef8fbcd803328bc47cc0bdc1f59966d5394f896f6f578cbdef4281",
     }
@@ -166,13 +166,71 @@ def test_synth_bytes_pinned_on_the_flag_and_phase_branches(tmp_path):
     assert {0x10, 0x18, 0x11, 0x19, 0x02, 0x03, 0x12, 0x13, 0} <= flags, sorted(flags)
 
 
+# Two classes of 12 flows whose packets all fall in the first ~20 µs, so most
+# times are shared by packets of several flows: only a stable sort by time
+# keeps those in draw order.
+_TIES = {
+    "name": "ties",
+    "templates": [
+        {
+            "label": "BENIGN", "flows": 12, "packets": [4, 9], "payload": [0, 30],
+            "iat_us": [0, 2], "client_ips": ["10.5.0.0/24"], "server_ips": ["10.9.0.1"],
+            "server_ports": [80, 443], "protocol": 6, "start_us": [0, 3],
+            "tcp": {"handshake": True, "fin": True},
+        },
+        {
+            "label": "ATTACK", "flows": 12, "packets": [4, 9], "payload": [0, 30],
+            "iat_us": [0, 2], "client_ips": ["10.6.0.0/24"], "server_ips": ["10.9.0.2"],
+            "server_ports": [53], "protocol": 17, "start_us": [0, 3],
+        },
+    ],
+}
+
+
+def test_synth_bytes_pinned_on_packets_that_tie_on_time(tmp_path):
+    # Recorded when synth still sorted with Python's ``sorted``.
+    assert _synth(tmp_path, _TIES) == 0
+    assert _digests(tmp_path) == {
+        "s.pcap": "d2bd4147cce7398e253aedb3af8b66673803de01a0164840d07e2ded2f5bcd32",
+        "t.json": "ffa1d1b2260c76e9cb63f2175366297dcd0b21a03cca4cf2a8d111e95512020f",
+    }
+    times = [p.ts_us for p in read_trace(tmp_path / "s.pcap").packets]
+    assert len(times) - len(set(times)) > 100
+
+
+def test_packet_time_beyond_int64_rejected(tmp_path, capsys):
+    # The flow's second packet falls at 2**63 µs; it is refused when that
+    # flow ends, before its packets join the columns.
+    spec = {"templates": [{
+        "label": "LATE", "flows": 1, "packets": [2, 2], "payload": [0, 0],
+        "iat_us": [1, 1], "client_ips": ["10.0.0.1"], "server_ips": ["10.0.0.2"],
+        "server_ports": [80], "start_us": [2**63 - 1, 2**63 - 1],
+    }]}
+    assert _synth(tmp_path, spec) == 2
+    assert "template 'LATE': a packet time passes 2**63 - 1 µs" in capsys.readouterr().err
+    assert not (tmp_path / "s.pcap").exists()
+
+
+def test_frames_beyond_the_span_columns_rejected(tmp_path, capsys, monkeypatch):
+    # A trace's frames share one chunk whose offsets are 'I' values. The
+    # limit is lowered to one byte below this trace's frames, so the check
+    # is reached without 4 GiB of them; the last flow crosses it.
+    trace, _ = synth_trace(SynthSpec.from_dict(_FLAG_PHASES), 1)
+    frames = sum(trace.packets.header[8])
+    monkeypatch.setattr(synth, "_MAX_FRAME_BYTES", frames - 1)
+    with pytest.raises(InvalidSpecError, match="template 'FLOOD': the trace's frames pass"):
+        synth_trace(SynthSpec.from_dict(_FLAG_PHASES), 1)
+    assert _synth(tmp_path, _FLAG_PHASES) == 2
+    assert "the trace's frames pass 2**32 - 1 bytes" in capsys.readouterr().err
+    assert not (tmp_path / "s.pcap").exists()
+    monkeypatch.setattr(synth, "_MAX_FRAME_BYTES", frames)
+    assert _synth(tmp_path, _FLAG_PHASES) == 0
+
+
 def test_negative_seed_rejected_with_its_bound(tmp_path, capsys):
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, inf\), got -3"):
         synth_trace(_minimal_spec(), -3)
-    (tmp_path / "spec.json").write_text(json.dumps(_FLAG_PHASES))
-    argv = ["synth", str(tmp_path / "spec.json"), "-1", str(tmp_path / "s.pcap"),
-            str(tmp_path / "t.json")]
-    assert cli.main(argv) == 2
+    assert _synth(tmp_path, _FLAG_PHASES, "-1") == 2
     assert "error: seed must be an integer in [0, inf), got -1" in capsys.readouterr().err
     assert not (tmp_path / "s.pcap").exists()
 
@@ -202,8 +260,8 @@ class TestSynthTrace:
 
     def test_holds_each_frame_once(self, early_spec):
         # Beyond its frames, laid end to end once, synth's peak holds about
-        # 160 bytes a packet: the header and span columns, their sorted
-        # copies and the sort's keys. Holding every payload and frame beside
+        # 160 bytes a packet: the header columns, the spans, their sorted
+        # copies and the sort's order. Holding every payload and frame beside
         # their joined copy takes about 1,800.
         synth_trace(early_spec, seed=3)  # imports and caches, outside the measure
         tracemalloc.start()

@@ -630,8 +630,8 @@ class TestHeaderOnlyRead:
 
 
 def test_trace_with_bytes_holds_64_bytes_per_packet_plus_one_chunk(dup_pcap):
-    # The frames stay in the file; a read of the bytes keeps the last chunk
-    # it fetched, and a payload is a span of it, not a copy.
+    # The frames stay in the file; a read of the bytes keeps the two chunks
+    # it read last, and a payload is a span of one, not a copy.
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -643,6 +643,18 @@ def test_trace_with_bytes_holds_64_bytes_per_packet_plus_one_chunk(dup_pcap):
     chunk = max(trace.packets.chunks.lengths)
     assert len(trace) > 8_000 and chunk <= trace_io._READ_CHUNK + 2048
     assert held <= 64 * len(trace) + chunk, (held - chunk) / len(trace)
+
+
+def test_rows_alternating_between_two_chunks_read_each_once(dup_pcap, monkeypatch):
+    rows = read_trace(dup_pcap).packets.spans[0]
+    firsts, seconds = ([i for i, c in enumerate(rows) if c == chunk][:20] for chunk in (0, 1))
+    alternating = [row for pair in zip(firsts, seconds) for row in pair]
+    expected = list(read_trace(dup_pcap).packets.take(alternating).payloads())
+    packets = read_trace(dup_pcap).packets.take(alternating)
+    reads, pread = [], os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, at: reads.append(at) or pread(fd, n, at))
+    assert list(packets.payloads()) == expected
+    assert len(alternating) == 40 and len(reads) == 2, reads
 
 
 def _resized(trace: PacketTrace, size: int) -> PacketTrace:
