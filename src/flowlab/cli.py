@@ -236,6 +236,7 @@ def cmd_synth(args) -> int:
     spec = synth.SynthSpec.from_json(args.spec)
     trace, truth = synth.synth_trace(spec, args.seed)
     trace_io.write_trace(trace, args.output)
+    n_packets, trace = len(trace), None  # free the written frames before the truth is built
     doc = {
         "name": spec.name,
         "seed": args.seed,
@@ -259,14 +260,14 @@ def cmd_synth(args) -> int:
             "rules": [
                 {
                     "label": r.label,
-                    "src_ips": [str(n) for n in r.src_ips],
+                    "src_ips": list(r.src_ips),
                     "protocol": r.protocol,
                 }
                 for r in rules.rules
             ],
         }
         _save(args.rules_out, _json(rules_doc))
-    print(f"packets: {len(trace)}  flows: {len(truth)}")
+    print(f"packets: {n_packets}  flows: {len(truth)}")
     return EXIT_OK
 
 
@@ -347,10 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FlowLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (FlowLabError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

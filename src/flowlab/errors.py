@@ -227,7 +227,10 @@ def _depth(text: str) -> int:
 
 
 class JsonDocument:
-    """``from_json`` for a config type: its ``from_dict`` of a JSON file."""
+    """``from_json`` for a config or model type: its ``from_dict`` of a JSON
+    file. UnreadableFileError for a file that cannot be read; FlowLabError
+    that starts with the path for one that is not JSON, nests too deep, or
+    holds what ``from_dict`` refuses with ValueError or TypeError."""
 
     @classmethod
     def from_json(cls, path):
@@ -236,12 +239,11 @@ class JsonDocument:
                 text = fh.read()
             if _depth(text) > _MAX_DEPTH:
                 raise FlowLabError(f"{path}: nested deeper than {_MAX_DEPTH} levels")
-            doc = json.loads(text)
+            return cls.from_dict(json.loads(text))
         except OSError as exc:
             raise UnreadableFileError(f"cannot read {path}: {exc}") from exc
-        except ValueError as exc:  # not JSON or not UTF-8
+        except (TypeError, ValueError) as exc:  # not JSON, not UTF-8, or a bad value
             raise FlowLabError(f"{path}: {exc}") from None
-        return cls.from_dict(doc)
 
 
 @contextmanager

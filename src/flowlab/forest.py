@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ANY, STR, Field, TrainConfig, check, replacing
-from .errors import EmptyDatasetError, FlowLabError, SchemaMismatchError, UnreadableFileError
+from .errors import ANY, STR, Field, JsonDocument, TrainConfig, check, replacing
+from .errors import EmptyDatasetError, SchemaMismatchError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -100,7 +100,7 @@ def _lay_out(trees: Sequence[Tree]) -> _Nodes:
 
 
 @dataclass(frozen=True)
-class RandomForest:
+class RandomForest(JsonDocument):
     """Trees and what they predict; ``nodes`` lays the trees' node arrays
     out end to end once, for ``predict_matrix``."""
 
@@ -112,6 +112,30 @@ class RandomForest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", _lay_out(self.trees))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> RandomForest:
+        """The forest of a ``save_model`` document, checked as outside
+        input; ValueError or TypeError for a malformed one."""
+        doc = check("model", data, _MODEL_FIELDS)
+        labels, schema, tree_docs = doc["labels"], doc["feature_schema"], doc["trees"]
+        # A vote tie goes to the smallest label index, so labels are sorted.
+        if not labels or list(labels) != sorted(set(labels)):
+            raise ValueError(f"model.labels must be sorted, distinct and non-empty: {list(labels)}")
+        if not tree_docs:
+            raise ValueError("model.trees must hold at least one tree")
+        config = TrainConfig(**doc.get("train_config", {}))
+        trees = []
+        for i, arrays in enumerate(tree_docs):
+            try:
+                tree = Tree(**arrays)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"tree {i}: {exc}") from None
+            problem = _tree_problem(tree, len(schema), len(labels))
+            if problem:
+                raise ValueError(f"tree {i}: {problem}")
+            trees.append(tree)
+        return cls(tuple(trees), schema, labels, config)
 
 
 def _dense_ranks(XT: np.ndarray, out: np.ndarray) -> None:
@@ -517,36 +541,5 @@ _MODEL_FIELDS = {
 }
 
 
-def load_model(path) -> RandomForest:
-    """The forest ``save_model`` wrote; UnreadableFileError for a file that
-    cannot be read, FlowLabError for a malformed one."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = check("model", json.load(fh), _MODEL_FIELDS)
-        labels, schema, tree_docs = doc["labels"], doc["feature_schema"], doc["trees"]
-        # A vote tie goes to the smallest label index, so labels are sorted.
-        if not labels or list(labels) != sorted(set(labels)):
-            raise ValueError(f"model.labels must be sorted, distinct and non-empty: {list(labels)}")
-        if not tree_docs:
-            raise ValueError("model.trees must hold at least one tree")
-        config = TrainConfig(**doc.get("train_config", {}))
-    except OSError as exc:
-        raise UnreadableFileError(f"cannot read model {path}: {exc}") from exc
-    except (TypeError, ValueError, RecursionError) as exc:
-        raise FlowLabError(f"{path}: {exc}") from None
-    trees = []
-    for i, arrays in enumerate(tree_docs):
-        try:
-            tree = Tree(**arrays)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FlowLabError(f"{path}: tree {i}: {exc}") from None
-        problem = _tree_problem(tree, len(schema), len(labels))
-        if problem:
-            raise FlowLabError(f"{path}: tree {i}: {problem}")
-        trees.append(tree)
-    return RandomForest(
-        trees=tuple(trees),
-        feature_schema=schema,
-        labels=labels,
-        train_config=config,
-    )
+# The forest ``save_model`` wrote.
+load_model = RandomForest.from_json

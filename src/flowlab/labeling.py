@@ -119,13 +119,15 @@ class LabelRule:
 
     def __post_init__(self) -> None:
         values = check("rule", self, self.FIELDS)
-        for name in ("src_ips", "dst_ips"):
-            values[name] = tuple(_network(f"rule.{name}", ip) for ip in values[name])
+        # Networks as canonical CIDR text, which passes this check again, and as spans.
+        for end in ("src", "dst"):
+            networks = [_network(f"rule.{end}_ips", ip) for ip in values[f"{end}_ips"]]
+            values[f"{end}_ips"] = tuple(map(str, networks))
+            values[f"_{end}_spans"] = _spans(networks)
         for name in ("src_ports", "dst_ports"):
             if not isinstance(values[name], PortSet):
                 values[name] = PortSet.parse(values[name], f"rule.{name}")
         keep(self, values)
-        keep(self, {"_src_spans": _spans(self.src_ips), "_dst_spans": _spans(self.dst_ips)})
 
     def _endpoints_match(self, src: tuple[str, int], dst: tuple[str, int]) -> bool:
         return (

@@ -655,14 +655,11 @@ def _framer(src_ip, dst_ip, src_port, dst_port, protocol):
     tcp, v4 = protocol == PROTO_TCP, src.version == 4
     # The headers of an empty payload, lengths and flags 0, cut around those: IPv4
     # with TTL 64 or IPv6 with hop limit 64, TCP's data offset 5 and window 8192.
-    try:
-        ip = (struct.pack("!HB7xBB2x8s", _ETHERTYPE_IPV4, 0x45, 64, protocol, addresses) if v4
-              else struct.pack("!HI2xBB32s", _ETHERTYPE_IPV6, 6 << 28, protocol, 64, addresses))
-        transport = (struct.pack("!HH8xBxH4x", src_port, dst_port, 5 << 4, 8192) if tcp
-                     else struct.pack("!HH4x", src_port, dst_port))
-        head, _, mid, _, tail = layout.unpack(_MACS + ip + transport)
-    except struct.error:  # a port that does not fit fails each frame, as a long payload does
-        head = mid = tail = None
+    ip = (struct.pack("!HB7xBB2x8s", _ETHERTYPE_IPV4, 0x45, 64, protocol, addresses) if v4
+          else struct.pack("!HI2xBB32s", _ETHERTYPE_IPV6, 6 << 28, protocol, 64, addresses))
+    transport = (struct.pack("!HH8xBxH4x", src_port, dst_port, 5 << 4, 8192) if tcp
+                 else struct.pack("!HH4x", src_port, dst_port))
+    head, _, mid, _, tail = layout.unpack(_MACS + ip + transport)
     pack, empty = layout.pack, (20 if tcp else 8) + (20 if v4 else 0)  # IP length, no payload
 
     def frame(tcp_flags, payload_len, payload):

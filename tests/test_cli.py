@@ -435,6 +435,16 @@ class TestMeterCmd:
         cfg.write_text(json.dumps({"pc_triggers": 5}))
         assert _run("meter", pcap, rules, workdir / "m5", "--config", cfg) == 2
 
+    def test_bad_config_value_names_its_file(self, workdir, synth_inputs, capsys):
+        pcap, rules = synth_inputs
+        config, pipeline = workdir / "config.json", workdir / "pipeline.json"
+        config.write_text(json.dumps({"idle_timeout_s": -1}))
+        pipeline.write_text(json.dumps({"meter": {"idle_timeout_s": -1}}))
+        for flag, path in (("--config", config), ("--pipeline", pipeline)):
+            assert _run("meter", pcap, rules, workdir / "m17", flag, path) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: meter.idle_timeout_s "), err
+
     @pytest.mark.parametrize(
         "doc",
         [

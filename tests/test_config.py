@@ -17,7 +17,7 @@ from flowlab import synth
 from flowlab.cli import PipelineConfig
 from flowlab.dataset import read_csv
 from flowlab.errors import STR, Field, FlowLabError, checked
-from flowlab.forest import TrainConfig, load_model
+from flowlab.forest import RandomForest, TrainConfig, load_model
 from flowlab.labeling import LabelRule, PortSet, RuleSet
 from flowlab.meter import MeterConfig, Trigger
 from flowlab.trace_io import read_trace
@@ -210,6 +210,27 @@ def test_unreadable_file_names_its_path(tmp_path, read, target):
         path.mkdir()
     with pytest.raises(FlowLabError, match=re.escape(str(path))):
         read(path)
+
+
+@pytest.mark.parametrize(
+    "kind, doc, field",
+    [
+        (PipelineConfig, {"split": {"seed": 9.7}}, "split.seed"),
+        (MeterConfig, {"idle_timeout_s": -1}, "meter.idle_timeout_s"),
+        (RuleSet, {"rules": [{"label": "X", "src_ips": ["10.0.0.0/33"]}]}, "rule.src_ips"),
+        (synth.SynthSpec, {"divergence_at": 0}, "spec.divergence_at"),
+        (RandomForest, {"labels": "AB", "feature_schema": [], "trees": []}, "model.labels"),
+    ],
+    ids=["pipeline", "meter", "rules", "spec", "model"],
+)
+def test_bad_value_in_a_file_names_the_file(tmp_path, kind, doc, field):
+    # The same value refused from a dict is refused from a file, under the file's path.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FlowLabError, match=f"^{re.escape(str(path))}: {field} "):
+        kind.from_json(path)
+    with pytest.raises(ValueError, match=f"^{field} "):
+        kind.from_dict(doc)
 
 
 def test_bad_value_echo_is_cut_in_length_and_depth():

@@ -815,6 +815,19 @@ class TestPersistence:
         with pytest.raises(FlowLabError, match=f"^{re.escape(str(path))}: "):
             load_model(path)
 
+    def test_deep_model_gets_one_answer_at_any_stack_depth(self, tmp_path):
+        path = tmp_path / "model.json"
+        deep = "[" * 990 + "]" * 990
+        path.write_text('{"labels": %s, "feature_schema": [], "trees": []}' % deep)
+
+        def load_at(frames: int):
+            return load_at(frames - 1) if frames else load_model(path)
+
+        for frames in (0, 600):
+            problem = f"^{re.escape(str(path))}: nested deeper than 100 levels$"
+            with pytest.raises(FlowLabError, match=problem):
+                load_at(frames)
+
 
 def _last_split(tree: dict) -> int:
     return max(i for i, f in enumerate(tree["feature"]) if f >= 0)

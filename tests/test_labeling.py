@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import ipaddress
 
 import numpy as np
@@ -117,6 +118,14 @@ class TestLabelFlow:
         )
         assert label_flow(_record(dst=("172.16.0.1", 1)), rules) == "FIRST"
 
+    def test_replace_keeps_a_rule_valid(self):
+        # A rule holds each network as canonical CIDR text, which its own check accepts.
+        rule = LabelRule(label="X", src_ips=("10.1.2.3/8", "2001:db8::1"))
+        moved = dataclasses.replace(rule, label="Y")
+        assert moved.src_ips == ("10.0.0.0/8", "2001:db8::1/128")
+        assert moved == LabelRule(label="Y", src_ips=moved.src_ips)
+        assert label_flow(_record(src=("10.9.9.9", 1)), RuleSet((moved,))) == "Y"
+
     def test_window_invalid_rejected(self):
         with pytest.raises(ValueError):
             LabelRule(label="X", window_us=(10, 5))
@@ -140,7 +149,7 @@ def _brute_force_label(record, rules: RuleSet) -> str:
             def ip_ok(nets, ip):
                 return not nets or any(
                     ipaddress.ip_address(ip) in n
-                    for n in nets
+                    for n in map(ipaddress.ip_network, nets)
                     if n.version == ipaddress.ip_address(ip).version
                 )
             def port_ok(ps: PortSet, port):
